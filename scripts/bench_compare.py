@@ -101,22 +101,19 @@ def compare(baseline: dict, current: dict, threshold: float, strict_throughput: 
 #: configs) and carry the default regression gate.
 _TIMING_SECTIONS = (
     ("timing_cycles_per_second", "timing", "cyc/s", False),
-    ("detailed_instructions_per_second", "detailed", "inst/s", False),
     ("timing_speedup", "timing speedup", "x", False),
-    ("detailed_speedup", "detailed speedup", "x", False),
     ("emulator_instructions_per_second", "emulator", "inst/s", False),
 )
 
-#: Scalar per-benchmark keys: geomean fast/reference speedups from
+#: Scalar per-benchmark keys: the geomean fast/reference speedup from
 #: ``scripts/bench_timing.py`` (gated — averaged across configs, so
-#: stable), plus the per-benchmark blocks-vs-fast emulator speedups
+#: stable), plus the per-benchmark blocks-vs-reference emulator speedups
 #: from ``scripts/bench_emulator.py`` (informational — single-workload
 #: ratios jitter beyond 10% run-to-run; their geomean is gated from the
 #: manifest instead, see ``_emulator_geomean_lines``).
 _TIMING_GEOMEANS = (
     ("timing_speedup_geomean", "timing speedup (geomean)", True),
-    ("detailed_speedup_geomean", "detailed speedup (geomean)", True),
-    ("blocks_speedup", "blocks speedup (vs fast)", False),
+    ("blocks_speedup_vs_reference", "blocks speedup (vs reference)", False),
 )
 
 
@@ -177,10 +174,13 @@ def _timing_lines(baseline, current, threshold, strict_throughput, regressions):
 
 
 def _emulator_geomean_lines(baseline, current, threshold, regressions):
-    """Gate the geomean blocks-vs-fast speedup recorded in the manifest
-    by ``scripts/bench_emulator.py`` (absent from other snapshots)."""
-    base = baseline.get("manifest", {}).get("blocks_speedup_geomean")
-    cur = current.get("manifest", {}).get("blocks_speedup_geomean")
+    """Gate the geomean blocks-vs-reference speedup recorded in the
+    manifest by ``scripts/bench_emulator.py`` (absent from other
+    snapshots).  Snapshots that carry only the retired blocks-vs-fast
+    ratio (``blocks_speedup_geomean``) are never compared with it."""
+    key = "blocks_speedup_vs_reference_geomean"
+    base = baseline.get("manifest", {}).get(key)
+    cur = current.get("manifest", {}).get(key)
     if base is None or cur is None or float(base) <= 0:
         return []
     base, cur = float(base), float(cur)
@@ -189,10 +189,10 @@ def _emulator_geomean_lines(baseline, current, threshold, regressions):
     if delta < -threshold:
         note = "  <-- REGRESSION"
         regressions.append(
-            f"blocks speedup (geomean) {base:.2f}x -> {cur:.2f}x ({delta:+.1%})"
+            f"blocks speedup vs reference (geomean) {base:.2f}x -> {cur:.2f}x ({delta:+.1%})"
         )
     return [
-        f"  {'*':<10s} {'blocks speedup (geomean)':<32s} "
+        f"  {'*':<10s} {'blocks speedup vs ref (geomean)':<32s} "
         f"{base:8.2f}x -> {cur:8.2f}x ({delta:+6.1%}) {note}"
     ]
 

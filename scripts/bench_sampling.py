@@ -72,7 +72,7 @@ def bench_one(name: str, budget: int, plan: SamplingPlan, verbose=print) -> dict
     iters = workload.iters_for_budget(budget)
     skip = workload.skip_hint
 
-    machine = Machine(workload.build(iters), dispatch="fast")
+    machine = Machine(workload.build(iters))
     machine.run(skip)
     t0 = time.perf_counter()
     exact = TimingSimulator(config).run(machine.trace(budget))

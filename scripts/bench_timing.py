@@ -1,20 +1,17 @@
 #!/usr/bin/env python
 """Benchmark the timing-layer fast path against its golden reference.
 
-Measures, per configuration:
-
-* ``TimingSimulator`` — simulated cycles per wall-second under the
-  pre-bound fast path vs. the reference one-pass loop, and the ratio;
-* ``DetailedSimulator`` — instructions and cycles per wall-second with
-  cycle-skipping vs. the explicit reference cycle loop, and the ratio.
+Measures, per configuration, ``TimingSimulator``'s simulated cycles per
+wall-second under the pre-bound fast path vs. the reference one-pass
+loop, and the ratio.
 
 Every measured configuration is first lockstep cross-checked on a slice
 of the trace (full stats + event streams), so a snapshot can never
 record throughput for a fast path that diverged from the golden model.
 
 Writes a ``BENCH_<run>.json`` snapshot (same schema as the CLI's perf
-snapshots, plus ``timing_*`` / ``detailed_*`` sections) for
-``scripts/bench_compare.py``'s timing regression gate::
+snapshots, plus ``timing_*`` sections) for ``scripts/bench_compare.py``'s
+timing regression gate::
 
     python scripts/bench_timing.py --out benchmarks/BENCH_timing.json
     python scripts/bench_timing.py --assert-fast-active --check-speedup
@@ -27,7 +24,6 @@ runners where raw cycles/s would not be.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -36,7 +32,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.config import (  # noqa: E402
-    Features,
     baseline_config,
     bitslice_config,
     simple_pipeline_config,
@@ -44,16 +39,14 @@ from repro.core.config import (  # noqa: E402
 from repro.experiments import runner  # noqa: E402
 from repro.obs.manifest import bench_snapshot, build_manifest  # noqa: E402
 from repro.harness.atomicio import atomic_write_json  # noqa: E402
-from repro.timing.detailed import DetailedSimulator  # noqa: E402
-from repro.timing.fastpath import (  # noqa: E402
-    cross_check_detailed,
-    cross_check_timing,
-    default_timing_mode,
-)
+from repro.timing.fastpath import cross_check_timing, default_timing_mode  # noqa: E402
 from repro.timing.simulator import TimingSimulator  # noqa: E402
 
 #: Trace slice used for the pre-measurement lockstep parity check.
 PARITY_SLICE = 3000
+
+#: Geomean fast-vs-reference floor enforced by ``--check-speedup``.
+SPEEDUP_FLOOR = 1.5
 
 
 def timing_configs():
@@ -63,19 +56,6 @@ def timing_configs():
         simple_pipeline_config(4),
         bitslice_config(2),
         bitslice_config(4),
-    ]
-
-
-def detailed_configs():
-    """Configurations benched on the explicit cycle-loop model (atomic
-    plus basic bypassing-only sliced — the reference's whole domain)."""
-    basic = Features(partial_operand_bypassing=True)
-    return [
-        baseline_config(),
-        simple_pipeline_config(2),
-        simple_pipeline_config(4),
-        bitslice_config(2, basic, name="basic-slice2"),
-        bitslice_config(4, basic, name="basic-slice4"),
     ]
 
 
@@ -108,6 +88,7 @@ def bench_timing_layer(trace, repeats: int, verbose=print):
         rows[cfg.name] = {
             "cycles": stats.cycles,
             "ipc": stats.ipc,
+            "fast_instructions_per_second": stats.instructions / fast_wall,
             "fast_cycles_per_second": stats.cycles / fast_wall,
             "reference_cycles_per_second": stats.cycles / ref_wall,
             "speedup": ref_wall / fast_wall,
@@ -116,38 +97,6 @@ def bench_timing_layer(trace, repeats: int, verbose=print):
         verbose(
             f"  timing   {cfg.name:<16s} {stats.cycles / fast_wall:10,.0f} cyc/s fast"
             f"  {stats.cycles / ref_wall:10,.0f} cyc/s ref   {ref_wall / fast_wall:5.2f}x"
-        )
-    return rows
-
-
-def bench_detailed_model(trace, repeats: int, verbose=print):
-    """Per-config fast/reference throughput for DetailedSimulator."""
-    rows = {}
-    parity = list(trace[:PARITY_SLICE])
-    for cfg in detailed_configs():
-        _, skipped = cross_check_detailed(cfg, parity)
-        fast_wall, stats = _best_wall(
-            lambda: DetailedSimulator(cfg, mode="fast"), trace, repeats
-        )
-        ref_wall, _ = _best_wall(
-            lambda: DetailedSimulator(cfg, mode="reference"), trace, repeats
-        )
-        rows[cfg.name] = {
-            "cycles": stats.cycles,
-            "instructions": stats.instructions,
-            "ipc": stats.ipc,
-            "fast_cycles_per_second": stats.cycles / fast_wall,
-            "reference_cycles_per_second": stats.cycles / ref_wall,
-            "fast_instructions_per_second": stats.instructions / fast_wall,
-            "reference_instructions_per_second": stats.instructions / ref_wall,
-            "speedup": ref_wall / fast_wall,
-            "fast_wall_seconds": fast_wall,
-            "parity_skipped_cycles": skipped,
-        }
-        verbose(
-            f"  detailed {cfg.name:<16s} {stats.cycles / fast_wall:10,.0f} cyc/s fast"
-            f"  {stats.cycles / ref_wall:10,.0f} cyc/s ref   {ref_wall / fast_wall:5.2f}x"
-            f"  ({skipped} cycles skipped in parity run)"
         )
     return rows
 
@@ -182,19 +131,18 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check-speedup", action="store_true",
-        help="fail unless geomean speedups clear the repo floors "
-             "(TimingSimulator >= 1.5x, DetailedSimulator >= 2x)",
+        help=f"fail unless the geomean TimingSimulator speedup clears the "
+             f"repo floor ({SPEEDUP_FLOOR}x)",
     )
     args = parser.parse_args(argv)
 
     if args.assert_fast_active:
         mode = default_timing_mode()
         sim_mode = TimingSimulator(baseline_config()).mode
-        det_mode = DetailedSimulator(baseline_config()).mode
-        if not (mode == sim_mode == det_mode == "fast"):
+        if not (mode == sim_mode == "fast"):
             print(
                 f"error: fast path not active (default={mode!r}, "
-                f"TimingSimulator={sim_mode!r}, DetailedSimulator={det_mode!r}); "
+                f"TimingSimulator={sim_mode!r}); "
                 f"is $REPRO_TIMING forcing the reference?",
                 file=sys.stderr,
             )
@@ -210,19 +158,16 @@ def main(argv=None) -> int:
     print(f"benching over {len(trace)} records, best of {args.repeats}:")
 
     timing_rows = bench_timing_layer(trace, args.repeats)
-    detailed_rows = bench_detailed_model(trace, args.repeats)
     timing_gm = geomean(r["speedup"] for r in timing_rows.values())
-    detailed_gm = geomean(r["speedup"] for r in detailed_rows.values())
-    print(f"geomean speedup: timing {timing_gm:.2f}x, detailed {detailed_gm:.2f}x")
+    print(f"geomean speedup: timing {timing_gm:.2f}x")
 
     if args.out:
         record = {
             # BENCH-schema required keys (over the whole timing sweep).
             "ipc": {name: r["ipc"] for name, r in timing_rows.items()},
-            "wall_seconds": sum(r["fast_wall_seconds"] for r in timing_rows.values())
-            + sum(r["fast_wall_seconds"] for r in detailed_rows.values()),
+            "wall_seconds": sum(r["fast_wall_seconds"] for r in timing_rows.values()),
             "instructions_per_second": geomean(
-                r["fast_instructions_per_second"] for r in detailed_rows.values()
+                r["fast_instructions_per_second"] for r in timing_rows.values()
             ),
             "instructions": len(trace),
             # Timing-layer sections consumed by bench_compare.py.
@@ -230,15 +175,7 @@ def main(argv=None) -> int:
                 name: r["fast_cycles_per_second"] for name, r in timing_rows.items()
             },
             "timing_speedup": {name: r["speedup"] for name, r in timing_rows.items()},
-            "detailed_instructions_per_second": {
-                name: r["fast_instructions_per_second"]
-                for name, r in detailed_rows.items()
-            },
-            "detailed_speedup": {
-                name: r["speedup"] for name, r in detailed_rows.items()
-            },
             "timing_speedup_geomean": timing_gm,
-            "detailed_speedup_geomean": detailed_gm,
         }
         manifest = build_manifest(
             config={
@@ -257,16 +194,13 @@ def main(argv=None) -> int:
         print(f"timing snapshot written to {out}")
 
     if args.check_speedup:
-        failed = []
-        if timing_gm < 1.5:
-            failed.append(f"TimingSimulator geomean {timing_gm:.2f}x < 1.5x floor")
-        if detailed_gm < 2.0:
-            failed.append(f"DetailedSimulator geomean {detailed_gm:.2f}x < 2x floor")
-        if failed:
-            for line in failed:
-                print(f"error: {line}", file=sys.stderr)
+        if timing_gm < SPEEDUP_FLOOR:
+            print(
+                f"error: TimingSimulator geomean {timing_gm:.2f}x < {SPEEDUP_FLOOR}x floor",
+                file=sys.stderr,
+            )
             return 1
-        print("speedup floors cleared (timing >= 1.5x, detailed >= 2x)")
+        print(f"speedup floor cleared (timing >= {SPEEDUP_FLOOR}x)")
     return 0
 
 

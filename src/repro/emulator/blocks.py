@@ -1,6 +1,6 @@
-"""Block-compiled execution: the emulator's third tier.
+"""Block-compiled execution: the emulator's production tier.
 
-Pre-bound dispatch (:mod:`repro.emulator.dispatch`) made each retired
+Pre-bound dispatch (:mod:`repro.emulator.dispatch`) makes each retired
 instruction one indirect call; this module removes even that.  At
 decode time the text segment is partitioned into basic blocks (leaders
 = the entry point, every branch/jump target, every index after a
@@ -54,7 +54,6 @@ block exits) and any record or final-state mismatch raises
 from __future__ import annotations
 
 import math
-import os
 import time
 import weakref
 
@@ -77,9 +76,9 @@ _M = 0xFFFFFFFF
 #: by its own line size, so a mismatch only costs extra calls.
 _ILINE_SHIFT = 6
 
-#: Environment knob: executions of a leader before its block compiles.
-#: 0 compiles on first entry (what tests and cross_check use).
-THRESHOLD_ENV = "REPRO_BLOCKS_THRESHOLD"
+#: Executions of a leader before its block compiles, so cold code never
+#: pays ``compile`` (costed by ``scripts/bench_host_ops.py``).  Tests
+#: and cross_check pass ``block_threshold=0``: compile on first entry.
 DEFAULT_THRESHOLD = 8
 
 #: Superblock growth cap (instructions per compiled function).  Must
@@ -145,15 +144,6 @@ _RT_UNUSED_RUN = _FP_ARITH | frozenset({
 _BRANCH2_OP = {"beq": "==", "bne": "!="}
 
 _BRANCH1_OP = {"blez": "<= 0", "bgtz": "> 0", "bltz": "< 0", "bgez": ">= 0"}
-
-
-def default_block_threshold() -> int:
-    """Compile threshold from the environment (non-negative int)."""
-    raw = os.environ.get(THRESHOLD_ENV, "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_THRESHOLD
 
 
 # ------------------------------------------------------------------- stats
@@ -246,9 +236,9 @@ def publish_stats(registry) -> None:
 def telemetry() -> dict | None:
     """Manifest-ready "Compiler telemetry" block, or ``None``.
 
-    ``None`` when the blocks tier never compiled anything this process —
-    reports and manifests gate the section on data presence, so runs on
-    the other tiers render byte-identically to pre-telemetry builds.
+    ``None`` when the blocks tier never compiled anything this process
+    (e.g. a ``REPRO_DISPATCH=reference`` run) — manifests gate the
+    section on data presence.
     """
     if not _STATS["blocks_compiled"] and not _COMPILE_EVENTS:
         return None
@@ -339,19 +329,20 @@ class _Block:
 class BlockEngine:
     """Per-machine block discovery, profiling, and lazy compilation.
 
-    The engine owns two dispatch tables indexed like the machine's
+    The engine owns three dispatch tables indexed like the machine's
     bound-handler list.  A table entry is ``None`` (never compile —
     not a leader, or block rejected), an ``int`` countdown (leader
     profile: executions left before compiling), or a ``(max_inst, fn)``
-    tuple once compiled.  ``run_table`` holds the index-chaining
-    variants, ``trace_table`` the record-building variants.
+    tuple once compiled.  ``tables["run"]`` holds the index-chaining
+    variants, ``tables["trace"]`` the record-building variants and
+    ``tables["warm"]`` the functional-warming ones.
     """
 
     def __init__(self, machine, threshold: int | None = None) -> None:
         self.m = machine
         self.decoded = machine.decoded
         self.base = machine.program.text_base
-        self.threshold = default_block_threshold() if threshold is None else max(0, threshold)
+        self.threshold = DEFAULT_THRESHOLD if threshold is None else max(0, threshold)
         self.max_len = MAX_BLOCK_LEN
         self.min_len = MIN_BLOCK_LEN
         self._compiled: dict[tuple, tuple | None] = {}
@@ -381,9 +372,6 @@ class BlockEngine:
                 run_table[idx] = initial
                 trace_table[idx] = initial
                 warm_table[idx] = initial
-        self.run_table = run_table
-        self.trace_table = trace_table
-        self.warm_table = warm_table
         self.tables = {"run": run_table, "trace": trace_table, "warm": warm_table}
 
     # -------------------------------------------------------------- discovery
@@ -476,21 +464,16 @@ class BlockEngine:
 
     # ------------------------------------------------------------ compilation
 
-    def compile_block(self, index: int, variant) -> None:
+    def compile_block(self, index: int, variant: str) -> None:
         """Compile (or reject) one variant of the block at *index*.
 
-        *variant* is ``"run"``, ``"trace"``, or ``"warm"`` (legacy bools
-        map to run/trace).  Variants compile lazily and independently —
-        a pure :meth:`run` workload never pays for trace-variant
-        compilation (CPython's ``compile`` dominates the cost) — and
-        code objects are shared across machines through the per-program
-        cache, so only the first machine over a program pays ``compile``
-        at all.
+        *variant* is ``"run"``, ``"trace"``, or ``"warm"``.  Variants
+        compile lazily and independently — a pure :meth:`run` workload
+        never pays for trace-variant compilation (CPython's ``compile``
+        dominates the cost) — and code objects are shared across
+        machines through the per-program cache, so only the first
+        machine over a program pays ``compile`` at all.
         """
-        if variant is True:
-            variant = "trace"
-        elif variant is False:
-            variant = "run"
         key = (index, variant)
         if key not in self._compiled:
             t0 = time.perf_counter()
@@ -1215,9 +1198,9 @@ def cross_check_blocks(program, max_steps: int = 100_000, threshold: int = 0):
     """
     from repro.emulator.machine import Machine
 
-    fast = Machine(program, dispatch="blocks", block_threshold=threshold)
+    blk = Machine(program, dispatch="blocks", block_threshold=threshold)
     gold = Machine(program, dispatch="reference")
-    stream = fast.trace(max_steps)
+    stream = blk.trace(max_steps)
     n = 0
     while not gold.halted and n < max_steps:
         want = gold.step_reference()
@@ -1228,9 +1211,9 @@ def cross_check_blocks(program, max_steps: int = 100_000, threshold: int = 0):
             )
         n += 1
     stream.close()
-    if fast.regs != gold.regs:
+    if blk.regs != gold.regs:
         raise DispatchDivergence("final register files differ")
-    if fast.pc != gold.pc or fast.halted != gold.halted or fast.output != gold.output:
+    if blk.pc != gold.pc or blk.halted != gold.halted or blk.output != gold.output:
         raise DispatchDivergence("final machine state differs")
     return n
 
@@ -1239,7 +1222,6 @@ __all__ = [
     "BlockEngine",
     "compile_events",
     "cross_check_blocks",
-    "default_block_threshold",
     "publish_stats",
     "reset_stats",
     "stats",
@@ -1248,5 +1230,4 @@ __all__ = [
     "JIT_LANE",
     "MAX_BLOCK_LEN",
     "MIN_BLOCK_LEN",
-    "THRESHOLD_ENV",
 ]

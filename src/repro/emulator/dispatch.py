@@ -1,4 +1,4 @@
-"""Pre-bound instruction dispatch: the emulator's fast path.
+"""Pre-bound instruction dispatch: the blocks tier's per-instruction layer.
 
 The reference interpreter (:meth:`~repro.emulator.machine.Machine.step_reference`)
 re-compares the mnemonic string against ~50 ``elif`` branches for every
@@ -15,9 +15,12 @@ reference bit-for-bit: same register writes, same ``TraceRecord``
 fields, same exception behavior.  When ``emit`` is false the handler
 skips building the ``TraceRecord`` — the big win for
 :meth:`Machine.run`, which retires instructions without consuming
-records.  :func:`cross_check` is the differential harness that keeps
-the two interpreters honest (the fault-injection campaign uses the same
-golden-model idiom, see :mod:`repro.harness.faults`).
+records.  The block-compiled tier (:mod:`repro.emulator.blocks`) runs
+these handlers for :meth:`Machine.step`, cold code, syscalls and the
+per-instruction replay of a faulting block.  :func:`cross_check` is the
+differential harness that keeps them honest against the reference (the
+fault-injection campaign uses the same golden-model idiom, see
+:mod:`repro.harness.faults`).
 """
 
 from __future__ import annotations
@@ -964,11 +967,12 @@ def bind_program(decoded):
 # ------------------------------------------------------------- cross-check
 
 def cross_check(program, max_steps: int = 100_000):
-    """Differentially execute *program* on both interpreters.
+    """Differentially execute *program*: bound handlers vs reference.
 
-    Runs a fast-dispatch machine and a golden-reference machine in
-    lockstep, comparing every :class:`TraceRecord` and the final
-    architectural state (registers, PC, halt flag, output).
+    Single-steps a blocks-tier machine (:meth:`Machine.step` runs the
+    pre-bound handlers) and a golden-reference machine in lockstep,
+    comparing every :class:`TraceRecord` and the final architectural
+    state (registers, PC, halt flag, output).
 
     Returns the number of instructions compared.
 
@@ -978,20 +982,20 @@ def cross_check(program, max_steps: int = 100_000):
     """
     from repro.emulator.machine import Machine
 
-    fast = Machine(program, dispatch="fast")
+    prod = Machine(program, dispatch="blocks")
     gold = Machine(program, dispatch="reference")
     n = 0
     while not gold.halted and n < max_steps:
         want = gold.step_reference()
-        got = fast.step()
+        got = prod.step()
         if want != got:
             raise DispatchDivergence(
-                f"step {n}: fast dispatch produced {got!r}, reference produced {want!r}"
+                f"step {n}: bound handler produced {got!r}, reference produced {want!r}"
             )
         n += 1
-    if fast.regs != gold.regs:
+    if prod.regs != gold.regs:
         raise DispatchDivergence("final register files differ")
-    if fast.pc != gold.pc or fast.halted != gold.halted or fast.output != gold.output:
+    if prod.pc != gold.pc or prod.halted != gold.halted or prod.output != gold.output:
         raise DispatchDivergence("final machine state differs")
     return n
 

@@ -7,29 +7,24 @@ pre-decoded at load time so the interpreter loop touches only Python
 ints and the pre-built :class:`~repro.isa.instructions.Instruction`
 objects.
 
-Three interpreters share the machine state:
+Two interpreters share the machine state:
 
-* the **fast path** (default): every decoded instruction is pre-bound
-  once to a specialized closure from :mod:`repro.emulator.dispatch`, so
-  the execute loop is threaded code with zero mnemonic string
-  comparisons, and :meth:`run` retires instructions without building
-  ``TraceRecord`` objects it would only discard;
-* the **blocks tier** (``REPRO_DISPATCH=blocks``): hot basic blocks
-  and superblocks compile to fused Python functions
-  (:mod:`repro.emulator.blocks`) with registers in host locals and
-  batched memory runs, falling back to the pre-bound handlers at block
-  exits, syscalls and cold code;
+* the **blocks tier** (default): hot basic blocks and superblocks
+  compile to fused Python functions (:mod:`repro.emulator.blocks`)
+  with registers in host locals and batched memory runs.  Everything
+  else — cold code, syscalls, block exits, :meth:`step` — executes
+  through per-instruction closures pre-bound at decode time
+  (:mod:`repro.emulator.dispatch`);
 * the **golden reference** (:meth:`step_reference`): the original
-  ``if``/``elif`` interpreter, kept verbatim as the oracle that both
-  fast tiers are differentially checked against
-  (:func:`repro.emulator.dispatch.cross_check`,
+  ``if``/``elif`` interpreter, kept verbatim as the oracle that the
+  bound handlers and the compiled blocks are differentially checked
+  against (:func:`repro.emulator.dispatch.cross_check`,
   :func:`repro.emulator.blocks.cross_check_blocks`).
 
 Set ``REPRO_DISPATCH=reference`` (or pass ``dispatch="reference"``) to
 force the golden interpreter everywhere — useful for A/B performance
-measurements and for bisecting a suspected fast-path bug.  An
-in-process override (:func:`set_dispatch_mode`) beats the environment
-and is re-applied inside sweep workers.
+measurements and for bisecting a suspected production-tier bug.  Sweep
+workers inherit the variable with the rest of the environment.
 """
 
 from __future__ import annotations
@@ -51,9 +46,12 @@ from repro.isa.registers import FCC, FP_BASE, HI, LO, NUM_EXT_REGS
 
 _M = 0xFFFFFFFF
 
-#: Environment variable selecting the interpreter
-#: (``fast``/``reference``/``blocks``).
+#: Environment variable selecting the interpreter: unset or empty for
+#: the production tier, ``reference`` for the golden model.
 DISPATCH_ENV = "REPRO_DISPATCH"
+
+#: Interpreter tiers: the production tier, then the golden reference.
+DISPATCH_TIERS = ("blocks", "reference")
 
 #: Retirements a profiled exact-mode block chain may run before it
 #: yields to the outer loop, where the chain-encoded execution buffer
@@ -62,46 +60,24 @@ DISPATCH_ENV = "REPRO_DISPATCH"
 #: the drain check off the per-execution hot path.
 _PROFILE_DRAIN = 262_144
 
-#: In-process dispatch-mode override (beats the environment).  Workers
-#: spawned for parallel sweeps re-apply this the same way the timing
-#: layer re-applies its mode override (see experiments.supervisor).
-_dispatch_override: str | None = None
-
-
-def _canon_dispatch(value) -> str:
-    v = str(value).strip().lower()
-    if v in ("reference", "ref", "slow"):
-        return "reference"
-    if v in ("blocks", "block", "compiled"):
-        return "blocks"
-    return "fast"
-
 
 def default_dispatch() -> str:
-    """Interpreter selected by the override or ``REPRO_DISPATCH``.
+    """Interpreter selected by ``REPRO_DISPATCH``.
 
-    Returns ``"fast"`` (pre-bound dispatch, the default),
-    ``"reference"`` (golden interpreter) or ``"blocks"``
-    (block-compiled tier, :mod:`repro.emulator.blocks`).
+    Returns ``"blocks"`` (the block-compiled production tier) when the
+    variable is unset or empty, ``"reference"`` for the golden
+    interpreter.
+
+    Raises:
+        ValueError: for any other value, so a misspelt ``reference``
+            cannot silently run the production tier.
     """
-    if _dispatch_override is not None:
-        return _dispatch_override
-    return _canon_dispatch(os.environ.get(DISPATCH_ENV, "fast"))
-
-
-def set_dispatch_mode(mode: str | None) -> str | None:
-    """Set (or clear, with ``None``) the in-process dispatch override.
-
-    Returns the canonicalized mode now in force as the override.
-    """
-    global _dispatch_override
-    _dispatch_override = None if mode is None else _canon_dispatch(mode)
-    return _dispatch_override
-
-
-def dispatch_mode_override() -> str | None:
-    """Current in-process override, or ``None`` when the env decides."""
-    return _dispatch_override
+    value = os.environ.get(DISPATCH_ENV) or DISPATCH_TIERS[0]
+    if value not in DISPATCH_TIERS:
+        raise ValueError(
+            f"{DISPATCH_ENV}={value!r}: expected unset, empty, 'reference' or 'blocks'"
+        )
+    return value
 
 
 class Machine:
@@ -136,16 +112,18 @@ class Machine:
             except EncodingError:
                 decoded.append(None)
         self.decoded = decoded
-        self.dispatch = (
-            _canon_dispatch(dispatch) if dispatch is not None else default_dispatch()
-        )
-        self._fast = self.dispatch == "fast"
-        self._blocks = self.dispatch == "blocks"
-        # Pre-bound handlers, parallel to ``decoded`` (fast + blocks:
-        # the blocks tier falls back to these between compiled blocks).
-        self._bound = (
-            _dispatch.bind_program(decoded) if self.dispatch != "reference" else None
-        )
+        if dispatch is None:
+            dispatch = default_dispatch()
+        elif dispatch == "fast":
+            # The retired per-instruction tier's name; callers written
+            # before blocks became the default still get production.
+            dispatch = "blocks"
+        elif dispatch not in DISPATCH_TIERS:
+            raise ValueError(f"dispatch={dispatch!r}: expected 'blocks' or 'reference'")
+        self.dispatch = dispatch
+        # Pre-bound handlers, parallel to ``decoded``: the blocks tier
+        # falls back to these between compiled blocks.
+        self._bound = _dispatch.bind_program(decoded) if dispatch == "blocks" else None
         self.regs: list[int] = [0] * NUM_EXT_REGS
         self.regs[29] = STACK_TOP  # $sp
         self.regs[28] = (program.data_base + 0x8000) & _M  # $gp convention
@@ -156,7 +134,7 @@ class Machine:
         self.instret = 0
         self._warm_sink = None
         self._warm_need = None
-        if self._blocks:
+        if self._bound is not None:
             from repro.emulator.blocks import BlockEngine
 
             self._engine = BlockEngine(self, threshold=block_threshold)
@@ -207,7 +185,7 @@ class Machine:
     def step(self) -> TraceRecord:
         """Execute one instruction and return its trace record.
 
-        Dispatches through the pre-bound handler (fast path) or the
+        Dispatches through the pre-bound handler (blocks tier) or the
         golden reference interpreter, per this machine's ``dispatch``
         mode — the two are bit-identical by construction and checked
         differentially (:func:`repro.emulator.dispatch.cross_check`).
@@ -220,8 +198,8 @@ class Machine:
             raise EmulatorError("machine is halted")
         if self._bound is None:
             return self.step_reference()
-        # Fast and blocks modes share the pre-bound single-step path;
-        # the blocks engine only accelerates the bulk _loop.
+        # The blocks engine only accelerates the bulk _loop; single
+        # steps go through the pre-bound handlers.
         pc = self.pc
         bound = self._bound
         index = (pc - self.program.text_base) >> 2
@@ -232,9 +210,9 @@ class Machine:
     def step_reference(self) -> TraceRecord:
         """The golden-model interpreter: one ``if``/``elif`` chain.
 
-        Kept verbatim as the oracle for the pre-bound fast path; it is
-        exercised by the differential tests and selectable at runtime
-        via ``REPRO_DISPATCH=reference``.
+        Kept verbatim as the oracle for the bound handlers and compiled
+        blocks; it is exercised by the differential tests and
+        selectable at runtime via ``REPRO_DISPATCH=reference``.
 
         Raises:
             EmulatorError: if the machine is already halted or the PC
@@ -553,11 +531,11 @@ class Machine:
         :class:`TraceRecord` per retired instruction when *emit* is
         true.  With *emit* false the loop never suspends — handlers
         skip record construction entirely and driving the generator
-        costs one frame — which is what makes :meth:`run` the fast
-        path.  The optional watchdog is polled once per instruction in
-        either mode.  *warm* (blocks tier, run mode only) dispatches
-        through the functional-warming block variants — see
-        :meth:`run_warm`.
+        costs one frame — which is what makes :meth:`run` fast.  The
+        optional watchdog is polled once per instruction (reference)
+        or compiled block (blocks tier).  *warm* (blocks tier, run mode
+        only) dispatches through the functional-warming block variants
+        — see :meth:`run_warm`.
 
         When a guest profiler is active the counting twin
         (:meth:`_loop_profiled`) runs instead; this single ``None``
@@ -570,148 +548,7 @@ class Machine:
         if watchdog is not None:
             watchdog.start()
         n = 0
-        if self._fast:
-            bound = self._bound
-            base = self.program.text_base
-            size = len(bound)
-            while not self.halted and n < max_steps:
-                pc = self.pc
-                index = (pc - base) >> 2
-                if pc & 3 or not 0 <= index < size or bound[index] is None:
-                    self.fetch(pc)  # raises the canonical IllegalInstruction
-                record = bound[index](self, emit)
-                n += 1
-                if watchdog is not None:
-                    watchdog.poll(n)
-                if emit:
-                    yield record
-        elif self._blocks:
-            # Block-compiled tier: hot leaders execute as fused compiled
-            # functions (one call per block, watchdog polled per block —
-            # a step-budget breach is detected at block granularity,
-            # bounded by MAX_BLOCK_LEN); everything else single-steps
-            # through the pre-bound handlers.  A compiled body that
-            # raises commits nothing, so the engine replays the block
-            # per-instruction to reproduce reference fault semantics.
-            eng = self._engine
-            bound = self._bound
-            base = self.program.text_base
-            size = len(bound)
-            variant = "trace" if emit else ("warm" if warm else "run")
-            table = eng.tables[variant]
-            sink_h, sink_p = self._warm_sink if warm else (None, None)
-            warm_need = self._warm_need if warm else None
-            execs = 0
-            insts = 0
-            fallback = 0
-            side_exits = 0
-            try:
-                while not self.halted and n < max_steps:
-                    pc = self.pc
-                    index = (pc - base) >> 2
-                    if pc & 3 or not 0 <= index < size:
-                        self.fetch(pc)  # raises the canonical IllegalInstruction
-                    entry = table[index]
-                    if entry is not None:
-                        cls = entry.__class__
-                        if cls is int:
-                            if entry <= 1:
-                                eng.compile_block(index, variant)
-                                entry = table[index]
-                                cls = None if entry is None else tuple
-                            else:
-                                table[index] = entry - 1
-                                cls = None
-                        if cls is tuple:
-                            n_max, fn = entry
-                            if emit:
-                                if n + n_max <= max_steps:
-                                    try:
-                                        records = fn(self)
-                                    except Exception as exc:  # replay per-inst
-                                        for record in eng.replay(self, n_max, exc):
-                                            n += 1
-                                            yield record
-                                        raise  # pragma: no cover - replay re-raises
-                                    cnt = len(records)
-                                    n += cnt
-                                    execs += 1
-                                    insts += cnt
-                                    if cnt != n_max:
-                                        side_exits += 1
-                                    if watchdog is not None:
-                                        watchdog.poll(n)
-                                    yield from records
-                                    continue
-                            else:
-                                # Chain loop: the run variant returns the
-                                # next leader's index packed with the
-                                # retired count, so consecutive compiled
-                                # blocks execute back-to-back without
-                                # re-deriving anything from the PC.
-                                ran = False
-                                while n + n_max <= max_steps:
-                                    try:
-                                        ret = fn(self)
-                                    except Exception as exc:  # replay per-inst
-                                        for _ in eng.replay(self, n_max, exc):
-                                            n += 1
-                                        raise  # pragma: no cover - replay re-raises
-                                    ran = True
-                                    cnt = ret & 255
-                                    n += cnt
-                                    execs += 1
-                                    insts += cnt
-                                    if cnt != n_max:
-                                        side_exits += 1
-                                    if watchdog is not None:
-                                        watchdog.poll(n)
-                                    ni = (ret >> 8) - 1
-                                    if ni < 0:
-                                        break
-                                    nxt = table[ni]
-                                    if nxt.__class__ is not tuple:
-                                        break  # cold/profiling leader: outer loop
-                                    n_max, fn = nxt
-                                if ran:
-                                    continue
-                                # Budget too tight for this block: retire
-                                # its instructions one at a time below.
-                    handler = bound[index]
-                    if handler is None:
-                        self.fetch(pc)  # raises the canonical IllegalInstruction
-                    if warm:
-                        # Cold-code fallback still warms: branch-dense
-                        # regions form short or cold blocks, so without
-                        # this the predictor misses most of its training
-                        # stream even when block coverage is high.  The
-                        # record is built only for control/memory ops.
-                        need = warm_need[index]
-                        record = handler(self, need)
-                        n += 1
-                        fallback += 1
-                        sink_h.warm_instruction(pc)
-                        if need:
-                            ma = record.mem_addr
-                            if ma >= 0:
-                                sink_h.warm_data(ma)
-                            if record.inst.is_control:
-                                sink_p.predict_and_train(record)
-                    else:
-                        record = handler(self, emit)
-                        n += 1
-                        fallback += 1
-                    if watchdog is not None:
-                        watchdog.poll(n)
-                    if emit:
-                        yield record
-            finally:
-                eng.execs += execs
-                eng.insts += insts
-                eng.fallback += fallback
-                eng.side_exits += side_exits
-                eng.flush_stats()
-        else:
+        if self._engine is None:
             while not self.halted and n < max_steps:
                 record = self.step_reference()
                 n += 1
@@ -719,42 +556,168 @@ class Machine:
                     watchdog.poll(n)
                 if emit:
                     yield record
+            return
+        # Block-compiled tier: hot leaders execute as fused compiled
+        # functions (one call per block, watchdog polled per block — a
+        # step-budget breach is detected at block granularity, bounded
+        # by MAX_BLOCK_LEN); everything else single-steps through the
+        # pre-bound handlers.  A compiled body that raises commits
+        # nothing, so the engine replays the block per-instruction to
+        # reproduce reference fault semantics.
+        eng = self._engine
+        bound = self._bound
+        base = self.program.text_base
+        size = len(bound)
+        variant = "trace" if emit else ("warm" if warm else "run")
+        table = eng.tables[variant]
+        sink_h, sink_p = self._warm_sink if warm else (None, None)
+        warm_need = self._warm_need if warm else None
+        execs = 0
+        insts = 0
+        fallback = 0
+        side_exits = 0
+        try:
+            while not self.halted and n < max_steps:
+                pc = self.pc
+                index = (pc - base) >> 2
+                if pc & 3 or not 0 <= index < size:
+                    self.fetch(pc)  # raises the canonical IllegalInstruction
+                entry = table[index]
+                if entry is not None:
+                    cls = entry.__class__
+                    if cls is int:
+                        if entry <= 1:
+                            eng.compile_block(index, variant)
+                            entry = table[index]
+                            cls = None if entry is None else tuple
+                        else:
+                            table[index] = entry - 1
+                            cls = None
+                    if cls is tuple:
+                        n_max, fn = entry
+                        if emit:
+                            if n + n_max <= max_steps:
+                                try:
+                                    records = fn(self)
+                                except Exception as exc:  # replay per-inst
+                                    for record in eng.replay(self, n_max, exc):
+                                        n += 1
+                                        yield record
+                                    raise  # pragma: no cover - replay re-raises
+                                cnt = len(records)
+                                n += cnt
+                                execs += 1
+                                insts += cnt
+                                if cnt != n_max:
+                                    side_exits += 1
+                                if watchdog is not None:
+                                    watchdog.poll(n)
+                                yield from records
+                                continue
+                        else:
+                            # Chain loop: the run variant returns the next
+                            # leader's index packed with the retired
+                            # count, so consecutive compiled blocks
+                            # execute back-to-back without re-deriving
+                            # anything from the PC.
+                            ran = False
+                            while n + n_max <= max_steps:
+                                try:
+                                    ret = fn(self)
+                                except Exception as exc:  # replay per-inst
+                                    for _ in eng.replay(self, n_max, exc):
+                                        n += 1
+                                    raise  # pragma: no cover - replay re-raises
+                                ran = True
+                                cnt = ret & 255
+                                n += cnt
+                                execs += 1
+                                insts += cnt
+                                if cnt != n_max:
+                                    side_exits += 1
+                                if watchdog is not None:
+                                    watchdog.poll(n)
+                                ni = (ret >> 8) - 1
+                                if ni < 0:
+                                    break
+                                nxt = table[ni]
+                                if nxt.__class__ is not tuple:
+                                    break  # cold/profiling leader: outer loop
+                                n_max, fn = nxt
+                            if ran:
+                                continue
+                            # Budget too tight for this block: retire its
+                            # instructions one at a time below.
+                handler = bound[index]
+                if handler is None:
+                    self.fetch(pc)  # raises the canonical IllegalInstruction
+                if warm:
+                    # Cold-code fallback still warms: branch-dense regions
+                    # form short or cold blocks, so without this the
+                    # predictor misses most of its training stream even
+                    # when block coverage is high.  The record is built
+                    # only for control/memory ops.
+                    need = warm_need[index]
+                    record = handler(self, need)
+                    n += 1
+                    fallback += 1
+                    sink_h.warm_instruction(pc)
+                    if need:
+                        ma = record.mem_addr
+                        if ma >= 0:
+                            sink_h.warm_data(ma)
+                        if record.inst.is_control:
+                            sink_p.predict_and_train(record)
+                else:
+                    record = handler(self, emit)
+                    n += 1
+                    fallback += 1
+                if watchdog is not None:
+                    watchdog.poll(n)
+                if emit:
+                    yield record
+        finally:
+            eng.execs += execs
+            eng.insts += insts
+            eng.fallback += fallback
+            eng.side_exits += side_exits
+            eng.flush_stats()
 
     def _loop_profiled(self, max_steps: int, watchdog, emit: bool):
         """Guest-profiling twin of :meth:`_loop`.
 
-        Same tier structure and retirement semantics, plus per-PC
-        retirement counting for the active
-        :class:`~repro.obs.guestprof.GuestProfileCollector`.  The fast
-        and reference tiers count each instruction as it retires; the
-        blocks tier counts one ``(leader, retired)`` pair per compiled
-        execution and folds the pairs into per-PC counts on exit —
+        Same retirement semantics, plus per-PC retirement counting for
+        the active :class:`~repro.obs.guestprof.GuestProfileCollector`.
+        ``sample`` mode and the reference tier count each instruction
+        as it retires, through the per-instruction bound handlers (or
+        :meth:`step_reference`), so samples land on the exact PC a
+        cache-hit replay (:func:`~repro.obs.guestprof.profile_from_records`)
+        charges.  ``exact`` mode on the blocks tier runs compiled
+        blocks and counts one ``(leader, retired)`` pair per compiled
+        execution, folding the pairs into per-PC counts on exit —
         compiled bodies commit a prefix of their static item list at
         every exit point, so an execution that retired ``k``
-        instructions retired exactly ``items[:k]``.  In ``sample``
-        mode, blocks-tier samples land on the executing block's leader
-        PC (a documented period-granularity approximation).  The
-        partial profile is folded in even when the loop unwinds on a
-        watchdog breach or guest fault.
+        instructions retired exactly ``items[:k]``.  The partial
+        profile is folded in even when the loop unwinds on a watchdog
+        breach or guest fault.
         """
         gp = _guest_collector()
         exact = gp.mode == "exact"
-        period = gp.period
-        left = gp.countdown
         counts: dict[int, int] = {}
-        sampled = 0
         if watchdog is not None:
             watchdog.start()
         n = 0
-        if self._fast or self._bound is None:
-            step_ref = self._bound is None
+        if not exact or self._engine is None:
+            period = gp.period
+            left = gp.countdown
+            sampled = 0
             bound = self._bound
             base = self.program.text_base
-            size = 0 if step_ref else len(bound)
+            size = 0 if bound is None else len(bound)
             try:
                 while not self.halted and n < max_steps:
                     pc = self.pc
-                    if step_ref:
+                    if bound is None:
                         record = self.step_reference()
                     else:
                         index = (pc - base) >> 2
@@ -777,225 +740,160 @@ class Machine:
             finally:
                 gp.countdown = left
                 gp.add_counts(counts, n, sampled)
-        else:
-            # Blocks tier: same dispatch structure as _loop, with one
-            # histogram update per compiled execution.
-            eng = self._engine
-            bound = self._bound
-            base = self.program.text_base
-            size = len(bound)
-            table = eng.trace_table if emit else eng.run_table
-            # Exact mode in run dispatch appends one already-materialised
-            # int per compiled execution: a ``~leader`` marker at each
-            # chain entry, then the raw ``ret`` word
-            # (``(next_leader + 1) << 8 | retired``) of every execution.
-            # Each execution's leader is implied by the chain —
-            # ``lead[k+1] = (ret[k] >> 8) - 1`` — so the hot loop does no
-            # arithmetic or allocation at all; :func:`_fold_pending`
-            # reconstructs ``leader << 8 | retired`` histogram keys
-            # vectorised with numpy (MAX_BLOCK_LEN < 256 keeps the pack
-            # exact).  Chains yield to the outer loop every
-            # ``_PROFILE_DRAIN`` retirements so ``pending`` stays
-            # bounded.
-            bexecs: dict[int, int] = {}
-            bexecs_get = bexecs.get
-            pending: list[int] = []
-            pending_append = pending.append
-            counts_get = counts.get
-            execs = 0
-            insts = 0
-            fallback = 0
-            side_exits = 0
+            return
+        # Exact mode, blocks tier: same dispatch structure as _loop, with
+        # one histogram update per compiled execution.
+        eng = self._engine
+        bound = self._bound
+        base = self.program.text_base
+        size = len(bound)
+        variant = "trace" if emit else "run"
+        table = eng.tables[variant]
+        # Run dispatch appends one already-materialised int per compiled
+        # execution: a ``~leader`` marker at each chain entry, then the
+        # raw ``ret`` word (``(next_leader + 1) << 8 | retired``) of every
+        # execution.  Each execution's leader is implied by the chain —
+        # ``lead[k+1] = (ret[k] >> 8) - 1`` — so the hot loop does no
+        # arithmetic or allocation at all; :func:`_fold_pending`
+        # reconstructs ``leader << 8 | retired`` histogram keys vectorised
+        # with numpy (MAX_BLOCK_LEN < 256 keeps the pack exact).  Chains
+        # yield to the outer loop every ``_PROFILE_DRAIN`` retirements so
+        # ``pending`` stays bounded.
+        bexecs: dict[int, int] = {}
+        bexecs_get = bexecs.get
+        pending: list[int] = []
+        pending_append = pending.append
+        counts_get = counts.get
+        execs = 0
+        insts = 0
+        fallback = 0
+        side_exits = 0
 
-            def _fold_pending() -> None:
-                """Decode the chain-encoded buffer into ``bexecs``."""
-                import numpy as np
+        def _fold_pending() -> None:
+            """Decode the chain-encoded buffer into ``bexecs``."""
+            import numpy as np
 
-                raw = np.array(pending, dtype=np.int64)
-                pending.clear()
-                if len(raw) < 2:
-                    return
-                prev = raw[:-1]
-                cur = raw[1:]
-                lead = np.where(prev < 0, ~prev, (prev >> 8) - 1)
-                keys = ((lead << 8) | (cur & 255))[cur >= 0]
-                uniq, times = np.unique(keys, return_counts=True)
-                for key, reps in zip(uniq.tolist(), times.tolist()):
-                    bexecs[key] = bexecs_get(key, 0) + reps
-            try:
-                while not self.halted and n < max_steps:
-                    pc = self.pc
-                    index = (pc - base) >> 2
-                    if pc & 3 or not 0 <= index < size:
-                        self.fetch(pc)  # raises the canonical IllegalInstruction
-                    entry = table[index]
-                    if entry is not None:
-                        cls = entry.__class__
-                        if cls is int:
-                            if entry <= 1:
-                                eng.compile_block(index, emit)
-                                entry = table[index]
-                                cls = None if entry is None else tuple
-                            else:
-                                table[index] = entry - 1
-                                cls = None
-                        if cls is tuple:
-                            n_max, fn = entry
-                            if emit:
-                                if n + n_max <= max_steps:
-                                    try:
-                                        records = fn(self)
-                                    except Exception as exc:  # replay per-inst
-                                        for record in eng.replay(self, n_max, exc):
-                                            n += 1
-                                            if exact:
-                                                rpc = record.pc
-                                                counts[rpc] = counts.get(rpc, 0) + 1
-                                            else:
-                                                left -= 1
-                                                if left <= 0:
-                                                    rpc = record.pc
-                                                    counts[rpc] = counts.get(rpc, 0) + 1
-                                                    sampled += 1
-                                                    left = period
-                                            yield record
-                                        raise  # pragma: no cover - replay re-raises
-                                    cnt = len(records)
-                                    n += cnt
-                                    execs += 1
-                                    insts += cnt
-                                    if cnt != n_max:
-                                        side_exits += 1
-                                    if exact:
-                                        key = (index << 8) | cnt
-                                        bexecs[key] = bexecs_get(key, 0) + 1
-                                    else:
-                                        left -= cnt
-                                        while left <= 0:
-                                            counts[pc] = counts_get(pc, 0) + 1
-                                            sampled += 1
-                                            left += period
-                                    if watchdog is not None:
-                                        watchdog.poll(n)
-                                    yield from records
-                                    continue
-                            elif exact:
-                                ran = False
-                                if len(pending) >= _PROFILE_DRAIN:
-                                    _fold_pending()
-                                pending_append(~index)
-                                limit = n + _PROFILE_DRAIN
-                                if limit > max_steps:
-                                    limit = max_steps
-                                while n + n_max <= limit:
-                                    try:
-                                        ret = fn(self)
-                                    except Exception as exc:  # replay per-inst
-                                        for record in eng.replay(self, n_max, exc):
-                                            n += 1
-                                            rpc = record.pc
-                                            counts[rpc] = counts_get(rpc, 0) + 1
-                                        raise  # pragma: no cover - replay re-raises
-                                    ran = True
-                                    pending_append(ret)
-                                    cnt = ret & 255
-                                    n += cnt
-                                    execs += 1
-                                    insts += cnt
-                                    if cnt != n_max:
-                                        side_exits += 1
-                                    if watchdog is not None:
-                                        watchdog.poll(n)
-                                    ni = (ret >> 8) - 1
-                                    if ni < 0:
-                                        break
-                                    nxt = table[ni]
-                                    if nxt.__class__ is not tuple:
-                                        break  # cold/profiling leader: outer loop
-                                    n_max, fn = nxt
-                                if ran:
-                                    continue
-                            else:
-                                ran = False
-                                lead = index
-                                while n + n_max <= max_steps:
-                                    try:
-                                        ret = fn(self)
-                                    except Exception as exc:  # replay per-inst
-                                        for record in eng.replay(self, n_max, exc):
-                                            n += 1
-                                            left -= 1
-                                            if left <= 0:
-                                                rpc = record.pc
-                                                counts[rpc] = counts_get(rpc, 0) + 1
-                                                sampled += 1
-                                                left = period
-                                        raise  # pragma: no cover - replay re-raises
-                                    ran = True
-                                    cnt = ret & 255
-                                    n += cnt
-                                    execs += 1
-                                    insts += cnt
-                                    if cnt != n_max:
-                                        side_exits += 1
-                                    left -= cnt
-                                    while left <= 0:
-                                        lpc = base + 4 * lead
-                                        counts[lpc] = counts_get(lpc, 0) + 1
-                                        sampled += 1
-                                        left += period
-                                    if watchdog is not None:
-                                        watchdog.poll(n)
-                                    ni = (ret >> 8) - 1
-                                    if ni < 0:
-                                        break
-                                    nxt = table[ni]
-                                    if nxt.__class__ is not tuple:
-                                        break  # cold/profiling leader: outer loop
-                                    n_max, fn = nxt
-                                    lead = ni
-                                if ran:
-                                    continue
-                    handler = bound[index]
-                    if handler is None:
-                        self.fetch(pc)  # raises the canonical IllegalInstruction
-                    record = handler(self, emit)
-                    n += 1
-                    fallback += 1
-                    if exact:
-                        counts[pc] = counts_get(pc, 0) + 1
-                    else:
-                        left -= 1
-                        if left <= 0:
-                            counts[pc] = counts_get(pc, 0) + 1
-                            sampled += 1
-                            left = period
-                    if watchdog is not None:
-                        watchdog.poll(n)
-                    if emit:
-                        yield record
-            finally:
-                if pending:
-                    _fold_pending()
-                for key, times in bexecs.items():
-                    lead = key >> 8
-                    cnt = key & 255
-                    block = eng._extents.get(lead)
-                    if block is None:
-                        # Cross-machine code-cache hits bind without
-                        # re-deriving the extent; _extent is pure static
-                        # analysis, so recompute it here.
-                        block = eng._extents[lead] = eng._extent(lead)
-                    for ti, _inst, _cont in block.items[:cnt]:
-                        bpc = base + 4 * ti
-                        counts[bpc] = counts.get(bpc, 0) + times
-                eng.execs += execs
-                eng.insts += insts
-                eng.fallback += fallback
-                eng.side_exits += side_exits
-                eng.flush_stats()
-                gp.countdown = left
-                gp.add_counts(counts, n, sampled)
+            raw = np.array(pending, dtype=np.int64)
+            pending.clear()
+            if len(raw) < 2:
+                return
+            prev = raw[:-1]
+            cur = raw[1:]
+            lead = np.where(prev < 0, ~prev, (prev >> 8) - 1)
+            keys = ((lead << 8) | (cur & 255))[cur >= 0]
+            uniq, times = np.unique(keys, return_counts=True)
+            for key, reps in zip(uniq.tolist(), times.tolist()):
+                bexecs[key] = bexecs_get(key, 0) + reps
+        try:
+            while not self.halted and n < max_steps:
+                pc = self.pc
+                index = (pc - base) >> 2
+                if pc & 3 or not 0 <= index < size:
+                    self.fetch(pc)  # raises the canonical IllegalInstruction
+                entry = table[index]
+                if entry is not None:
+                    cls = entry.__class__
+                    if cls is int:
+                        if entry <= 1:
+                            eng.compile_block(index, variant)
+                            entry = table[index]
+                            cls = None if entry is None else tuple
+                        else:
+                            table[index] = entry - 1
+                            cls = None
+                    if cls is tuple:
+                        n_max, fn = entry
+                        if emit:
+                            if n + n_max <= max_steps:
+                                try:
+                                    records = fn(self)
+                                except Exception as exc:  # replay per-inst
+                                    for record in eng.replay(self, n_max, exc):
+                                        n += 1
+                                        rpc = record.pc
+                                        counts[rpc] = counts_get(rpc, 0) + 1
+                                        yield record
+                                    raise  # pragma: no cover - replay re-raises
+                                cnt = len(records)
+                                n += cnt
+                                execs += 1
+                                insts += cnt
+                                if cnt != n_max:
+                                    side_exits += 1
+                                key = (index << 8) | cnt
+                                bexecs[key] = bexecs_get(key, 0) + 1
+                                if watchdog is not None:
+                                    watchdog.poll(n)
+                                yield from records
+                                continue
+                        else:
+                            ran = False
+                            if len(pending) >= _PROFILE_DRAIN:
+                                _fold_pending()
+                            pending_append(~index)
+                            limit = n + _PROFILE_DRAIN
+                            if limit > max_steps:
+                                limit = max_steps
+                            while n + n_max <= limit:
+                                try:
+                                    ret = fn(self)
+                                except Exception as exc:  # replay per-inst
+                                    for record in eng.replay(self, n_max, exc):
+                                        n += 1
+                                        rpc = record.pc
+                                        counts[rpc] = counts_get(rpc, 0) + 1
+                                    raise  # pragma: no cover - replay re-raises
+                                ran = True
+                                pending_append(ret)
+                                cnt = ret & 255
+                                n += cnt
+                                execs += 1
+                                insts += cnt
+                                if cnt != n_max:
+                                    side_exits += 1
+                                if watchdog is not None:
+                                    watchdog.poll(n)
+                                ni = (ret >> 8) - 1
+                                if ni < 0:
+                                    break
+                                nxt = table[ni]
+                                if nxt.__class__ is not tuple:
+                                    break  # cold/profiling leader: outer loop
+                                n_max, fn = nxt
+                            if ran:
+                                continue
+                handler = bound[index]
+                if handler is None:
+                    self.fetch(pc)  # raises the canonical IllegalInstruction
+                record = handler(self, emit)
+                n += 1
+                fallback += 1
+                counts[pc] = counts_get(pc, 0) + 1
+                if watchdog is not None:
+                    watchdog.poll(n)
+                if emit:
+                    yield record
+        finally:
+            if pending:
+                _fold_pending()
+            for key, times in bexecs.items():
+                lead = key >> 8
+                cnt = key & 255
+                block = eng._extents.get(lead)
+                if block is None:
+                    # Cross-machine code-cache hits bind without
+                    # re-deriving the extent; _extent is pure static
+                    # analysis, so recompute it here.
+                    block = eng._extents[lead] = eng._extent(lead)
+                for ti, _inst, _cont in block.items[:cnt]:
+                    bpc = base + 4 * ti
+                    counts[bpc] = counts.get(bpc, 0) + times
+            eng.execs += execs
+            eng.insts += insts
+            eng.fallback += fallback
+            eng.side_exits += side_exits
+            eng.flush_stats()
+            gp.add_counts(counts, n)
 
     def run(self, max_steps: int = 10_000_000, watchdog=None, profiler=None) -> int:
         """Run until halt or *max_steps*; returns instructions retired.
@@ -1076,14 +974,13 @@ class Machine:
 
 __all__ = [
     "DISPATCH_ENV",
+    "DISPATCH_TIERS",
     "EmulatorError",
     "IllegalInstruction",
     "Machine",
     "SYS_EXIT",
     "bits_from_f32",
     "default_dispatch",
-    "dispatch_mode_override",
     "f32_from_bits",
-    "set_dispatch_mode",
     "to_signed",
 ]

@@ -59,6 +59,7 @@ from pathlib import Path
 
 from repro.experiments import figure1, figure2, figure4, figure6, figure11, figure12, table1, workload_table
 from repro.emulator.machine import default_dispatch
+from repro.timing.fastpath import default_timing_mode
 from repro.experiments import trace_cache
 from repro.experiments.runner import (
     DEFAULT_INSTRUCTIONS,
@@ -137,16 +138,6 @@ def _parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--no-trace-cache", action="store_true",
         help="disable the persistent trace cache for this run",
-    )
-    perf.add_argument(
-        "--timing", choices=("fast", "reference"), default=None,
-        help="timing-layer implementation: pre-bound fast path (default) or "
-             "the golden reference loop (overrides $REPRO_TIMING)",
-    )
-    perf.add_argument(
-        "--dispatch", choices=("fast", "reference", "blocks"), default=None,
-        help="emulator interpreter: pre-bound dispatch (default), the golden "
-             "reference loop, or the block-compiling tier (overrides $REPRO_DISPATCH)",
     )
     sweep = p.add_argument_group("supervised sweep (docs/robustness.md)")
     sweep.add_argument(
@@ -289,15 +280,14 @@ def main(argv: list[str] | None = None) -> int:
         print(error, file=sys.stderr)
         return 2
 
+    try:  # a misspelt tier switch fails here, not inside every worker
+        default_dispatch()
+        default_timing_mode()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
     set_wall_timeout(args.timeout)
-    if args.timing is not None:
-        from repro.timing.fastpath import set_timing_mode
-
-        set_timing_mode(args.timing)
-    if args.dispatch is not None:
-        from repro.emulator.machine import set_dispatch_mode
-
-        set_dispatch_mode(args.dispatch)
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
@@ -461,7 +451,6 @@ def _write_obs_outputs(args, session, argv, collector=None) -> None:
     from repro.harness.atomicio import atomic_write_text
     from repro.obs.manifest import build_manifest, write_bench_snapshot
     from repro.obs.tracing import active_tracer
-    from repro.timing.fastpath import default_timing_mode
 
     compiler = blocks_mod.telemetry()
     if compiler is not None:

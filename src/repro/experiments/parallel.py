@@ -211,9 +211,8 @@ def collect_parallel(
             if result.cache_hits and not result.cache_misses:
                 session.note_cache_hit(result.name, len(records), result.seconds)
             else:
-                # Workers re-apply the parent's dispatch override
-                # (apply_worker_state), so the parent's default names
-                # the tier that actually emulated the trace.
+                # Workers inherit the parent's REPRO_DISPATCH, so the
+                # parent's default names the tier that emulated the trace.
                 from repro.emulator.machine import default_dispatch
 
                 session.note_collection(

@@ -171,10 +171,11 @@ class FidelityReport:
     #: churn ship with the claim scores.
     campaign: dict = field(default_factory=dict)
     #: JIT-tier compiler telemetry: blocks/superblocks compiled, side-exit
-    #: and fault-replay rates, code-cache reuse — from this process's
-    #: block engine plus the scanned ``BENCH_*.json`` manifests.  Empty
-    #: when no run in scope used the blocks dispatch tier, and the
-    #: section is omitted entirely so non-blocks reports are unchanged.
+    #: and fault-replay rates, code-cache reuse — from the scanned
+    #: ``BENCH_*.json`` manifests only, never this process's live
+    #: counters (they carry host compile time, so the report would differ
+    #: run to run).  Empty when no scanned snapshot recorded the blocks
+    #: tier compiling, and the section is then omitted entirely.
     compiler: dict = field(default_factory=dict)
     #: non-fatal issues hit while collecting (bad snapshots etc.).
     warnings: list[str] = field(default_factory=list)
@@ -582,12 +583,13 @@ def _campaign_health(bench_dir: str | Path | None, warnings: list[str]) -> dict:
 def _compiler_telemetry(bench_dir: str | Path | None, warnings: list[str]) -> dict:
     """JIT-tier counters for the campaign, or ``{}`` when unused.
 
-    Folds this process's live block-engine telemetry together with the
-    ``compiler`` blocks recorded in scanned ``BENCH_*.json`` manifests.
-    Empty when neither source saw the blocks tier compile anything, so
-    reports for fast/reference-tier campaigns render unchanged.
+    Folds the ``compiler`` blocks recorded in scanned ``BENCH_*.json``
+    manifests.  This process's live block-engine counters stay out: they
+    include host compile seconds, and the report must be byte-identical
+    across runs and dispatch tiers (they reach the CLI manifest's
+    ``compiler`` block and the ``emu.blocks.*`` metrics instead).  Empty
+    when no snapshot saw the blocks tier compile anything.
     """
-    from repro.emulator import blocks
     from repro.obs.manifest import load_bench_snapshot
 
     totals = {
@@ -611,9 +613,6 @@ def _compiler_telemetry(bench_dir: str | Path | None, warnings: list[str]) -> di
             value = stats_block.get(key, 0) or 0
             totals[key] += float(value) if key == "compile_seconds" else int(value)
 
-    live = blocks.telemetry()
-    if live is not None:
-        fold(live["stats"])
     if bench_dir is not None and Path(bench_dir).is_dir():
         for path in sorted(Path(bench_dir).glob("BENCH_*.json")):
             try:

@@ -243,10 +243,10 @@ def current_worker_state() -> tuple:
 
     The same tuple is used at first spawn and at every respawn, so a
     replacement worker is indistinguishable from the one it replaces.
+    The tier switches (``REPRO_DISPATCH``/``REPRO_TIMING``) need no slot:
+    spawned workers inherit the parent's environment.
     """
-    from repro.emulator.machine import dispatch_mode_override
     from repro.experiments import runner
-    from repro.timing.fastpath import timing_mode_override
 
     enabled = trace_cache.enabled()
     gp = guestprof.active_collector()
@@ -255,8 +255,6 @@ def current_worker_state() -> tuple:
         dict(runner._budget_overrides),
         str(trace_cache.cache_dir()) if enabled else None,
         enabled,
-        timing_mode_override(),
-        dispatch_mode_override(),
         (gp.mode, gp.period) if gp is not None else None,
     )
 
@@ -266,8 +264,6 @@ def apply_worker_state(
     budget_overrides,
     cache_dir,
     cache_enabled,
-    timing_mode=None,
-    dispatch_mode=None,
     guest_profile=None,
 ) -> None:
     """Re-apply parent-process module state inside a fresh worker.
@@ -282,14 +278,6 @@ def apply_worker_state(
     for name, cap in budget_overrides.items():
         runner.set_budget_override(name, cap)
     trace_cache.configure(cache_dir, cache_enabled)
-    if timing_mode is not None:
-        from repro.timing.fastpath import set_timing_mode
-
-        set_timing_mode(timing_mode)
-    if dispatch_mode is not None:
-        from repro.emulator.machine import set_dispatch_mode
-
-        set_dispatch_mode(dispatch_mode)
     if guest_profile is not None:
         # (mode, period) snapshot of the parent's collector: the worker
         # runs its own, drained into every reply's aux for the
@@ -1171,8 +1159,8 @@ def run_sweep(
         # orchestrator records them for the BENCH snapshot here —
         # executed cells with their dispatch-to-done wall time, resumed
         # cells at zero wall (they cost one journal read).  Workers
-        # re-apply both mode overrides (apply_worker_state), so the
-        # parent's defaults name what actually ran.
+        # inherit the parent's environment, so the parent's tier
+        # switches name what actually ran.
         mode = default_timing_mode()
         dmode = default_dispatch()
         for cell in cells:

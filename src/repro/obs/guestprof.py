@@ -5,8 +5,8 @@ The metrics layer answers "how fast was the run"; this module answers
 per-benchmark PC histograms filled in by two producers:
 
 * the **emulator tiers** record retired-instruction counts.  The
-  reference and fast tiers count per instruction; the blocks tier
-  counts one ``(leader, retired)`` pair per compiled-block execution
+  reference tier counts per instruction; the blocks tier counts one
+  ``(leader, retired)`` pair per compiled-block execution
   and folds the pairs into per-PC counts at loop exit — the block
   items are static, so an execution that retires ``k`` instructions
   retired exactly the first ``k`` items of the block (side exits
@@ -19,8 +19,9 @@ per-benchmark PC histograms filled in by two producers:
   stacks sum exactly to the run's total cycles.
 
 Two modes: ``exact`` (every retirement counted) and ``sample`` (every
-*period*-th retirement; on the blocks tier samples land on block
-leaders, a documented approximation).  Profiles merge commutatively —
+*period*-th retirement, counted per instruction on every tier so a
+sample lands on the exact PC a trace-cache replay charges).  Profiles
+merge commutatively —
 per-PC sums of non-negative counts — so ``--jobs`` sweep workers drain
 their collector into the reply payload and the orchestrator ingests
 them in any order, exactly like ``SimStats.merge``.

@@ -34,9 +34,9 @@ class RunRecord:
     #: Timing-loop implementation that produced the run ("fast" /
     #: "reference"); empty when the caller predates the fast path.
     timing_mode: str = ""
-    #: Emulator interpreter that produced the run's trace ("fast" /
-    #: "reference" / "blocks"); empty when unknown (e.g. cache hit
-    #: recorded before the dispatch mode was plumbed through).
+    #: Emulator interpreter that produced the run's trace ("blocks" /
+    #: "reference"); empty when unknown (e.g. cache hit recorded
+    #: before the dispatch mode was plumbed through).
     dispatch_mode: str = ""
 
     @property

@@ -10,11 +10,8 @@ not simulated).
 
 from repro.timing.fastpath import (
     TimingDivergence,
-    cross_check_detailed,
     cross_check_timing,
     default_timing_mode,
-    set_timing_mode,
-    timing_mode_override,
 )
 from repro.timing.pipeview import events_to_timeline, render_events, render_timeline
 from repro.timing.simulator import TimingSimulator, simulate
@@ -25,13 +22,10 @@ __all__ = [
     "SimStats",
     "TimingDivergence",
     "TimingSimulator",
-    "cross_check_detailed",
     "cross_check_timing",
     "default_timing_mode",
     "events_to_timeline",
     "render_events",
     "render_timeline",
-    "set_timing_mode",
     "simulate",
-    "timing_mode_override",
 ]

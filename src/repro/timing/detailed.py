@@ -51,19 +51,6 @@ class _Entry:
     addr_ready_at: int = -1          # memory ops: agen done
     l1_miss: bool = False            # loads: paid latency beyond L1
     committed: bool = False
-    # Fast-path plan fields (bound once per static instruction) and the
-    # cached operand-enable time (``enable_ver`` < 0 marks it stale; a
-    # publish to any source register resets it via the wakeup lists).
-    srcs: tuple = ()
-    dsts: tuple = ()
-    wsrcs: tuple = ()                # registers whose publish re-dirties `enable`
-    latency: int = 0
-    unit: int = 0                    # 0 none, 1 int mult/div, 2 FP mult/div/sqrt
-    enkind: int = 0
-    pubkind: int = 0                 # 0 no dsts, 1 whole, 2 ascending, 3 shift-right
-    mem: bool = False
-    enable: int = -1
-    enable_ver: int = -1
 
     @property
     def is_mem(self) -> bool:
@@ -112,7 +99,7 @@ class DetailedStats:
 class DetailedSimulator:
     """Explicit cycle loop over the correct-path dynamic stream."""
 
-    def __init__(self, config: MachineConfig, mode: str | None = None) -> None:
+    def __init__(self, config: MachineConfig) -> None:
         f = config.features
         advanced = (
             f.out_of_order_slices or f.early_branch_resolution
@@ -140,19 +127,6 @@ class DetailedSimulator:
         self.reg_ready = [[0] * self.S for _ in range(NUM_EXT_REGS)]
         self.rob: deque[_Entry] = deque()
         self.lsq_count = 0
-        # Timing-mode dispatch (same toggle as TimingSimulator): "fast"
-        # runs the plan-bound, cycle-skipping loop; "reference" the
-        # original walk-every-entry-every-cycle loop it is lockstep
-        # cross-checked against.
-        if mode is None:
-            from repro.timing.fastpath import default_timing_mode
-
-            mode = default_timing_mode()
-        self.mode = (
-            "reference" if str(mode).strip().lower() in ("reference", "ref", "slow") else "fast"
-        )
-        self._plans: dict = {}
-        self._skipped_cycles = 0     # cycles jumped (not simulated) by the fast loop
 
     # -------------------------------------------------------------- latency
 
@@ -249,13 +223,13 @@ class DetailedSimulator:
     # ------------------------------------------------------------------ run
 
     def run(self, trace: Iterable[TraceRecord], max_instructions: int | None = None) -> DetailedStats:
-        """Dispatch on :attr:`mode` (``REPRO_TIMING`` / constructor)."""
-        if self.mode == "fast":
-            return self.run_fast(trace, max_instructions)
-        return self.run_reference(trace, max_instructions)
+        """Walk every ROB entry every cycle until the trace commits.
 
-    def run_reference(self, trace: Iterable[TraceRecord], max_instructions: int | None = None) -> DetailedStats:
-        """Reference cycle loop (golden model for :meth:`run_fast`)."""
+        Each cycle commits, selects oldest-first among ready entries,
+        fetches, and is then classified into exactly one CPI-stack
+        component (:meth:`_account_cycle`) — the attribution oracle the
+        timestamp model's waterfall is compared against.
+        """
         cfg = self.config
         records = list(trace)
         if max_instructions is not None:
@@ -423,521 +397,6 @@ class DetailedSimulator:
         self.stats.cycles = cycle
         return self.stats
 
-    # ------------------------------------------------------------ fast path
-
-    def _bind_detailed(self, inst):
-        """Resolve one static instruction's scheduling facts once.
-
-        Returns ``(klass, is_mem, is_control, is_branch, srcs, latency,
-        unit, enkind)`` — everything the per-cycle loop would otherwise
-        re-derive from strings per dynamic occurrence.
-        """
-        cfg = self.config
-        m = inst.mnemonic
-        klass = op_class(m)
-        is_mem = klass is OpClass.LOAD or klass is OpClass.STORE
-        srcs = inst.src_regs()
-        dsts = inst.dst_regs()
-        latency = cfg.ex_stages
-        unit = 0
-        if m in ("mult", "multu"):
-            latency, unit = max(cfg.int_mult_lat, cfg.ex_stages), 1
-        elif m in ("div", "divu"):
-            latency, unit = max(cfg.int_div_lat, cfg.ex_stages), 1
-        elif m == "mul.s":
-            latency, unit = max(cfg.fp_mult_lat, cfg.ex_stages), 2
-        elif m == "div.s":
-            latency, unit = max(cfg.fp_div_lat, cfg.ex_stages), 2
-        elif m == "sqrt.s":
-            latency, unit = max(cfg.fp_sqrt_lat, cfg.ex_stages), 2
-        elif m.endswith(".s") or m.endswith(".w"):
-            latency = max(cfg.fp_alu_lat, cfg.ex_stages)
-        # Operand-enable kind: which _operands_ready rule applies
-        # (SHIFT_LEFT checked first — it is also in _PIPELINED).
-        if not self.sliced:
-            enkind = 0
-        elif klass is OpClass.SHIFT_LEFT:
-            enkind = 2
-        elif klass in self._PIPELINED or klass is OpClass.COMPARE:
-            enkind = 1
-        elif klass is OpClass.SHIFT_RIGHT:
-            enkind = 3
-        elif is_mem:
-            enkind = 4
-        else:
-            enkind = 5
-        # Scoreboard-publish kind (mirrors _publish's slice_published).
-        if not dsts:
-            pubkind = 0
-        elif not self.sliced:
-            pubkind = 1
-        elif klass in self._PIPELINED:
-            pubkind = 2
-        elif klass is OpClass.SHIFT_RIGHT:
-            pubkind = 3
-        else:
-            pubkind = 1
-        # Registers whose publishes invalidate the cached enable time
-        # (kind 4 reads only the base register).
-        wsrcs = (srcs[0],) if enkind == 4 and srcs else tuple(set(srcs))
-        return (
-            klass, is_mem, inst.is_control, inst.is_branch, srcs, dsts,
-            latency, unit, enkind, pubkind, wsrcs,
-        )
-
-    def _enable_time(self, entry: _Entry) -> int:
-        """First cycle *entry*'s operands allow issue.
-
-        Exact inversion of :meth:`_operands_ready`: each rule there is a
-        conjunction of ``value <= cycle + offset`` terms, so the enable
-        time is the max of ``value - offset`` — and
-        ``_operands_ready(e, srcs, c)`` iff ``c >= _enable_time(e)``.
-        """
-        reg_ready = self.reg_ready
-        kind = entry.enkind
-        srcs = entry.srcs
-        t = 0
-        if kind == 0:  # atomic machine: whole registers, single slice
-            for r in srcs:
-                v = reg_ready[r][0]
-                if v > t:
-                    t = v
-            return t
-        S = self.S
-        if kind == 1:  # pipelined slices / sliced compare: slice k at +k
-            for r in srcs:
-                ready = reg_ready[r]
-                for k in range(S):
-                    v = ready[k] - k
-                    if v > t:
-                        t = v
-            return t
-        if kind == 2:  # SHIFT_LEFT: slice k needs input slices 0..k
-            for r in srcs:
-                ready = reg_ready[r]
-                m = ready[0]
-                if m > t:
-                    t = m
-                for k in range(1, S):
-                    if ready[k] > m:
-                        m = ready[k]
-                    v = m - k
-                    if v > t:
-                        t = v
-            return t
-        if kind == 3:  # SHIFT_RIGHT: slice k at +(S-1-k), needs slices k..S-1
-            for r in srcs:
-                ready = reg_ready[r]
-                m = ready[S - 1]
-                if m > t:
-                    t = m
-                off = 1
-                for k in range(S - 2, -1, -1):
-                    if ready[k] > m:
-                        m = ready[k]
-                    v = m - off
-                    if v > t:
-                        t = v
-                    off += 1
-            return t
-        if kind == 4:  # load/store agen: base register, slice k at +k
-            ready = reg_ready[srcs[0]]
-            for k in range(S):
-                v = ready[k] - k
-                if v > t:
-                    t = v
-            return t
-        for r in srcs:  # kind 5: FULL/jump/syscall need whole operands
-            v = max(reg_ready[r])
-            if v > t:
-                t = v
-        return t
-
-    def run_fast(self, trace: Iterable[TraceRecord], max_instructions: int | None = None) -> DetailedStats:
-        """Plan-bound cycle loop that skips provably idle cycle spans.
-
-        Three structures replace the reference's full-window scans: a
-        *pending* list holding only unissued entries (the issue stage
-        walks it instead of the whole ROB), a *stores* deque of
-        uncommitted stores (the load-ordering scan walks it instead of
-        every older entry), and per-register *wakeup lists* — each
-        entry's operand-enable time is cached and re-derived only when
-        one of its source registers is published, instead of evaluating
-        ``_operands_ready`` per entry per cycle.  When a cycle commits,
-        issues and fetches nothing, the loop computes the earliest
-        cycle any guard could change state — completion/retire times,
-        ``schedulable_at`` and cached enable times, busy functional
-        units, issued stores' address-ready times, fetch redirect and
-        I-line refill — and jumps there, attributing the whole span
-        through ``_account_cycle(weight=span)``.  Every comparison the
-        loop and the accounting perform is against a threshold in that
-        set, so no state transition can fall inside the gap; the
-        lockstep cross-check
-        (:func:`repro.timing.fastpath.cross_check_detailed`) enforces
-        equality with :meth:`run_reference`.
-        """
-        cfg = self.config
-        records = list(trace)
-        if max_instructions is not None:
-            records = records[:max_instructions]
-        n = len(records)
-        if not n:
-            self.stats.cycles = 0
-            return self.stats
-        stats = self.stats
-        rob = self.rob
-        reg_ready = self.reg_ready
-        plans = self._plans
-        enable_time = self._enable_time
-        account = self._account_cycle
-        access_data = self.hierarchy.access_data
-        access_instruction = self.hierarchy.access_instruction
-        predict_and_train = self.predictor.predict_and_train
-        offset_bits = self.hierarchy.l1i.config.offset_bits
-        l1_latency = self.hierarchy.l1_latency
-        S = self.S
-        commit_width = cfg.commit_width
-        issue_width = cfg.issue_width
-        fetch_width = cfg.fetch_width
-        ruu_size = cfg.ruu_size
-        lsq_size = cfg.lsq_size
-        ex_stages = cfg.ex_stages
-        retire = cfg.retire_stages
-        replay_penalty = cfg.replay_penalty
-        dispatch_stage = cfg.dispatch_stage
-        frontend_depth = cfg.frontend_depth
-        offs_asc = list(range(1, S + 1))       # pipelined: slice k at +k+1
-        offs_desc = list(range(S, 0, -1))      # shift-right: slice k at +(S-1-k)+1
-        rS = range(S)
-
-        # Per-run PC-keyed view of the plan cache: within one trace a PC
-        # maps to one static instruction, and hashing an int beats
-        # hashing the frozen Instruction dataclass on every fetch.
-        plans_pc: dict[int, tuple] = {}
-        cursor = 0
-        fetch_blocked_until = 0
-        current_line = -1
-        line_ready = 0
-        committed = 0
-        cycle = 0
-        seq = 0
-        lsq_count = self.lsq_count
-        waiting_branch: _Entry | None = None
-        multdiv_free = 0
-        fp_free = 0
-        issued_total = 0
-        base_cycles = 0                  # committing cycles (folded into cpi_base)
-        pending: deque[_Entry] = deque() # unissued ROB entries, oldest-first
-        dead = 0                         # issued entries lingering mid-`pending`
-        stores: deque[_Entry] = deque()  # uncommitted stores, oldest-first
-        waiters: list[list[_Entry]] = [[] for _ in range(NUM_EXT_REGS)]
-        rob_append = rob.append
-        rob_popleft = rob.popleft
-        MAX_CYCLES = 400 * n + 10_000    # runaway guard (same as reference)
-
-        while committed < n and cycle < MAX_CYCLES:
-            # ---- commit (start of cycle, frees window space) ----
-            commits = 0
-            while rob and commits < commit_width:
-                head = rob[0]
-                ca = head.complete_at
-                if ca < 0 or ca + retire > cycle:
-                    break
-                rob_popleft()
-                if head.mem:
-                    lsq_count -= 1
-                    if head.klass is OpClass.STORE:
-                        access_data(head.record.mem_addr)
-                        stores.popleft()
-                committed += 1
-                commits += 1
-
-            # ---- issue/select: oldest-first among unissued entries ----
-            # ``schedulable_at`` is monotone along fetch order (constant
-            # frontend depth), so the first not-yet-schedulable entry
-            # ends the scan: everything younger is blocked too.
-            issued = 0
-            for entry in pending:
-                if entry.issued_at >= 0:
-                    continue
-                if issued >= issue_width:
-                    break
-                if entry.schedulable_at > cycle:
-                    break
-                # Wakeup contract: a *clean* unissued entry
-                # (``enable_ver >= 0``) is registered in ``waiters[r]``
-                # for every r in its ``wsrcs``, so any scoreboard write
-                # to r re-dirties it.  Dirty entries need no
-                # registration — they recompute before their cache is
-                # trusted — so registration happens here, on the paths
-                # where a freshly recomputed entry stays unissued.
-                fresh = entry.enable_ver < 0
-                if fresh:
-                    ek = entry.enkind
-                    t = 0
-                    if ek == 0:  # atomic: whole registers, single slice
-                        for r in entry.srcs:
-                            v = reg_ready[r][0]
-                            if v > t:
-                                t = v
-                    elif ek == 1:  # pipelined slices: slice k at +k
-                        for r in entry.srcs:
-                            ready = reg_ready[r]
-                            for k in rS:
-                                v = ready[k] - k
-                                if v > t:
-                                    t = v
-                    elif ek == 4:  # agen: base register, slice k at +k
-                        ready = reg_ready[entry.srcs[0]]
-                        for k in rS:
-                            v = ready[k] - k
-                            if v > t:
-                                t = v
-                    else:
-                        t = enable_time(entry)
-                    entry.enable = t
-                    entry.enable_ver = 0
-                    if t > cycle:
-                        for r in entry.wsrcs:
-                            waiters[r].append(entry)
-                        continue
-                elif entry.enable > cycle:
-                    continue
-                unit = entry.unit
-                if unit:
-                    if unit == 1:
-                        if multdiv_free > cycle:
-                            if fresh:
-                                for r in entry.wsrcs:
-                                    waiters[r].append(entry)
-                            continue
-                        multdiv_free = cycle + entry.latency
-                    else:
-                        if fp_free > cycle:
-                            if fresh:
-                                for r in entry.wsrcs:
-                                    waiters[r].append(entry)
-                            continue
-                        fp_free = cycle + entry.latency
-                klass = entry.klass
-                if klass is OpClass.LOAD:
-                    blocked = False
-                    forward = None
-                    if stores:
-                        eseq = entry.seq
-                        word = entry.record.mem_addr & ~3
-                        for older in stores:
-                            if older.seq >= eseq:
-                                break
-                            at = older.addr_ready_at
-                            if at < 0 or at > cycle:
-                                blocked = True
-                                break
-                            if (older.record.mem_addr & ~3) == word:
-                                forward = older
-                    if blocked:
-                        if fresh:
-                            for r in entry.wsrcs:
-                                waiters[r].append(entry)
-                        continue
-                    entry.issued_at = cycle
-                    agen_done = cycle + ex_stages
-                    entry.addr_ready_at = agen_done
-                    if forward is not None:
-                        data_at = agen_done
-                        if forward.addr_ready_at > data_at:
-                            data_at = forward.addr_ready_at
-                        for r in forward.srcs:
-                            v = max(reg_ready[r])
-                            if v > data_at:
-                                data_at = v
-                        complete = entry.complete_at = data_at + 1
-                        stats.store_forwards += 1
-                    else:
-                        result = access_data(entry.record.mem_addr)
-                        entry.l1_miss = not result.l1_hit
-                        complete = entry.complete_at = agen_done + result.latency + (
-                            0 if result.l1_hit else replay_penalty
-                        )
-                    if entry.pubkind:  # loads publish the whole value
-                        times = [complete] * S
-                        for r in entry.dsts:
-                            reg_ready[r] = times
-                            w = waiters[r]
-                            if w:
-                                for e in w:
-                                    e.enable_ver = -1
-                                w.clear()
-                elif klass is OpClass.STORE:
-                    entry.issued_at = cycle
-                    entry.addr_ready_at = cycle + ex_stages
-                    data_at = 0
-                    for r in entry.srcs:
-                        v = max(reg_ready[r])
-                        if v > data_at:
-                            data_at = v
-                    entry.complete_at = (
-                        entry.addr_ready_at if entry.addr_ready_at > data_at else data_at
-                    )
-                else:
-                    entry.issued_at = cycle
-                    complete = entry.complete_at = cycle + entry.latency
-                    pub = entry.pubkind
-                    if pub:
-                        if pub == 1:
-                            times = [complete] * S
-                        elif pub == 2:
-                            times = [cycle + o for o in offs_asc]
-                        else:
-                            times = [cycle + o for o in offs_desc]
-                        for r in entry.dsts:
-                            reg_ready[r] = times
-                            w = waiters[r]
-                            if w:
-                                for e in w:
-                                    e.enable_ver = -1
-                                w.clear()
-                if entry is waiting_branch:
-                    fetch_blocked_until = entry.complete_at + 1
-                    waiting_branch = None
-                issued += 1
-            if issued:
-                issued_total += issued
-                dead += issued
-                # Issue is mostly oldest-first, so popping issued heads
-                # keeps `pending` clean; the rare mid-list stragglers
-                # (a younger entry issued past a stalled older one)
-                # trigger a full rebuild only past a small bound.
-                while pending and pending[0].issued_at >= 0:
-                    pending.popleft()
-                    dead -= 1
-                if dead >= 16:
-                    pending = deque(e for e in pending if e.issued_at < 0)
-                    dead = 0
-
-            # ---- fetch + frontend ----
-            fetched = 0
-            while (
-                cursor < n
-                and fetched < fetch_width
-                and cycle >= fetch_blocked_until
-                and waiting_branch is None
-                and len(rob) < ruu_size
-            ):
-                record = records[cursor]
-                plan = plans_pc.get(record.pc)
-                if plan is None:
-                    inst = record.inst
-                    plan = plans.get(inst)
-                    if plan is None:
-                        plan = plans[inst] = self._bind_detailed(inst)
-                    plans_pc[record.pc] = plan
-                (klass, is_mem, is_control, is_branch, srcs, dsts,
-                 latency, unit, enkind, pubkind, wsrcs) = plan
-                if is_mem and lsq_count >= lsq_size:
-                    break
-                line = record.pc >> offset_bits
-                if line != current_line:
-                    current_line = line
-                    res = access_instruction(record.pc)
-                    line_ready = cycle + (res.latency - l1_latency)
-                if line_ready > cycle:
-                    break
-                # Positional construction (field order matters) — kwarg
-                # packing shows up at this call volume.  New entries
-                # start dirty, so no wakeup registration yet: they
-                # self-register on their first enable computation.
-                entry = _Entry(
-                    seq, record, klass, cycle,
-                    cycle + dispatch_stage, cycle + frontend_depth,
-                    -1, -1, -1, False, False,
-                    srcs, dsts, wsrcs, latency, unit, enkind, pubkind, is_mem,
-                )
-                seq += 1
-                cursor += 1
-                fetched += 1
-                rob_append(entry)
-                pending.append(entry)
-                if is_mem:
-                    lsq_count += 1
-                    if klass is OpClass.STORE:
-                        stores.append(entry)
-                if is_control:
-                    outcome = predict_and_train(record)
-                    if outcome.mispredicted:
-                        if is_branch:
-                            stats.branch_mispredicts += 1
-                        waiting_branch = entry
-                        break
-                    if outcome.predicted_taken:
-                        break
-
-            if commits or issued or fetched:
-                if commits:
-                    base_cycles += 1
-                else:
-                    self.lsq_count = lsq_count
-                    account(0, cycle, fetch_blocked_until, waiting_branch, line_ready)
-                cycle += 1
-                continue
-
-            # ---- idle: jump to the next cycle anything can change ----
-            # Candidate thresholds are every value the loop guards above
-            # (and _account_cycle) compare the cycle against; the min of
-            # those still ahead is the first cycle whose evaluation can
-            # differ from this one.
-            nxt = MAX_CYCLES
-            if rob:
-                head_ca = rob[0].complete_at
-                if head_ca >= 0:
-                    t = head_ca + retire
-                    if cycle < t < nxt:
-                        nxt = t
-                for e in rob:
-                    t = e.complete_at
-                    if cycle < t < nxt:
-                        nxt = t
-                    t = e.schedulable_at
-                    if cycle < t < nxt:
-                        nxt = t
-            for e in pending:
-                if e.schedulable_at > cycle:
-                    break  # monotone: younger entries blocked too
-                if e.issued_at >= 0:
-                    continue
-                if e.enable_ver < 0:
-                    e.enable = enable_time(e)
-                    e.enable_ver = 0
-                    for r in e.wsrcs:  # clean + unissued ⇒ registered
-                        waiters[r].append(e)
-                t = e.enable
-                if cycle < t < nxt:
-                    nxt = t
-            for e in stores:
-                t = e.addr_ready_at
-                if cycle < t < nxt:
-                    nxt = t
-            if cycle < multdiv_free < nxt:
-                nxt = multdiv_free
-            if cycle < fp_free < nxt:
-                nxt = fp_free
-            if cycle < fetch_blocked_until < nxt:
-                nxt = fetch_blocked_until
-            if cycle < line_ready < nxt:
-                nxt = line_ready
-            span = nxt - cycle
-            self.lsq_count = lsq_count
-            account(0, cycle, fetch_blocked_until, waiting_branch, line_ready, weight=span)
-            self._skipped_cycles += span - 1
-            cycle = nxt
-
-        self.lsq_count = lsq_count
-        stats.issued += issued_total
-        stats.cpi_base += base_cycles
-        stats.instructions = committed
-        stats.cycles = cycle
-        return stats
-
     # ------------------------------------------------------- CPI accounting
 
     #: Classes whose extra latency under slicing is the slice chain.
@@ -953,7 +412,6 @@ class DetailedSimulator:
         fetch_blocked_until: int,
         waiting_branch: _Entry | None,
         line_ready: int,
-        weight: int = 1,
     ) -> None:
         """Attribute this cycle to exactly one CPI-stack component.
 
@@ -963,24 +421,19 @@ class DetailedSimulator:
         store-address disambiguation, the slice chain, or (residually)
         pipeline fill and execution latency.  One increment per cycle
         keeps the components summing to ``cycles`` exactly.
-
-        *weight* > 1 attributes a span of cycles in one call: the fast
-        loop's cycle-skipping uses it for idle gaps whose classification
-        is provably constant (every comparison threshold below lies
-        outside the span), so the components still sum to ``cycles``.
         """
         stats = self.stats
         if commits:
-            stats.cpi_base += weight
+            stats.cpi_base += 1
             return
         if not self.rob:
             # Empty window: the front end is the bottleneck.
             if waiting_branch is not None or cycle < fetch_blocked_until:
-                stats.cpi_branch_recovery += weight
+                stats.cpi_branch_recovery += 1
             elif line_ready > cycle:
-                stats.cpi_memory += weight
+                stats.cpi_memory += 1
             else:
-                stats.cpi_base += weight
+                stats.cpi_base += 1
             return
         oldest = None
         for entry in self.rob:
@@ -988,18 +441,18 @@ class DetailedSimulator:
                 oldest = entry
                 break
         if oldest is None:
-            stats.cpi_base += weight  # retire-stage drain
+            stats.cpi_base += 1  # retire-stage drain
             return
         if oldest.issued_at >= 0:
             if oldest.l1_miss:
-                stats.cpi_memory += weight
+                stats.cpi_memory += 1
             elif self.sliced and oldest.klass in self._SLICEABLE:
-                stats.cpi_slice_wait += weight
+                stats.cpi_slice_wait += 1
             else:
-                stats.cpi_base += weight
+                stats.cpi_base += 1
             return
         if oldest.schedulable_at > cycle:
-            stats.cpi_base += weight  # frontend depth
+            stats.cpi_base += 1  # frontend depth
             return
         if oldest.klass is OpClass.LOAD:
             for older in self.rob:
@@ -1008,19 +461,18 @@ class DetailedSimulator:
                 if older.klass is OpClass.STORE and (
                     older.addr_ready_at < 0 or older.addr_ready_at > cycle
                 ):
-                    stats.cpi_lsd_wait += weight
+                    stats.cpi_lsd_wait += 1
                     return
         if self.sliced:
-            stats.cpi_slice_wait += weight
+            stats.cpi_slice_wait += 1
         else:
-            stats.cpi_base += weight
+            stats.cpi_base += 1
 
 
 def simulate_detailed(
     config: MachineConfig,
     trace: Iterable[TraceRecord],
     max_instructions: int | None = None,
-    mode: str | None = None,
 ) -> DetailedStats:
     """Convenience wrapper mirroring :func:`repro.timing.simulator.simulate`."""
-    return DetailedSimulator(config, mode=mode).run(trace, max_instructions)
+    return DetailedSimulator(config).run(trace, max_instructions)

@@ -26,10 +26,10 @@ Three further mechanical optimisations ride on the same plan cache:
   lockstep cross-check covers.
 
 The fast path is selected by default; ``REPRO_TIMING=reference`` (or
-``TimingSimulator(..., mode="reference")``) runs the original loops,
-kept verbatim as the golden models.  :func:`cross_check_timing` and
-:func:`cross_check_detailed` run both modes over one trace and raise
-:class:`TimingDivergence` on *any* stats or cycle-event mismatch.
+``TimingSimulator(..., mode="reference")``) runs the original loop,
+kept verbatim as the golden model.  :func:`cross_check_timing` runs
+both modes over one trace and raises :class:`TimingDivergence` on
+*any* stats or cycle-event mismatch.
 """
 
 from __future__ import annotations
@@ -53,35 +53,31 @@ from repro.obs.guestprof import SHORTFALL_PC, profile_delta
 from repro.obs.guestprof import active_collector as _guest_collector
 from repro.timing.stats import SimStats
 
-#: Environment toggle, mirroring ``REPRO_DISPATCH``.
+#: Environment toggle, mirroring ``REPRO_DISPATCH``: unset or empty for
+#: the fast path, ``reference`` for the golden loop.
 TIMING_ENV = "REPRO_TIMING"
 
-#: In-process override (set by ``--timing``); wins over the environment
-#: so parallel workers can re-apply it via ``_worker_init``.
-_override: str | None = None
-
-
-def _canon(value: str) -> str:
-    return "reference" if str(value).strip().lower() in ("reference", "ref", "slow") else "fast"
+#: Timing-loop implementations: the production fast path, then the
+#: golden reference.
+TIMING_MODES = ("fast", "reference")
 
 
 def default_timing_mode() -> str:
-    """Timing-loop implementation selected by ``REPRO_TIMING`` (default ``fast``)."""
-    if _override is not None:
-        return _override
-    return _canon(os.environ.get(TIMING_ENV, "fast"))
+    """Timing-loop implementation selected by ``REPRO_TIMING``.
 
+    Returns ``"fast"`` when the variable is unset or empty,
+    ``"reference"`` for the golden loop.
 
-def set_timing_mode(mode: str | None) -> str | None:
-    """Set (or with ``None`` clear) the in-process mode override."""
-    global _override
-    _override = None if mode is None else _canon(mode)
-    return _override
-
-
-def timing_mode_override() -> str | None:
-    """The current in-process override, for worker re-application."""
-    return _override
+    Raises:
+        ValueError: for any other value, so a misspelt ``reference``
+            cannot silently run the fast path.
+    """
+    value = os.environ.get(TIMING_ENV) or TIMING_MODES[0]
+    if value not in TIMING_MODES:
+        raise ValueError(
+            f"{TIMING_ENV}={value!r}: expected unset, empty, 'reference' or 'fast'"
+        )
+    return value
 
 
 class TimingDivergence(AssertionError):
@@ -882,34 +878,12 @@ def cross_check_timing(config, trace, max_instructions=None, warmup=0):
     return fast_stats
 
 
-def cross_check_detailed(config, trace, max_instructions=None):
-    """Run both :class:`DetailedSimulator` modes over *trace* in lockstep.
-
-    Compares every ``DetailedStats`` field (cycles, issued, forwards,
-    the full CPI stack) and raises :class:`TimingDivergence` on any
-    difference.  Returns ``(fast_stats, skipped_cycles)``.
-    """
-    from dataclasses import asdict
-
-    from repro.timing.detailed import DetailedSimulator
-
-    records = trace if isinstance(trace, list) else list(trace)
-    ref = DetailedSimulator(config, mode="reference")
-    fast = DetailedSimulator(config, mode="fast")
-    ref_stats = ref.run(records, max_instructions)
-    fast_stats = fast.run(records, max_instructions)
-    _diff_dicts(f"DetailedStats[{config.name}]", asdict(ref_stats), asdict(fast_stats))
-    return fast_stats, fast._skipped_cycles
-
-
 __all__ = [
     "TIMING_ENV",
+    "TIMING_MODES",
     "TimingDivergence",
     "bind_plan",
-    "cross_check_detailed",
     "cross_check_timing",
     "default_timing_mode",
     "run_fast",
-    "set_timing_mode",
-    "timing_mode_override",
 ]

@@ -395,7 +395,7 @@ def sample_benchmark(
     iters: int | None = None,
     skip: int | None = None,
     profile: str = "ref",
-    dispatch: str = "blocks",
+    dispatch: str | None = None,
     watchdog=None,
 ) -> SamplingResult:
     """Sampled detailed simulation of one benchmark under one config.
@@ -406,7 +406,9 @@ def sample_benchmark(
     half-width meets it.  Initialization is skipped exactly as
     :meth:`repro.workloads.suite.Workload.trace` does (same skip-hint,
     same guest-profile suspension), so a sampled cell measures the same
-    steady-state region an exact cell does.
+    steady-state region an exact cell does.  *dispatch* picks the
+    emulator tier (default: ``REPRO_DISPATCH``); the reference tier
+    warms by trace-mode observation, bit-identically but slower.
     """
     from repro.emulator.machine import Machine
     from repro.obs.guestprof import suspended_guest_profile

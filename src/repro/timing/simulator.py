@@ -164,13 +164,13 @@ class TimingSimulator:
         # schedulers (repro.timing.fastpath), "reference" runs the
         # original loop below — the golden model the fast path is
         # lockstep-checked against.
-        if mode is None:
-            from repro.timing.fastpath import default_timing_mode
+        from repro.timing.fastpath import TIMING_MODES, default_timing_mode
 
+        if mode is None:
             mode = default_timing_mode()
-        self.mode = (
-            "reference" if str(mode).strip().lower() in ("reference", "ref", "slow") else "fast"
-        )
+        elif mode not in TIMING_MODES:
+            raise ValueError(f"mode={mode!r}: expected 'fast' or 'reference'")
+        self.mode = mode
         # Fast-path state: flat reg-ready scoreboard (``reg * S + slice``
         # — no per-call list allocations), the per-static-instruction
         # plan cache, and the word -> youngest-store forwarding map for

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.emulator import blocks
-from repro.emulator.machine import Machine, set_dispatch_mode
+from repro.emulator.machine import Machine
 from repro.experiments import runner, supervisor, trace_cache
 from repro.obs import guestprof
 from repro.isa.assembler import assemble
@@ -38,7 +38,6 @@ def _isolate_runner_globals(monkeypatch):
     trace_cache.configure(enabled=False)
     trace_cache.reset_stats()
     supervisor.reset_stats()
-    set_dispatch_mode(None)
     blocks.reset_stats()
     guestprof.end_guest_profile()
 

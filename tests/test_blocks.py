@@ -2,7 +2,7 @@
 
 The blocks tier (:mod:`repro.emulator.blocks`) must be architecturally
 invisible: byte-identical traces, identical final state, identical
-fault behaviour versus both the pre-bound fast path and the golden
+fault behaviour versus both its own pre-bound handlers and the golden
 reference interpreter.  These tests exercise the machinery the
 differential properties cannot see directly — profiling countdowns,
 superblock side exits, memory batching, replay-on-fault, the
@@ -16,21 +16,9 @@ import gc
 import pytest
 
 from repro.emulator import blocks
-from repro.emulator.blocks import (
-    DEFAULT_THRESHOLD,
-    THRESHOLD_ENV,
-    cross_check_blocks,
-    default_block_threshold,
-)
-from repro.emulator.machine import (
-    DISPATCH_ENV,
-    Machine,
-    default_dispatch,
-    dispatch_mode_override,
-    set_dispatch_mode,
-)
+from repro.emulator.blocks import DEFAULT_THRESHOLD, cross_check_blocks
+from repro.emulator.machine import DISPATCH_ENV, Machine, default_dispatch
 from repro.emulator.memory import AlignmentError
-from repro.experiments import supervisor
 from repro.isa.assembler import assemble
 from repro.workloads import get_workload
 
@@ -54,18 +42,20 @@ def test_benchmark_slice_blocks_lockstep(name):
 
 
 def test_three_way_trace_streams_identical():
-    """reference x fast x blocks produce byte-identical traces."""
+    """reference x default threshold x compile-on-first-entry produce
+    byte-identical traces."""
     program = get_workload("li").build(iters=1)
     ref = Machine(program, dispatch="reference")
-    fast = Machine(program, dispatch="fast")
+    prod = Machine(program)
     blk = Machine(program, dispatch="blocks", block_threshold=0)
     r_ref = list(ref.trace(4_000))
-    r_fast = list(fast.trace(4_000))
+    r_prod = list(prod.trace(4_000))
     r_blk = list(blk.trace(4_000))
-    assert r_ref == r_fast == r_blk
-    assert ref.regs == fast.regs == blk.regs
-    assert ref.pc == fast.pc == blk.pc
-    assert ref.instret == fast.instret == blk.instret
+    assert r_ref == r_prod == r_blk
+    assert ref.regs == prod.regs == blk.regs
+    assert ref.pc == prod.pc == blk.pc
+    assert ref.instret == prod.instret == blk.instret
+    assert prod._engine.threshold == DEFAULT_THRESHOLD
 
 
 def test_blocks_run_and_trace_agree_on_retired_count():
@@ -225,17 +215,6 @@ def test_threshold_gates_compilation():
     assert hot["block_insts"] > 0
 
 
-def test_threshold_env_knob(monkeypatch):
-    monkeypatch.setenv(THRESHOLD_ENV, "17")
-    assert default_block_threshold() == 17
-    monkeypatch.setenv(THRESHOLD_ENV, "-5")
-    assert default_block_threshold() == 0
-    monkeypatch.setenv(THRESHOLD_ENV, "junk")
-    assert default_block_threshold() == DEFAULT_THRESHOLD
-    monkeypatch.delenv(THRESHOLD_ENV)
-    assert default_block_threshold() == DEFAULT_THRESHOLD
-
-
 # ------------------------------------------------------------- code cache
 
 def test_code_objects_are_shared_across_machines_and_die_with_program():
@@ -277,24 +256,6 @@ def test_dispatch_env_and_override(monkeypatch):
     assert default_dispatch() == "blocks"
     machine = Machine(assemble("main: nop\n halt\n"))
     assert machine.dispatch == "blocks" and machine._engine is not None
-    # Aliases canonicalise; the override beats the environment.
-    monkeypatch.setenv(DISPATCH_ENV, "compiled")
-    assert default_dispatch() == "blocks"
-    set_dispatch_mode("reference")
-    assert default_dispatch() == "reference"
-    set_dispatch_mode(None)
-    assert default_dispatch() == "blocks"
-
-
-def test_worker_state_carries_dispatch_override():
-    """Sweep workers must re-apply the parent's dispatch override."""
-    set_dispatch_mode("blocks")
-    state = supervisor.current_worker_state()
-    set_dispatch_mode(None)
-    supervisor.apply_worker_state(*state)
-    assert dispatch_mode_override() == "blocks"
-    # No override in the parent: the worker leaves its default alone.
-    set_dispatch_mode(None)
-    state = supervisor.current_worker_state()
-    supervisor.apply_worker_state(*state)
-    assert dispatch_mode_override() is None
+    monkeypatch.setenv(DISPATCH_ENV, "reference")
+    machine = Machine(assemble("main: nop\n halt\n"))
+    assert machine.dispatch == "reference" and machine._engine is None

@@ -28,6 +28,14 @@ def test_unknown_benchmark_gets_spelling_hint(capsys):
     assert "did you mean 'vortex'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("var", ["REPRO_DISPATCH", "REPRO_TIMING"])
+def test_misspelt_tier_switch_rejected(capsys, monkeypatch, var):
+    monkeypatch.setenv(var, "refrence")
+    assert main(["table1", "-n", "2000", "-b", "go"]) == 2
+    err = capsys.readouterr().err
+    assert var in err and "'reference'" in err
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["figure99"])

@@ -1,9 +1,10 @@
-"""Differential tests: pre-bound fast dispatch vs. the golden reference.
+"""Differential tests: the production tier vs. the golden reference.
 
-The fast path must be bit-identical to ``Machine.step_reference()`` —
-same ``TraceRecord`` stream, same architectural state, same faults.
-Random programs (hypothesis) and a real benchmark slice are both driven
-through the two interpreters in lockstep.
+The pre-bound handlers (``Machine.step()``) and the compiled blocks
+must be bit-identical to ``Machine.step_reference()`` — same
+``TraceRecord`` stream, same architectural state, same faults.  Random
+programs (hypothesis) and a real benchmark slice are both driven
+through the interpreters in lockstep.
 """
 
 from __future__ import annotations
@@ -105,32 +106,35 @@ def test_block_shaped_programs_blocks_lockstep(source):
 @given(block_shaped_program())
 @settings(max_examples=15, deadline=None)
 def test_block_shaped_programs_three_way_parity(source):
-    """reference x fast x blocks agree on trace, state, and output."""
+    """reference x bound handlers x compiled blocks agree on trace,
+    state, and output."""
     program = assemble(source)
     ref = Machine(program, dispatch="reference")
-    fast = Machine(program, dispatch="fast")
-    blk = Machine(program, dispatch="blocks", block_threshold=0)
+    stepper = Machine(program)
+    blk = Machine(program, block_threshold=0)
     r_ref = list(ref.trace(20_000))
-    r_fast = list(fast.trace(20_000))
+    r_step = []
+    while not stepper.halted and len(r_step) < 20_000:
+        r_step.append(stepper.step())
     r_blk = list(blk.trace(20_000))
-    assert r_ref == r_fast == r_blk
-    assert ref.regs == fast.regs == blk.regs
-    assert ref.pc == fast.pc == blk.pc
-    assert ref.output == fast.output == blk.output
+    assert r_ref == r_step == r_blk
+    assert ref.regs == stepper.regs == blk.regs
+    assert ref.pc == stepper.pc == blk.pc
+    assert ref.output == stepper.output == blk.output
 
 
 @pytest.mark.parametrize("name", ["li", "vortex"])
 def test_benchmark_slice_identical_trace_streams(name):
     """A real benchmark slice produces identical TraceRecord streams."""
     program = get_workload(name).build(iters=1)
-    fast = Machine(program, dispatch="fast")
+    prod = Machine(program)
     gold = Machine(program, dispatch="reference")
-    fast_records = list(fast.trace(5_000))
+    prod_records = list(prod.trace(5_000))
     gold_records = list(gold.trace(5_000))
-    assert fast_records == gold_records
-    assert fast.regs == gold.regs
-    assert fast.pc == gold.pc
-    assert fast.instret == gold.instret
+    assert prod_records == gold_records
+    assert prod.regs == gold.regs
+    assert prod.pc == gold.pc
+    assert prod.instret == gold.instret
 
 
 def test_cross_check_covers_control_memory_and_syscalls():
@@ -157,11 +161,11 @@ loop:   addu $t1, $t1, $t0
 def test_divergence_is_reported():
     """A (deliberately) desynchronized pair raises DispatchDivergence."""
     program = assemble("main: li $t0, 1\n halt\n")
-    fast = Machine(program, dispatch="fast")
-    fast.regs[8] = 99  # corrupt one machine's state up front
+    prod = Machine(program)
+    prod.regs[8] = 99  # corrupt one machine's state up front
     gold = Machine(program, dispatch="reference")
     with pytest.raises(DispatchDivergence):
-        got = fast.step()
+        got = prod.step()
         want = gold.step_reference()
         if got != want:
             raise DispatchDivergence("streams diverged")
@@ -173,7 +177,7 @@ def test_every_reference_mnemonic_has_a_binder():
     from repro.isa.encoding import ALL_MNEMONICS
 
     missing = sorted(set(ALL_MNEMONICS) - set(BINDERS))
-    assert not missing, f"mnemonics without a fast-path binder: {missing}"
+    assert not missing, f"mnemonics without a pre-bound binder: {missing}"
 
 
 def test_unknown_mnemonic_faults_at_execute_time():
@@ -185,7 +189,7 @@ def test_unknown_mnemonic_faults_at_execute_time():
 
 def test_fast_step_faults_match_reference():
     """PC faults raise the same IllegalInstruction either way."""
-    for mode in ("fast", "reference"):
+    for mode in (None, "reference"):
         machine = Machine(assemble("main: li $t0, 2\n jr $t0\n nop\n"), dispatch=mode)
         machine.step()
         machine.step()
@@ -194,7 +198,7 @@ def test_fast_step_faults_match_reference():
 
 
 def test_fast_step_after_halt_raises():
-    machine = Machine(assemble("main: halt\n"), dispatch="fast")
+    machine = Machine(assemble("main: halt\n"))
     machine.run()
     assert machine.halted
     with pytest.raises(EmulatorError):
@@ -210,15 +214,37 @@ def test_dispatch_env_selects_reference(monkeypatch):
     machine.run()
     assert machine.halted
 
-    monkeypatch.setenv(DISPATCH_ENV, "fast")
-    assert default_dispatch() == "fast"
+    # Unset or empty selects the production tier.
+    monkeypatch.delenv(DISPATCH_ENV)
+    assert default_dispatch() == "blocks"
+    monkeypatch.setenv(DISPATCH_ENV, "")
+    assert default_dispatch() == "blocks"
+    assert Machine(assemble("main: halt\n")).dispatch == "blocks"
+
+
+@pytest.mark.parametrize("value", ["refrence", "ref", "slow", "fast", "compiled", "Reference"])
+def test_dispatch_env_rejects_unknown_values(monkeypatch, value):
+    """A misspelt tier must fail loudly, not run the production tier."""
+    monkeypatch.setenv(DISPATCH_ENV, value)
+    with pytest.raises(ValueError, match="'reference' or 'blocks'"):
+        default_dispatch()
+    with pytest.raises(ValueError, match="'reference' or 'blocks'"):
+        Machine(assemble("main: halt\n"))
+
+
+def test_fast_dispatch_argument_builds_the_production_tier():
+    """``dispatch="fast"`` (the retired per-instruction tier's name) still
+    builds a production machine; unknown names are rejected."""
+    assert Machine(assemble("main: halt\n"), dispatch="fast").dispatch == "blocks"
+    with pytest.raises(ValueError, match="'blocks' or 'reference'"):
+        Machine(assemble("main: halt\n"), dispatch="ref")
 
 
 def test_run_and_trace_agree_on_retired_count():
     """run() (no records) and trace() (records) retire identically."""
     program = get_workload("li").build(iters=1)
-    runner = Machine(program, dispatch="fast")
-    tracer = Machine(program, dispatch="fast")
+    runner = Machine(program)
+    tracer = Machine(program)
     retired = runner.run(3_000)
     records = list(tracer.trace(3_000))
     assert retired == len(records) == 3_000

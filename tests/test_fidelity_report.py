@@ -15,6 +15,7 @@ from repro.experiments.report import (
     FigureCheck,
     PaperTarget,
     _bench_trend,
+    _compiler_telemetry,
     main,
     run_fidelity,
 )
@@ -145,6 +146,30 @@ def test_bench_trend_reads_and_skips(tmp_path):
     assert rows[0]["mean_ipc"] > 0
     assert len(warnings) == 1 and "BENCH_junk.json" in warnings[0]
     assert _bench_trend(tmp_path / "missing", []) == []
+
+
+def test_compiler_telemetry_comes_only_from_snapshots(tmp_path):
+    """Live block-engine counters carry host compile time, so folding
+    them in would make the report differ between runs and tiers."""
+    from repro.emulator import blocks
+    from repro.emulator.machine import Machine
+    from repro.harness.atomicio import atomic_write_json
+    from repro.obs.manifest import bench_snapshot, build_manifest
+    from repro.workloads import get_workload
+
+    Machine(get_workload("li").build(iters=1), dispatch="blocks", block_threshold=0).run(5_000)
+    live = blocks.telemetry()
+    assert live["stats"]["blocks_compiled"] > 0
+    assert _compiler_telemetry(tmp_path, []) == {}
+    assert _compiler_telemetry(None, []) == {}
+
+    # A scanned snapshot's compiler block is what the report shows.
+    record = {"ipc": {}, "wall_seconds": 0.0, "instructions_per_second": 0.0}
+    manifest = build_manifest(extra={"compiler": live})
+    atomic_write_json(tmp_path / "BENCH_run.json", bench_snapshot("run", {"li": record}, manifest))
+    folded = _compiler_telemetry(tmp_path, [])
+    assert folded["blocks_compiled"] == live["stats"]["blocks_compiled"]
+    assert folded["snapshots_scanned"] == 1
 
 
 def test_cli_writes_artifacts_and_gates(tmp_path, capsys):

@@ -2,9 +2,9 @@
 
 The acceptance contract of the profiling PR, as tests:
 
-* per-PC retired counts are identical across all three emulator
-  dispatch tiers (reference / fast / blocks) and sum exactly to the
-  run's total retirements;
+* per-PC retired counts are identical across the emulator dispatch
+  tiers (reference / blocks) and sum exactly to the run's total
+  retirements;
 * per-line cycle stacks sum exactly to the timing run's total cycles,
   identically under both timing modes;
 * disabled profiling leaves simulation results byte-identical;
@@ -63,8 +63,9 @@ helper:
 STEPS = 3_000
 
 
-def _run_counts(dispatch: str, steps: int = STEPS):
-    """Retired counts from one machine run on *dispatch*."""
+def _run_counts(dispatch: str | None = None, steps: int = STEPS):
+    """Retired counts from one machine run on *dispatch* (default tier
+    when ``None``)."""
     machine = Machine(assemble(LOOP_SOURCE), dispatch=dispatch)
     collector = start_guest_profile()
     try:
@@ -75,6 +76,8 @@ def _run_counts(dispatch: str, steps: int = STEPS):
     return prof
 
 
+# "fast" is the retired per-instruction tier's name, still accepted as a
+# spelling of the production tier.
 @pytest.mark.parametrize("dispatch", ["reference", "fast", "blocks"])
 def test_counts_sum_to_retired(dispatch):
     prof = _run_counts(dispatch)
@@ -84,16 +87,14 @@ def test_counts_sum_to_retired(dispatch):
 
 def test_counts_identical_across_tiers():
     reference = _run_counts("reference")
-    fast = _run_counts("fast")
-    blocks = _run_counts("blocks")
-    assert fast.counts == reference.counts
-    assert blocks.counts == reference.counts
+    default = _run_counts()
+    assert default.counts == reference.counts
 
 
 def test_cold_counts_match_record_replay():
     """Machine-loop counting ≡ replaying cached records (cache-hit path)."""
     records = tuple(Machine(assemble(LOOP_SOURCE)).trace(STEPS))
-    cold = _run_counts("fast")
+    cold = _run_counts()
     replay = GuestProfileCollector()
     profile_from_records(records, replay)
     assert replay.benchmarks["?"].counts == cold.counts
@@ -120,16 +121,13 @@ def test_sample_mode_counts_samples():
 
 def _simulate_with_profile(timing_mode: str):
     from repro.core.config import bitslice_config
-    from repro.timing.fastpath import set_timing_mode
     from repro.timing.simulator import simulate
 
     records = tuple(Machine(assemble(LOOP_SOURCE)).trace(STEPS))
     collector = start_guest_profile()
-    set_timing_mode(timing_mode)
     try:
-        stats = simulate(bitslice_config(4), iter(records), warmup=500)
+        stats = simulate(bitslice_config(4), iter(records), warmup=500, mode=timing_mode)
     finally:
-        set_timing_mode(None)
         end_guest_profile()
     return stats, collector.benchmarks["?"]
 

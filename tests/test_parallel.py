@@ -44,20 +44,16 @@ def test_workers_inherit_wall_timeout():
     assert record.benchmark == "li" and record.stage == "collect"
 
 
-def test_workers_inherit_dispatch_mode():
-    """A dispatch override set in the parent must bind inside workers."""
-    from repro.emulator.machine import set_dispatch_mode
-
-    set_dispatch_mode("blocks")
-    try:
-        surviving, failures, degraded = parallel.collect_parallel(["li"], N, jobs=1)
-        assert surviving == ["li"] and not failures and not degraded
-        preloaded = runner._preloaded[("li", N, None, None, "ref")]
-    finally:
-        set_dispatch_mode(None)
+def test_workers_inherit_dispatch_mode(monkeypatch):
+    """The parent's REPRO_DISPATCH reaches spawned workers."""
+    monkeypatch.setenv("REPRO_DISPATCH", "reference")
+    surviving, failures, degraded = parallel.collect_parallel(["li"], N, jobs=1)
+    assert surviving == ["li"] and not failures and not degraded
+    preloaded = runner._preloaded[("li", N, None, None, "ref")]
+    monkeypatch.delenv("REPRO_DISPATCH")
     runner.clear_trace_cache()
     # Traces are mode-invariant by construction, so the worker's
-    # blocks-mode collection must equal a sequential fast-path one.
+    # reference-tier collection must equal a sequential default one.
     assert preloaded == runner.collect_trace("li", N)
 
 

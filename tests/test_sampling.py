@@ -110,13 +110,13 @@ def test_sampling_is_deterministic():
 
 def test_trace_warming_matches_blocks_warming_bit_exactly():
     """The two functional-warming paths — warm-variant compiled blocks
-    and trace-mode observation — must train identical predictor and
-    cache state, so the measured windows are bit-identical."""
-    blocks = sample_benchmark(BENCH, baseline_config(), _plan(seed=5), budget=12_000,
-                              dispatch="blocks")
-    fast = sample_benchmark(BENCH, baseline_config(), _plan(seed=5), budget=12_000,
-                            dispatch="fast")
-    assert blocks.stats.to_dict() == fast.stats.to_dict()
+    (default tier) and trace-mode observation (reference tier) — must
+    train identical predictor and cache state, so the measured windows
+    are bit-identical."""
+    blocks = sample_benchmark(BENCH, baseline_config(), _plan(seed=5), budget=12_000)
+    traced = sample_benchmark(BENCH, baseline_config(), _plan(seed=5), budget=12_000,
+                              dispatch="reference")
+    assert blocks.stats.to_dict() == traced.stats.to_dict()
 
 
 def test_ci_target_auto_extends_past_scheduled_budget():

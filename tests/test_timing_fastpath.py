@@ -1,15 +1,13 @@
-"""Lockstep parity suite for the timing-layer fast paths (ISSUE 5).
+"""Lockstep parity suite for the timing-layer fast path.
 
-The fast paths (:meth:`TimingSimulator.run_fast`,
-:meth:`DetailedSimulator.run_fast`) are claimed to be bit-identical to
-the reference loops by construction.  This file enforces the claim
-three ways:
+The fast path (:func:`repro.timing.fastpath.run_fast`) is claimed to be
+bit-identical to :meth:`TimingSimulator.run_reference` by construction.
+This file enforces the claim three ways:
 
 * hypothesis-generated random programs (ALU-only and store/load-heavy)
   cross-checked through :func:`repro.timing.cross_check_timing`, which
   compares full stats *and* complete cycle-event streams;
-* real benchmark trace slices across representative configurations,
-  for both simulators;
+* real benchmark trace slices across representative configurations;
 * a pruning regression: with an ``lsq_size`` far smaller than the
   number of in-flight stores, the incremental store window must still
   agree with the reference's full-scan disambiguation — i.e. pruning
@@ -28,24 +26,10 @@ from hypothesis import strategies as st
 from repro.core.config import Features, baseline_config, bitslice_config, simple_pipeline_config
 from repro.emulator.machine import Machine
 from repro.isa.assembler import assemble
-from repro.timing import (
-    cross_check_detailed,
-    cross_check_timing,
-    default_timing_mode,
-    set_timing_mode,
-    simulate,
-)
-from repro.timing.detailed import DetailedSimulator
+from repro.timing import cross_check_timing, default_timing_mode, simulate
 from repro.timing.simulator import TimingSimulator
 
 from tests.test_differential import straight_line_program
-
-
-@pytest.fixture(autouse=True)
-def _reset_timing_override():
-    """Tests below poke the process-wide mode override; always undo."""
-    yield
-    set_timing_mode(None)
 
 
 def _trace(source: str, limit: int = 10_000):
@@ -132,25 +116,6 @@ def test_lockstep_benchmark_slices(small_traces, name):
         cross_check_timing(cfg, trace, warmup=200)
 
 
-@pytest.mark.parametrize("name", ["li", "bzip"])
-def test_detailed_lockstep_benchmark_slices(small_traces, name):
-    trace = small_traces[name]
-    basic = Features(partial_operand_bypassing=True)
-    for cfg in (
-        baseline_config(),
-        simple_pipeline_config(2),
-        bitslice_config(2, basic, name="basic-slice2"),
-    ):
-        cross_check_detailed(cfg, trace)
-
-
-def test_detailed_cycle_skipping_engages(small_traces):
-    """The parity run must actually exercise the skip machinery —
-    otherwise the lockstep check is vacuous for that code path."""
-    _, skipped = cross_check_detailed(baseline_config(), small_traces["li"])
-    assert skipped > 0
-
-
 # ---------------------------------------------------------------------------
 # Store-window pruning regression
 # ---------------------------------------------------------------------------
@@ -188,26 +153,28 @@ def test_store_window_pruning_keeps_visible_stores():
 def test_mode_env_toggle(monkeypatch):
     monkeypatch.delenv("REPRO_TIMING", raising=False)
     assert default_timing_mode() == "fast"
+    monkeypatch.setenv("REPRO_TIMING", "")
+    assert default_timing_mode() == "fast"
+    monkeypatch.setenv("REPRO_TIMING", "fast")
+    assert TimingSimulator(baseline_config()).mode == "fast"
     monkeypatch.setenv("REPRO_TIMING", "reference")
     assert default_timing_mode() == "reference"
     assert TimingSimulator(baseline_config()).mode == "reference"
-    assert DetailedSimulator(baseline_config()).mode == "reference"
-    # Aliases canonicalise; anything else means fast.
-    monkeypatch.setenv("REPRO_TIMING", "slow")
-    assert default_timing_mode() == "reference"
-    monkeypatch.setenv("REPRO_TIMING", "anything-else")
-    assert default_timing_mode() == "fast"
-
-
-def test_mode_override_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_TIMING", "reference")
-    set_timing_mode("fast")
-    assert default_timing_mode() == "fast"
-    assert TimingSimulator(baseline_config()).mode == "fast"
-    set_timing_mode(None)
-    assert default_timing_mode() == "reference"
-    # Explicit per-instance mode beats everything.
+    # Explicit per-instance mode beats the environment.
     assert TimingSimulator(baseline_config(), mode="fast").mode == "fast"
+
+
+@pytest.mark.parametrize("value", ["refrence", "ref", "slow", "anything-else", "FAST"])
+def test_mode_env_rejects_unknown_values(monkeypatch, value):
+    """A misspelt mode must fail loudly, not run the fast path."""
+    monkeypatch.setenv("REPRO_TIMING", value)
+    with pytest.raises(ValueError, match="'reference' or 'fast'"):
+        default_timing_mode()
+    with pytest.raises(ValueError, match="'reference' or 'fast'"):
+        TimingSimulator(baseline_config())
+    monkeypatch.delenv("REPRO_TIMING")
+    with pytest.raises(ValueError, match="'fast' or 'reference'"):
+        TimingSimulator(baseline_config(), mode=value)
 
 
 def test_stats_byte_identical_across_modes(small_traces):
