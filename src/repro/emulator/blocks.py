@@ -1,12 +1,15 @@
 """Block-compiled execution: the emulator's production tier.
 
-Pre-bound dispatch (:mod:`repro.emulator.dispatch`) makes each retired
-instruction one indirect call; this module removes even that.  At
-decode time the text segment is partitioned into basic blocks (leaders
-= the entry point, every branch/jump target, every index after a
-control transfer or system instruction).  A lightweight execution-count
-profile — a per-leader countdown in the dispatch table — triggers
-compilation of hot leaders into specialized Python functions:
+The per-instruction handlers (:mod:`repro.emulator.dispatch`) make each
+retired instruction one indirect call; this module removes even that.
+At decode time the text segment is partitioned into basic blocks
+(leaders = the entry point, every branch/jump target, every index after
+a control transfer or system instruction).  A lightweight
+execution-count profile — a per-leader countdown in the dispatch table
+— triggers compilation of hot leaders into specialized Python
+functions, each item expanded from its row of the semantics table
+(:data:`~repro.emulator.dispatch.OPS`) that the handlers are generated
+from too:
 
 * guest registers live in host locals for the whole block (registers
   are loaded from ``R[n]`` only if read before written, and stored
@@ -22,28 +25,31 @@ compilation of hot leaders into specialized Python functions:
   forward branches continue along the fallthrough edge, and the cold
   direction becomes a side exit that commits and returns early.
 
-Each block compiles to two variants.  The *run* variant returns a
+Each block compiles to three variants.  The *run* variant returns a
 packed ``(next_leader_index + 1) << 8 | retired_count`` so the
 machine's chain loop can jump compiled-block-to-compiled-block without
 re-deriving the PC.  The *trace* variant builds the exact
 :class:`~repro.emulator.trace.TraceRecord` list the reference
 interpreter would emit — byte-identical traces, so the SHA-256 trace
 cache, packed transport and all downstream timing machinery are
-untouched.
+untouched.  The *warm* variant is the run variant plus the
+functional-warming hooks of :meth:`Machine.run_warm`.
 
-Fault discipline — replay on exception.  A compiled body mutates no
+Fault discipline — resume at the fault.  A compiled body mutates no
 architectural state (registers, PC, instret) until a commit point (a
-side exit or the block end); mid-block memory *writes* are the only
-side effect and are idempotent under deterministic re-execution from
-the entry state.  If anything raises inside a compiled body (alignment
-trap, illegal access), the machine re-executes the block
-per-instruction through the pre-bound handlers, reproducing the
-reference fault semantics exactly: same partial trace, same exception,
-same architectural state at the faulting instruction.
+side exit or the block end), and each item faults before it writes.
+If anything raises inside a compiled body (alignment trap, illegal
+access), :meth:`BlockEngine.replay` reads the body's frame from the
+traceback — the faulting item from its line number, the register
+values from its locals, the retired records from the trace variant's
+list — commits that state and runs the faulting instruction's handler,
+which raises the reference exception: same partial trace, same
+exception, same registers and memory at the faulting instruction.
+Nothing on the non-faulting path pays for this.
 
 Everything that is not a hot compiled block — cold code, syscalls,
 ``break``, undecodable words, the tail of a bounded run — falls back
-to pre-bound dispatch, instruction by instruction.
+to the per-instruction handlers.
 
 ``cross_check_blocks`` is the differential harness: a blocks-mode
 machine and the golden reference run in lockstep (states align at
@@ -53,20 +59,29 @@ block exits) and any record or final-state mismatch raises
 
 from __future__ import annotations
 
-import math
 import time
 import weakref
 
 from repro.emulator.dispatch import (
+    ACCESS,
+    ADDR,
+    BRANCH,
+    CONSTS,
+    DESTS,
+    HELPERS,
+    IJUMP,
+    JUMP,
+    LOAD,
+    OPS,
+    READS,
+    SIGNED,
+    STORE,
+    SYSTEM,
+    WRITES,
     DispatchDivergence,
-    _fp_cvt_w_s,
-    _fp_sqrt,
-    bits_from_f32,
-    f32_from_bits,
+    sext,
+    sgn,
 )
-from repro.emulator.trace import TraceRecord
-from repro.isa.instructions import BRANCH_OPS
-from repro.isa.registers import FCC, FP_BASE, HI, LO
 from repro.obs.tracing import active_tracer
 
 _M = 0xFFFFFFFF
@@ -97,53 +112,15 @@ MIN_BLOCK_LEN = 2
 #: write_words; below this the scalar accessors are cheaper.
 BATCH_MIN = 4
 
-_BRANCHES = frozenset(BRANCH_OPS)
-_LINKS = frozenset({"j", "jal"})
-_INDIRECT = frozenset({"jr", "jalr"})
-_UNSUPPORTED = frozenset({"syscall", "break"})
 
-_R3_EXPR = {
-    "addu": "(({a} + {b}) & 4294967295)",
-    "add": "(({a} + {b}) & 4294967295)",
-    "subu": "(({a} - {b}) & 4294967295)",
-    "sub": "(({a} - {b}) & 4294967295)",
-    "and": "({a} & {b})",
-    "or": "({a} | {b})",
-    "xor": "({a} ^ {b})",
-    "nor": "(~({a} | {b}) & 4294967295)",
-    "slt": "(1 if {sa} < {sb} else 0)",
-    "sltu": "(1 if {a} < {b} else 0)",
-    "sllv": "((({b}) << ({a} & 31)) & 4294967295)",
-    "srlv": "(({b}) >> ({a} & 31))",
-    "srav": "(({sb} >> ({a} & 31)) & 4294967295)",
-}
+def _kinds(*kinds) -> frozenset:
+    return frozenset(mn for mn, row in OPS.items() if row.kind in kinds)
 
-_FP_CMP_OP = {"c.eq.s": "==", "c.lt.s": "<", "c.le.s": "<="}
 
-_FP_ARITH = frozenset({
-    "add.s", "sub.s", "mul.s", "div.s",
-    "mov.s", "neg.s", "abs.s", "sqrt.s", "cvt.w.s", "cvt.s.w",
-    "c.eq.s", "c.lt.s", "c.le.s",
-})
-
-#: Mnemonics whose run-variant code never reads rs (resp. rt) — the
-#: trace variant always reads both for the record's rs_val/rt_val.
-#: Wrong membership fails loudly: the placeholder is an undefined local,
-#: so any stray use raises NameError, which replay turns into
-#: DispatchDivergence under the differential tests.
-_RS_UNUSED_RUN = _FP_ARITH | frozenset({
-    "lui", "sll", "srl", "sra", "mfhi", "mflo", "mfc1", "mtc1", "j", "jal",
-    "bc1t", "bc1f",
-})
-_RT_UNUSED_RUN = _FP_ARITH | frozenset({
-    "lw", "lb", "lbu", "lh", "lhu", "lui", "lwc1", "swc1",
-    "mfhi", "mflo", "mfc1", "mthi", "mtlo", "j", "jal", "jr", "jalr",
-    "blez", "bgtz", "bltz", "bgez", "bc1t", "bc1f",
-})
-
-_BRANCH2_OP = {"beq": "==", "bne": "!="}
-
-_BRANCH1_OP = {"blez": "<= 0", "bgtz": "> 0", "bltz": "< 0", "bgez": ">= 0"}
+_BRANCHES = _kinds(BRANCH)
+_JUMPS = _kinds(JUMP)
+_INDIRECT = _kinds(IJUMP)
+_UNSUPPORTED = _kinds(SYSTEM)
 
 
 # ------------------------------------------------------------------- stats
@@ -288,10 +265,11 @@ def _note_compile(
 
 
 #: Per-program cache of compiled code objects, keyed ``id(program)``
-#: then ``(leader_index, trace)`` → ``(n_inst, code, insts, superblock)``
-#: or ``None`` (rejected).  CPython's ``compile`` dominates
-#: block-compilation cost; the code object is machine-independent
-#: (machine state binds at ``exec`` time), so every later Machine over
+#: then ``(leader_index, variant)`` → ``(n_inst, code, insts, unwind,
+#: superblock, sites, words)`` or ``None`` (rejected).  CPython's
+#: ``compile`` dominates block-compilation cost; the code object is
+#: machine-independent (machine state binds at ``exec`` time), so every
+#: later Machine over
 #: the same Program — repeat bench iterations, sweep cells, workers —
 #: skips straight to the cheap bind.  Entries die with their Program
 #: (``weakref.finalize``); Program is an unhashable dataclass, hence
@@ -306,13 +284,6 @@ def _program_code_cache(program) -> dict:
         cache = _CODE_CACHE[key] = {}
         weakref.finalize(program, _CODE_CACHE.pop, key, None)
     return cache
-
-
-def _sgn(name: str) -> str:
-    """Signed-interpretation expression for a simple operand name."""
-    if name == "0":
-        return "0"
-    return f"({name} - 4294967296 if {name} & 2147483648 else {name})"
 
 
 class _Block:
@@ -393,7 +364,7 @@ class BlockEngine:
                 ti = (((pc + 4 + (inst.imm << 2)) & _M) - base) >> 2
                 if 0 <= ti < size:
                     leaders.add(ti)
-            elif mn in _LINKS:
+            elif mn in _JUMPS:
                 pc = base + 4 * idx
                 ti = ((((pc + 4) & 0xF000_0000) | (inst.target << 2)) - base) >> 2
                 if 0 <= ti < size:
@@ -446,7 +417,7 @@ class BlockEngine:
                         continue
                 items.append((idx, inst, None))
                 break
-            if mn in _LINKS:
+            if mn in _JUMPS:
                 pc = base + 4 * idx
                 ti = ((((pc + 4) & 0xF000_0000) | (inst.target << 2)) - base) >> 2
                 if 0 <= ti < size and len(items) < max_len - 1:
@@ -488,18 +459,18 @@ class BlockEngine:
                 if block is None:
                     cached = None
                 else:
-                    code, insts = self._codegen(block, variant)
+                    code, insts, unwind = self._codegen(block, variant)
                     sites, words = self._batch_shape(block.items)
                     cached = (
-                        len(block.items), code, insts, block.superblock, sites, words
+                        len(block.items), code, insts, unwind, block.superblock, sites, words
                     )
                 code_cache[key] = cached
             if cached is None:
                 entry = None
                 superblock = False
             else:
-                n_inst, code, insts, superblock, sites, words = cached
-                entry = (n_inst, self._bind(code, insts))
+                n_inst, code, insts, unwind, superblock, sites, words = cached
+                entry = (n_inst, self._bind(code, insts, unwind))
                 if from_code_cache:
                     self.cache_binds += 1
                 if index not in self._counted:  # once per block, not per variant
@@ -584,13 +555,16 @@ class BlockEngine:
         return count
 
     def _codegen(self, block: _Block, variant: str):
-        """Emit and exec-compile one variant of *block*.
+        """Emit and exec-compile one variant of *block* from :data:`OPS`.
 
-        The generated function loads every register that is read
-        before being written into a local, executes the superblock
-        with all constants folded in, and commits registers / PC /
-        instret only at exit points (side exits and the block end) —
-        the invariant the replay-on-exception fault path relies on.
+        Each item expands its table row: value rows compute their
+        template into the destination local, loads and stores access
+        memory at ``{a} + {imm}`` with the row's width, branches and
+        jumps exit or continue the superblock.  The generated function
+        loads every register that is read before being written into a
+        local, executes the superblock with all constants folded in,
+        and commits registers / PC / instret only at exit points (side
+        exits and the block end).
 
         The ``warm`` variant is the run variant plus functional-warming
         hooks: every memory operand touches the data cache (``_wd`` /
@@ -599,6 +573,10 @@ class BlockEngine:
         ``_btu`` / ``_rpu`` / ``_rpo``) — so statistical-sampling
         fast-forward spans keep the microarchitectural state a detailed
         window adopts continuously warm, at block-compiled speed.
+
+        Returns the code object, the block's instructions and its
+        unwind table ``(item position per source line, item PCs)``,
+        which :meth:`replay` reads when the body raises.
         """
         trace = variant == "trace"
         warm = variant == "warm"
@@ -609,6 +587,7 @@ class BlockEngine:
         defined: set = set()     # registers with a local already assigned
         commits: list = []       # written registers, in first-write order
         body: list = []
+        starts: list = []        # (first body line, item position) per emitted item
         warm_iline = [-1]        # static fetch line of the previous item
 
         def wd(indent: str = "    ") -> None:
@@ -633,12 +612,35 @@ class BlockEngine:
                 body.append(f"    r{rn} = R[{rn}]")
             return f"r{rn}"
 
-        def wreg(rn: int, expr: str, indent: str = "    ") -> None:
-            if rn not in defined:
-                defined.add(rn)
+        def mark_write(rn: int) -> str:
+            defined.add(rn)
             if rn not in commits:
                 commits.append(rn)
-            body.append(f"{indent}r{rn} = {expr}")
+            return f"r{rn}"
+
+        def wreg(rn: int, expr: str, indent: str = "    ") -> None:
+            body.append(f"{indent}{mark_write(rn)} = {expr}")
+
+        def operands(row, inst, a: str, b: str) -> dict:
+            """Source text per placeholder: reads load first, then writes."""
+            ops = {"a": a, "b": b}
+            writes = []
+            for name in row.names:
+                if name in ops:
+                    continue
+                if name in CONSTS:
+                    ops[name] = str(CONSTS[name](inst))
+                elif name in WRITES:
+                    writes.append(name)
+                else:
+                    base_name = SIGNED.get(name, name)
+                    if base_name not in ops:
+                        ops[base_name] = reg(READS[base_name](inst))
+                    if base_name != name:
+                        ops[name] = sgn(ops[base_name])
+            for name in writes:
+                ops[name] = mark_write(WRITES[name])
+            return ops
 
         def rec(pc, k, a, b, res, addr, taken, npc, indent: str = "    ") -> None:
             if trace:
@@ -671,23 +673,26 @@ class BlockEngine:
 
         k = 0
         while k < n:
+            starts.append((len(body), k))
             idx, inst, cont = items[k]
+            row = OPS[inst.mnemonic]
+            kind = row.kind
             pc = base + 4 * idx
-            mn = inst.mnemonic
             npc = (pc + 4) & _M
-            a = reg(inst.rs) if trace or mn not in _RS_UNUSED_RUN else "_unused_rs"
-            b = reg(inst.rt) if trace or mn not in _RT_UNUSED_RUN else "_unused_rt"
+            reads = row.reads
+            a = reg(inst.rs) if trace or "a" in reads else "_unused_rs"
+            b = reg(inst.rt) if trace or "b" in reads else "_unused_rt"
             last = k == n - 1
             wi(pc)
 
             run = self._mem_run(items, k)
             if run >= BATCH_MIN:
-                body.append(f"    _ma = (({a}) + {inst.imm}) & 4294967295")
+                body.append(f"    _ma = {ADDR.format(a=a, imm=inst.imm)}")
                 if warm:
                     body.append(f"    _wds(_ma, {4 * run})")
                     for i in range(1, run):
                         wi(base + 4 * items[k + i][0])
-                if mn == "lw":
+                if kind == LOAD:
                     body.append(f"    _vs = _rws(_ma, {run})")
                     for i in range(run):
                         midx, minst, _ = items[k + i]
@@ -713,18 +718,15 @@ class BlockEngine:
                     exit_lines(lpc, n, lidx + 1)
                 continue
 
-            if mn in _BRANCHES:
+            ops = operands(row, inst, a, b)
+            expr = row.expr.format_map(ops)
+            rn = DESTS[row.dest](inst) if row.dest else 0  # 0: no write
+
+            if kind == BRANCH:
                 tk_pc = (pc + 4 + (inst.imm << 2)) & _M
                 ti = (tk_pc - base) >> 2
                 fi = idx + 1
-                if mn in _BRANCH2_OP:
-                    cond = f"{a} {_BRANCH2_OP[mn]} {b}"
-                elif mn in _BRANCH1_OP:
-                    cond = f"{_sgn(a)} {_BRANCH1_OP[mn]}"
-                else:  # bc1t / bc1f
-                    fcc = reg(FCC)
-                    cond = f"{fcc} == {1 if mn == 'bc1t' else 0}"
-                body.append(f"    _tk = {cond}")
+                body.append(f"    _tk = {expr}")
                 if warm:
                     body.append(f"    _gsu({pc}, _tk)")
                 if last or cont is None:
@@ -752,37 +754,38 @@ class BlockEngine:
                 k += 1
                 continue
 
-            if mn in _LINKS:
+            link = row.dest is not None
+            if kind == JUMP:
                 target = (((pc + 4) & 0xF000_0000) | (inst.target << 2)) & _M
                 ti = (target - base) >> 2
-                rec(pc, k, a, b, pc + 4 if mn == "jal" else 0, -1, True, target)
-                if mn == "jal":
+                rec(pc, k, a, b, pc + 4 if link else 0, -1, True, target)
+                if link:
                     if warm:
                         body.append(f"    _rpu({(pc + 4) & _M})")
-                    wreg(31, str(pc + 4))
+                    wreg(rn, str(pc + 4))
                 if last or cont is None:
                     exit_lines(target, k + 1, ti)
                 k += 1
                 continue
 
-            if mn in _INDIRECT:
-                body.append(f"    _npc = {a}")
+            if kind == IJUMP:
+                body.append(f"    _npc = {expr}")
                 if warm:
-                    if mn == "jalr":
+                    if link:
                         body.append(f"    _btu({pc}, _npc)")
                         body.append(f"    _rpu({(pc + 4) & _M})")
                     elif inst.rs == 31:  # return: maintain the RAS
                         body.append("    _rpo()")
                     else:
                         body.append(f"    _btu({pc}, _npc)")
-                rec(pc, k, a, b, pc + 4 if mn == "jalr" else 0, -1, True, "_npc")
-                if mn == "jalr" and inst.rd:
-                    wreg(inst.rd, str(pc + 4))
+                rec(pc, k, a, b, pc + 4 if link else 0, -1, True, "_npc")
+                if rn:
+                    wreg(rn, str(pc + 4))
                 if trace:
                     exit_lines("_npc", k + 1, -1)
                 else:
-                    for rn in commits:
-                        body.append(f"    R[{rn}] = r{rn}")
+                    for r in commits:
+                        body.append(f"    R[{r}] = r{r}")
                     body.append("    m.pc = _npc")
                     body.append(f"    m.instret += {k + 1}")
                     body.append(f"    _t = _npc - {base}")
@@ -793,255 +796,79 @@ class BlockEngine:
                 k += 1
                 continue
 
-            if mn in _R3_EXPR:
-                expr = _R3_EXPR[mn].format(a=a, b=b, sa=_sgn(a), sb=_sgn(b))
-                if trace:
-                    body.append(f"    _v = {expr}")
-                    rec(pc, k, a, b, "_v", -1, False, npc)
-                    if inst.rd:
-                        wreg(inst.rd, "_v")
-                elif inst.rd:
-                    wreg(inst.rd, expr)
-            elif mn in ("addiu", "addi"):
-                self._rt_alu(body, rec, wreg, trace, inst, k, pc, npc, a, b,
-                             f"(({a} + {inst.imm}) & 4294967295)")
-            elif mn == "andi":
-                self._rt_alu(body, rec, wreg, trace, inst, k, pc, npc, a, b,
-                             f"({a} & {inst.imm & 0xFFFF})")
-            elif mn == "ori":
-                self._rt_alu(body, rec, wreg, trace, inst, k, pc, npc, a, b,
-                             f"({a} | {inst.imm & 0xFFFF})")
-            elif mn == "xori":
-                self._rt_alu(body, rec, wreg, trace, inst, k, pc, npc, a, b,
-                             f"({a} ^ {inst.imm & 0xFFFF})")
-            elif mn == "slti":
-                self._rt_alu(body, rec, wreg, trace, inst, k, pc, npc, a, b,
-                             f"(1 if {_sgn(a)} < {inst.imm} else 0)")
-            elif mn == "sltiu":
-                self._rt_alu(body, rec, wreg, trace, inst, k, pc, npc, a, b,
-                             f"(1 if {a} < {inst.imm & _M} else 0)")
-            elif mn == "lui":
-                self._rt_alu(body, rec, wreg, trace, inst, k, pc, npc, a, b,
-                             str((inst.imm & 0xFFFF) << 16))
-            elif mn == "sll":
-                self._rd_alu(body, rec, wreg, trace, inst, k, pc, npc, a, b,
-                             f"((({b}) << {inst.shamt}) & 4294967295)")
-            elif mn == "srl":
-                self._rd_alu(body, rec, wreg, trace, inst, k, pc, npc, a, b,
-                             f"(({b}) >> {inst.shamt})")
-            elif mn == "sra":
-                self._rd_alu(body, rec, wreg, trace, inst, k, pc, npc, a, b,
-                             f"((({_sgn(b)}) >> {inst.shamt}) & 4294967295)")
-            elif mn in ("lw", "lb", "lbu", "lh", "lhu"):
-                body.append(f"    _ma = (({a}) + {inst.imm}) & 4294967295")
+            if kind == LOAD:
+                width = row.width
+                read = f"_r{ACCESS[width][0]}(_ma)"
+                body.append(f"    _ma = {ADDR.format_map(ops)}")
                 wd()
                 if trace:
-                    if mn == "lw":
-                        load = "_rw(_ma)"
-                    elif mn == "lbu":
-                        load = "_rb(_ma)"
-                    elif mn == "lhu":
-                        load = "_rh(_ma)"
-                    elif mn == "lb":
-                        body.append("    _t = _rb(_ma)")
-                        load = "((_t - 256) if _t & 128 else _t) & 4294967295"
-                    else:  # lh
-                        body.append("    _t = _rh(_ma)")
-                        load = "((_t - 65536) if _t & 32768 else _t) & 4294967295"
-                    body.append(f"    _v = {load}")
+                    if row.signed:
+                        body.append(f"    _t = {read}")
+                        read = sext("_t", width)
+                    body.append(f"    _v = {read}")
                     rec(pc, k, a, b, "_v", "_ma", False, npc)
-                    if inst.rt:
-                        wreg(inst.rt, "_v")
+                    if rn:
+                        wreg(rn, "_v")
                 else:
-                    # Run variant: the page store is accessed inline (an
-                    # aligned word/half never crosses a 4 KiB page).  A
+                    # Run variant: the page store is read inline (an
+                    # aligned access never crosses a 4 KiB page).  A
                     # misaligned address calls the scalar accessor, which
-                    # raises AlignmentError and triggers block replay; a
-                    # load into $zero keeps only its alignment fault.
-                    if mn == "lw":
-                        body.append("    if _ma & 3:")
-                        body.append("        _rw(_ma)")
-                        if inst.rt:
-                            body.append("    _pg = _pgs.get(_ma >> 12)")
+                    # raises AlignmentError; a load into $zero keeps only
+                    # that fault.
+                    if width > 1:
+                        body.append(f"    if _ma & {width - 1}:")
+                        body.append(f"        {read}")
+                    if rn:
+                        body.append("    _pg = _pgs.get(_ma >> 12)")
+                        if width == 1:
+                            value = "_pg[_ma & 4095] if _pg is not None else 0"
+                        else:
                             body.append("    _o = _ma & 4095")
-                            wreg(inst.rt,
-                                 "(_pg[_o] | (_pg[_o + 1] << 8) | (_pg[_o + 2] << 16)"
-                                 " | (_pg[_o + 3] << 24)) if _pg is not None else 0")
-                    elif mn in ("lh", "lhu"):
-                        body.append("    if _ma & 1:")
-                        body.append("        _rh(_ma)")
-                        if inst.rt:
-                            body.append("    _pg = _pgs.get(_ma >> 12)")
-                            body.append("    _o = _ma & 4095")
-                            half = "(_pg[_o] | (_pg[_o + 1] << 8)) if _pg is not None else 0"
-                            if mn == "lhu":
-                                wreg(inst.rt, half)
-                            else:
-                                body.append(f"    _t = {half}")
-                                wreg(inst.rt, "((_t - 65536) if _t & 32768 else _t) & 4294967295")
-                    else:  # lb / lbu: byte loads cannot fault
-                        if inst.rt:
-                            body.append("    _pg = _pgs.get(_ma >> 12)")
-                            byte = "_pg[_ma & 4095] if _pg is not None else 0"
-                            if mn == "lbu":
-                                wreg(inst.rt, byte)
-                            else:
-                                body.append(f"    _t = {byte}")
-                                wreg(inst.rt, "((_t - 256) if _t & 128 else _t) & 4294967295")
-            elif mn == "sw":
-                body.append(f"    _ma = (({a}) + {inst.imm}) & 4294967295")
+                            parts = ["_pg[_o]"]
+                            parts += [f"(_pg[_o + {i}] << {8 * i})" for i in range(1, width)]
+                            value = f"({' | '.join(parts)}) if _pg is not None else 0"
+                        if row.signed:
+                            body.append(f"    _t = {value}")
+                            value = sext("_t", width)
+                        wreg(rn, value)
+            elif kind == STORE:
+                width = row.width
+                body.append(f"    _ma = {ADDR.format_map(ops)}")
                 wd()
+                write = f"_w{ACCESS[width][0]}(_ma, {expr})"
                 if trace:
-                    body.append(f"    _ww(_ma, {b})")
-                    rec(pc, k, a, b, b, "_ma", False, npc)
+                    body.append(f"    {write}")
+                    image = expr if width == 4 else f"({expr} & {(1 << 8 * width) - 1})"
+                    rec(pc, k, a, b, image, "_ma", False, npc)
                 else:
-                    body.append("    if _ma & 3:")
-                    body.append(f"        _ww(_ma, {b})")
+                    # Run variant: the page store is written inline (an
+                    # aligned access never crosses a 4 KiB page).  A
+                    # misaligned address calls the scalar accessor, which
+                    # raises AlignmentError; a missing page allocates.
+                    if width > 1:
+                        body.append(f"    if _ma & {width - 1}:")
+                        body.append(f"        {write}")
                     body.append("    _pg = _pgs.get(_ma >> 12)")
                     body.append("    if _pg is None:")
-                    body.append(f"        _ww(_ma, {b})")  # allocates the page
+                    body.append(f"        {write}")
                     body.append("    else:")
-                    body.append("        _o = _ma & 4095")
-                    body.append(f"        _pg[_o] = {b} & 255")
-                    body.append(f"        _pg[_o + 1] = ({b} >> 8) & 255")
-                    body.append(f"        _pg[_o + 2] = ({b} >> 16) & 255")
-                    body.append(f"        _pg[_o + 3] = ({b} >> 24) & 255")
-            elif mn == "sb":
-                body.append(f"    _ma = (({a}) + {inst.imm}) & 4294967295")
-                wd()
+                    if width == 1:
+                        body.append(f"        _pg[_ma & 4095] = {expr} & 255")
+                    else:
+                        body.append("        _o = _ma & 4095")
+                        body.append(f"        _pg[_o] = {expr} & 255")
+                        for i in range(1, width):
+                            body.append(f"        _pg[_o + {i}] = ({expr} >> {8 * i}) & 255")
+            else:  # value kinds
+                for line in row.pre:
+                    body.append(f"    {line.format_map(ops)}")
                 if trace:
-                    body.append(f"    _wb(_ma, {b})")
-                    rec(pc, k, a, b, f"({b} & 255)", "_ma", False, npc)
-                else:
-                    body.append("    _pg = _pgs.get(_ma >> 12)")
-                    body.append("    if _pg is None:")
-                    body.append(f"        _wb(_ma, {b})")  # allocates the page
-                    body.append("    else:")
-                    body.append(f"        _pg[_ma & 4095] = {b} & 255")
-            elif mn == "sh":
-                body.append(f"    _ma = (({a}) + {inst.imm}) & 4294967295")
-                wd()
-                if trace:
-                    body.append(f"    _wh(_ma, {b})")
-                    rec(pc, k, a, b, f"({b} & 65535)", "_ma", False, npc)
-                else:
-                    body.append("    if _ma & 1:")
-                    body.append(f"        _wh(_ma, {b})")
-                    body.append("    _pg = _pgs.get(_ma >> 12)")
-                    body.append("    if _pg is None:")
-                    body.append(f"        _wh(_ma, {b})")  # allocates the page
-                    body.append("    else:")
-                    body.append("        _o = _ma & 4095")
-                    body.append(f"        _pg[_o] = {b} & 255")
-                    body.append(f"        _pg[_o + 1] = ({b} >> 8) & 255")
-            elif mn == "lwc1":
-                body.append(f"    _ma = (({a}) + {inst.imm}) & 4294967295")
-                wd()
-                body.append("    _v = _rw(_ma)")
-                rec(pc, k, a, b, "_v", "_ma", False, npc)
-                wreg(FP_BASE + inst.rt, "_v")
-            elif mn == "swc1":
-                ft = reg(FP_BASE + inst.rt)
-                body.append(f"    _ma = (({a}) + {inst.imm}) & 4294967295")
-                wd()
-                body.append(f"    _ww(_ma, {ft})")
-                rec(pc, k, a, b, ft, "_ma", False, npc)
-            elif mn in ("mult", "multu"):
-                if mn == "mult":
-                    body.append(f"    _p = {_sgn(a)} * {_sgn(b)}")
-                else:
-                    body.append(f"    _p = {a} * {b}")
-                wreg(HI, "(_p >> 32) & 4294967295")
-                wreg(LO, "_p & 4294967295")
-                rec(pc, k, a, b, f"r{LO}", -1, False, npc)
-            elif mn == "div":
-                body.append(f"    _sa = {_sgn(a)}")
-                body.append(f"    _sb = {_sgn(b)}")
-                body.append("    if _sb == 0:")
-                body.append(f"        r{HI} = r{LO} = 0")
-                body.append("    else:")
-                body.append("        _q = _abs(_sa) // _abs(_sb)")
-                body.append("        if (_sa < 0) != (_sb < 0):")
-                body.append("            _q = -_q")
-                body.append(f"        r{LO} = _q & 4294967295")
-                body.append(f"        r{HI} = (_sa - _q * _sb) & 4294967295")
-                self._mark_write(defined, commits, HI)
-                self._mark_write(defined, commits, LO)
-                rec(pc, k, a, b, f"r{LO}", -1, False, npc)
-            elif mn == "divu":
-                body.append(f"    if {b} == 0:")
-                body.append(f"        r{HI} = r{LO} = 0")
-                body.append("    else:")
-                body.append(f"        r{LO} = {a} // {b}")
-                body.append(f"        r{HI} = {a} % {b}")
-                self._mark_write(defined, commits, HI)
-                self._mark_write(defined, commits, LO)
-                rec(pc, k, a, b, f"r{LO}", -1, False, npc)
-            elif mn in ("mfhi", "mflo"):
-                src = reg(HI if mn == "mfhi" else LO)
-                rec(pc, k, a, b, src, -1, False, npc)
-                if inst.rd:
-                    wreg(inst.rd, src)
-            elif mn in ("mthi", "mtlo"):
-                rec(pc, k, a, b, a, -1, False, npc)
-                wreg(HI if mn == "mthi" else LO, a)
-            elif mn in ("add.s", "sub.s", "mul.s", "div.s"):
-                fs = reg(FP_BASE + inst.rd)
-                ft = reg(FP_BASE + inst.rt)
-                body.append(f"    _fa = _f32({fs})")
-                body.append(f"    _fb = _f32({ft})")
-                if mn == "div.s":
-                    body.append("    if _fb == 0.0:")
-                    body.append(
-                        "        _fv = _nan if _fa == 0.0 or _isnan(_fa)"
-                        " else _cs(_inf, _fa) * _cs(1.0, _fb)"
-                    )
-                    body.append("    else:")
-                    body.append("        _fv = _fa / _fb")
-                else:
-                    op = {"add.s": "+", "sub.s": "-", "mul.s": "*"}[mn]
-                    body.append(f"    _fv = _fa {op} _fb")
-                body.append("    _v = _b32(_fv)")
-                rec(pc, k, a, b, "_v", -1, False, npc)
-                wreg(FP_BASE + inst.shamt, "_v")
-            elif mn in ("mov.s", "neg.s", "abs.s", "sqrt.s", "cvt.w.s", "cvt.s.w"):
-                fs = reg(FP_BASE + inst.rd)
-                if mn == "mov.s":
-                    expr = fs
-                elif mn == "neg.s":
-                    expr = f"({fs} ^ 2147483648)"
-                elif mn == "abs.s":
-                    expr = f"({fs} & 2147483647)"
-                elif mn == "sqrt.s":
-                    expr = f"_fsqrt({fs})"
-                elif mn == "cvt.w.s":
-                    expr = f"_fcvtws({fs})"
-                else:  # cvt.s.w
-                    expr = f"_b32(_flt({_sgn(fs)}))"
-                body.append(f"    _v = {expr}")
-                rec(pc, k, a, b, "_v", -1, False, npc)
-                wreg(FP_BASE + inst.shamt, "_v")
-            elif mn in _FP_CMP_OP:
-                fs = reg(FP_BASE + inst.rd)
-                ft = reg(FP_BASE + inst.rt)
-                body.append(f"    _fa = _f32({fs})")
-                body.append(f"    _fb = _f32({ft})")
-                body.append(
-                    "    _v = 0 if _isnan(_fa) or _isnan(_fb)"
-                    f" else (1 if _fa {_FP_CMP_OP[mn]} _fb else 0)"
-                )
-                rec(pc, k, a, b, "_v", -1, False, npc)
-                wreg(FCC, "_v")
-            elif mn == "mfc1":
-                fs = reg(FP_BASE + inst.rd)
-                rec(pc, k, a, b, fs, -1, False, npc)
-                if inst.rt:
-                    wreg(inst.rt, fs)
-            elif mn == "mtc1":
-                rec(pc, k, a, b, b, -1, False, npc)
-                wreg(FP_BASE + inst.rd, b)
-            else:  # pragma: no cover - _extent admits only the mnemonics above
-                raise DispatchDivergence(f"block codegen cannot handle {mn!r}")
+                    if not row.direct:
+                        body.append(f"    _v = {expr}")
+                        expr = "_v"
+                    rec(pc, k, a, b, expr, -1, False, npc)
+                if rn:
+                    wreg(rn, expr)
             if last:
                 exit_lines(npc, n, idx + 1)
             k += 1
@@ -1056,15 +883,23 @@ class BlockEngine:
         if trace:
             lines.append("    _rec = []")
             lines.append("    _ap = _rec.append")
+        # Source line -> position of the item that emitted it (the line
+        # numbers are 1-based; the header lines map to item 0).
+        owner = [0] * (len(lines) + 1)
+        for (first, pos), (end, _) in zip(starts, starts[1:] + [(len(body), None)]):
+            owner.extend([pos] * (end - first))
         lines.extend(body)
         src = "\n".join(lines) + "\n"
 
         entry_pc = base + 4 * items[0][0]
-        return compile(src, f"<block:{variant}@{entry_pc:#x}>", "exec"), tuple(
-            inst for _, inst, _ in items
+        pcs = tuple(base + 4 * idx for idx, _, _ in items)
+        return (
+            compile(src, f"<block:{variant}@{entry_pc:#x}>", "exec"),
+            tuple(inst for _, inst, _ in items),
+            (tuple(owner), pcs),
         )
 
-    def _bind(self, code, insts) -> object:
+    def _bind(self, code, insts, unwind) -> object:
         """Exec a cached block code object against this machine's state.
 
         Binding is ~100x cheaper than compiling, which is what makes
@@ -1072,21 +907,17 @@ class BlockEngine:
         """
         machine = self.m
         mem = machine.memory
-        env = {
+        env = dict(HELPERS)
+        env.update({
             "R": machine.regs,
             "_pgs": mem._pages,
             "_rw": mem.read_word, "_ww": mem.write_word,
             "_rh": mem.read_half, "_wh": mem.write_half,
             "_rb": mem.read_byte, "_wb": mem.write_byte,
             "_rws": mem.read_words, "_wws": mem.write_words,
-            "_TR": TraceRecord,
             "_I": insts,
-            "_f32": f32_from_bits, "_b32": bits_from_f32,
-            "_fsqrt": _fp_sqrt, "_fcvtws": _fp_cvt_w_s,
-            "_isnan": math.isnan, "_cs": math.copysign,
-            "_nan": math.nan, "_inf": math.inf,
-            "_abs": abs, "_flt": float,
-        }
+            "_UNWIND": unwind,
+        })
         sink = machine._warm_sink
         if sink is not None:
             hierarchy, predictor = sink
@@ -1107,52 +938,50 @@ class BlockEngine:
         exec(code, env)
         return env["_blk"]
 
-    @staticmethod
-    def _mark_write(defined: set, commits: list, rn: int) -> None:
-        if rn not in defined:
-            defined.add(rn)
-        if rn not in commits:
-            commits.append(rn)
-
-    def _rt_alu(self, body, rec, wreg, trace, inst, k, pc, npc, a, b, expr) -> None:
-        if trace:
-            body.append(f"    _v = {expr}")
-            rec(pc, k, a, b, "_v", -1, False, npc)
-            if inst.rt:
-                wreg(inst.rt, "_v")
-        elif inst.rt:
-            wreg(inst.rt, expr)
-
-    def _rd_alu(self, body, rec, wreg, trace, inst, k, pc, npc, a, b, expr) -> None:
-        if trace:
-            body.append(f"    _v = {expr}")
-            rec(pc, k, a, b, "_v", -1, False, npc)
-            if inst.rd:
-                wreg(inst.rd, "_v")
-        elif inst.rd:
-            wreg(inst.rd, expr)
-
     # ----------------------------------------------------------------- replay
 
-    def replay(self, machine, n_inst: int, original):
-        """Re-execute a faulted block per-instruction from entry state.
+    def replay(self, machine, original):
+        """Resume a compiled body that raised at its faulting instruction.
 
-        Compiled bodies commit nothing before raising, so the machine
-        still holds the block-entry state; stepping the pre-bound
-        handlers from here reproduces the reference fault exactly —
-        the generator yields each retired record, then the faulting
-        handler re-raises the real exception.  If replay finishes all
-        ``n_inst`` steps cleanly the compiled body disagreed with the
-        handlers, which is a divergence, not a guest fault.
+        A body commits nothing before it raises, and executing an item
+        never writes before its own fault point, so the body's frame
+        (still reachable from *original*'s traceback) holds the
+        reference state at the fault: its line number names the
+        faulting item through the codegen's unwind table, its live
+        ``r<N>`` locals are the register values, and the trace
+        variant's ``_rec`` holds the records retired so far.  This
+        commits those registers, sets ``pc``/``instret`` to the
+        faulting item and yields ``(pc, record)`` for each retired
+        instruction (``record`` is ``None`` outside the trace
+        variant); then the faulting item's bound handler re-raises the
+        reference exception.  If it does not raise, the compiled body
+        disagreed with the handlers, which is a divergence, not a
+        guest fault.
         """
         self.replays += 1
-        bound = machine._bound
-        base = self.base
-        for _ in range(n_inst):
-            index = (machine.pc - base) >> 2
-            yield bound[index](machine, True)
+        tb = original.__traceback__
+        while tb is not None and not tb.tb_frame.f_code.co_filename.startswith("<block:"):
+            tb = tb.tb_next
+        if tb is None:
+            raise DispatchDivergence(
+                f"compiled block raised {original!r} outside its body"
+            ) from original
+        frame = tb.tb_frame
+        owner, pcs = frame.f_globals["_UNWIND"]
+        retired = owner[tb.tb_lineno]
+        local = frame.f_locals
+        regs = machine.regs
+        for name, value in local.items():
+            if name[0] == "r" and name[1:].isdigit():
+                regs[int(name[1:])] = value
+        machine.pc = pcs[retired]
+        machine.instret += retired
+        records = local.get("_rec")
+        for i in range(retired):
+            yield pcs[i], None if records is None else records[i]
+        machine._bound[(machine.pc - self.base) >> 2](machine, True)
         raise DispatchDivergence(
-            f"compiled block raised {original!r} but per-instruction replay succeeded"
+            f"compiled block raised {original!r} but its faulting instruction did not"
         ) from original
 
     def flush_stats(self) -> None:

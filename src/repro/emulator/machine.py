@@ -13,8 +13,9 @@ Two interpreters share the machine state:
   compile to fused Python functions (:mod:`repro.emulator.blocks`)
   with registers in host locals and batched memory runs.  Everything
   else — cold code, syscalls, block exits, :meth:`step` — executes
-  through per-instruction closures pre-bound at decode time
-  (:mod:`repro.emulator.dispatch`);
+  through per-instruction closures bound at decode time.  Both are
+  generated from one ISA semantics table
+  (:data:`repro.emulator.dispatch.OPS`);
 * the **golden reference** (:meth:`step_reference`): the original
   ``if``/``elif`` interpreter, kept verbatim as the oracle that the
   bound handlers and the compiled blocks are differentially checked
@@ -562,8 +563,8 @@ class Machine:
         # step-budget breach is detected at block granularity, bounded
         # by MAX_BLOCK_LEN); everything else single-steps through the
         # pre-bound handlers.  A compiled body that raises commits
-        # nothing, so the engine replays the block per-instruction to
-        # reproduce reference fault semantics.
+        # nothing; the engine resumes it at the faulting instruction,
+        # whose handler raises the reference fault.
         eng = self._engine
         bound = self._bound
         base = self.program.text_base
@@ -599,8 +600,8 @@ class Machine:
                             if n + n_max <= max_steps:
                                 try:
                                     records = fn(self)
-                                except Exception as exc:  # replay per-inst
-                                    for record in eng.replay(self, n_max, exc):
+                                except Exception as exc:  # resume at the fault
+                                    for _pc, record in eng.replay(self, exc):
                                         n += 1
                                         yield record
                                     raise  # pragma: no cover - replay re-raises
@@ -624,8 +625,8 @@ class Machine:
                             while n + n_max <= max_steps:
                                 try:
                                     ret = fn(self)
-                                except Exception as exc:  # replay per-inst
-                                    for _ in eng.replay(self, n_max, exc):
+                                except Exception as exc:  # resume at the fault
+                                    for _ in eng.replay(self, exc):
                                         n += 1
                                     raise  # pragma: no cover - replay re-raises
                                 ran = True
@@ -807,10 +808,9 @@ class Machine:
                             if n + n_max <= max_steps:
                                 try:
                                     records = fn(self)
-                                except Exception as exc:  # replay per-inst
-                                    for record in eng.replay(self, n_max, exc):
+                                except Exception as exc:  # resume at the fault
+                                    for rpc, record in eng.replay(self, exc):
                                         n += 1
-                                        rpc = record.pc
                                         counts[rpc] = counts_get(rpc, 0) + 1
                                         yield record
                                     raise  # pragma: no cover - replay re-raises
@@ -837,10 +837,9 @@ class Machine:
                             while n + n_max <= limit:
                                 try:
                                     ret = fn(self)
-                                except Exception as exc:  # replay per-inst
-                                    for record in eng.replay(self, n_max, exc):
+                                except Exception as exc:  # resume at the fault
+                                    for rpc, _ in eng.replay(self, exc):
                                         n += 1
-                                        rpc = record.pc
                                         counts[rpc] = counts_get(rpc, 0) + 1
                                     raise  # pragma: no cover - replay re-raises
                                 ran = True
