@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.core.config import CUMULATIVE_TECHNIQUES, baseline_config, cumulative_configs
 from repro.experiments.report import render_table
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, collect_trace
-from repro.timing.simulator import simulate
+from repro.timing.simulator import simulate_configs
 from repro.timing.stats import SimStats
 from repro.workloads import BENCHMARK_NAMES
 
@@ -104,13 +104,14 @@ def run(
 ) -> Figure11Result:
     """Regenerate Figure 11 (and the data behind Figure 12)."""
     result = Figure11Result(slice_counts=slice_counts)
-    ideal_cfg = baseline_config()
+    ladders = {s: [cfg for _, cfg in cumulative_configs(s)] for s in slice_counts}
+    configs = [baseline_config()] + [cfg for s in slice_counts for cfg in ladders[s]]
     for name in benchmarks:
         trace = collect_trace(name, instructions + warmup, profile=profile)
-        result.ideal[name] = simulate(ideal_cfg, trace, warmup=warmup)
+        stats = simulate_configs(configs, trace, warmup=warmup)
+        result.ideal[name] = stats[0]
+        at = 1
         for s in slice_counts:
-            stats_list = [
-                simulate(cfg, trace, warmup=warmup) for _, cfg in cumulative_configs(s)
-            ]
-            result.ladder[(name, s)] = stats_list
+            result.ladder[(name, s)] = stats[at:at + len(ladders[s])]
+            at += len(ladders[s])
     return result

@@ -26,7 +26,7 @@ from repro.harness.watchdog import Watchdog
 from repro.obs.guestprof import active_collector, profile_from_records
 from repro.obs.session import active_session
 from repro.obs.tracing import active_tracer
-from repro.timing.simulator import simulate
+from repro.timing.simulator import simulate_configs
 from repro.timing.stats import SimStats
 from repro.workloads import get_workload
 
@@ -248,8 +248,7 @@ def sweep_configs(
     warmup: int = DEFAULT_WARMUP,
 ) -> list[SimStats]:
     """Run every configuration over the same trace of one benchmark."""
-    trace = collect_trace(name, max_steps + warmup)
-    return [simulate(config, trace, warmup=warmup) for config in configs]
+    return simulate_configs(configs, collect_trace(name, max_steps + warmup), warmup=warmup)
 
 
 def preload_trace(

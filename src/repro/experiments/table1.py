@@ -79,13 +79,17 @@ def run(
     warmup: int = DEFAULT_WARMUP,
     profile: str = "ref",
     sampling=None,
+    base=None,
 ) -> Table1Result:
     """Regenerate Table 1 on the baseline (ideal-EX) machine.
 
     *sampling* (a :class:`~repro.timing.sampling.SamplingPlan`) switches
     every benchmark to the statistical-sampling engine: *instructions*
     becomes the sampled horizon, *warmup* is subsumed by the plan's
-    per-window warmup, and each row gains its IPC 95% CI.
+    per-window warmup, and each row gains its IPC 95% CI.  Without it,
+    *base* (a :class:`~repro.experiments.figure11.Figure11Result` over
+    the same benchmarks, budget, warmup and profile) supplies the ideal
+    runs that Figure 11 already simulated.
     """
     config = baseline_config()
     rows = []
@@ -109,8 +113,11 @@ def run(
             )
         return Table1Result(rows)
     for name in benchmarks:
-        trace = collect_trace(name, instructions + warmup, profile=profile)
-        stats = simulate(config, trace, warmup=warmup)
+        if base is not None:
+            stats = base.ideal[name]
+        else:
+            trace = collect_trace(name, instructions + warmup, profile=profile)
+            stats = simulate(config, trace, warmup=warmup)
         rows.append(
             Table1Row(
                 benchmark=name,

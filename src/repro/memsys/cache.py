@@ -123,6 +123,35 @@ class SetAssociativeCache:
         ways.insert(0, tag)
         return False
 
+    def is_mru(self, addr: int) -> bool:
+        """True when *addr*'s line is its set's MRU way, so an
+        :meth:`access` would change nothing but the hit count."""
+        ways = self._sets[(addr >> self._off) & self._mask]
+        return bool(ways) and ways[0] == addr >> self._tshift
+
+    def resolving_width(self, addr: int) -> int:
+        """Narrowest partial tag that settles a lookup of *addr* (§5.2).
+
+        :func:`~repro.memsys.partial_tag.partial_tag_lookup` compares the
+        low ``w`` tag bits against the set's ways, MRU first.  On a hit
+        the first partial match is the hit way iff ``w`` is at least the
+        returned width; on a miss no way matches iff ``w`` is.  The
+        width is one more than the longest low-order agreement between
+        *addr*'s tag and a way ahead of the hit way (any way on a miss),
+        or 0 when there is no such way, so one number stands for the
+        lookup at every width.
+        """
+        tag = addr >> self._tshift
+        width = 0
+        for way in self._sets[(addr >> self._off) & self._mask]:
+            if way == tag:
+                break
+            diff = way ^ tag
+            agree = (diff & -diff).bit_length()  # trailing equal bits + 1
+            if agree > width:
+                width = agree
+        return width
+
     def set_tags(self, addr: int) -> list[int]:
         """Tags resident in the set *addr* maps to, MRU-first (a copy)."""
         index, _ = self.config.split(addr)

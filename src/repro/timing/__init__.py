@@ -14,7 +14,7 @@ from repro.timing.fastpath import (
     default_timing_mode,
 )
 from repro.timing.pipeview import events_to_timeline, render_events, render_timeline
-from repro.timing.simulator import TimingSimulator, simulate
+from repro.timing.simulator import TimingSimulator, simulate, simulate_configs
 from repro.timing.stats import METRIC_CATALOG, SimStats
 
 __all__ = [
@@ -28,4 +28,5 @@ __all__ = [
     "render_events",
     "render_timeline",
     "simulate",
+    "simulate_configs",
 ]

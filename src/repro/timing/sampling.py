@@ -47,6 +47,7 @@ from dataclasses import dataclass, field, replace
 from repro.branch.predictor import FrontEndPredictor
 from repro.core.config import MachineConfig
 from repro.memsys.hierarchy import MemoryHierarchy
+from repro.timing.frontend import FrontEnd, record_kind
 from repro.timing.stats import SimStats
 
 #: CPI-stack component fields whose per-instruction rates get bootstrap
@@ -156,27 +157,19 @@ class WarmState:
             l2_latency=config.l2_latency,
             memory_latency=config.memory_latency,
         )
-        self._line_shift = self.hierarchy.l1i.config.offset_bits
-        self._line = -1
+        self._front = FrontEnd(self.predictor, self.hierarchy)
         self.warmed = 0
 
     def observe(self, record) -> None:
         """Feed one architectural trace record through the warm structures.
 
-        Mirrors what the timing model touches per instruction: one
-        I-side access per fetch-line transition, one D-side access per
-        load/store, and predictor training on every control transfer —
-        without any of the timing bookkeeping.
+        Runs the timing model's own per-record front-end step
+        (:meth:`repro.timing.frontend.FrontEnd.step`): one I-side access
+        per fetch-line transition, the data access of a load or store,
+        and predictor training on every control transfer — without any
+        of the timing bookkeeping.
         """
-        pc = record.pc
-        line = pc >> self._line_shift
-        if line != self._line:
-            self._line = line
-            self.hierarchy.access_instruction(pc)
-        if record.mem_addr >= 0:
-            self.hierarchy.access_data(record.mem_addr)
-        if record.inst.is_control:
-            self.predictor.predict_and_train(record)
+        self._front.step(record, record_kind(record.inst))
         self.warmed += 1
 
     def checkpoint(self) -> "WarmState":

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import islice
 
 from repro.branch.early import can_resolve_early
 from repro.branch.predictor import FrontEndPredictor
@@ -125,11 +126,13 @@ class TimingSimulator:
         self.redirect_at = 0
         self.current_fetch_line = -1
         self.line_ready_at = 0
-        # In-order commit state and occupancy rings.
+        # In-order commit state and occupancy rings, bounded so that an
+        # append past the bound drops the oldest entry (the reference
+        # loop's explicit popleft then never fires).
         self.last_commit = 0
-        self.commit_ring: deque[int] = deque()       # RUU occupancy
-        self.mem_commit_ring: deque[int] = deque()   # LSQ occupancy
-        self.store_window: deque[_StoreEntry] = deque()
+        self.commit_ring: deque[int] = deque(maxlen=config.ruu_size)      # RUU occupancy
+        self.mem_commit_ring: deque[int] = deque(maxlen=config.lsq_size)  # LSQ occupancy
+        self.store_window: deque[_StoreEntry] = deque(maxlen=config.lsq_size)
         self.seq = 0
         # Derived config flags, hoisted for the hot loop.
         f = config.features
@@ -160,10 +163,11 @@ class TimingSimulator:
         self._claim_mem = 0
         self._claim_slice = 0
         # Timing-mode dispatch (mirrors the emulator's REPRO_DISPATCH
-        # pattern): "fast" replays pre-bound per-static-instruction
-        # schedulers (repro.timing.fastpath), "reference" runs the
-        # original loop below — the golden model the fast path is
-        # lockstep-checked against.
+        # pattern): "fast" runs a front-end pass and replays it through
+        # pre-bound per-static-instruction schedulers
+        # (repro.timing.fastpath), "reference" runs the original loop
+        # below — the golden model the fast path is lockstep-checked
+        # against.
         from repro.timing.fastpath import TIMING_MODES, default_timing_mode
 
         if mode is None:
@@ -172,15 +176,23 @@ class TimingSimulator:
             raise ValueError(f"mode={mode!r}: expected 'fast' or 'reference'")
         self.mode = mode
         # Fast-path state: flat reg-ready scoreboard (``reg * S + slice``
-        # — no per-call list allocations), the per-static-instruction
-        # plan cache, and the word -> youngest-store forwarding map for
-        # the incremental LSQ window.
-        self._plans: dict = {}
+        # — no per-call list allocations), the per-op-class slice
+        # schedulers, the word -> youngest-store forwarding map for the
+        # incremental LSQ window, and the commits already made at cycle
+        # ``last_commit`` (commit bandwidth).
         self._scheds: dict = {}
         self._rr: list[int] = [0] * (NUM_EXT_REGS * S)
         self._fwd: dict[int, _StoreEntry] = {}
         self._store_agen: tuple[int, ...] = ()
         self._store_data = 0
+        self._commits_at_last = 0
+        #: Front-end columns (:mod:`repro.timing.frontend`) of the last
+        #: fast run.  ``_replay`` holds columns for the next run to replay
+        #: instead of walking this simulator's own predictor and caches:
+        #: a fresh simulator's hazard-free pass over the same records
+        #: with the same ``front_end_key`` (:func:`simulate_configs`).
+        self.front_end = None
+        self._replay = None
 
     def adopt_warm_state(self, predictor: FrontEndPredictor, hierarchy: MemoryHierarchy) -> None:
         """Adopt functionally-warmed front-end and memory state.
@@ -189,10 +201,10 @@ class TimingSimulator:
         branch predictors and caches during fast-forward spans; each
         measurement window then runs on a fresh simulator that adopts
         the shared warmed structures instead of starting cold.  Must be
-        called before the first simulated instruction — the fast path
-        binds ``predictor``/``hierarchy`` methods into closures lazily
-        at run time, so a pre-run swap is safe in both timing modes.
-        The geometry-derived fields are recomputed from the adopted
+        called before the first simulated instruction; the fast path's
+        front-end pass then walks the adopted structures, so a run
+        leaves them trained exactly as the reference loop does.  The
+        geometry-derived fields are recomputed from the adopted
         hierarchy (identical values for same-config instances).
         """
         if self.seq:
@@ -528,11 +540,13 @@ class TimingSimulator:
         simulation with hard step/wall-clock budgets, raising
         :class:`~repro.harness.errors.RunawayExecution` on breach.
 
-        Dispatches on :attr:`mode`: the fast path replays pre-bound
-        per-static-instruction schedulers
-        (:func:`repro.timing.fastpath.run_fast`), the reference path is
-        :meth:`run_reference` — the golden model the fast path is
-        lockstep-checked against.
+        Dispatches on :attr:`mode`: the fast path
+        (:func:`repro.timing.fastpath.run_fast`) walks the predictor and
+        caches in a front-end pass, then replays its columns through
+        pre-bound per-static-instruction schedulers; the reference path
+        is :meth:`run_reference` — the golden model the fast path is
+        lockstep-checked against.  Both consume exactly
+        ``max_instructions + warmup`` records from an iterator.
         """
         if self.mode == "fast":
             from repro.timing.fastpath import run_fast
@@ -560,9 +574,9 @@ class TimingSimulator:
         warm_commit = 0
         if watchdog is not None:
             watchdog.start()
+        if max_instructions is not None:
+            trace = islice(trace, max(0, max_instructions + warmup))
         for record in trace:
-            if max_instructions is not None and count >= max_instructions + warmup:
-                break
             count += 1
             if watchdog is not None:
                 watchdog.poll(count)
@@ -903,27 +917,62 @@ def simulate(
     one ``None`` check.  *mode* overrides the ``REPRO_TIMING``
     fast/reference selection for this run.
     """
+    return _simulate(config, trace, max_instructions, warmup, watchdog, events, mode)
+
+
+def simulate_configs(
+    configs: Sequence[MachineConfig],
+    trace: Iterable[TraceRecord],
+    warmup: int = 0,
+) -> list[SimStats]:
+    """Run every configuration over one trace; returns their stats in order.
+
+    Equal to ``[simulate(c, trace, warmup=warmup) for c in configs]``,
+    but in fast mode the first run's front-end columns
+    (:mod:`repro.timing.frontend`) are handed to each later config with
+    the same predictor and cache geometry and ``lsq_size``: the
+    predictor, the caches and the partial-tag way selection are
+    simulated once per trace and replayed under each config's own
+    latencies.  Columns are shared only when their pass met no
+    store-forwarding hazard.
+    """
+    records = trace if isinstance(trace, (list, tuple)) else tuple(trace)
+    shared: dict = {}
+    return [
+        _simulate(config, records, None, warmup, None, None, None, shared)
+        for config in configs
+    ]
+
+
+def _simulate(config, trace, max_instructions, warmup, watchdog, events, mode, shared=None):
+    """One :func:`simulate` run; with *shared* (front-end key -> columns),
+    replay matching columns and offer this run's for later ones."""
     from repro.obs.session import active_session
 
     session = active_session()
-    if session is None:
-        return TimingSimulator(config, events=events, mode=mode).run(
-            trace, max_instructions, warmup=warmup, watchdog=watchdog
-        )
-    if events is None:
+    if session is not None and events is None:
         events = session.events
-    from repro.emulator.machine import default_dispatch
-
     t0 = time.perf_counter()
     sim = TimingSimulator(config, events=events, mode=mode)
+    key = None
+    if shared is not None and sim.mode == "fast":
+        from repro.timing.frontend import front_end_key
+
+        key = front_end_key(sim.predictor, sim.hierarchy, config.lsq_size)
+        sim._replay = shared.get(key)
     stats = sim.run(trace, max_instructions, warmup=warmup, watchdog=watchdog)
-    session.record_run(
-        stats,
-        time.perf_counter() - t0,
-        timing_mode=sim.mode,
-        dispatch_mode=default_dispatch(),
-    )
+    if key is not None and not sim.front_end.hazards:
+        shared.setdefault(key, sim.front_end)
+    if session is not None:
+        from repro.emulator.machine import default_dispatch
+
+        session.record_run(
+            stats,
+            time.perf_counter() - t0,
+            timing_mode=sim.mode,
+            dispatch_mode=default_dispatch(),
+        )
     return stats
 
 
-__all__ = ["TimingSimulator", "simulate"]
+__all__ = ["TimingSimulator", "simulate", "simulate_configs"]

@@ -113,3 +113,29 @@ def test_full_width_classification_is_exact(full_tag, resident):
         assert outcome is PartialTagOutcome.SINGLE_HIT
     else:
         assert outcome is PartialTagOutcome.ZERO
+
+
+#: Small tags collide in their low bits often; large ones reach the top bits.
+_TAGS = st.one_of(st.integers(0, 31), st.integers(0, 2**CFG.tag_bits - 1))
+
+
+@given(tags=st.lists(_TAGS, min_size=1, max_size=12), probe=_TAGS)
+def test_resolving_width_stands_for_the_lookup_at_every_width(tags, probe):
+    """One resolving width answers the MRU-first lookup at every tag
+    width: a hit settles on the right way, and a miss finds no partial
+    match, exactly at widths >= it.  The timing fast path stores this
+    one number per load in place of a lookup per config."""
+    cache = SetAssociativeCache(CFG)
+    for tag in tags:  # several same-set lines, MRU order from the stream
+        cache.access((tag << CFG.tag_shift) | 0x40)
+    addr = (probe << CFG.tag_shift) | 0x40
+    width = cache.resolving_width(addr)
+    hit = cache.probe(addr)
+    assert cache.is_mru(addr) == (cache.set_tags(addr)[:1] == [probe])
+    for bits in range(1, CFG.tag_bits + 1):
+        outcome, _, correct = partial_tag_lookup(cache, addr, bits)
+        settled = width <= bits
+        if hit:
+            assert correct == settled
+        else:
+            assert (outcome is PartialTagOutcome.ZERO) == settled
