@@ -1,14 +1,16 @@
 """Bench: simulator throughput (the classic pytest-benchmark use).
 
 Measures the functional emulator and the timing simulator in
-instructions per second — useful for tracking regressions in the
-simulation infrastructure itself.
+instructions per second, and the Figure 2 and Figure 4 characterization
+kernels against their scalar oracles — useful for tracking regressions
+in the simulation infrastructure itself.
 """
 
 import pytest
 
 from repro.core.config import baseline_config, bitslice_config
 from repro.emulator.machine import Machine
+from repro.memsys.hierarchy import L1D_CONFIG
 from repro.timing.simulator import simulate
 from repro.workloads import get_workload
 
@@ -51,9 +53,24 @@ def test_lsq_characterization_scalar(benchmark, bzip_trace):
 
 
 def test_lsq_characterization_vectorized(benchmark, bzip_trace):
-    """The numpy fast path must match the scalar study (asserted in
-    tests/) — this bench tracks the speedup."""
+    """The whole-trace kernel must match the scalar oracle above
+    (asserted in tests/test_vectorized.py); this pair times both."""
     from repro.characterization.vectorized import characterize_lsq_fast
 
     result = benchmark(lambda: characterize_lsq_fast(bzip_trace))
     assert result.loads > 0
+
+
+def test_tag_characterization_scalar(benchmark, bzip_trace):
+    from repro.characterization.tag_char import characterize_tags
+
+    result = benchmark(lambda: characterize_tags(bzip_trace, L1D_CONFIG))
+    assert result.accesses > 0
+
+
+def test_tag_characterization_vectorized(benchmark, bzip_trace):
+    """Figure 4's kernel against the oracle above, on the Table 2 L1D."""
+    from repro.characterization.vectorized import characterize_tags_fast
+
+    result = benchmark(lambda: characterize_tags_fast(bzip_trace, L1D_CONFIG))
+    assert result.accesses > 0

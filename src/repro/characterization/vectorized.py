@@ -1,87 +1,98 @@
-"""Vectorized characterization kernels.
+"""Whole-trace characterization kernels (Figures 2 and 4).
 
 The scalar studies in :mod:`repro.characterization.lsq_char` and
-:mod:`repro.characterization.tag_char` classify every access at every
-partial width with a Python loop — O(bits × entries) per access.  These
-numpy equivalents exploit a simple observation: a comparison's category
-at width *b* is fully determined by each entry's **first differing bit**
-against the probe, so one pass computes the whole per-access curve.
+:mod:`repro.characterization.tag_char` are the oracles: they classify
+each access at each partial width in a Python loop.  These kernels give
+the same counts from one Python pass over the records, which builds
+columns (each memory op's kind and address for Figure 2; each L1D
+access's tag and its set's MRU-first tags, from one cache walk per
+geometry, for Figure 4), then a fixed number of numpy calls per chunk
+of :data:`CHUNK_ROWS` accesses, so memory stays bounded at any length.
 
-For an entry with first-diff bit *d* (32 when it matches fully), the
-entry partially matches at width *b* iff ``d > b``.  Counting entries
-and distinct addresses above each threshold gives every category at
-every width from two sorted arrays — no per-bit work at all.
-
-Equivalence with the scalar implementations is enforced by property
-tests (`tests/test_vectorized.py`); the speedup is tracked by
-`benchmarks/test_throughput.py`.
+An entry's outcome at width *b* is fixed by its lowest bit *d* that
+differs from the probe: a store matches address bits 2..*b* iff
+``d > b``, a resident tag matches the low *b* tag bits iff ``d >= b``.
+A per-row histogram of *d*, summed cumulatively, gives the survivors at
+every width at once.  One numpy launch costs about 52 Python closure
+calls (``scripts/bench_host_ops.py``), so a launch per access loses to
+the scalar loop.  ``tests/test_vectorized.py`` checks the kernels
+against the oracles; ``benchmarks/test_throughput.py`` times each pair.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.characterization.lsq_char import LSQCharacterization
 from repro.characterization.tag_char import TagCharacterization
-from repro.lsq.disambiguation import FIRST_COMPARE_BIT, LSDCategory
+from repro.lsq.disambiguation import FIRST_COMPARE_BIT, LAST_COMPARE_BIT, LSDCategory, classify_disambiguation
 from repro.memsys.cache import CacheConfig, SetAssociativeCache
-from repro.memsys.partial_tag import PartialTagOutcome
+from repro.memsys.partial_tag import PartialTagOutcome, classify_partial_tag
+
+#: Accesses classified per batch of numpy calls.
+CHUNK_ROWS = 1024
 
 _ADDR_MASK = 0xFFFFFFFC  # bits 0-1 never participate (§5.1)
-_FULL_BIT = 32           # sentinel: no differing bit (full match)
 
 
-def first_diff_bits(probe: int, entries: np.ndarray, mask: int = _ADDR_MASK) -> np.ndarray:
-    """First differing bit of *probe* vs. each entry (32 = full match)."""
-    diffs = (entries ^ np.uint64(probe)) & np.uint64(mask)
-    out = np.full(len(entries), _FULL_BIT, dtype=np.int64)
-    nz = diffs != 0
-    if nz.any():
-        d = diffs[nz].astype(np.uint64)
-        lowest = d & (~d + np.uint64(1))
-        # bit_length - 1 via log2 on exact powers of two.
-        out[nz] = np.log2(lowest.astype(np.float64)).astype(np.int64)
-    return out
+def _first_diff(probes: np.ndarray, entries: np.ndarray, mask: int, width: int) -> np.ndarray:
+    """Lowest bit under *mask* where each entry differs from its row's
+    probe: *width* when none does, 0 for an empty slot (-1)."""
+    x = (entries ^ probes[:, None]) & mask | (1 << width)
+    return np.where(entries >= 0, np.frexp(x & -x)[1] - 1, 0).astype(np.int8)
 
 
-def lsd_category_curve(load_addr: int, store_addrs: list[int]) -> list[LSDCategory]:
-    """Figure 2 categories for high_bit = 2..31, computed in one pass."""
-    bits = np.arange(FIRST_COMPARE_BIT, 32)
-    if not store_addrs:
-        return [LSDCategory.NO_STORES] * len(bits)
-    stores = np.asarray(store_addrs, dtype=np.uint64)
-    fdb = first_diff_bits(load_addr, stores)
-    # Per-store and per-distinct-address survivor counts above each bit.
-    fdb_sorted = np.sort(fdb)
-    survivors = len(fdb) - np.searchsorted(fdb_sorted, bits, side="right")
-    unique_addrs = np.unique(stores & np.uint64(_ADDR_MASK))
-    ufdb = np.sort(first_diff_bits(load_addr, unique_addrs))
-    group_survivors = len(ufdb) - np.searchsorted(ufdb, bits, side="right")
-    has_full_match = bool((fdb == _FULL_BIT).any())
-    multiple_stores = len(store_addrs) > 1
+def _above(d: np.ndarray, cols: np.ndarray, top: int) -> np.ndarray:
+    """``out[r, j]``: entries of row *r* with ``d > cols[j]`` (0 <= d <= top)."""
+    bins = top + 1
+    keys = d + (np.arange(len(d)) * bins)[:, None]
+    hist = np.bincount(keys.ravel(), minlength=len(d) * bins).reshape(len(d), bins)
+    return d.shape[1] - hist.cumsum(axis=1)[:, cols]
 
-    out: list[LSDCategory] = []
-    for p, g in zip(survivors, group_survivors):
-        if p == 0:
-            out.append(LSDCategory.ZERO_MATCH)
-        elif p == 1:
-            if has_full_match:
-                # The lone survivor is necessarily the longest-matching
-                # store, i.e. the full matcher when one exists.
-                out.append(
-                    LSDCategory.SINGLE_MATCH_MULT_STORES
-                    if multiple_stores
-                    else LSDCategory.SINGLE_MATCH_ONE_STORE
-                )
-            else:
-                out.append(LSDCategory.SINGLE_NONMATCH)
-        elif g == 1:
-            out.append(LSDCategory.MULTI_SAME_ADDR)
-        else:
-            out.append(LSDCategory.MULTI_DIFF_ADDR)
-    return out
+
+def _decide(cases: dict, default) -> np.ndarray:
+    """Code (declaration index) of the first category whose condition
+    holds, else of *default*: a decision table over all widths at once."""
+    order = list(type(default))
+    return np.select(list(cases.values()), [order.index(c) for c in cases], order.index(default))
+
+
+def _count(sample_bits, categories, rows: int, classify) -> dict:
+    """Counts per sampled width from ``classify(rows)`` codes, a chunk
+    of rows at a time; only nonzero categories are kept."""
+    totals = np.zeros((len(sample_bits), len(categories)), dtype=np.int64)
+    offsets = np.arange(len(sample_bits)) * len(categories)
+    for lo in range(0, rows, CHUNK_ROWS):
+        keys = classify(slice(lo, lo + CHUNK_ROWS)) + offsets
+        totals += np.bincount(keys.ravel(), minlength=totals.size).reshape(totals.shape)
+    counts: dict = {b: {} for b in sample_bits}
+    for b, row in zip(sample_bits, totals.tolist()):
+        for category, n in zip(categories, row):
+            if n:
+                counts[b][category] = counts[b].get(category, 0) + n
+    return counts
+
+
+def _lsd_codes(loads: np.ndarray, windows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Figure 2 categories (loads × widths) against each load's prior
+    store word addresses, -1 where a slot holds no store."""
+    stores = np.sort(windows, axis=1)
+    d = _first_diff(loads, stores, _ADDR_MASK, 32)
+    valid = stores >= 0
+    n = valid.sum(axis=1)[:, None]
+    first = valid.copy()  # each distinct word once: its first sorted slot
+    first[:, 1:] &= np.diff(stores, axis=1) != 0
+    survivors = _above(d, cols, 32)
+    one = survivors == 1  # the lone survivor is the full matcher if any
+    return _decide({
+        LSDCategory.NO_STORES: n == 0,
+        LSDCategory.ZERO_MATCH: survivors == 0,
+        LSDCategory.SINGLE_NONMATCH: one & ~(d == 32).any(axis=1)[:, None],
+        LSDCategory.SINGLE_MATCH_ONE_STORE: one & (n == 1),
+        LSDCategory.SINGLE_MATCH_MULT_STORES: one,
+        LSDCategory.MULTI_SAME_ADDR: _above(np.where(first, d, 0), cols, 32) == 1,
+    }, LSDCategory.MULTI_DIFF_ADDR)
 
 
 def characterize_lsq_fast(
@@ -90,55 +101,42 @@ def characterize_lsq_fast(
     lsq_size: int = 32,
     bits: tuple[int, ...] | None = None,
 ) -> LSQCharacterization:
-    """Drop-in vectorized equivalent of
+    """Whole-trace equivalent of
     :func:`repro.characterization.lsq_char.characterize_lsq`."""
-    sample_bits = tuple(range(FIRST_COMPARE_BIT, 32)) if bits is None else bits
-    result = LSQCharacterization(benchmark=benchmark)
-    result.counts = {b: {} for b in sample_bits}
-    window: deque[tuple[int, int]] = deque()
-    mem_seq = 0
+    sample_bits = tuple(range(FIRST_COMPARE_BIT, LAST_COMPARE_BIT + 1)) if bits is None else bits
+    for b in sample_bits:
+        classify_disambiguation(0, (), b)  # the oracle's range check
+    # A load's window is the stores among the lsq_size - 1 memory ops
+    # before it; -1 marks loads and the padding the first loads see.
+    width = max(lsq_size - 1, 0)
+    column, load_at, load_addrs = [-1] * width, [], []
     for record in trace:
         inst = record.inst
         if inst.is_store:
-            window.append((mem_seq, record.mem_addr))
-            mem_seq += 1
-            while window and window[0][0] < mem_seq - lsq_size:
-                window.popleft()
-            continue
-        if not inst.is_load:
-            continue
-        mem_seq += 1
-        while window and window[0][0] < mem_seq - lsq_size:
-            window.popleft()
-        result.loads += 1
-        curve = lsd_category_curve(record.mem_addr, [a for _, a in window])
-        for b in sample_bits:
-            category = curve[b - FIRST_COMPARE_BIT]
-            bucket = result.counts[b]
-            bucket[category] = bucket.get(category, 0) + 1
-    return result
+            column.append(record.mem_addr & _ADDR_MASK)
+        elif inst.is_load:
+            load_at.append(len(column) - width)
+            load_addrs.append(record.mem_addr)
+            column.append(-1)
+    windows = sliding_window_view(np.array(column, dtype=np.int64), width)
+    loads = np.array(load_addrs, dtype=np.int64)
+    at = np.array(load_at, dtype=np.intp)
+    cols = np.array(sample_bits, dtype=np.intp)
+    counts = _count(sample_bits, LSDCategory, len(at),
+                    lambda rows: _lsd_codes(loads[rows], windows[at[rows]], cols))
+    return LSQCharacterization(benchmark=benchmark, loads=len(at), counts=counts)
 
 
-def tag_outcome_curve(full_tag: int, resident_tags: list[int], tag_width: int) -> list[PartialTagOutcome]:
-    """Figure 4 outcomes for bits = 1..tag_width, computed in one pass."""
-    bits = np.arange(1, tag_width + 1)
-    if not resident_tags:
-        return [PartialTagOutcome.ZERO] * len(bits)
-    tags = np.asarray(resident_tags, dtype=np.uint64)
-    fdb = np.sort(first_diff_bits(full_tag, tags, mask=(1 << tag_width) - 1))
-    fdb = np.where(fdb == _FULL_BIT, tag_width, fdb)
-    # A resident matches at width b iff its first-diff bit >= b.
-    survivors = len(fdb) - np.searchsorted(fdb, bits, side="left")
-    truly_hits = full_tag in resident_tags
-    out: list[PartialTagOutcome] = []
-    for p in survivors:
-        if p == 0:
-            out.append(PartialTagOutcome.ZERO)
-        elif p > 1:
-            out.append(PartialTagOutcome.MULTI)
-        else:
-            out.append(PartialTagOutcome.SINGLE_HIT if truly_hits else PartialTagOutcome.SINGLE_MISS)
-    return out
+def _tag_codes(tags: np.ndarray, resident: np.ndarray, cols: np.ndarray, tag_width: int) -> np.ndarray:
+    """Figure 4 outcomes (accesses × widths) against each access's set
+    tags, -1 in empty ways."""
+    d = _first_diff(tags, resident, (1 << tag_width) - 1, tag_width)
+    survivors = _above(d, cols - 1, tag_width)
+    return _decide({
+        PartialTagOutcome.ZERO: survivors == 0,
+        PartialTagOutcome.MULTI: survivors > 1,
+        PartialTagOutcome.SINGLE_HIT: (d == tag_width).any(axis=1)[:, None],
+    }, PartialTagOutcome.SINGLE_MISS)
 
 
 def characterize_tags_fast(
@@ -148,29 +146,29 @@ def characterize_tags_fast(
     bits: tuple[int, ...] | None = None,
     warmup: int = 0,
 ) -> TagCharacterization:
-    """Drop-in vectorized equivalent of
+    """Whole-trace equivalent of
     :func:`repro.characterization.tag_char.characterize_tags`."""
     tag_width = config.tag_bits
     sample_bits = tuple(range(1, tag_width + 1)) if bits is None else bits
+    for b in sample_bits:
+        classify_partial_tag(0, [], b, tag_width)  # the oracle's range check
     cache = SetAssociativeCache(config)
-    result = TagCharacterization(benchmark=benchmark, config=config)
-    result.counts = {b: {} for b in sample_bits}
-    seen = 0
-    for record in trace:
-        seen += 1
-        if record.mem_addr < 0:
-            continue
+    shift = config.tag_shift
+    tags, ways, filled = [], [], []
+    for seen, record in enumerate(trace, 1):
         addr = record.mem_addr
-        if seen <= warmup:
-            cache.access(addr)
+        if addr < 0:
             continue
-        _, full_tag = config.split(addr)
-        resident = cache.set_tags(addr)
-        result.accesses += 1
-        curve = tag_outcome_curve(full_tag, resident, tag_width)
-        for b in sample_bits:
-            outcome = curve[min(b, tag_width) - 1]
-            bucket = result.counts[b]
-            bucket[outcome] = bucket.get(outcome, 0) + 1
+        if seen > warmup:
+            resident = cache.set_tags(addr)
+            tags.append(addr >> shift)
+            ways += resident
+            filled.append(len(resident))
         cache.access(addr)
-    return result
+    table = np.full((len(tags), config.assoc), -1, dtype=np.int64)
+    table[np.arange(config.assoc) < np.array(filled, dtype=np.intp)[:, None]] = ways
+    probes = np.array(tags, dtype=np.int64)
+    cols = np.array(sample_bits, dtype=np.intp)
+    counts = _count(sample_bits, PartialTagOutcome, len(tags),
+                    lambda rows: _tag_codes(probes[rows], table[rows], cols, tag_width))
+    return TagCharacterization(benchmark=benchmark, config=config, accesses=len(tags), counts=counts)

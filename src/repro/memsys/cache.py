@@ -154,8 +154,7 @@ class SetAssociativeCache:
 
     def set_tags(self, addr: int) -> list[int]:
         """Tags resident in the set *addr* maps to, MRU-first (a copy)."""
-        index, _ = self.config.split(addr)
-        return list(self._sets[index])
+        return list(self._sets[(addr >> self._off) & self._mask])
 
     @property
     def accesses(self) -> int:
