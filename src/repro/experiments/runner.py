@@ -2,7 +2,8 @@
 
 Emulating a workload dominates experiment wall-clock, so the dynamic
 trace (a list of immutable :class:`TraceRecord`) is collected once per
-(benchmark, length) and replayed across every machine configuration.
+benchmark and replayed across every machine configuration; a shorter
+request is served as a prefix of a longer trace already held.
 
 Resilience: collection runs under an optional wall-clock watchdog
 (:func:`set_wall_timeout`), and :func:`collect_trace_resilient` turns a
@@ -15,8 +16,8 @@ later collection of that benchmark stays inside the budget that worked.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.config import MachineConfig
 from repro.emulator.machine import default_dispatch
@@ -73,10 +74,10 @@ def budget_override(name: str) -> int | None:
     return _budget_overrides.get(name)
 
 
-@lru_cache(maxsize=32)
-def _collect(
+def _fetch(
     name: str, max_steps: int, iters: int | None, skip: int | None, profile: str
 ) -> tuple[TraceRecord, ...]:
+    """A trace the in-memory layer does not hold: preloaded, disk, or emulated."""
     gp = active_collector()
     if gp is not None:
         # Route machine-loop counts (cold) / record replays (cache hit)
@@ -134,6 +135,62 @@ def _collect(
     if key is not None:
         trace_cache.store(name, key, trace)
     return trace
+
+
+class _TraceLayer:
+    """The in-memory trace layer beneath :func:`collect_trace`.
+
+    Keyed by ``(name, iters, skip, profile)``; each key keeps every
+    trace it has served, by requested length, and at most *maxsize*
+    keys stay held (least recently used evicted first).
+
+    * An exact repeat returns the same tuple, with no side effects.
+    * A shorter request is served as the prefix of a held trace with at
+      least that many records: emulation is deterministic, so the first
+      *M* records of a longer collection are the *M*-record collection.
+      Like a persistent-cache hit it replays the prefix into an active
+      guest profile, but it moves no cache or session counter.  A held
+      trace with fewer records than requested (the guest halted) is
+      never used.
+    * Anything else goes to :func:`_fetch`.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._held: OrderedDict[tuple, dict[int, tuple[TraceRecord, ...]]] = OrderedDict()
+
+    def __call__(
+        self, name: str, max_steps: int, iters: int | None, skip: int | None, profile: str
+    ) -> tuple[TraceRecord, ...]:
+        key = (name, iters, skip, profile)
+        held = self._held.get(key, {})
+        trace = held.get(max_steps)
+        if trace is None:
+            longer = next((t for t in held.values() if len(t) >= max_steps), None)
+            if longer is None or (name, max_steps, iters, skip, profile) in _preloaded:
+                # A preloaded trace was profiled by the worker that
+                # collected it; serving a prefix instead would count it
+                # twice.
+                trace = _fetch(name, max_steps, iters, skip, profile)
+            else:
+                trace = longer[:max_steps]
+                gp = active_collector()
+                if gp is not None:
+                    gp.begin_benchmark(name)
+                    profile_from_records(trace, gp)
+            held[max_steps] = trace
+        self._held[key] = held
+        self._held.move_to_end(key)
+        if len(self._held) > self.maxsize:
+            self._held.popitem(last=False)
+        return trace
+
+    def cache_clear(self) -> None:
+        """Drop every held trace."""
+        self._held.clear()
+
+
+_collect = _TraceLayer(maxsize=32)
 
 
 def collect_trace(

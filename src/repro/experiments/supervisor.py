@@ -60,6 +60,7 @@ from repro.experiments.journal import (
     cell_key,
 )
 from repro.harness.faults import ProcessFaultPlan
+from repro.isa.assembler import program_digest
 from repro.timing.stats import SimStats
 
 #: Same ``spawn`` discipline as :mod:`repro.experiments.parallel`.
@@ -915,7 +916,7 @@ def run_sweep(
     for name in names:
         try:
             program = get_workload(name).build(iters=iters, profile=profile)
-            images[name] = trace_cache.program_digest(program)
+            images[name] = program_digest(program)
             ok_names.append(name)
         except Exception as exc:
             if not keep_going:

@@ -38,6 +38,7 @@ from pathlib import Path
 
 from repro.emulator.tracefile import FORMAT_VERSION, load_trace, save_trace
 from repro.harness.errors import TraceCorruption
+from repro.isa.assembler import program_digest
 
 #: Bump when collection semantics change in a way the key cannot see
 #: (e.g. the skip-hint estimator): all old entries become orphans.
@@ -94,17 +95,6 @@ def cache_dir() -> Path:
     if value and value.lower() not in _DISABLING_VALUES:
         return Path(value).expanduser()
     return Path(DEFAULT_DIR).expanduser()
-
-
-def program_digest(program) -> str:
-    """SHA-256 content hash of an assembled program image."""
-    h = hashlib.sha256()
-    h.update(int(program.text_base).to_bytes(8, "little"))
-    h.update(int(program.data_base).to_bytes(8, "little"))
-    h.update(int(program.entry).to_bytes(8, "little"))
-    h.update(b"".join(w.to_bytes(4, "little") for w in program.text))
-    h.update(bytes(program.data))
-    return h.hexdigest()
 
 
 def cache_key(
@@ -229,7 +219,6 @@ __all__ = [
     "enabled",
     "entry_path",
     "load",
-    "program_digest",
     "reset_stats",
     "stats",
     "store",

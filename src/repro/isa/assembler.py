@@ -16,6 +16,7 @@ slot** (as in SimpleScalar's simplified PISA model).
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 
@@ -558,3 +559,19 @@ class Assembler:
 def assemble(source: str) -> Program:
     """Assemble *source* text into a :class:`Program`."""
     return Assembler().assemble(source)
+
+
+def program_digest(program: Program) -> str:
+    """SHA-256 content hash of an assembled program image.
+
+    Covers the segment bases, the entry point, the text words and the
+    data image: everything a run depends on.  Trace-cache keys and the
+    committed workload calibration both identify images by it.
+    """
+    h = hashlib.sha256()
+    h.update(int(program.text_base).to_bytes(8, "little"))
+    h.update(int(program.data_base).to_bytes(8, "little"))
+    h.update(int(program.entry).to_bytes(8, "little"))
+    h.update(b"".join(w.to_bytes(4, "little") for w in program.text))
+    h.update(bytes(program.data))
+    return h.hexdigest()

@@ -1,7 +1,9 @@
 """Shared fixtures: small, fast traces and programs for tests.
 
-Workload traces here use explicit tiny iteration counts and skip=0 so
-tests never trigger the (expensive) steady-state skip estimation.
+Workload traces here use explicit tiny iteration counts and skip=0, so
+they cover the guests from their first instruction.  (The default skip
+comes from the committed calibration table and costs two assemblies;
+``tests/test_calibration.py`` re-runs the fit behind it.)
 """
 
 from __future__ import annotations

@@ -130,6 +130,19 @@ def test_key_depends_on_every_parameter_and_the_image(cache):
     assert trace_cache.cache_key("li", 1000, None, None, "ref", patched) != base
 
 
+@pytest.mark.parametrize("name, prefix", [
+    ("bzip", "7a2095f8aa3811a2b0a2ff3c"),
+    ("li", "baba9544113b0dbee9e61e65"),
+    ("mcf", "00dd0aa4d17c3aa13250d4ec"),
+    ("twolf", "a9e2dc8156c30be333221bb0"),
+])
+def test_report_entry_names_are_pinned(name, prefix):
+    """The report's 5,000-record entries keep their file names, so warm
+    caches stay valid with no ``CACHE_SCHEMA`` bump (committed skips
+    and the digest's move into the assembler change no key byte)."""
+    assert trace_cache.entry_path(name, _key_for(name, 5_000)).name == f"{name}-{prefix}.npz"
+
+
 def test_disabled_cache_touches_no_files(cache):
     trace_cache.configure(cache, enabled=False)
     _collect_fresh("li", 800)
