@@ -1,12 +1,10 @@
-"""Parallel sweep execution: fan work out to worker processes.
+"""Parallel trace collection: fan work out to worker processes.
 
-Trace collection and timing simulation are pure functions of their
-inputs, so a sweep's (benchmark × configuration) grid is embarrassingly
-parallel.  This module fans cells out over the supervised worker pool
-of :mod:`repro.experiments.supervisor` (the CLI's ``--jobs N``) and
-merges the results with the commutative
-:meth:`repro.timing.stats.SimStats.merge`, so parallel totals are
-bit-identical to a sequential run regardless of completion order.
+Trace collection is a pure function of its inputs, so the CLI's
+``--jobs N`` collects every target benchmark's trace in a worker of the
+supervised pool of :mod:`repro.experiments.supervisor` and preloads it
+into this process's runner cache.  The (benchmark × configuration) grid
+itself runs under :func:`repro.experiments.supervisor.run_sweep`.
 
 Design constraints honoured here:
 
@@ -49,22 +47,12 @@ from repro.experiments.supervisor import (
     PoolTask,
     SupervisedPool,
     SupervisorPolicy,
-    apply_worker_state,
     current_worker_state,
 )
 from repro.harness.errors import TraceCorruption
-from repro.timing.stats import SimStats
 
-#: ``spawn`` everywhere: identical worker lifecycle on every platform,
-#: and no accidental fork-time inheritance masking a missing initarg.
-_MP_CONTEXT = "spawn"
-
-#: Backwards-compatible alias: the worker-state re-application now
-#: lives with the supervisor (which also needs it at respawn time).
-_worker_init = apply_worker_state
-
-#: These entry points keep the pre-supervisor behaviour: no automatic
-#: cell retries (``run_sweep`` is the retrying, journaled orchestrator).
+#: Collection keeps the pre-supervisor behaviour: no automatic retries
+#: (``run_sweep`` is the retrying, journaled orchestrator).
 _PASSTHROUGH_POLICY = SupervisorPolicy(max_cell_retries=0, backoff=0.0)
 
 
@@ -223,100 +211,8 @@ def collect_parallel(
     return surviving, failures, degraded
 
 
-def _simulate_cell(task):
-    """One (benchmark, config) timing run inside a worker."""
-    name, config, max_steps, warmup, iters, skip, profile = task
-    from repro.timing.simulator import simulate
-
-    try:
-        trace = runner.collect_trace(name, max_steps + warmup, iters=iters, skip=skip, profile=profile)
-        stats = simulate(config, trace, warmup=warmup)
-    except Exception as exc:
-        return name, config.name, None, FailureRecord(
-            benchmark=name, stage=f"simulate[{config.name}]",
-            error=type(exc).__name__, message=str(exc),
-        )
-    return name, config.name, stats, None
-
-
-def run_cells(
-    names,
-    configs,
-    max_steps: int,
-    warmup: int,
-    jobs: int,
-    iters: int | None = None,
-    skip: int | None = None,
-    profile: str = "ref",
-    keep_going: bool = False,
-):
-    """Fan a (benchmark × config) grid out to *jobs* workers.
-
-    Returns ``(grid, failures)`` where ``grid[name][config_name]`` is
-    the cell's :class:`SimStats`.  Without *keep_going* the first cell
-    failure raises.  Per-config totals merged from the grid are
-    bit-identical to a sequential sweep because ``SimStats.merge`` is
-    commutative and associative.
-
-    For journaled, resumable, retrying sweeps use
-    :func:`repro.experiments.supervisor.run_sweep` instead; this entry
-    point keeps the simple fail-fast semantics.
-    """
-    tasks = [
-        PoolTask(
-            id=f"{name}|{config.name}",
-            fn="repro.experiments.parallel:_simulate_cell",
-            payload=(name, config, max_steps, warmup, iters, skip, profile),
-            label=f"{name}/{config.name}",
-        )
-        for name in names
-        for config in configs
-    ]
-    with SupervisedPool(
-        jobs, policy=_PASSTHROUGH_POLICY, init_state=current_worker_state()
-    ) as pool:
-        outcomes = pool.run(tasks)
-
-    grid: dict[str, dict[str, SimStats]] = {}
-    failures: list[FailureRecord] = []
-    for task in tasks:
-        outcome = outcomes.get(task.id)
-        if outcome is None:  # pragma: no cover - drain interrupts before here
-            continue
-        if outcome.ok:
-            name, config_name, stats, failure = outcome.value
-        else:
-            name, config, *_ = task.payload
-            name, config_name, stats = name, config.name, None
-            failure = FailureRecord(
-                benchmark=name, stage=f"simulate[{config_name}]",
-                error=outcome.error, message=outcome.message,
-            )
-        if failure is not None:
-            if not keep_going:
-                raise RuntimeError(failure.describe())
-            failures.append(failure)
-            continue
-        grid.setdefault(name, {})[config_name] = stats
-    return grid, failures
-
-
-def merge_by_config(grid) -> dict[str, SimStats]:
-    """Collapse a ``run_cells`` grid into per-config suite totals."""
-    totals: dict[str, list[SimStats]] = {}
-    for per_config in grid.values():
-        for config_name, stats in per_config.items():
-            totals.setdefault(config_name, []).append(stats)
-    return {
-        config_name: SimStats.merge_all(runs)
-        for config_name, runs in totals.items()
-    }
-
-
 __all__ = [
     "CollectResult",
     "collect_parallel",
     "default_jobs",
-    "merge_by_config",
-    "run_cells",
 ]

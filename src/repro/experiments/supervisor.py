@@ -63,7 +63,8 @@ from repro.harness.faults import ProcessFaultPlan
 from repro.isa.assembler import program_digest
 from repro.timing.stats import SimStats
 
-#: Same ``spawn`` discipline as :mod:`repro.experiments.parallel`.
+#: ``spawn`` everywhere: identical worker lifecycle on every platform,
+#: and no accidental fork-time inheritance masking a missing initarg.
 _MP_CONTEXT = "spawn"
 
 #: Orchestrator-kill chaos knob: SIGKILL this process after N cells
@@ -404,6 +405,9 @@ class PoolTask:
     max_retries: int = 0
     #: Human-readable span name ("li/bitslice4"); falls back to ``id``.
     label: str = ""
+    #: How many ``cell_timeout``s the task may run before it counts as
+    #: stalled (a sweep task runs several cells).
+    timeouts: int = 1
 
 
 @dataclass
@@ -680,10 +684,13 @@ class SupervisedPool:
                 self._worker_lost(worker, "worker process died", outcomes, waiting, emit)
                 continue
             age = now - worker.dispatched_at
-            if self.policy.cell_timeout is not None and age > self.policy.cell_timeout:
+            timeout = self.policy.cell_timeout
+            if timeout is not None:
+                timeout *= worker.state.task.timeouts
+            if timeout is not None and age > timeout:
                 self._worker_lost(
                     worker,
-                    f"cell exceeded its {self.policy.cell_timeout:g}s timeout (stalled worker)",
+                    f"cell exceeded its {timeout:g}s timeout (stalled worker)",
                     outcomes, waiting, emit, kill=True,
                 )
                 continue
@@ -756,39 +763,49 @@ class SupervisedPool:
 # The journal-aware sweep orchestrator
 # --------------------------------------------------------------------------
 
-def _execute_cell(payload) -> tuple[SimStats, object]:
-    """One (benchmark × config) timing cell, inside a worker.
+def _execute_cells(payload) -> list[tuple[SimStats, object]]:
+    """One benchmark's (benchmark × config) timing cells, inside a worker.
 
-    Collection is *resilient* (one bounded retry at a degraded budget —
-    the inner retry the supervisor's outer backoff retry composes
-    with); the degradation record, if any, rides back so the parent can
-    register the reduced budget and report the cell as degraded.
+    Returns one ``(stats, record)`` per config, in order.  Collection is
+    *resilient* (one bounded retry at a degraded budget — the inner
+    retry the supervisor's outer backoff retry composes with); the
+    degradation record, if any, rides back with the first cell so the
+    parent can register the reduced budget and report it once.  The
+    configs share one trace and simulate through
+    :func:`~repro.timing.simulator.simulate_configs`.
 
-    An eighth payload element (a
-    :class:`~repro.timing.sampling.SamplingPlan`) switches the cell to
-    statistical sampling: the plan's deterministic schedule replaces
-    the trace-collect/simulate pipeline, ``max_steps`` becomes the
-    sampled instruction horizon, and the returned stats carry the
+    A :class:`~repro.timing.sampling.SamplingPlan` as the last payload
+    element switches the cells to statistical sampling: the plan's
+    deterministic schedule replaces the trace-collect/simulate pipeline
+    (:func:`~repro.timing.sampling.sample_configs`, one machine and one
+    warming pass for the configs), ``max_steps`` becomes the sampled
+    instruction horizon, and the returned stats carry the
     ``sampling.*`` error-bar fields in ``extra``.
     """
     from repro.experiments import runner
-    from repro.timing.simulator import simulate
+    from repro.timing.simulator import simulate_configs
 
-    name, config, max_steps, warmup, iters, skip, profile, *rest = payload
-    plan = rest[0] if rest else None
+    name, configs, max_steps, warmup, iters, skip, profile, plan = payload
+    label = f"{name}/{'+'.join(config.name for config in configs)}"
     tracer = tracing.active_tracer()
     if plan is not None:
         from repro.harness.watchdog import Watchdog
-        from repro.timing.sampling import sample_benchmark
+        from repro.timing.sampling import sample_configs
 
         wall = runner.wall_timeout()
-        watchdog = Watchdog(max_seconds=wall, label=f"sample[{name}]") if wall else None
-        with _tspan(tracer, f"sample.{name}/{config.name}", category="simulate"):
-            result = sample_benchmark(
-                name, config, plan, budget=max_steps,
+        # The cells' budgets add up, and sample_configs adds one more
+        # for each rider it re-runs: a group never times out where its
+        # cells, run one by one, would not.
+        watchdog = (
+            Watchdog(max_seconds=wall * len(configs), label=f"sample[{name}]")
+            if wall else None
+        )
+        with _tspan(tracer, f"sample.{label}", category="simulate"):
+            results = sample_configs(
+                name, configs, plan, budget=max_steps,
                 iters=iters, skip=skip, profile=profile, watchdog=watchdog,
             )
-        return result.stats, None
+        return [(result.stats, None) for result in results]
     with _tspan(tracer, f"collect.{name}", category="collect"):
         trace, record = runner.collect_trace_resilient(
             name, max_steps + warmup, iters=iters, skip=skip, profile=profile
@@ -796,13 +813,14 @@ def _execute_cell(payload) -> tuple[SimStats, object]:
     if trace is None:
         raise RuntimeError(record.describe())
     t0 = time.perf_counter()
-    with _tspan(tracer, f"simulate.{name}/{config.name}", category="simulate"):
-        stats = simulate(config, trace, warmup=warmup)
+    with _tspan(tracer, f"simulate.{label}", category="simulate"):
+        runs = simulate_configs(configs, trace, warmup=warmup)
     if tracer is not None:
         tracer.profiler.add(
-            f"simulate.{name}", time.perf_counter() - t0, items=stats.instructions
+            f"simulate.{name}", time.perf_counter() - t0,
+            items=sum(stats.instructions for stats in runs),
         )
-    return stats, record
+    return [(stats, record if i == 0 else None) for i, stats in enumerate(runs)]
 
 
 class _NullJournal:
@@ -854,10 +872,14 @@ def run_sweep(
 ):
     """Run a (benchmark × config) grid under supervision, journaled.
 
-    Returns ``(grid, failures, degraded, report)``: the cell grid (as
-    :func:`repro.experiments.parallel.run_cells` returns it), the
-    quarantined/failed cells as ``FailureRecord``s, degraded-budget
+    Returns ``(grid, failures, degraded, report)``: the cell grid
+    (``grid[benchmark][config_name]`` is the cell's :class:`SimStats`),
+    the quarantined/failed cells as ``FailureRecord``s, degraded-budget
     records, and the :class:`SupervisorReport`.
+
+    Each benchmark's pending cells run as one task, on one trace (exact)
+    or one machine and warming pass (sampled), whatever *jobs* is; every
+    cell is still journaled, retried, spanned and reported on its own.
 
     With *journal_path* every cell transition is persisted atomically;
     with *resume* a matching existing journal replays its completed
@@ -928,14 +950,14 @@ def run_sweep(
             report.cells_total -= len(configs)
     sampling_id = sampling.canonical() if sampling is not None else None
     cells: list[CellRecord] = []
-    specs: dict[str, tuple] = {}
+    config_of: dict[str, object] = {}
     labels: dict[str, str] = {}
     for name in ok_names:
         for config in configs:
             key = cell_key(name, config, max_steps, warmup, iters, skip, profile,
                            images[name], sampling=sampling_id)
             cells.append(CellRecord(benchmark=name, config=config.name, key=key))
-            specs[key] = (name, config, max_steps, warmup, iters, skip, profile, sampling)
+            config_of[key] = config
             labels[key] = f"{name}/{config.name}"
 
     if journal_path is not None:
@@ -997,6 +1019,27 @@ def run_sweep(
         progress.set_total(report.cells_total)
         if report.resume_hits:
             progress.resume_hit(report.resume_hits)
+    # One task per benchmark, its pending cells in config order.
+    groups: dict[str, list[CellRecord]] = {}
+    for cell in pending:
+        groups.setdefault(cell.benchmark, []).append(cell)
+    members: dict[str, list[str]] = {}
+    tasks: list[PoolTask] = []
+    for group in groups.values():
+        keys = [cell.key for cell in group]
+        task = PoolTask(
+            id="+".join(keys),
+            fn="repro.experiments.supervisor:_execute_cells",
+            payload=(group[0].benchmark, [config_of[key] for key in keys], max_steps,
+                     warmup, iters, skip, profile, sampling),
+            max_retries=policy.max_cell_retries,
+            label=f"{group[0].benchmark}/{'+'.join(cell.config for cell in group)}",
+            # A sampled rider that drops out of its group runs again on
+            # its own, so it may need a second cell's time.
+            timeouts=len(keys) if sampling is None else 2 * len(keys) - 1,
+        )
+        members[task.id] = keys
+        tasks.append(task)
     executed = 0
     failed_cells = 0
     dispatched_at: dict[str, float] = {}
@@ -1005,91 +1048,84 @@ def run_sweep(
     attempts_by_key: dict[str, int] = {}
     inflight: set[str] = set()
 
+    def note_progress() -> None:
+        if session is not None:
+            session.note_sweep_progress(
+                done=report.resume_hits + executed,
+                total=report.cells_total,
+                failed=failed_cells,
+                in_flight=len(inflight),
+            )
+
     def on_event(kind, task, info) -> None:
         nonlocal executed, failed_cells
+        keys = members[task.id] if task is not None else []
         if kind == "dispatch":
-            if info > 1:
-                report.retries += 1
-            attempts_by_key[task.id] = info
             dispatched_at[task.id] = time.monotonic()
-            inflight.add(task.id)
-            journal.mark_running(task.id)
-            if tracer is not None and task.id not in cell_spans:
-                cell_spans[task.id] = tracer.begin(
-                    labels.get(task.id, task.id), category="cell"
-                )
-            if progress is not None:
-                progress.dispatch(task.id, labels.get(task.id, task.id))
+            for key in keys:
+                if info > 1:
+                    report.retries += 1
+                attempts_by_key[key] = info
+                inflight.add(key)
+                journal.mark_running(key)
+                if tracer is not None and key not in cell_spans:
+                    cell_spans[key] = tracer.begin(labels.get(key, key), category="cell")
+                if progress is not None:
+                    progress.dispatch(key, labels.get(key, key))
         elif kind == "done":
-            stats, record = info
-            cell_wall[task.id] = time.monotonic() - dispatched_at.get(task.id, time.monotonic())
-            inflight.discard(task.id)
-            if record is not None and record.degraded_steps is not None:
-                degraded.append(record)
-                runner.set_budget_override(record.benchmark, record.degraded_steps)
-            journal.mark_done(task.id, stats)
-            executed += 1
-            report.cells_executed += 1
-            if tracer is not None:
-                span = cell_spans.pop(task.id, None)
-                if span is not None:
-                    tracer.finish(span, attempts=attempts_by_key.get(task.id, 1))
-            if progress is not None:
-                progress.retire(task.id)
-            if session is not None:
-                session.note_sweep_progress(
-                    done=report.resume_hits + executed,
-                    total=report.cells_total,
-                    failed=failed_cells,
-                    in_flight=len(inflight),
-                )
-            if orch_kill_after and executed >= orch_kill_after:
-                # Chaos: the orchestrator itself dies mid-sweep, with
-                # the journal flushed through this very cell.
-                os.kill(os.getpid(), signal.SIGKILL)
+            # Each cell is charged an equal share of the task's wall, so
+            # the cells' walls still add up to the worker's time.
+            wall = time.monotonic() - dispatched_at.get(task.id, time.monotonic())
+            for key, (stats, record) in zip(keys, info, strict=True):
+                cell_wall[key] = wall / len(keys)
+                inflight.discard(key)
+                if record is not None and record.degraded_steps is not None:
+                    degraded.append(record)
+                    runner.set_budget_override(record.benchmark, record.degraded_steps)
+                results[key] = stats
+                journal.mark_done(key, stats)
+                executed += 1
+                report.cells_executed += 1
+                if tracer is not None:
+                    span = cell_spans.pop(key, None)
+                    if span is not None:
+                        tracer.finish(span, attempts=attempts_by_key.get(key, 1))
+                if progress is not None:
+                    progress.retire(key)
+                note_progress()
+                if orch_kill_after and executed >= orch_kill_after:
+                    # Chaos: the orchestrator itself dies mid-sweep, with
+                    # the journal flushed through this very cell.
+                    os.kill(os.getpid(), signal.SIGKILL)
         elif kind == "retry":
-            journal.mark_retry(task.id, info)
+            for key in keys:
+                journal.mark_retry(key, info)
         elif kind == "corrupt":
             report.corrupt_results += 1
         elif kind == "respawn":
             report.respawns += 1
         elif kind == "failed":
             error, message, quarantined = info
-            inflight.discard(task.id)
-            failed_cells += 1
-            journal.mark_failed(task.id, f"{error}: {message}", quarantined=quarantined)
-            if tracer is not None:
-                span = cell_spans.pop(task.id, None)
-                if span is not None:
-                    tracer.finish(
-                        span, status=tracing.ERROR, error=error,
-                        quarantined=quarantined,
-                        attempts=attempts_by_key.get(task.id, 1),
-                    )
-                if quarantined:
-                    tracer.mark("cell.quarantine", category="cell",
-                                cell=labels.get(task.id, task.id), error=error)
-            if progress is not None:
-                progress.retire(task.id, failed=True)
-            if session is not None:
-                session.note_sweep_progress(
-                    done=report.resume_hits + executed,
-                    total=report.cells_total,
-                    failed=failed_cells,
-                    in_flight=len(inflight),
-                )
+            for key in keys:
+                inflight.discard(key)
+                failed_cells += 1
+                journal.mark_failed(key, f"{error}: {message}", quarantined=quarantined)
+                if tracer is not None:
+                    span = cell_spans.pop(key, None)
+                    if span is not None:
+                        tracer.finish(
+                            span, status=tracing.ERROR, error=error,
+                            quarantined=quarantined,
+                            attempts=attempts_by_key.get(key, 1),
+                        )
+                    if quarantined:
+                        tracer.mark("cell.quarantine", category="cell",
+                                    cell=labels.get(key, key), error=error)
+                if progress is not None:
+                    progress.retire(key, failed=True)
+                note_progress()
 
     if pending:
-        tasks = [
-            PoolTask(
-                id=cell.key,
-                fn="repro.experiments.supervisor:_execute_cell",
-                payload=specs[cell.key],
-                max_retries=policy.max_cell_retries,
-                label=labels.get(cell.key, ""),
-            )
-            for cell in pending
-        ]
         try:
             with SupervisedPool(
                 jobs, policy=policy, init_state=current_worker_state(),
@@ -1106,14 +1142,12 @@ def run_sweep(
             if tracer is not None and root is not None:
                 tracer.finish(root, status=tracing.ERROR, error="Drained")
             raise
+        task_of = {key: task_id for task_id, keys in members.items() for key in keys}
         for cell in pending:
-            outcome = outcomes.get(cell.key)
+            outcome = outcomes.get(task_of[cell.key])
             if outcome is None:  # pragma: no cover - drain leaves no outcome
                 continue
-            if outcome.ok:
-                stats, _record = outcome.value
-                results[cell.key] = stats
-            else:
+            if not outcome.ok:
                 if outcome.quarantined:
                     report.quarantined += 1
                 failures.append(

@@ -367,6 +367,16 @@ def active_collector() -> GuestProfileCollector | None:
 
 
 @contextmanager
+def redirected_guest_profile(collector: GuestProfileCollector | None):
+    """Temporarily make *collector* the active one (``None``: off)."""
+    global _active
+    saved, _active = _active, collector
+    try:
+        yield saved
+    finally:
+        _active = saved
+
+
 def suspended_guest_profile():
     """Temporarily deactivate the collector (no-op when already off).
 
@@ -375,12 +385,7 @@ def suspended_guest_profile():
     collection counts exactly the instructions a cache hit replays
     through :func:`profile_from_records`.
     """
-    global _active
-    saved, _active = _active, None
-    try:
-        yield saved
-    finally:
-        _active = saved
+    return redirected_guest_profile(None)
 
 
 __all__ = [
@@ -394,6 +399,7 @@ __all__ = [
     "load_profile",
     "profile_delta",
     "profile_from_records",
+    "redirected_guest_profile",
     "start_guest_profile",
     "suspended_guest_profile",
     "validate_profile",

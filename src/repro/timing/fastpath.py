@@ -10,7 +10,9 @@ is split in two:
   §5.2 partial-tag resolving width, and each control transfer's
   ``(mispredicted, predicted_taken)``.  Configs that share predictor
   and cache geometry replay one pass
-  (:func:`repro.timing.simulator.simulate_configs`);
+  (:func:`repro.timing.simulator.simulate_configs`,
+  :func:`repro.timing.sampling.sample_configs`), so the timing pass
+  reads every latency from its config, never from the hierarchy;
 * a **timing pass** (:func:`run_fast`) replays the columns.  The first
   time a static instruction is seen, :func:`bind_plan` resolves its op
   class, source/destination register tuples, FULL-unit latency and
@@ -68,7 +70,13 @@ from repro.obs.events import (
 from repro.obs.attribution import attribute_delta
 from repro.obs.guestprof import SHORTFALL_PC, profile_delta
 from repro.obs.guestprof import active_collector as _guest_collector
-from repro.timing.frontend import L1, FrontEnd, FrontEndColumns
+from repro.timing.frontend import (
+    FORWARDED,
+    L1,
+    FrontEnd,
+    FrontEndColumns,
+    HazardDivergence,
+)
 from repro.timing.stats import SimStats
 
 #: Environment toggle, mirroring ``REPRO_DISPATCH``: unset or empty for
@@ -524,15 +532,19 @@ def _bind_agen(sim, base_regs, src_ready, full_ready):
     return agen_fn
 
 
-def _load_tail_for(sim, front):
+def _load_tail_for(sim, columns, replaying):
     """Load disambiguation and memory access over the front-end columns.
 
     Replicates :meth:`TimingSimulator._lsd_release` and
     :meth:`TimingSimulator._load_access`, reading the cache level and
     the partial-tag resolving width from the load's *out* code instead
-    of touching the hierarchy.  A hazard load (*out* is ``HAZARD``)
-    makes its access through *front* only if it does not forward,
-    exactly when the reference does.
+    of touching the hierarchy, and the latencies from the config.  A
+    hazard load (*out* is ``HAZARD``) makes its access through the
+    columns' front end only if it does not forward, exactly when the
+    reference does, and records the decision in ``columns.decisions``.
+    A run that *replays* the columns instead takes each recorded
+    decision, after checking it would decide the same way
+    (:class:`~repro.timing.frontend.HazardDivergence` otherwise).
 
     Equivalence of the incremental store window with the reference's
     per-load filter ``[s for s in window if s.commit > dispatch]``:
@@ -564,20 +576,38 @@ def _load_tail_for(sim, front):
     low_slice = (1 << slice_bits) - 1
     events = sim.events
     obs_on = sim._obs_enabled
-    front_load = front.load
-    h = sim.hierarchy
+    l1_latency = cfg.l1_latency
     latency = (
         0,
-        h.l1_latency,
-        h.l1_latency + h.l2_latency,
-        h.l1_latency + h.l2_latency + h.memory_latency,
+        l1_latency,
+        l1_latency + cfg.l2_latency,
+        l1_latency + cfg.l2_latency + cfg.memory_latency,
     )
-    l1_latency = cfg.l1_latency
     replay = cfg.replay_penalty
     index_slice = sim.index_ready_slice
-    l1d_config = h.l1d.config
+    l1d_config = sim.hierarchy.l1d.config
     tag_bits = (index_slice + 1) * slice_bits - l1d_config.tag_shift
     ptm_width = max(1, min(max(1, tag_bits), l1d_config.tag_bits))
+    if replaying:
+        recorded = iter(columns.decisions)
+
+        def hazard(addr, forwarded):
+            out = next(recorded)
+            if forwarded != (out == FORWARDED):
+                raise HazardDivergence(
+                    f"{cfg.name}: hazard load {sim.seq} at {addr:#x} "
+                    f"{'forwards' if forwarded else 'reads the cache'}, "
+                    "unlike the run that walked the columns"
+                )
+            return out
+    else:
+        decide = columns.decisions.append
+        front_load = columns.front.load
+
+        def hazard(addr, forwarded):
+            out = FORWARDED if forwarded else front_load(addr)
+            decide(out)
+            return out
 
     def load_tail(record, agen, dispatch, out):
         while window and window[0].commit <= dispatch:
@@ -592,6 +622,8 @@ def _load_tail_for(sim, front):
             forward = fwd.get(word)
             if forward is not None and forward.seq >= window[0].seq:
                 stats.store_forwards += 1
+                if out < 0:  # HAZARD: forwarding skips the access
+                    hazard(addr, True)
                 if spec_forward:
                     # §5.1 extension: forward once this store is the
                     # unique partial matcher.
@@ -652,7 +684,7 @@ def _load_tail_for(sim, front):
                             REPLAY, release, sim.seq, record.pc, {"reason": "spec_forward"}
                         )
         if out < 0:  # HAZARD: the access waited on the forwarding decision
-            out = front_load(addr)
+            out = hazard(addr, False)
         level = out & 3
         if ptm:
             index_ready = agen[index_slice]
@@ -786,10 +818,11 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
 
     Runs the two passes: the front-end pass walks the records over the
     simulator's predictor and hierarchy (or the simulator replays the
-    columns another run handed it), then the timing pass replays them
-    through the pre-bound plans with fetch inlined.  Statement order
-    and arithmetic mirror :meth:`TimingSimulator.run_reference`; the
-    lockstep cross-check enforces bit-identity.
+    columns another run handed it, hazard decisions included), then the
+    timing pass replays them through the pre-bound plans with fetch
+    inlined.  Statement order and arithmetic mirror
+    :meth:`TimingSimulator.run_reference`; the lockstep cross-check
+    enforces bit-identity.
     """
     from repro.timing.simulator import CPI_SAMPLE_INTERVAL, _StoreEntry
 
@@ -806,7 +839,8 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
     n = len(records)
 
     columns = sim._replay
-    if columns is None:
+    replaying = columns is not None
+    if not replaying:
         front = FrontEnd(sim.predictor, sim.hierarchy, sim.current_fetch_line)
         columns = FrontEndColumns(front, cfg.lsq_size, sim.store_window)
         walked = columns.walk(records, 0)
@@ -817,7 +851,7 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
         walked = n
     sim.front_end = columns
     statics = columns.statics
-    load_tail = _load_tail_for(sim, columns.front)
+    load_tail = _load_tail_for(sim, columns, replaying)
     plans = [bind_plan(sim, inst, load_tail) for inst in statics]
 
     commit_ring = sim.commit_ring
@@ -831,9 +865,8 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
     lsq_size = cfg.lsq_size
     fetch_width = cfg.fetch_width
     commit_width = cfg.commit_width
-    h = sim.hierarchy
     # Stall a fetch-line transition served below the L1 adds, by level.
-    fetch_penalty = (0, 0, h.l2_latency, h.l2_latency + h.memory_latency)
+    fetch_penalty = (0, 0, cfg.l2_latency, cfg.l2_latency + cfg.memory_latency)
 
     fetch_cycle = sim.fetch_cycle
     fetched = sim.fetched_this_cycle

@@ -21,13 +21,18 @@ except at a *hazard*: a load whose line is not the MRU way of its L1D
 set while a store to the same word is among the last ``lsq_size``
 stores (the only stores it can forward from).  At a hazard the walk
 stops; the timing pass decides, makes the access if the load does not
-forward, and the walk resumes after it.
+forward, records its decision in the columns, and the walk resumes
+after it.
 
-A pass that met no hazard depends only on the records, the predictor
-and cache geometry, ``lsq_size`` and the starting state, so every
-config that agrees on :func:`front_end_key` and starts fresh replays one
-set of columns (:func:`repro.timing.simulator.simulate_configs`); each
-config applies its own latencies to the stored cache levels.
+A pass depends only on the records, the predictor and cache geometry,
+``lsq_size``, the starting state and its hazard decisions, so every
+config that agrees on :func:`front_end_key` and starts from the same
+state can replay one set of columns; each config applies its own
+latencies to the stored cache levels.  A replaying config decides each
+hazard load itself and raises :class:`HazardDivergence` where it would
+decide differently (:func:`repro.timing.sampling.sample_configs` then
+runs it on its own).  :func:`repro.timing.simulator.simulate_configs`
+shares only passes that met no hazard.
 """
 
 from __future__ import annotations
@@ -46,6 +51,15 @@ OTHER, LOAD, STORE, CONTROL = 0, 1, 2, 3
 #: Outcome-column value of a hazard load, whose access (if any) the
 #: timing pass makes once it knows whether the load forwards.
 HAZARD = -1
+
+#: Hazard decision of a load that forwarded and so made no access; any
+#: other decision is the outcome code of the access (:meth:`FrontEnd.load`).
+FORWARDED = 0
+
+
+class HazardDivergence(Exception):
+    """A config replaying another run's columns would decide a hazard
+    load differently, so the cache state after it would differ."""
 
 
 def record_kind(inst) -> int:
@@ -127,6 +141,8 @@ class FrontEndColumns:
     ``static[i]`` indexes ``statics`` (the run's distinct instructions),
     ``fetch[i]`` and ``outcome[i]`` are :meth:`FrontEnd.step`'s results,
     and ``outcome[i]`` is :data:`HAZARD` where the walk stopped.
+    ``decisions`` holds the timing pass's decision at each hazard load,
+    in order: :data:`FORWARDED` or the outcome code of its access.
     """
 
     def __init__(self, front: FrontEnd, lsq_size: int, window) -> None:
@@ -135,6 +151,7 @@ class FrontEndColumns:
         self.static: list[int] = []
         self.fetch = bytearray()
         self.outcome: list[int] = []
+        self.decisions: list[int] = []
         self.hazards = 0
         self._lsq_size = lsq_size
         self._index: dict[int, int] = {}
@@ -196,6 +213,7 @@ class FrontEndColumns:
 
 __all__ = [
     "CONTROL",
+    "FORWARDED",
     "HAZARD",
     "L1",
     "L2",
@@ -205,6 +223,7 @@ __all__ = [
     "STORE",
     "FrontEnd",
     "FrontEndColumns",
+    "HazardDivergence",
     "front_end_key",
     "record_kind",
 ]

@@ -18,10 +18,9 @@ of magnitude: it alternates
 * **optional trace-mode warming spans** (``plan.warm``) — the discrete
   fallback used when the machine has no blocks engine, and
 * **measurement windows** — short detailed-simulation slices run on a
-  fresh :class:`~repro.timing.simulator.TimingSimulator` that *adopts*
-  the warmed predictor/hierarchy
-  (:meth:`~repro.timing.simulator.TimingSimulator.adopt_warm_state`)
-  plus a detailed-warmup prefix that is simulated but not measured,
+  fresh :class:`~repro.timing.simulator.TimingSimulator` built on the
+  warmed predictor/hierarchy, plus a detailed-warmup prefix that is
+  simulated but not measured,
 
 and reports the per-window IPC / CPI-stack population through a
 ratio estimator with bootstrap confidence intervals.  With a CI target
@@ -36,18 +35,24 @@ bit-identically under ``--resume`` and arbitrary ``--jobs N`` — the
 same discipline ``chaos_sweep.py`` asserts for exact cells.  The plan's
 :meth:`~SamplingPlan.canonical` string is threaded into the journal
 cell key for exactly that reason.
+
+None of the init skip, the warming or the window records depends on the
+machine config, so :func:`sample_configs` measures several configs on
+one machine and one warming pass: the first config of a group (the
+*lead*) walks each window's front-end pass over the shared warm state,
+and every other one (a *rider*) replays the lead's columns under its own
+timing (:mod:`repro.timing.frontend`).
 """
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field, replace
 
 from repro.branch.predictor import FrontEndPredictor
 from repro.core.config import MachineConfig
 from repro.memsys.hierarchy import MemoryHierarchy
-from repro.timing.frontend import FrontEnd, record_kind
+from repro.timing.frontend import FrontEnd, HazardDivergence, front_end_key, record_kind
 from repro.timing.stats import SimStats
 
 #: CPI-stack component fields whose per-instruction rates get bootstrap
@@ -171,50 +176,6 @@ class WarmState:
         """
         self._front.step(record, record_kind(record.inst))
         self.warmed += 1
-
-    def checkpoint(self) -> "WarmState":
-        """Deep snapshot of the warmed state (window checkpoint/restore)."""
-        return copy.deepcopy(self)
-
-
-@dataclass
-class MachineCheckpoint:
-    """Architectural snapshot of a :class:`~repro.emulator.machine.Machine`.
-
-    Captures only the mutable guest state (registers, PC, memory,
-    retirement count, halt/exit status, syscall output) so a window —
-    or an entire sampled region — can be re-executed from a known
-    point without rebuilding the machine or its bound dispatch tables.
-    """
-
-    regs: list
-    pc: int
-    instret: int
-    halted: bool
-    exit_code: int
-    output: bytearray
-    memory: object
-
-    @classmethod
-    def capture(cls, machine) -> "MachineCheckpoint":
-        return cls(
-            regs=list(machine.regs),
-            pc=machine.pc,
-            instret=machine.instret,
-            halted=machine.halted,
-            exit_code=machine.exit_code,
-            output=bytearray(machine.output),
-            memory=copy.deepcopy(machine.memory),
-        )
-
-    def restore(self, machine) -> None:
-        machine.regs[:] = self.regs
-        machine.pc = self.pc
-        machine.instret = self.instret
-        machine.halted = self.halted
-        machine.exit_code = self.exit_code
-        machine.output[:] = self.output
-        machine.memory = copy.deepcopy(self.memory)
 
 
 @dataclass
@@ -402,22 +363,118 @@ def sample_benchmark(
     steady-state region an exact cell does.  *dispatch* picks the
     emulator tier (default: ``REPRO_DISPATCH``); the reference tier
     warms by trace-mode observation, bit-identically but slower.
+    This is ``sample_configs(name, [config], ...)[0]``.
+    """
+    return sample_configs(
+        name, [config], plan, budget, iters=iters, skip=skip, profile=profile,
+        dispatch=dispatch, watchdog=watchdog,
+    )[0]
+
+
+def sample_configs(
+    name: str,
+    configs,
+    plan: SamplingPlan,
+    budget: int,
+    iters: int | None = None,
+    skip: int | None = None,
+    profile: str = "ref",
+    dispatch: str | None = None,
+    watchdog=None,
+) -> list[SamplingResult]:
+    """:func:`sample_benchmark` for each of *configs*; results in order.
+
+    Each result equals the config's own :func:`sample_benchmark` run,
+    but configs that share a :func:`~repro.timing.frontend.front_end_key`
+    run as one group: one machine, one init skip and one warming pass,
+    and one trace per window.  The group's first config (the lead) walks
+    each window's front-end pass over the shared warm state; the others
+    (riders) replay its columns, hazard decisions included, and never
+    touch the shared predictor or caches.  A rider that would decide a
+    hazard load differently drops out and runs on its own.  Every
+    config runs on its own when ``plan.ci_target`` is set (each stops at
+    its own window count), under ``REPRO_TIMING=reference`` (the
+    reference loop walks its own structures) and under a ``sample``-mode
+    guest profile (whose shared countdown follows execution order).
+
+    *watchdog* budgets the whole call.  A rider re-run on its own adds
+    one config's share (``max_seconds / len(configs)``) to its
+    wall-clock budget, so the call never times out where its configs,
+    run one by one, would not.
+    """
+    plan.validate()
+    configs = list(configs)
+    args = (plan, budget, iters, skip, profile, dispatch, watchdog)
+    results: list = [None] * len(configs)
+    for group in _groups(configs, plan):
+        for i, result in zip(group, _sample_group(name, [configs[i] for i in group], *args)):
+            results[i] = result
+    dropped = [i for i, result in enumerate(results) if result is None]
+    if dropped and watchdog is not None and watchdog.max_seconds is not None:
+        watchdog.max_seconds += len(dropped) * watchdog.max_seconds / len(configs)
+    for i in dropped:
+        (results[i],) = _sample_group(name, [configs[i]], *args)
+    for result in results:
+        _publish_session(result)
+    return results
+
+
+def _groups(configs: list[MachineConfig], plan: SamplingPlan) -> list[list[int]]:
+    """Indices of the configs that can share a machine, in order."""
+    from repro.obs.guestprof import active_collector
+    from repro.timing.fastpath import default_timing_mode
+
+    gp = active_collector()
+    if (
+        len(configs) < 2
+        or plan.ci_target > 0.0
+        or default_timing_mode() == "reference"
+        or (gp is not None and gp.mode == "sample")
+    ):
+        return [[i] for i in range(len(configs))]
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        warm = WarmState(config)
+        key = front_end_key(warm.predictor, warm.hierarchy, config.lsq_size)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _sample_group(
+    name, configs, plan, budget, iters, skip, profile, dispatch, watchdog,
+) -> list[SamplingResult | None]:
+    """The sampling loop for one group of configs, lead first.
+
+    Returns one result per config, ``None`` for a rider that dropped
+    out.  Riders see exactly the windows the lead sees, so the counts
+    of skipped, warmed and measured instructions are the lead's.
     """
     from repro.emulator.machine import Machine
-    from repro.obs.guestprof import suspended_guest_profile
+    from repro.obs.guestprof import (
+        GuestProfileCollector,
+        active_collector,
+        profile_from_records,
+        redirected_guest_profile,
+        suspended_guest_profile,
+    )
     from repro.timing.simulator import TimingSimulator
     from repro.workloads.suite import get_workload, skip_hint
 
-    plan.validate()
     workload = get_workload(name)
     machine = Machine(workload.build(iters, profile), dispatch=dispatch)
     if skip is None:
         skip = skip_hint(name, profile)
-    warm = WarmState(config)
-    result = SamplingResult(stats=SimStats(config_name=config.name), plan=plan)
+    lead_config = configs[0]
+    warm = WarmState(lead_config)
+    result = SamplingResult(stats=SimStats(config_name=lead_config.name), plan=plan)
     blocks_warm = machine._engine is not None
     if blocks_warm:
         machine.attach_warm_sink(warm.hierarchy, warm.predictor)
+    # Each rider's windows, and its share of the guest profile: a rider
+    # that drops out runs again on its own, so shares are folded in last.
+    riders = {i: [] for i in range(1, len(configs))}
+    gp = active_collector()
+    shares = {i: GuestProfileCollector() for i in riders} if gp is not None else {}
 
     n_periods = min(max(1, budget // plan.interval), plan.max_windows)
     if plan.ci_target > 0.0:
@@ -435,7 +492,7 @@ def sample_benchmark(
     def fast_forward(span: int) -> int:
         # Warming fast-forward: block-compiled execution whose warm
         # hooks train the same predictor/hierarchy objects the windows
-        # adopt.  Outside any guest profile (like the init skip in
+        # run on.  Outside any guest profile (like the init skip in
         # Workload.trace) so profiles cover exactly the measured
         # windows.  Without a blocks engine, trace-mode observation is
         # the slow-but-faithful equivalent.
@@ -467,16 +524,28 @@ def sample_benchmark(
                     result.warmed += 1
             if machine.halted:
                 break
-        sim = TimingSimulator(config)
-        sim.adopt_warm_state(warm.predictor, warm.hierarchy)
-        before = machine.instret
-        stats = sim.run(machine.trace(window_budget, watchdog=watchdog), warmup=plan.warmup)
-        consumed = machine.instret - before
-        result.detail_warmup += min(consumed, plan.warmup)
+        records = list(machine.trace(window_budget, watchdog=watchdog))
+        sim = TimingSimulator(lead_config, predictor=warm.predictor, hierarchy=warm.hierarchy)
+        stats = sim.run(records, warmup=plan.warmup)
+        result.detail_warmup += min(len(records), plan.warmup)
         if not stats.instructions:
             break  # the guest halted inside the detailed warmup: nothing measured
         result.measured += stats.instructions
         result.windows.append(stats)
+        for i in list(riders):
+            rider = TimingSimulator(configs[i], predictor=warm.predictor, hierarchy=warm.hierarchy)
+            rider._replay = sim.front_end
+            share = shares.get(i)
+            try:
+                with redirected_guest_profile(share):
+                    riders[i].append(rider.run(records, warmup=plan.warmup))
+            except HazardDivergence:
+                del riders[i]
+                continue
+            if share is not None:
+                # The window's trace counted its records once; a config
+                # sampled on its own counts them again.
+                profile_from_records(records, share)
         if post and not machine.halted:
             result.skipped += fast_forward(post)
         if plan.ci_target > 0.0:
@@ -495,25 +564,39 @@ def sample_benchmark(
             f"sampling produced no measurement windows for {name!r}: "
             f"budget {budget} / guest length too small for interval {plan.interval}"
         )
+    result.halted = machine.halted
+    out: list[SamplingResult | None] = [result]
+    for i in range(1, len(configs)):
+        windows = riders.get(i)
+        out.append(None if windows is None else replace(result, windows=windows))
+        if windows is not None and gp is not None:
+            share = shares[i].current()
+            gp.add_counts(share.counts, share.retired)
+            gp.add_cycles(share.cycles, share.cycles_total)
+    for run in out:
+        if run is not None:
+            _summarize(run)
+    return out
+
+
+def _summarize(result: SamplingResult) -> None:
+    """Pool the windows into ``result.stats`` and attach the CIs."""
     result.stats = SimStats.merge_all(result.windows)
-    cis = bootstrap_cis(result.windows, plan)
+    cis = bootstrap_cis(result.windows, result.plan)
     result.ipc_point = cis["ipc_point"]
     result.ipc_lo, result.ipc_hi = cis["ipc_ci"]
     result.rel_halfwidth = cis["rel_halfwidth"]
     result.cpi_ci = dict(cis["cpi_ci"])
-    result.halted = machine.halted
     _attach_extra(result)
-    _publish_session(result)
-    return result
 
 
 __all__ = [
     "CPI_COMPONENTS",
-    "MachineCheckpoint",
     "SamplingPlan",
     "SamplingResult",
     "WarmState",
     "bootstrap_cis",
     "sample_benchmark",
+    "sample_configs",
     "stats_error_bars",
 ]

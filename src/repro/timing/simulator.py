@@ -75,7 +75,18 @@ class _StoreEntry:
 
 
 class TimingSimulator:
-    """Timestamp simulator for one :class:`MachineConfig`."""
+    """Timestamp simulator for one :class:`MachineConfig`.
+
+    *predictor* and *hierarchy* default to fresh Table 2 structures
+    built from the config.  Statistical sampling
+    (:mod:`repro.timing.sampling`) passes its functionally warmed ones,
+    which a run trains further exactly as the reference loop would;
+    they must have the config's geometry.  The fast path reads every
+    latency from the config, while the reference loop reads the cache
+    latencies from *hierarchy*, so a config whose latencies differ from
+    the hierarchy's may run on it in fast mode only (sampled riders
+    never run in reference mode).
+    """
 
     def __init__(
         self,
@@ -83,6 +94,8 @@ class TimingSimulator:
         record_timeline: bool = False,
         events: EventTrace | None = None,
         mode: str | None = None,
+        predictor: FrontEndPredictor | None = None,
+        hierarchy: MemoryHierarchy | None = None,
     ) -> None:
         self.config = config
         self.stats = SimStats(config_name=config.name)
@@ -101,14 +114,18 @@ class TimingSimulator:
         self._obs_enabled = events is not None
         self._emit_text = record_timeline
         self._timeline_cache: tuple[int, list] | None = None
-        self.predictor = FrontEndPredictor(
-            config.gshare_entries, config.btb_entries, config.btb_assoc, config.ras_depth
-        )
-        self.hierarchy = MemoryHierarchy(
-            l1_latency=config.l1_latency,
-            l2_latency=config.l2_latency,
-            memory_latency=config.memory_latency,
-        )
+        if predictor is None:
+            predictor = FrontEndPredictor(
+                config.gshare_entries, config.btb_entries, config.btb_assoc, config.ras_depth
+            )
+        if hierarchy is None:
+            hierarchy = MemoryHierarchy(
+                l1_latency=config.l1_latency,
+                l2_latency=config.l2_latency,
+                memory_latency=config.memory_latency,
+            )
+        self.predictor = predictor
+        self.hierarchy = hierarchy
         S = config.num_slices
         self.num_slices = S
         self.slice_bits = 32 // S
@@ -189,31 +206,11 @@ class TimingSimulator:
         #: Front-end columns (:mod:`repro.timing.frontend`) of the last
         #: fast run.  ``_replay`` holds columns for the next run to replay
         #: instead of walking this simulator's own predictor and caches:
-        #: a fresh simulator's hazard-free pass over the same records
-        #: with the same ``front_end_key`` (:func:`simulate_configs`).
+        #: a pass over the same records, from the same state and with the
+        #: same ``front_end_key`` (:func:`simulate_configs`,
+        #: :func:`repro.timing.sampling.sample_configs`).
         self.front_end = None
         self._replay = None
-
-    def adopt_warm_state(self, predictor: FrontEndPredictor, hierarchy: MemoryHierarchy) -> None:
-        """Adopt functionally-warmed front-end and memory state.
-
-        Statistical sampling (:mod:`repro.timing.sampling`) trains
-        branch predictors and caches during fast-forward spans; each
-        measurement window then runs on a fresh simulator that adopts
-        the shared warmed structures instead of starting cold.  Must be
-        called before the first simulated instruction; the fast path's
-        front-end pass then walks the adopted structures, so a run
-        leaves them trained exactly as the reference loop does.  The
-        geometry-derived fields are recomputed from the adopted
-        hierarchy (identical values for same-config instances).
-        """
-        if self.seq:
-            raise RuntimeError("adopt_warm_state must precede the first simulated instruction")
-        self.predictor = predictor
-        self.hierarchy = hierarchy
-        self.line_shift = hierarchy.l1i.config.offset_bits
-        tag_shift = hierarchy.l1d.config.tag_shift
-        self.index_ready_slice = (tag_shift + self.slice_bits - 1) // self.slice_bits - 1
 
     @property
     def timeline(self):

@@ -1,4 +1,4 @@
-"""Parallel sweep layer: worker fan-out, state inheritance, merging."""
+"""Parallel layer: collection fan-out, state inheritance, swept grids."""
 
 from __future__ import annotations
 
@@ -6,7 +6,10 @@ import pytest
 
 from repro.core.config import baseline_config, simple_pipeline_config
 from repro.experiments import parallel, runner, trace_cache
+from repro.experiments.supervisor import run_sweep
+from repro.harness.faults import ProcessFaultPlan
 from repro.timing.simulator import simulate
+from repro.timing.stats import SimStats
 
 N = 1_200
 WARMUP = 200
@@ -71,10 +74,13 @@ def test_workers_inherit_cache_config(tmp_path):
     assert stats["hits"] == 1 and stats["misses"] == 0
 
 
-def test_run_cells_grid_matches_sequential_simulation():
+def test_run_sweep_grid_matches_sequential_simulation():
+    """Two benchmarks on two workers: one task per benchmark, each
+    simulating both configs over one trace."""
     configs = [baseline_config(), simple_pipeline_config(2)]
-    grid, failures = parallel.run_cells(
-        ["li", "mcf"], configs, N, WARMUP, jobs=2, keep_going=True
+    grid, failures, _, _ = run_sweep(
+        ["li", "mcf"], configs, N, WARMUP, jobs=2, keep_going=True,
+        fault_plan=ProcessFaultPlan(),
     )
     assert not failures
     for name in ("li", "mcf"):
@@ -85,12 +91,13 @@ def test_run_cells_grid_matches_sequential_simulation():
             assert got.to_dict() == expected.to_dict()
 
 
-def test_merge_by_config_is_order_independent():
+def test_merged_config_totals_are_order_independent():
     configs = [baseline_config()]
-    grid, _ = parallel.run_cells(["li", "mcf"], configs, N, WARMUP, jobs=2)
-    totals = parallel.merge_by_config(grid)
-    flipped = {name: grid[name] for name in reversed(list(grid))}
-    assert (
-        parallel.merge_by_config(flipped)[configs[0].name].to_dict()
-        == totals[configs[0].name].to_dict()
+    grid, _, _, _ = run_sweep(
+        ["li", "mcf"], configs, N, WARMUP, jobs=2, fault_plan=ProcessFaultPlan()
     )
+
+    def totals(order):
+        return SimStats.merge_all([grid[name][configs[0].name] for name in order]).to_dict()
+
+    assert totals(["li", "mcf"]) == totals(["mcf", "li"])

@@ -6,15 +6,22 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import baseline_config
+from repro.core.config import baseline_config, bitslice_config
 from repro.experiments.journal import cell_key
 from repro.experiments.runner import collect_trace
 from repro.experiments.supervisor import run_sweep
+from repro.experiments.sweep import CONFIG_BUILDERS
+from repro.harness.errors import RunawayExecution
 from repro.harness.faults import ProcessFaultPlan
+from repro.harness.watchdog import Watchdog
+from repro.obs import guestprof
+from repro.timing import sampling, simulator
+from repro.timing.frontend import FORWARDED
 from repro.timing.sampling import (
     SamplingPlan,
     bootstrap_cis,
     sample_benchmark,
+    sample_configs,
     stats_error_bars,
 )
 from repro.timing.simulator import simulate
@@ -145,6 +152,198 @@ def test_bootstrap_cis_are_deterministic_and_degenerate_below_two_windows():
     one = bootstrap_cis([window(300, 200)], _plan(seed=3))
     assert one["ipc_ci"] == (1.5, 1.5)
     assert one["rel_halfwidth"] == float("inf")
+
+
+# ------------------------------------------------------ grouped configs
+
+#: All five sweep configs; they share one front-end key.
+SWEEP_CONFIGS = [build() for build in CONFIG_BUILDERS.values()]
+
+#: gzip from its first instruction: window 7 of 20 holds 18 hazard
+#: loads (stores to the same word in flight, line off its MRU way).
+HAZARD_RUN = dict(name="gzip", plan=_plan(seed=2), budget=40_000, skip=0)
+
+
+def _outcome(result):
+    return (result.stats.to_dict(), result.stats.extra, result.cpi_ci,
+            (result.ipc_point, result.ipc_lo, result.ipc_hi, result.rel_halfwidth))
+
+
+def _assert_standalone(configs, grouped, name, plan, budget, **kw):
+    assert [r.stats.config_name for r in grouped] == [c.name for c in configs]
+    for config, result in zip(configs, grouped, strict=True):
+        alone = sample_benchmark(name, config, plan, budget, **kw)
+        assert _outcome(result) == _outcome(alone), config.name
+
+
+@pytest.fixture
+def groups_run(monkeypatch):
+    """Records the configs of every machine ``sample_configs`` builds."""
+    calls = []
+    real = sampling._sample_group
+
+    def spy(name, configs, *args):
+        calls.append([c.name for c in configs])
+        return real(name, configs, *args)
+
+    monkeypatch.setattr(sampling, "_sample_group", spy)
+    return calls
+
+
+def test_sample_configs_share_one_machine_and_equal_standalone_runs(groups_run):
+    """The hazard-free cheap plan: one machine, every result standalone."""
+    configs = [baseline_config(), bitslice_config(4)]
+    grouped = sample_configs(BENCH, configs, _plan(), 12_000)
+    assert groups_run == [["ideal", "bitslice-4"]]
+    _assert_standalone(configs, grouped, BENCH, _plan(), 12_000)
+
+
+def test_riders_replay_the_leads_hazard_decisions(groups_run, monkeypatch):
+    """Every sweep config rides through a hazard window, deciding each
+    hazard load as the lead did, and still equals its standalone run."""
+    decisions = []
+    real_run = simulator.TimingSimulator.run
+
+    def run(self, trace, *args, **kwargs):
+        replaying = self._replay is not None
+        stats = real_run(self, trace, *args, **kwargs)
+        if self.front_end.hazards:
+            decisions.append((self.config.name, replaying, list(self.front_end.decisions)))
+        return stats
+
+    monkeypatch.setattr(simulator.TimingSimulator, "run", run)
+    grouped = sample_configs(HAZARD_RUN["name"], SWEEP_CONFIGS, HAZARD_RUN["plan"],
+                             HAZARD_RUN["budget"], skip=0)
+    assert groups_run == [[c.name for c in SWEEP_CONFIGS]]
+    assert [(name, replaying) for name, replaying, _ in decisions] == [
+        (c.name, i > 0) for i, c in enumerate(SWEEP_CONFIGS)
+    ]
+    assert len({tuple(d) for _, _, d in decisions}) == 1 and decisions[0][2]
+    monkeypatch.setattr(simulator.TimingSimulator, "run", real_run)
+    _assert_standalone(SWEEP_CONFIGS, grouped, **HAZARD_RUN)
+
+
+def _flip_first_decision(monkeypatch) -> list[str]:
+    """Flip the first hazard decision a lead records (once): the rider
+    forwards where the lead (now) read the cache, so it drops out.
+    Returns the list the flipped lead's name is appended to."""
+    real_run = simulator.TimingSimulator.run
+    flipped = []
+
+    def run(self, trace, *args, **kwargs):
+        replaying = self._replay is not None
+        stats = real_run(self, trace, *args, **kwargs)
+        decisions = self.front_end.decisions
+        if not replaying and not flipped and decisions:
+            assert decisions[0] == FORWARDED
+            decisions[0] = 1 << 2 | 1  # an L1 hit
+            flipped.append(self.config.name)
+        return stats
+
+    monkeypatch.setattr(simulator.TimingSimulator, "run", run)
+    return flipped
+
+
+def test_rider_that_decides_a_hazard_differently_runs_on_its_own(groups_run, monkeypatch):
+    """A rider that drops out is re-run alone and equals its standalone run."""
+    flipped = _flip_first_decision(monkeypatch)
+    configs = [baseline_config(), bitslice_config(4)]
+    grouped = sample_configs(HAZARD_RUN["name"], configs, HAZARD_RUN["plan"],
+                             HAZARD_RUN["budget"], skip=0)
+    assert flipped == ["ideal"]
+    assert groups_run == [["ideal", "bitslice-4"], ["bitslice-4"]]
+    _assert_standalone(configs, grouped, **HAZARD_RUN)
+
+
+@pytest.mark.parametrize("rerun_starts_at, times_out", [(2.8, False), (3.2, True)])
+def test_rider_rerun_gets_one_more_share_of_the_wall_budget(
+    groups_run, monkeypatch, rerun_starts_at, times_out
+):
+    """Two configs with one second each: the call's budget is two
+    seconds, and the diverging rider's re-run adds the third it would
+    have had on its own (clock seconds are simulated)."""
+    _flip_first_decision(monkeypatch)
+    now = [0.0]
+    spy = sampling._sample_group
+
+    def jump_before_rerun(name, configs, *args):
+        if len(configs) == 1:
+            now[0] = rerun_starts_at
+        return spy(name, configs, *args)
+
+    monkeypatch.setattr(sampling, "_sample_group", jump_before_rerun)
+    watchdog = Watchdog(max_seconds=2.0, check_every=1, clock=lambda: now[0])
+    configs = [baseline_config(), bitslice_config(4)]
+
+    def run():
+        return sample_configs(HAZARD_RUN["name"], configs, HAZARD_RUN["plan"],
+                              HAZARD_RUN["budget"], skip=0, watchdog=watchdog)
+
+    if times_out:
+        with pytest.raises(RunawayExecution, match="3s"):
+            run()
+        return
+    grouped = run()
+    assert groups_run == [["ideal", "bitslice-4"], ["bitslice-4"]]
+    assert watchdog.max_seconds == 3.0
+    _assert_standalone(configs, grouped, **HAZARD_RUN)
+
+
+def test_config_with_its_own_front_end_runs_on_its_own(groups_run):
+    small = dataclasses.replace(baseline_config(), gshare_entries=1024, name="ideal-gshare1k")
+    configs = [baseline_config(), small, bitslice_config(4)]
+    grouped = sample_configs(BENCH, configs, _plan(), 8_000)
+    assert groups_run == [["ideal", "bitslice-4"], ["ideal-gshare1k"]]
+    _assert_standalone(configs, grouped, BENCH, _plan(), 8_000)
+
+
+@pytest.mark.parametrize("case", ["ci_target", "reference"])
+def test_configs_run_on_their_own_when_they_cannot_share(groups_run, monkeypatch, case):
+    """A CI target stops each config at its own window count; the
+    reference loop walks its own predictor and caches."""
+    plan = _plan(seed=9, ci_target=0.10) if case == "ci_target" else _plan()
+    if case == "reference":
+        monkeypatch.setenv("REPRO_TIMING", "reference")
+    configs = [baseline_config(), bitslice_config(4)]
+    grouped = sample_configs(BENCH, configs, plan, 4_000)
+    assert groups_run == [["ideal"], ["bitslice-4"]]
+    _assert_standalone(configs, grouped, BENCH, plan, 4_000)
+
+
+def test_grouped_guest_profile_counts_each_config_like_a_standalone_run(monkeypatch):
+    """Exact-mode guest profile: riders count each window's records as a
+    standalone run would, and a rider that drops out contributes only
+    its standalone re-run."""
+    real_run = simulator.TimingSimulator.run
+    flipped = []
+
+    def run(self, trace, *args, **kwargs):
+        replaying = self._replay is not None
+        stats = real_run(self, trace, *args, **kwargs)
+        if not replaying and not flipped and self.front_end.decisions:
+            self.front_end.decisions[0] = 1 << 2 | 1
+            flipped.append(True)
+        return stats
+
+    configs = [baseline_config(), bitslice_config(2), bitslice_config(4)]
+    profiles = []
+    for flip in (False, True):
+        if flip:
+            monkeypatch.setattr(simulator.TimingSimulator, "run", run)
+        guestprof.start_guest_profile("exact")
+        sample_configs(HAZARD_RUN["name"], configs, HAZARD_RUN["plan"],
+                       HAZARD_RUN["budget"], skip=0)
+        profiles.append(guestprof.end_guest_profile().to_dict())
+    monkeypatch.setattr(simulator.TimingSimulator, "run", real_run)
+    assert flipped
+    guestprof.start_guest_profile("exact")
+    for config in configs:
+        sample_benchmark(HAZARD_RUN["name"], config, HAZARD_RUN["plan"],
+                         HAZARD_RUN["budget"], skip=0)
+    alone = guestprof.end_guest_profile().to_dict()
+    assert profiles == [alone, alone]
+    (bucket,) = alone["benchmarks"].values()
+    assert bucket["retired"] == 3 * 20 * 400
 
 
 # ------------------------------------------------------------------ keying

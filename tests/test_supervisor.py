@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.core.config import baseline_config, bitslice_config
-from repro.experiments import parallel, runner, supervisor
+from repro.experiments import runner, supervisor
 from repro.experiments.journal import DONE, PENDING, SweepJournal
 from repro.experiments.supervisor import (
     PoolTask,
@@ -17,6 +17,8 @@ from repro.experiments.supervisor import (
     run_sweep,
 )
 from repro.harness.faults import ProcessFaultPlan
+from repro.obs import guestprof
+from repro.timing.sampling import SamplingPlan
 from repro.timing.simulator import simulate
 
 N = 1_200
@@ -113,6 +115,18 @@ def test_stalled_worker_is_killed_after_cell_timeout():
     assert out.error == "WorkerCrash" and "timeout" in out.message
     assert _no_children()
 
+
+
+def test_task_timeout_scales_with_its_allowance():
+    """A task allowed five cell timeouts is not killed after one."""
+    policy = SupervisorPolicy(max_cell_retries=0, backoff=0.0, cell_timeout=1.0)
+    tasks = _tasks("stall", [(2.0,), (2.0,)])
+    tasks[1].timeouts = 5
+    with SupervisedPool(2, policy=policy) as pool:
+        outcomes = pool.run(tasks)
+    assert outcomes["0"].error == "WorkerCrash" and "timeout" in outcomes["0"].message
+    assert outcomes["1"].ok
+    assert _no_children()
 
 # ------------------------------------------------------ corrupt transport
 
@@ -266,25 +280,171 @@ def test_run_sweep_quarantines_poison_benchmark(tmp_path):
     assert record.benchmark == "nosuchbench" and record.stage == "build"
 
 
-def test_run_sweep_without_journal_matches_run_cells():
+def test_run_sweep_without_journal_matches_simulation():
     names, configs = ["li"], [baseline_config()]
     grid, failures, degraded, report = run_sweep(
         names, configs, N, WARMUP, jobs=1, fault_plan=ProcessFaultPlan()
     )
     assert not failures
-    ref_grid, _ = parallel.run_cells(names, configs, N, WARMUP, jobs=1)
-    assert grid["li"]["ideal"].to_dict() == ref_grid["li"]["ideal"].to_dict()
+    expected = simulate(configs[0], runner.collect_trace("li", N + WARMUP), warmup=WARMUP)
+    assert grid["li"]["ideal"].to_dict() == expected.to_dict()
     assert supervisor.supervisor_stats()["cells_executed"] == 1
+
+
+# ------------------------------------------------------- grouped cells
+
+#: A cheap sampled plan for bzip (two windows at 4,000 instructions).
+SAMPLED = dict(sampling=SamplingPlan(window=300, warmup=100, interval=2000))
+SAMPLED_N = 4_000
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch):
+    """Records (cells, cell timeouts allowed) of every task handed to a pool."""
+    runs = []
+    real = SupervisedPool.run
+
+    def run(self, tasks, on_event=None):
+        tasks = list(tasks)
+        runs.append([(len(task.payload[1]), task.timeouts) for task in tasks])
+        return real(self, tasks, on_event=on_event)
+
+    monkeypatch.setattr(SupervisedPool, "run", run)
+    return runs
+
+
+def _cells(journal_path):
+    journal = SweepJournal.load(journal_path)
+    return {
+        cell.key: (cell.benchmark, cell.config, cell.state,
+                   journal.load_result(cell.key).to_dict())
+        for cell in journal.cells
+    }
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+def test_grouped_sweep_matches_one_task_per_cell(tmp_path, pool_tasks, sampled):
+    """One task runs a benchmark's configs, with one worker or two; its
+    cells have the keys, states and results of one-config sweeps.  A
+    sampled group may take a cell timeout more per rider (a re-run)."""
+    extra = SAMPLED if sampled else {}
+    n = SAMPLED_N if sampled else N
+    configs = [baseline_config(), bitslice_config(2)]
+    grouped = []
+    for jobs in (1, 2):
+        journal_path = tmp_path / f"jobs{jobs}.journal.json"
+        grid, failures, _, report = run_sweep(
+            ["bzip"], configs, n, WARMUP, jobs=jobs, journal_path=journal_path,
+            fault_plan=ProcessFaultPlan(), **extra,
+        )
+        assert not failures and report.cells_executed == 2
+        grouped.append(_cells(journal_path))
+    alone = {}
+    for config in configs:
+        journal_path = tmp_path / f"{config.name}.journal.json"
+        run_sweep(["bzip"], [config], n, WARMUP, jobs=1, journal_path=journal_path,
+                  fault_plan=ProcessFaultPlan(), **extra)
+        alone.update(_cells(journal_path))
+    group = (2, 3 if sampled else 2)
+    assert pool_tasks == [[group], [group], [(1, 1)], [(1, 1)]]
+    assert grouped[0] == grouped[1] == alone
+    if not sampled:
+        trace = runner.collect_trace("bzip", N + WARMUP)
+        for config in configs:
+            assert grid["bzip"][config.name].to_dict() == simulate(
+                config, trace, warmup=WARMUP
+            ).to_dict()
+
+
+def test_grouped_resume_reexecutes_only_the_missing_member(tmp_path, pool_tasks):
+    configs = [baseline_config(), bitslice_config(4)]
+    journal_path = tmp_path / "sweep.journal.json"
+    args = dict(jobs=1, journal_path=journal_path, fault_plan=ProcessFaultPlan(), **SAMPLED)
+    grid1, _, _, _ = run_sweep(["bzip"], configs, SAMPLED_N, 0, **args)
+    journal = SweepJournal.load(journal_path)
+    victim = journal.cells[1]
+    journal.mark_retry(victim.key, "simulated crash")
+    journal.result_path(victim.key).unlink()
+
+    grid2, _, _, report = run_sweep(["bzip"], configs, SAMPLED_N, 0, resume=True, **args)
+    assert pool_tasks == [[(2, 3)], [(1, 1)]]
+    assert report.resume_hits == 1 and report.cells_executed == 1
+    assert SweepJournal.load(journal_path).cell(victim.key).state == DONE
+    for config in configs:
+        assert grid2["bzip"][config.name].to_dict() == grid1["bzip"][config.name].to_dict()
+
+
+def test_killed_group_fails_each_cell_and_resumes_to_identical_output(tmp_path):
+    """Every attempt of the group's task is SIGKILLed: each of its cells
+    fails on its own record; a resume runs the group again and matches
+    a clean sweep cell for cell."""
+    configs = [baseline_config(), bitslice_config(4)]
+    clean, _, _, _ = run_sweep(["bzip"], configs, SAMPLED_N, 0, jobs=1,
+                               fault_plan=ProcessFaultPlan(), **SAMPLED)
+    journal_path = tmp_path / "sweep.journal.json"
+    grid, failures, _, report = run_sweep(
+        ["bzip"], configs, SAMPLED_N, 0, jobs=1, journal_path=journal_path,
+        policy=SupervisorPolicy(max_cell_retries=1, backoff=0.0),
+        fault_plan=ProcessFaultPlan(seed=3, kill_rate=1.0), keep_going=True, **SAMPLED,
+    )
+    assert grid == {} and report.respawns == 2 and report.quarantined == 2
+    assert [(f.stage, f.error) for f in failures] == [
+        ("simulate[ideal]", "WorkerCrash"), ("simulate[bitslice-4]", "WorkerCrash"),
+    ]
+    resumed, failures, _, report = run_sweep(
+        ["bzip"], configs, SAMPLED_N, 0, jobs=1, journal_path=journal_path, resume=True,
+        fault_plan=ProcessFaultPlan(), **SAMPLED,
+    )
+    assert not failures and report.cells_executed == 2
+    for config in configs:
+        assert resumed["bzip"][config.name].to_dict() == clean["bzip"][config.name].to_dict()
+
+
+def test_grouped_sampled_sweep_guest_profile_matches_per_cell_tasks(pool_tasks):
+    """Exact-mode guest profiles merge to the same profile whether a
+    benchmark's cells run as one task or one sweep each."""
+    configs = [baseline_config(), bitslice_config(4)]
+    profiles = []
+    for sweeps in ([configs], [[config] for config in configs]):
+        guestprof.start_guest_profile("exact")
+        for sweep in sweeps:
+            _, failures, _, _ = run_sweep(["bzip"], sweep, SAMPLED_N, 0, jobs=1,
+                                          fault_plan=ProcessFaultPlan(), **SAMPLED)
+            assert not failures
+        profiles.append(guestprof.end_guest_profile().to_dict())
+    assert pool_tasks == [[(2, 3)], [(1, 1)], [(1, 1)]]
+    assert profiles[0] == profiles[1]
+    assert sum(b["retired"] for b in profiles[0]["benchmarks"].values()) == 2 * 2 * 400
 
 
 # ----------------------------------------------- parallel layer regression
 
-def test_parallel_worker_crash_is_isolated(tmp_path):
-    """run_cells on the supervised pool: a dead worker's cell fails as a
-    FailureRecord while other cells complete (the bare Pool would hang
-    or propagate uncatchably)."""
-    grid, failures = parallel.run_cells(
-        ["li"], [baseline_config()], N, WARMUP, jobs=1, keep_going=True
+def test_parallel_worker_crash_is_isolated():
+    """A sweep on the supervised pool: a worker SIGKILLed mid-cell fails
+    that cell as a FailureRecord while the other cell completes (the
+    bare Pool would hang or propagate uncatchably)."""
+    from repro.experiments.journal import cell_key
+    from repro.isa.assembler import program_digest
+    from repro.workloads import get_workload
+
+    config = baseline_config()
+    # One task per benchmark; a one-config task's id is its cell key.
+    li, mcf = (
+        cell_key(name, config, N, WARMUP, None, None, "ref",
+                 program_digest(get_workload(name).build(iters=None, profile="ref")))
+        for name in ("li", "mcf")
     )
-    assert not failures and grid["li"]["ideal"].instructions == N
+    plan = next(
+        plan for plan in (ProcessFaultPlan(seed=s, kill_rate=0.5) for s in range(100))
+        if plan.decide(li, 1) == "kill" and plan.decide(mcf, 1) is None
+    )
+    grid, failures, _, _ = run_sweep(
+        ["li", "mcf"], [config], N, WARMUP, jobs=2, keep_going=True,
+        policy=SupervisorPolicy(max_cell_retries=0, backoff=0.0), fault_plan=plan,
+    )
+    (failure,) = failures
+    assert (failure.benchmark, failure.stage, failure.error) == (
+        "li", "simulate[ideal]", "WorkerCrash"
+    )
+    assert list(grid) == ["mcf"] and grid["mcf"]["ideal"].instructions == N
     assert _no_children()

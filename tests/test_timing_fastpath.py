@@ -10,7 +10,7 @@ construction.  This file enforces the claim on:
   compares full stats *and* complete cycle-event streams;
 * real benchmark trace slices across representative configurations,
   the §5.1/§5.2/§6 extensions included;
-* sampling windows that adopt warm predictor and cache state;
+* sampling windows that run on warm predictor and cache state;
 * a pruning regression: with an ``lsq_size`` far smaller than the
   number of in-flight stores, the incremental store window must still
   agree with the reference's full-scan disambiguation — i.e. pruning
@@ -23,6 +23,7 @@ construction.  This file enforces the claim on:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 
@@ -159,7 +160,7 @@ def _front_end_state(predictor, hierarchy):
     ids=lambda cfg: cfg.name,
 )
 def test_lockstep_on_adopted_warm_state(cfg):
-    """A sampling window: both modes adopt copies of one warm state,
+    """A sampling window: both modes run on copies of one warm state,
     taken part-way through a workload by block-compiled functional
     warming, and must agree on stats, events and the state they leave."""
     machine = Machine(get_workload("go").build(1))
@@ -169,9 +170,11 @@ def test_lockstep_on_adopted_warm_state(cfg):
     window = tuple(machine.trace(700))
     runs = {}
     for mode in ("reference", "fast"):
-        state = warm.checkpoint()
-        sim = TimingSimulator(cfg, events=EventTrace(capacity=None), mode=mode)
-        sim.adopt_warm_state(state.predictor, state.hierarchy)
+        state = copy.deepcopy(warm)
+        sim = TimingSimulator(
+            cfg, events=EventTrace(capacity=None), mode=mode,
+            predictor=state.predictor, hierarchy=state.hierarchy,
+        )
         stats = sim.run(window, warmup=200)
         runs[mode] = (
             stats.to_dict(), list(sim.events),
