@@ -46,7 +46,7 @@ from repro.timing.simulator import TimingSimulator  # noqa: E402
 PARITY_SLICE = 3000
 
 #: Geomean fast-vs-reference floor enforced by ``--check-speedup``.
-SPEEDUP_FLOOR = 1.5
+SPEEDUP_FLOOR = 2.0
 
 
 def timing_configs():

@@ -124,9 +124,9 @@ def attribute_delta(stats, delta: int, claims: tuple[int, ...]) -> None:
 
     *claims* are the non-base claim amounts in :data:`CPI_COMPONENTS`
     order (branch, ruu, lsq, lsd, ptm, memory, slice).  Each is clamped
-    to the cycles still unattributed; the remainder is base.  This is
-    the out-of-line reference form of the waterfall the simulator's hot
-    loop inlines — kept for reuse by other models and by tests.
+    to the cycles still unattributed; the remainder is base.  The
+    reference timing loop calls it; the fast path
+    (:func:`repro.timing.fastpath.run_fast`) inlines the same waterfall.
     """
     rem = delta
     for (key, fld, _, _), claim in zip(CPI_COMPONENTS, claims):

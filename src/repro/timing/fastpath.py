@@ -14,38 +14,42 @@ is split in two:
   :func:`repro.timing.sampling.sample_configs`), so the timing pass
   reads every latency from its config, never from the hierarchy;
 * a **timing pass** (:func:`run_fast`) replays the columns.  The first
-  time a static instruction is seen, :func:`bind_plan` resolves its op
-  class, source/destination register tuples, FULL-unit latency and
-  slice order **once** and captures them in a specialized closure,
-  kept in a list indexed by the static index.
+  time a static instruction is seen, :func:`bind_plan` gives it a
+  **generated handler**: straight-line source from a template per
+  instruction *shape* (op kind, slices, in-order or out-of-order slice
+  issue, source and destination counts, narrow-width and early-branch
+  flags), compiled once per process and bound to the simulator's
+  scoreboard slots, issue pools and pool dicts as closure variables.
+  A handler inlines per-slice operand readiness, the Figure 8 chain,
+  each issue-slot reservation (:meth:`BandwidthPool.reserve`'s floor
+  check, dict probe, walk past full cycles and prune check), the slice
+  claim and writeback.
 
 Further mechanical optimisations of the timing pass:
 
 * **flat timestamp scoreboard** — register slice-ready times live in
-  one preallocated flat list indexed ``reg * S + slice``, so operand
-  reads are slice copies instead of nested loops over a list-of-lists,
-  and destination writes are in-place stores instead of per-dst
-  ``list(...)`` copies;
+  one preallocated flat list indexed ``reg * S + slice``; an unsliced
+  machine writes every slice of a register at once, so its handlers
+  track slice 0 only;
 * **incremental LSQ window** — the store window is pruned once per
   load (``commit <= dispatch`` entries pop from the left; both bounds
   are monotone, so the pruned deque *is* the reference's per-load
   ``[s for s in window if s.commit > dispatch]`` filter) and
   store-to-load forwarding is a word -> youngest-store dict lookup
   instead of a full window scan;
-* **inlined fetch and monotone commit** — fetch runs in the loop over
-  locals, and commit bandwidth is a count of the commits at the last
-  commit cycle: commits never go backwards, so the bandwidth pool the
-  reference reserves through reduces to that count.
+* **inlined fetch, commit and CPI waterfall** — fetch runs in the loop
+  over locals, commit bandwidth is a count of the commits at the last
+  commit cycle (commits never go backwards, so the bandwidth pool the
+  reference reserves through reduces to that count), and each commit
+  delta is split across the claims in the loop.
 
-Only Figure 8 slice scheduling (``_schedule_sliced``'s semantics, in
-specialized closures) and the §6 narrow-width relaxation
-(``_relax_narrow``) are shared with the reference loop; fetch and the
-load tail are replicated over the columns.  The fast path is selected
-by default; ``REPRO_TIMING=reference`` (or
-``TimingSimulator(..., mode="reference")``) runs the original loop,
-kept verbatim as the golden model.  :func:`cross_check_timing` runs
-both modes over one trace and raises :class:`TimingDivergence` on
-*any* stats or cycle-event mismatch.
+Only the §6 narrow-width relaxation (``_relax_narrow``) is shared with
+the reference loop; slice scheduling, fetch and the load tail are
+replicated.  The fast path is selected by default;
+``REPRO_TIMING=reference`` (or ``TimingSimulator(..., mode="reference")``)
+runs the original loop, kept verbatim as the golden model.
+:func:`cross_check_timing` runs both modes over one trace and raises
+:class:`TimingDivergence` on *any* stats or cycle-event mismatch.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ from repro.obs.events import (
     WAY_MISPREDICT,
     EventTrace,
 )
-from repro.obs.attribution import attribute_delta
 from repro.obs.guestprof import SHORTFALL_PC, profile_delta
 from repro.obs.guestprof import active_collector as _guest_collector
 from repro.timing.frontend import (
@@ -77,6 +80,8 @@ from repro.timing.frontend import (
     FrontEndColumns,
     HazardDivergence,
 )
+from repro.timing.resources import PRUNE_ABOVE, PRUNE_KEEP
+from repro.timing.simulator import CPI_SAMPLE_INTERVAL, _StoreEntry
 from repro.timing.stats import SimStats
 
 #: Environment toggle, mirroring ``REPRO_DISPATCH``: unset or empty for
@@ -110,426 +115,338 @@ class TimingDivergence(AssertionError):
     """Fast and reference timing paths disagreed (stats or events)."""
 
 
-# --------------------------------------------------------------- binding
+# ------------------------------------------------------------ generation
+#
+# Each static instruction runs through one generated handler: straight
+# source from a small template per *shape* (what the handler does, the
+# scoreboard slices it tracks, its source and destination counts and the
+# feature flags it tests), never per register number.  A shape compiles
+# once per process into a factory; binding an instruction calls the
+# factory with its scoreboard slots, the issue pools and their dicts as
+# closure variables.
+
+#: Handler factories compiled so far, by shape (see :func:`bind_plan`).
+_FACTORIES: dict[tuple, object] = {}
 
 _ALU_CLASSES = (OpClass.LOGIC, OpClass.ARITH, OpClass.SHIFT_LEFT, OpClass.SHIFT_RIGHT)
 
+#: Classes whose slice k waits for the op's own slice k-1 (k+1 for
+#: right shifts): the carry and shifted-in bits of Figure 8.
+_CHAINED = (OpClass.ARITH, OpClass.SHIFT_LEFT, OpClass.SHIFT_RIGHT)
 
-def _sched_for(sim, klass):
-    """Specialized Figure 8 slice scheduler for one op class.
 
-    Each closure replays :meth:`TimingSimulator._schedule_sliced` for a
-    fixed *klass* with the per-slice class branches, the ``order``
-    object and the operand-window slice copies resolved at bind time.
-    Correctness notes against the reference:
+def _max_of(lines, var, slots):
+    """``var = max(rr[slot] for slot in slots)``, 0 without slots."""
+    if not slots:
+        lines.append(f"{var} = 0")
+        return
+    lines.append(f"{var} = rr[{slots[0]}]")
+    for slot in slots[1:]:
+        lines.append(f"v = rr[{slot}]")
+        lines.append(f"if v > {var}: {var} = v")
 
-    * for ARITH / SHIFT_LEFT / SHIFT_RIGHT the intra-instruction chain
-      forces ``ready >= complete[prev] == prev_start + 1``, so the
-      explicit in-order rule is subsumed and one closure serves both
-      slice-issue disciplines;
-    * the chains also make per-slice completions monotone along the
-      iteration order, so ``max(complete)`` is the last computed value;
-    * reservation calls hit the per-slice pools in the reference's
-      exact order, keeping the bandwidth-pool state bit-identical.
+
+def _reserve(lines, k):
+    """:meth:`BandwidthPool.reserve` on issue pool *k*, inlined: moves
+    ``r`` to the first cycle at or above it with a free slot."""
+    lines += [
+        f"if r < p{k}._floor: r = p{k}._floor",
+        f"n = u{k}.get(r, 0)",
+        "while n >= W:",
+        "    r += 1",
+        f"    n = u{k}.get(r, 0)",
+        f"u{k}[r] = n + 1",
+        f"if len(u{k}) > {PRUNE_ABOVE}: p{k}._prune(r - {PRUNE_KEEP})",
+    ]
+
+
+def _slices(lines, klass, S, in_order, nsrc):
+    """Figure 8 on *S* slice pipes (:meth:`TimingSimulator._schedule_sliced`).
+
+    Sets ``c0`` .. ``c{S-1}`` (slice completions), ``complete`` (their
+    maximum) and ``claim`` (the slice-wait claim).  Slices are issued in
+    the reference's order, so the pools see the same reservations.  A
+    chained slice waits for ``c`` of the slice before it, which is past
+    ``earliest`` and equals that slice's start + 1, so in-order issue
+    needs no code of its own; chained completions grow along the order,
+    so the last is the maximum.
     """
-    scheds = sim._scheds
-    sched = scheds.get(klass)
-    if sched is not None:
-        return sched
-    S = sim.num_slices
-    pools = [p.reserve for p in sim.issue_pools]
-    ks = tuple(range(1, S))
-    if klass is OpClass.ARITH:
-        r0 = pools[0]
-
-        def sched(earliest, sr):
-            ready = sr[0]
-            if earliest > ready:
-                ready = earliest
-            start = r0(ready)
-            c = start + 1
-            out = [c]
-            append = out.append
-            for k in ks:
-                ready = sr[k]
-                if c > ready:
-                    ready = c
-                if earliest > ready:
-                    ready = earliest
-                c = pools[k](ready) + 1
-                append(c)
-            sim._claim_slice += c - start - 1
-            return out
-    elif klass is OpClass.SHIFT_LEFT:
-        r0 = pools[0]
-
-        def sched(earliest, sr):
-            m = sr[0]
-            ready = m if m > earliest else earliest
-            start = r0(ready)
-            c = start + 1
-            out = [c]
-            append = out.append
-            for k in ks:
-                v = sr[k]
-                if v > m:
-                    m = v
-                ready = m
-                if c > ready:
-                    ready = c
-                if earliest > ready:
-                    ready = earliest
-                c = pools[k](ready) + 1
-                append(c)
-            sim._claim_slice += c - start - 1
-            return out
-    elif klass is OpClass.SHIFT_RIGHT:
-        top = S - 1
-        rt = pools[top]
-        ks_down = tuple(range(S - 2, -1, -1))
-
-        def sched(earliest, sr):
-            m = sr[top]
-            ready = m if m > earliest else earliest
-            start = rt(ready)
-            c = start + 1
-            out = [0] * S
-            out[top] = c
-            for k in ks_down:
-                v = sr[k]
-                if v > m:
-                    m = v
-                ready = m
-                if c > ready:
-                    ready = c
-                if earliest > ready:
-                    ready = earliest
-                c = pools[k](ready) + 1
-                out[k] = c
-            sim._claim_slice += c - start - 1
-            return out
-    else:  # LOGIC / ZERO_TEST: independent slices, no chain
-        r0 = pools[0]
-        if sim.ooo_slices:
-            def sched(earliest, sr):
-                ready = sr[0]
-                if earliest > ready:
-                    ready = earliest
-                start = r0(ready)
-                c = start + 1
-                out = [c]
-                append = out.append
-                mx = c
-                for k in ks:
-                    ready = sr[k]
-                    if earliest > ready:
-                        ready = earliest
-                    c = pools[k](ready) + 1
-                    if c > mx:
-                        mx = c
-                    append(c)
-                sim._claim_slice += mx - start - 1
-                return out
+    chained = klass in _CHAINED or in_order
+    shift = klass is OpClass.SHIFT_LEFT or klass is OpClass.SHIFT_RIGHT
+    prev = None
+    for k in range(S - 1, -1, -1) if klass is OpClass.SHIFT_RIGHT else range(S):
+        slots = [f"s{i}_{k}" for i in range(nsrc)]
+        if not shift:
+            _max_of(lines, "r", slots)
+        else:  # shifted-in bits: every source slice from the first in order
+            if prev is None:
+                _max_of(lines, "m", slots)
+            else:
+                for slot in slots:
+                    lines.append(f"v = rr[{slot}]")
+                    lines.append("if v > m: m = v")
+            lines.append("r = m")
+        if chained and prev is not None:
+            lines.append(f"if {prev} > r: r = {prev}")
         else:
-            def sched(earliest, sr):
-                ready = sr[0]
-                if earliest > ready:
-                    ready = earliest
-                prev = r0(ready)
-                c = prev + 1
-                out = [c]
-                append = out.append
-                start = prev
-                mx = c
-                for k in ks:
-                    ready = sr[k]
-                    if c > ready:  # prev_start + 1 == c for unit-latency slices
-                        ready = c
-                    if earliest > ready:
-                        ready = earliest
-                    prev = pools[k](ready)
-                    c = prev + 1
-                    if c > mx:
-                        mx = c
-                    append(c)
-                sim._claim_slice += mx - start - 1
-                return out
-    scheds[klass] = sched
-    return sched
+            lines.append("if earliest > r: r = earliest")
+        _reserve(lines, k)
+        if prev is None:
+            lines.append("start = r")
+        lines.append(f"c{k} = r + 1")
+        prev = f"c{k}"
+    lines.append(f"complete = {prev}")
+    if not chained:
+        lines += [f"if c{k} > complete: complete = c{k}" for k in range(S - 1)]
+    lines.append("claim = complete - start - 1")
+
+
+def _issue(lines, nsrc, width, unit):
+    """An atomic op, issued once its sources are whole: ``complete``."""
+    _max_of(lines, "r", [f"s{i}_{k}" for i in range(nsrc) for k in range(width)])
+    lines.append("if earliest > r: r = earliest")
+    if unit:  # ExclusiveUnit.reserve
+        lines += [
+            "if unit._free_at > r: r = unit._free_at",
+            "complete = r + lat",
+            "unit._free_at = complete",
+        ]
+    else:
+        _reserve(lines, 0)
+        lines.append("complete = r + lat")
+
+
+def _agen(lines, nsrc, width):
+    """Address generation (:meth:`TimingSimulator._agen`): ``agen``,
+    ``claim``.  Unsliced machines read only the full address."""
+    if width > 1:
+        _slices(lines, OpClass.ARITH, width, False, nsrc)
+        lines.append(f"agen = ({', '.join(f'c{k}' for k in range(width))},)")
+    else:
+        _issue(lines, nsrc, 1, False)
+        lines += ["agen = (complete,)", "claim = 0"]
+
+
+def _source(shape) -> str:
+    """Source of the handler factory for one *shape*.
+
+    The handler is ``handler(record, earliest, dispatch, out)`` and
+    returns ``(complete, result_times, resolve, lsd, ptm, memory,
+    slice)``: the completion cycle, the per-slice result times a
+    sliced ALU op publishes (*complete* otherwise), the control
+    resolution cycle (``None`` off control transfers) and the
+    instruction's CPI claims besides fetch's.
+    """
+    kind, width, nsrc, nwd, flags = shape
+    lines: list[str] = []
+    times = "complete"
+    resolve = "None"
+    claims = "0, 0, 0, claim"
+    scalar = True  # writes `complete` to every destination slice
+    if kind == "direct":  # no issue slot: the cycle after the whole sources
+        _max_of(lines, "r", [f"s{i}_{k}" for i in range(nsrc) for k in range(width)])
+        lines.append("complete = (earliest if earliest > r else r) + 1")
+        claims = "0, 0, 0, 0"
+        resolve = "complete" if flags else "None"
+    elif kind == "issue":  # unsliced ops, FULL units
+        unit, is_branch = flags
+        _issue(lines, nsrc, width, unit)
+        claims = "0, 0, 0, 0"
+        resolve = "complete" if is_branch else "None"
+    elif kind == "slices":  # sliceable ALU ops
+        klass, in_order, narrow = flags
+        _slices(lines, klass, width, in_order, nsrc)
+        times = "per"
+        scalar = False
+        per = f"[{', '.join(f'c{k}' for k in range(width))}]"
+        if narrow:
+            lines.append(f"per = relax({per}, record.result)")
+            lines += [f"rr[d{j}_0:d{j}_0 + {width}] = per" for j in range(nwd)]
+        else:
+            lines.append(f"per = {per}")
+            lines += [f"rr[d{j}_{k}] = c{k}" for j in range(nwd) for k in range(width)]
+    elif kind == "sign":  # slt family and sign-testing branches: the top slice
+        _slices(lines, OpClass.ARITH, width, False, nsrc)
+        resolve = "complete" if flags else "None"
+    elif kind == "zero":  # beq / bne, with §5.3 early resolution
+        in_order, early = flags
+        _slices(lines, OpClass.ZERO_TEST, width, in_order, nsrc)
+        lines.append("resolve = complete")
+        resolve = "resolve"
+        if early:
+            pick = "per[diff[0]]" if in_order else "min([per[k] for k in diff])"
+            lines += [
+                # The front end's gshare prediction, as the reference
+                # loop reads it before training.
+                "taken = out & 1 == 1",
+                "if taken != record.taken and can_resolve_early(mnem, taken):",
+                f"    diff = slices_containing_difference(record.rs_val, record.rt_val, {width})",
+                "    if diff:",
+                f"        per = ({', '.join(f'c{k}' for k in range(width))},)",
+                f"        resolve = {pick}",
+                "        if resolve < complete:",
+                "            stats = sim.stats",
+                "            stats.early_resolved_mispredicts += 1",
+                "            extra = stats.extra",
+                '            extra["early_branch_saved_cycles"] = (',
+                '                extra.get("early_branch_saved_cycles", 0) + (complete - resolve)',
+                "            )",
+            ]
+    elif kind == "load":
+        _agen(lines, nsrc, width)
+        lines.append("complete, lsd, ptm, mem = load_tail(record, agen, dispatch, out)")
+        claims = "lsd, ptm, mem, claim"
+    elif kind == "store":
+        _agen(lines, nsrc, width)
+        # Data readiness reads the register the raw rt field names, as
+        # the reference loop does (a GPR even for swc1).
+        _max_of(lines, "data", [f"t{k}" for k in range(width)])
+        lines += [
+            "complete = agen[-1]",
+            "if data > complete: complete = data",
+            "addr = record.mem_addr",
+            # Committed by the loop once it knows the commit cycle.
+            "entry = Entry(sim.seq, addr, agen, data, 0, dispatch)",
+            "window.append(entry)",
+            "fwd[addr & ~3] = entry",
+        ]
+    else:  # pragma: no cover - bind_plan names every kind
+        raise ValueError(f"unknown handler kind {kind!r}")
+    if scalar:
+        lines += [f"rr[d{j}_{k}] = complete" for j in range(nwd) for k in range(width)]
+    lines.append(f"return complete, {times}, {resolve}, {claims}")
+
+    out = [
+        "def factory(rr, s, d, t, p, u, W, lat, unit, load_tail, relax, sim, window, fwd,"
+        " Entry, mnem):"
+    ]
+    for tup, names in (
+        ("s", [f"s{i}_{k}" for i in range(nsrc) for k in range(width)]),
+        ("d", [f"d{j}_{k}" for j in range(nwd) for k in range(width)]),
+        ("t", [f"t{k}" for k in range(width)] if kind == "store" else []),
+        ("p", [f"p{k}" for k in range(width)]),
+        ("u", [f"u{k}" for k in range(width)]),
+    ):
+        if names:
+            out.append(f"    {', '.join(names)}, = {tup}")
+    out.append("    def handler(record, earliest, dispatch, out):")
+    out += [f"        {line}" for line in lines]
+    out.append("    return handler")
+    return "\n".join(out) + "\n"
+
+
+def _factory(shape):
+    """The compiled handler factory for *shape* (compiled on first use)."""
+    factory = _FACTORIES.get(shape)
+    if factory is None:
+        env = {
+            "can_resolve_early": can_resolve_early,
+            "slices_containing_difference": slices_containing_difference,
+        }
+        exec(compile(_source(shape), f"<timing handler {shape[0]}>", "exec"), env)
+        factory = _FACTORIES[shape] = env["factory"]
+    return factory
+
+
+def _full_unit(sim, m):
+    """FULL-unit latency and exclusive unit (``None``: issue pool 0)."""
+    cfg = sim.config
+    ex = cfg.ex_stages
+    if m in ("mult", "multu"):
+        return max(cfg.int_mult_lat, ex), sim.multdiv
+    if m in ("div", "divu"):
+        return max(cfg.int_div_lat, ex), sim.multdiv
+    if m == "mul.s":
+        return max(cfg.fp_mult_lat, ex), sim.fp_muldiv
+    if m == "div.s":
+        return max(cfg.fp_div_lat, ex), sim.fp_muldiv
+    if m == "sqrt.s":
+        return max(cfg.fp_sqrt_lat, ex), sim.fp_muldiv
+    if m.endswith(".s") or m.endswith(".w"):
+        return max(cfg.fp_alu_lat, ex), None
+    return ex, None
 
 
 def bind_plan(sim, inst, load_tail):
-    """Bind one static instruction to its specialized scheduler.
+    """Bind one static instruction to its generated handler.
 
     Returns ``(handler, is_mem, is_control, is_branch, is_store)``;
-    ``handler(record, earliest_exec, dispatch, out)`` performs the
-    execute stage (including destination writeback to the flat
-    scoreboard) given the record's front-end outcome code *out*, and
-    returns ``(complete, result_times, resolve)`` exactly as the
+    ``handler(record, earliest, dispatch, out)`` performs the execute
+    stage given the record's front-end outcome code *out*: operand
+    readiness, the Figure 8 slice schedule with its issue-pool
+    reservations, destination writeback to the flat scoreboard, and a
+    store's LSQ entry.  It returns ``(complete, result_times, resolve,
+    lsd, ptm, memory, slice)`` (:func:`_source`) exactly as the
     reference loop computes them.  Loads finish through *load_tail*
     (:func:`_load_tail_for`).
+
+    An unsliced machine writes every register slice at once, so its
+    handlers track slice 0 of each register only.
     """
-    cfg = sim.config
-    S = sim.num_slices
-    rr = sim._rr
     m = inst.mnemonic
     klass = op_class(m)
-    is_mem = klass is OpClass.LOAD or klass is OpClass.STORE
-    is_store = klass is OpClass.STORE
     is_branch = inst.is_branch
-    is_control = inst.is_control
+    sliced = sim.sliced
+    S = sim.num_slices
+    width = S if sliced else 1
     srcs = inst.src_regs()
     dsts = inst.dst_regs()
-    has_dsts = bool(dsts)
-    wdsts = tuple(r * S for r in dsts if r != 0)
-    sliced = sim.sliced
-    narrow = sim.narrow
-    relax = sim._relax_narrow
-    reserve0 = sim.issue_pools[0].reserve
-    ex_stages = cfg.ex_stages
-
-    # --- source readiness readers over the flat scoreboard ---
-    if not srcs:
-        def src_ready():
-            return [0] * S
-
-        def full_ready():
-            return 0
-    elif len(srcs) == 1:
-        b0 = srcs[0] * S
-
-        def src_ready():
-            return rr[b0:b0 + S]
-
-        def full_ready():
-            return max(rr[b0:b0 + S])
-    else:
-        bases = tuple(r * S for r in srcs)
-
-        def src_ready():
-            out = rr[bases[0]:bases[0] + S]
-            for b in bases[1:]:
-                for s in range(S):
-                    v = rr[b + s]
-                    if v > out[s]:
-                        out[s] = v
-            return out
-
-        def full_ready():
-            return max(max(rr[b:b + S]) for b in bases)
-
-    # --- destination writeback ---
-    if len(wdsts) == 1:
-        d0 = wdsts[0]
-
-        def write_scalar(t):
-            for s in range(S):
-                rr[d0 + s] = t
-
-        def write_list(times):
-            rr[d0:d0 + S] = times
-    else:
-        def write_scalar(t):
-            for d in wdsts:
-                for s in range(S):
-                    rr[d + s] = t
-
-        def write_list(times):
-            for d in wdsts:
-                rr[d:d + S] = times
-
-    # ------------------------------------------------------------- NOP
+    lat = sim.config.ex_stages
+    unit = None
+    data = ()
     if klass is OpClass.NOP or inst.is_nop:
-        def handler(record, earliest, dispatch, out):
-            complete = earliest + 1
-            if has_dsts:
-                write_scalar(complete)
-            return complete, complete, None
-
-    # ------------------------------------------------- sliceable ALU ops
+        srcs = ()
+        kind, flags = "direct", False
     elif klass in _ALU_CLASSES:
         if sliced:
-            sched = _sched_for(sim, klass)
-
-            def handler(record, earliest, dispatch, out):
-                per = sched(earliest, src_ready())
-                complete = max(per)
-                if has_dsts:
-                    if narrow:
-                        per = relax(per, record.result)
-                    write_list(per)
-                return complete, per, None
+            in_order = klass is OpClass.LOGIC and not sim.ooo_slices
+            kind, flags = "slices", (klass, in_order, sim.narrow and bool(dsts))
         else:
-            def handler(record, earliest, dispatch, out):
-                ready = full_ready()
-                if earliest > ready:
-                    ready = earliest
-                complete = reserve0(ready) + ex_stages
-                if has_dsts:
-                    write_scalar(complete)
-                return complete, complete, None
-
-    # ------------------------------------------------ compare (non-branch)
+            kind, flags = "issue", (False, False)
     elif klass is OpClass.COMPARE and not is_branch:
-        if sliced:
-            sched = _sched_for(sim, OpClass.ARITH)
-
-            def handler(record, earliest, dispatch, out):
-                per = sched(earliest, src_ready())
-                complete = per[-1]
-                if has_dsts:
-                    write_scalar(complete)
-                return complete, complete, None
-        else:
-            def handler(record, earliest, dispatch, out):
-                ready = full_ready()
-                if earliest > ready:
-                    ready = earliest
-                complete = reserve0(ready) + ex_stages
-                if has_dsts:
-                    write_scalar(complete)
-                return complete, complete, None
-
-    # ------------------------------------------------------ FULL units
+        kind, flags = ("sign", False) if sliced else ("issue", (False, False))
     elif klass is OpClass.FULL:
-        latency = ex_stages
-        if m in ("mult", "multu"):
-            latency = max(cfg.int_mult_lat, ex_stages)
-        elif m in ("div", "divu"):
-            latency = max(cfg.int_div_lat, ex_stages)
-        elif m == "mul.s":
-            latency = max(cfg.fp_mult_lat, ex_stages)
-        elif m == "div.s":
-            latency = max(cfg.fp_div_lat, ex_stages)
-        elif m == "sqrt.s":
-            latency = max(cfg.fp_sqrt_lat, ex_stages)
-        elif m.endswith(".s") or m.endswith(".w"):
-            latency = max(cfg.fp_alu_lat, ex_stages)
-        if m in ("mult", "multu", "div", "divu"):
-            unit_reserve = sim.multdiv.reserve
-        elif m in ("mul.s", "div.s", "sqrt.s"):
-            unit_reserve = sim.fp_muldiv.reserve
-        else:
-            unit_reserve = None
-        if unit_reserve is not None:
-            def handler(record, earliest, dispatch, out, _lat=latency, _res=unit_reserve):
-                ready = full_ready()
-                if earliest > ready:
-                    ready = earliest
-                complete = _res(ready, _lat) + _lat
-                if has_dsts:
-                    write_scalar(complete)
-                return complete, complete, None
-        else:
-            def handler(record, earliest, dispatch, out, _lat=latency):
-                ready = full_ready()
-                if earliest > ready:
-                    ready = earliest
-                complete = reserve0(ready) + _lat
-                if has_dsts:
-                    write_scalar(complete)
-                return complete, complete, None
-
-    # ----------------------------------------------------------- loads
+        lat, unit = _full_unit(sim, m)
+        kind, flags = "issue", (unit is not None, False)
     elif klass is OpClass.LOAD:
-        agen_fn = _bind_agen(sim, srcs, src_ready, full_ready)
-
-        def handler(record, earliest, dispatch, out):
-            data_ready = load_tail(record, agen_fn(earliest), dispatch, out)
-            sim.stats.loads += 1
-            if has_dsts:
-                write_scalar(data_ready)
-            return data_ready, data_ready, None
-
-    # ---------------------------------------------------------- stores
+        kind, flags = "load", None
     elif klass is OpClass.STORE:
-        agen_fn = _bind_agen(sim, srcs[:1], None, None)
-        rt_base = inst.rt * S  # raw rt, replicating the reference quirk
-
-        def handler(record, earliest, dispatch, out):
-            agen = agen_fn(earliest)
-            data_ready = max(rr[rt_base:rt_base + S])
-            complete = agen[-1]
-            if data_ready > complete:
-                complete = data_ready
-            sim.stats.stores += 1
-            sim._store_agen = agen
-            sim._store_data = data_ready
-            return complete, complete, None
-
-    # -------------------------------------------------------- branches
+        srcs = srcs[:1]  # address generation reads the base register only
+        data = (inst.rt,)
+        kind, flags = "store", None
     elif is_branch:
-        handler = _bind_branch(sim, inst, src_ready, full_ready, write_scalar, has_dsts)
-
-    # ----------------------------------------------------------- jumps
-    elif klass is OpClass.JUMP:
-        if m in ("j", "jal"):
-            def handler(record, earliest, dispatch, out):
-                complete = earliest + 1
-                if has_dsts:
-                    write_scalar(complete)
-                return complete, complete, complete
-        else:  # jr / jalr need the full register value
-            def handler(record, earliest, dispatch, out):
-                ready = full_ready()
-                complete = (earliest if earliest > ready else ready) + 1
-                if has_dsts:
-                    write_scalar(complete)
-                return complete, complete, complete
-
-    # ----------------------------------------------- syscall / serialize
-    else:
-        def handler(record, earliest, dispatch, out):
-            ready = full_ready()
-            complete = (earliest if earliest > ready else ready) + 1
-            if has_dsts:
-                write_scalar(complete)
-            return complete, complete, None
-
-    return handler, is_mem, is_control, is_branch, is_store
-
-
-def _bind_agen(sim, base_regs, src_ready, full_ready):
-    """Address-generation closure over the flat scoreboard
-    (replicating :meth:`TimingSimulator._agen`)."""
-    S = sim.num_slices
-    rr = sim._rr
-    reserve0 = sim.issue_pools[0].reserve
-    ex_stages = sim.config.ex_stages
-    if src_ready is None:
-        # Store path: agen over the base register only.
-        if base_regs:
-            b0 = base_regs[0] * S
-
-            def src_ready():
-                return rr[b0:b0 + S]
-
-            def full_ready():
-                return max(rr[b0:b0 + S])
-        else:  # pragma: no cover - every load/store has a base register
-            def src_ready():
-                return [0] * S
-
-            def full_ready():
-                return 0
-    if sim.sliced:
-        sched = _sched_for(sim, OpClass.ARITH)
-
-        def agen_fn(earliest):
-            return tuple(sched(earliest, src_ready()))
-    elif S > 1:
-        def agen_fn(earliest):
-            ready = full_ready()
-            if earliest > ready:
-                ready = earliest
-            return (reserve0(ready) + ex_stages,) * S
-    else:
-        def agen_fn(earliest):
-            ready = full_ready()
-            if earliest > ready:
-                ready = earliest
-            return (reserve0(ready) + ex_stages,)
-    return agen_fn
+        if not sliced:
+            kind, flags = "issue", (False, True)
+        elif m in ("beq", "bne"):
+            kind, flags = "zero", (not sim.ooo_slices, sim.early_branch)
+        else:
+            kind, flags = "sign", True
+    else:  # j / jal; jr / jalr / syscall / break need whole registers
+        kind, flags = "direct", klass is OpClass.JUMP
+    # $0 is never written, so it is ready at cycle 0 and drops out.
+    srcs = tuple(r for r in srcs if r)
+    wdsts = tuple(r for r in dsts if r)
+    pools = tuple(sim.issue_pools[:width])
+    handler = _factory((kind, width, len(srcs), len(wdsts), flags))(
+        sim._rr,
+        tuple(r * S + k for r in srcs for k in range(width)),
+        tuple(r * S + k for r in wdsts for k in range(width)),
+        tuple(r * S + k for r in data for k in range(width)),
+        pools,
+        tuple(pool._used for pool in pools),
+        sim.config.issue_width,
+        lat,
+        unit,
+        load_tail,
+        sim._relax_narrow,
+        sim,
+        sim.store_window,
+        sim._fwd,
+        _StoreEntry,
+        m,
+    )
+    is_mem = klass is OpClass.LOAD or klass is OpClass.STORE
+    return handler, is_mem, inst.is_control, is_branch, klass is OpClass.STORE
 
 
 def _load_tail_for(sim, columns, replaying):
@@ -545,6 +462,10 @@ def _load_tail_for(sim, columns, replaying):
     A run that *replays* the columns instead takes each recorded
     decision, after checking it would decide the same way
     (:class:`~repro.timing.frontend.HazardDivergence` otherwise).
+
+    ``load_tail(record, agen, dispatch, out)`` returns ``(data_ready,
+    lsd, ptm, memory)``: the cycle the data is ready and the load's
+    disambiguation, way-mispredict and memory CPI claims.
 
     Equivalence of the incremental store window with the reference's
     per-load filter ``[s for s in window if s.commit > dispatch]``:
@@ -615,7 +536,7 @@ def _load_tail_for(sim, columns, replaying):
         stats = sim.stats
         addr = record.mem_addr
         a_full = agen[-1]
-        release = 0
+        release = lsd = 0
         if window:
             stats.lsd_searches += 1
             word = addr & ~3
@@ -636,10 +557,13 @@ def _load_tail_for(sim, columns, replaying):
                         t_unique = max(t_unique, store.agen_times[k], agen[k])
                     extra = stats.extra
                     extra["spec_forwards"] = extra.get("spec_forwards", 0) + 1
-                    return max(t_unique, forward.data_ready) + 1
-                return max(a_full, forward.agen_times[-1], forward.data_ready) + 1
+                    return max(t_unique, forward.data_ready) + 1, 0, 0, 0
+                return max(a_full, forward.agen_times[-1], forward.data_ready) + 1, 0, 0, 0
             if not early_lsd:
-                release = max(s.agen_times[-1] for s in window)
+                for store in window:
+                    t = store.agen_times[-1]
+                    if t > release:
+                        release = t
             else:
                 # Early disambiguation (§5.1): rule each store out at
                 # the first differing address slice.
@@ -678,7 +602,7 @@ def _load_tail_for(sim, columns, replaying):
                         extra.get("spec_forward_mispredicts", 0) + 1
                     )
                     release = max(release, a_full) + replay
-                    sim._claim_lsd += replay
+                    lsd = replay
                     if obs_on:
                         events.emit(
                             REPLAY, release, sim.seq, record.pc, {"reason": "spec_forward"}
@@ -691,7 +615,7 @@ def _load_tail_for(sim, columns, replaying):
             if sum_addressed:
                 index_ready -= 1
             if release > index_ready:
-                sim._claim_lsd += release - index_ready
+                lsd += release - index_ready
             access_start = index_ready if index_ready > release else release
             settled = out >> 2 <= ptm_width
             stats.ptm_accesses += 1
@@ -699,106 +623,47 @@ def _load_tail_for(sim, columns, replaying):
                 stats.l1d_hits += 1
                 if settled:
                     stats.ptm_early_hits += 1
-                    return access_start + l1_latency
+                    return access_start + l1_latency, lsd, 0, 0
                 stats.ptm_way_mispredicts += 1
-                sim._claim_ptm += l1_latency + replay
                 if obs_on:
                     events.emit(
                         WAY_MISPREDICT, access_start + l1_latency, sim.seq, record.pc,
                         {"addr": addr},
                     )
-                return max(a_full, access_start + l1_latency) + l1_latency + replay
+                return (
+                    max(a_full, access_start + l1_latency) + l1_latency + replay,
+                    lsd, l1_latency + replay, 0,
+                )
             lat = latency[level]
             stats.l1d_misses += 1
             stats.load_replays += 1
-            sim._claim_mem += (lat - l1_latency) + replay
             if obs_on:
                 events.emit(
                     REPLAY, access_start + lat, sim.seq, record.pc, {"reason": "l1d_miss"}
                 )
+            mem = (lat - l1_latency) + replay
             if settled:  # zero match: the miss is known early
                 stats.ptm_early_misses += 1
-                return access_start + lat + replay
-            return max(a_full, access_start) + lat + replay
+                return access_start + lat + replay, lsd, 0, mem
+            return max(a_full, access_start) + lat + replay, lsd, 0, mem
 
         index_time = a_full - 1 if sum_addressed else a_full
         if release > index_time:
-            sim._claim_lsd += release - index_time
+            lsd += release - index_time
         access_start = index_time if index_time > release else release
         lat = latency[level]
         if level == L1:
             stats.l1d_hits += 1
-            return access_start + lat
+            return access_start + lat, lsd, 0, 0
         stats.l1d_misses += 1
         stats.load_replays += 1
-        sim._claim_mem += (lat - l1_latency) + replay
         if obs_on:
             events.emit(
                 REPLAY, access_start + lat, sim.seq, record.pc, {"reason": "l1d_miss"}
             )
-        return access_start + lat + replay
+        return access_start + lat + replay, lsd, 0, (lat - l1_latency) + replay
 
     return load_tail
-
-
-def _bind_branch(sim, inst, src_ready, full_ready, write_scalar, has_dsts):
-    """Conditional-branch closure (replicating :meth:`TimingSimulator._branch`)."""
-    m = inst.mnemonic
-    reserve0 = sim.issue_pools[0].reserve
-    ex_stages = sim.config.ex_stages
-    if m in ("beq", "bne") and sim.sliced:
-        early_branch = sim.early_branch
-        ooo = sim.ooo_slices
-        S = sim.num_slices
-        sched = _sched_for(sim, OpClass.ZERO_TEST)
-
-        def handler(record, earliest, dispatch, out):
-            per = sched(earliest, src_ready())
-            complete = max(per)
-            resolve = complete
-            if early_branch:
-                # The front end's gshare prediction, as the reference
-                # reads it before training.
-                predicted_taken = bool(out & 1)
-                if predicted_taken != record.taken and can_resolve_early(m, predicted_taken):
-                    diff_slices = slices_containing_difference(
-                        record.rs_val, record.rt_val, S
-                    )
-                    if diff_slices:
-                        if ooo:
-                            resolve = min(per[k] for k in diff_slices)
-                        else:
-                            resolve = per[diff_slices[0]]
-                        if resolve < complete:
-                            stats = sim.stats
-                            stats.early_resolved_mispredicts += 1
-                            extra = stats.extra
-                            extra["early_branch_saved_cycles"] = (
-                                extra.get("early_branch_saved_cycles", 0)
-                                + (complete - resolve)
-                            )
-            if has_dsts:  # pragma: no cover - conditional branches have no dsts
-                write_scalar(complete)
-            return complete, complete, resolve
-    elif sim.sliced:
-        sched = _sched_for(sim, OpClass.ARITH)
-
-        def handler(record, earliest, dispatch, out):
-            per = sched(earliest, src_ready())
-            complete = per[-1]
-            if has_dsts:  # pragma: no cover - conditional branches have no dsts
-                write_scalar(complete)
-            return complete, complete, complete
-    else:
-        def handler(record, earliest, dispatch, out):
-            ready = full_ready()
-            if earliest > ready:
-                ready = earliest
-            complete = reserve0(ready) + ex_stages
-            if has_dsts:  # pragma: no cover - conditional branches have no dsts
-                write_scalar(complete)
-            return complete, complete, complete
-    return handler
 
 
 # ------------------------------------------------------------- main loop
@@ -819,13 +684,12 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
     Runs the two passes: the front-end pass walks the records over the
     simulator's predictor and hierarchy (or the simulator replays the
     columns another run handed it, hazard decisions included), then the
-    timing pass replays them through the pre-bound plans with fetch
+    timing pass replays them through the generated handlers with fetch,
+    commit and the CPI waterfall (:func:`repro.obs.attribution.attribute_delta`)
     inlined.  Statement order and arithmetic mirror
     :meth:`TimingSimulator.run_reference`; the lockstep cross-check
     enforces bit-identity.
     """
-    from repro.timing.simulator import CPI_SAMPLE_INTERVAL, _StoreEntry
-
     cfg = sim.config
     stats = sim.stats
     ev = sim.events
@@ -857,7 +721,6 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
     commit_ring = sim.commit_ring
     mem_ring = sim.mem_commit_ring
     window = sim.store_window
-    fwd = sim._fwd
     dispatch_stage = cfg.dispatch_stage
     frontend_depth = cfg.frontend_depth
     retire_stages = cfg.retire_stages
@@ -868,6 +731,9 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
     # Stall a fetch-line transition served below the L1 adds, by level.
     fetch_penalty = (0, 0, cfg.l2_latency, cfg.l2_latency + cfg.memory_latency)
 
+    # Free RUU and LSQ entries until the rings fill (they never drain).
+    ruu_free = ruu_size - len(commit_ring)
+    lsq_free = lsq_size - len(mem_ring)
     fetch_cycle = sim.fetch_cycle
     fetched = sim.fetched_this_cycle
     redirect_at = sim.redirect_at
@@ -897,8 +763,6 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
                 if prof is not None:
                     prof.clear()
             seq += 1
-            sim.seq = seq
-            sim._claim_lsd = sim._claim_ptm = sim._claim_mem = sim._claim_slice = 0
             handler, is_mem, is_control, is_branch, is_store = plans[s]
 
             # ---------------- fetch (TimingSimulator._fetch) ----------------
@@ -906,7 +770,7 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
             earliest = redirect_at
             if earliest > fetch_cycle:
                 cb = earliest - fetch_cycle
-            if len(commit_ring) >= ruu_size:
+            if ruu_free <= 0:
                 free_at = commit_ring[0] - dispatch_stage
                 if free_at > earliest:
                     stall = free_at - (earliest if earliest > fetch_cycle else fetch_cycle)
@@ -914,14 +778,17 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
                         stats.ruu_stall_cycles += stall
                         cr = stall
                     earliest = free_at
-            if is_mem and len(mem_ring) >= lsq_size:
-                free_at = mem_ring[0] - dispatch_stage
-                if free_at > earliest:
-                    stall = free_at - (earliest if earliest > fetch_cycle else fetch_cycle)
-                    if stall > 0:
-                        stats.lsq_stall_cycles += stall
-                        cq = stall
-                    earliest = free_at
+            if is_mem:
+                # The load tail and a store's LSQ entry read the sequence number.
+                sim.seq = seq
+                if lsq_free <= 0:
+                    free_at = mem_ring[0] - dispatch_stage
+                    if free_at > earliest:
+                        stall = free_at - (earliest if earliest > fetch_cycle else fetch_cycle)
+                        if stall > 0:
+                            stats.lsq_stall_cycles += stall
+                            cq = stall
+                        earliest = free_at
             if earliest > fetch_cycle:
                 fetch_cycle = earliest
                 fetched = 0
@@ -939,7 +806,9 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
             F = fetch_cycle
             dispatch = F + dispatch_stage
 
-            complete, result_times, resolve = handler(record, F + frontend_depth, dispatch, out)
+            complete, result_times, resolve, cd, cp, cml, cs = handler(
+                record, F + frontend_depth, dispatch, out
+            )
 
             # ---------------- control redirect ----------------
             if is_control:
@@ -965,14 +834,41 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
                 at_last = 1
             delta = commit - last
             if delta:
-                cd = sim._claim_lsd
-                cp = sim._claim_ptm
-                cm += sim._claim_mem
-                cs = sim._claim_slice
-                if cb | cr | cq | cd | cp | cm | cs:
-                    attribute_delta(stats, delta, (cb, cr, cq, cd, cp, cm, cs))
-                else:
-                    stats.cpi_base += delta
+                # The CPI waterfall (attribute_delta): each claim, in
+                # priority order, takes what it can of the cycles left.
+                cm += cml
+                rem = delta
+                if cb | cr | cq | cd | cp | cm:
+                    if cb > 0:
+                        take = cb if cb < rem else rem
+                        stats.cpi_branch_recovery += take
+                        rem -= take
+                    if cr > 0 and rem:
+                        take = cr if cr < rem else rem
+                        stats.cpi_ruu_stall += take
+                        rem -= take
+                    if cq > 0 and rem:
+                        take = cq if cq < rem else rem
+                        stats.cpi_lsq_stall += take
+                        rem -= take
+                    if cd > 0 and rem:
+                        take = cd if cd < rem else rem
+                        stats.cpi_lsd_wait += take
+                        rem -= take
+                    if cp > 0 and rem:
+                        take = cp if cp < rem else rem
+                        stats.cpi_ptm_replay += take
+                        rem -= take
+                    if cm > 0 and rem:
+                        take = cm if cm < rem else rem
+                        stats.cpi_memory += take
+                        rem -= take
+                if cs > 0 and rem:
+                    take = cs if cs < rem else rem
+                    stats.cpi_slice_wait += take
+                    rem -= take
+                if rem:
+                    stats.cpi_base += rem
                 if prof is not None:
                     profile_delta(
                         prof, record.pc, delta, (cb, cr, cq, cd, cp, cm, cs)
@@ -981,15 +877,15 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
             if first_commit is None:
                 first_commit = commit
             commit_ring.append(commit)
+            ruu_free -= 1
             if is_mem:
                 mem_ring.append(commit)
+                lsq_free -= 1
                 if is_store:
-                    addr = record.mem_addr
-                    entry = _StoreEntry(
-                        seq, addr, sim._store_agen, sim._store_data, commit, dispatch
-                    )
-                    window.append(entry)
-                    fwd[addr & ~3] = entry
+                    window[-1].commit = commit
+                    stats.stores += 1
+                else:
+                    stats.loads += 1
 
             if obs_on:
                 pc = record.pc
@@ -1030,6 +926,7 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
         if start < n:
             walked = columns.walk(records, start)
             plans.extend(bind_plan(sim, inst, load_tail) for inst in statics[len(plans):])
+
 
     sim.fetch_cycle = fetch_cycle
     sim.fetched_this_cycle = fetched

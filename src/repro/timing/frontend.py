@@ -40,6 +40,7 @@ from __future__ import annotations
 from itertools import islice
 
 from repro.isa.opclass import OpClass, op_class
+from repro.memsys.hierarchy import L1D_CONFIG, L1I_CONFIG, L2_CONFIG
 
 #: Cache level that served an access; 0 in the fetch column when the
 #: record stayed on the current fetch line.
@@ -72,13 +73,15 @@ def record_kind(inst) -> int:
     return CONTROL if inst.is_control else OTHER
 
 
-def front_end_key(predictor, hierarchy, lsq_size: int) -> tuple:
+def front_end_key(config) -> tuple:
     """Everything besides the records and the starting state that a
-    hazard-free front-end pass depends on."""
-    gshare, btb = predictor.gshare, predictor.btb
+    hazard-free front-end pass under *config* depends on: the geometry
+    of the gshare (its history length follows from its entry count),
+    BTB and RAS a simulator builds from *config*, the fixed Table 2
+    caches, and ``lsq_size``."""
     return (
-        gshare.entries, gshare.history_bits, btb.num_sets, btb.assoc, predictor.ras.depth,
-        hierarchy.l1i.config, hierarchy.l1d.config, hierarchy.l2.config, lsq_size,
+        config.gshare_entries, config.btb_entries, config.btb_assoc, config.ras_depth,
+        L1I_CONFIG, L1D_CONFIG, L2_CONFIG, config.lsq_size,
     )
 
 

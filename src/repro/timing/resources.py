@@ -7,6 +7,11 @@ usage and prunes entries older than a horizon to bound memory.
 
 from __future__ import annotations
 
+#: A pool prunes once its dict holds more cycles than this ...
+PRUNE_ABOVE = 4096
+#: ... keeping the cycles no more than this far below the last reservation.
+PRUNE_KEEP = 512
+
 
 class BandwidthPool:
     """N slots per cycle (issue ports, commit ports, a slice pipe)."""
@@ -32,12 +37,17 @@ class BandwidthPool:
             c += 1
             n = used.get(c, 0)
         used[c] = n + 1
-        if len(used) > 4096:
-            self._prune(c - 512)
+        if len(used) > PRUNE_ABOVE:
+            self._prune(c - PRUNE_KEEP)
         return c
 
     def _prune(self, horizon: int) -> None:
-        self._used = {c: n for c, n in self._used.items() if c >= horizon}
+        """Forget the cycles below *horizon*.  The dict is emptied in
+        place: the fast timing path's handlers hold it."""
+        used = self._used
+        kept = {c: n for c, n in used.items() if c >= horizon}
+        used.clear()
+        used.update(kept)
         self._floor = max(self._floor, horizon)
 
 

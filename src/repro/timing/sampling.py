@@ -402,8 +402,15 @@ def sample_configs(
     wall-clock budget, so the call never times out where its configs,
     run one by one, would not.
     """
+    from repro.obs.guestprof import active_collector
+
     plan.validate()
     configs = list(configs)
+    gp = active_collector()
+    if gp is not None:
+        # Route the windows' counts and cycles to this benchmark's
+        # bucket, as an exact collection does.
+        gp.begin_benchmark(name)
     args = (plan, budget, iters, skip, profile, dispatch, watchdog)
     results: list = [None] * len(configs)
     for group in _groups(configs, plan):
@@ -434,9 +441,7 @@ def _groups(configs: list[MachineConfig], plan: SamplingPlan) -> list[list[int]]
         return [[i] for i in range(len(configs))]
     groups: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
-        warm = WarmState(config)
-        key = front_end_key(warm.predictor, warm.hierarchy, config.lsq_size)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(front_end_key(config), []).append(i)
     return list(groups.values())
 
 

@@ -50,6 +50,7 @@ from repro.obs.events import (
     WAY_MISPREDICT,
     EventTrace,
 )
+from repro.timing.frontend import front_end_key
 from repro.timing.resources import BandwidthPool, ExclusiveUnit
 from repro.timing.stats import SimStats
 
@@ -181,7 +182,7 @@ class TimingSimulator:
         self._claim_slice = 0
         # Timing-mode dispatch (mirrors the emulator's REPRO_DISPATCH
         # pattern): "fast" runs a front-end pass and replays it through
-        # pre-bound per-static-instruction schedulers
+        # one generated handler per static instruction
         # (repro.timing.fastpath), "reference" runs the original loop
         # below — the golden model the fast path is lockstep-checked
         # against.
@@ -193,15 +194,11 @@ class TimingSimulator:
             raise ValueError(f"mode={mode!r}: expected 'fast' or 'reference'")
         self.mode = mode
         # Fast-path state: flat reg-ready scoreboard (``reg * S + slice``
-        # — no per-call list allocations), the per-op-class slice
-        # schedulers, the word -> youngest-store forwarding map for the
-        # incremental LSQ window, and the commits already made at cycle
-        # ``last_commit`` (commit bandwidth).
-        self._scheds: dict = {}
+        # — no per-call list allocations), the word -> youngest-store
+        # forwarding map for the incremental LSQ window, and the commits
+        # already made at cycle ``last_commit`` (commit bandwidth).
         self._rr: list[int] = [0] * (NUM_EXT_REGS * S)
         self._fwd: dict[int, _StoreEntry] = {}
-        self._store_agen: tuple[int, ...] = ()
-        self._store_data = 0
         self._commits_at_last = 0
         #: Front-end columns (:mod:`repro.timing.frontend`) of the last
         #: fast run.  ``_replay`` holds columns for the next run to replay
@@ -539,8 +536,8 @@ class TimingSimulator:
 
         Dispatches on :attr:`mode`: the fast path
         (:func:`repro.timing.fastpath.run_fast`) walks the predictor and
-        caches in a front-end pass, then replays its columns through
-        pre-bound per-static-instruction schedulers; the reference path
+        caches in a front-end pass, then replays its columns through one
+        generated handler per static instruction; the reference path
         is :meth:`run_reference` — the golden model the fast path is
         lockstep-checked against.  Both consume exactly
         ``max_instructions + warmup`` records from an iterator.
@@ -927,11 +924,12 @@ def simulate_configs(
     Equal to ``[simulate(c, trace, warmup=warmup) for c in configs]``,
     but in fast mode the first run's front-end columns
     (:mod:`repro.timing.frontend`) are handed to each later config with
-    the same predictor and cache geometry and ``lsq_size``: the
+    the same :func:`~repro.timing.frontend.front_end_key`: the
     predictor, the caches and the partial-tag way selection are
     simulated once per trace and replayed under each config's own
-    latencies.  Columns are shared only when their pass met no
-    store-forwarding hazard.
+    latencies.  A replaying run is built on the pass's own predictor and
+    caches, which it never touches, instead of fresh ones.  Columns are
+    shared only when their pass met no store-forwarding hazard.
     """
     records = trace if isinstance(trace, (list, tuple)) else tuple(trace)
     shared: dict = {}
@@ -945,21 +943,28 @@ def _simulate(config, trace, max_instructions, warmup, watchdog, events, mode, s
     """One :func:`simulate` run; with *shared* (front-end key -> columns),
     replay matching columns and offer this run's for later ones."""
     from repro.obs.session import active_session
+    from repro.timing.fastpath import default_timing_mode
 
     session = active_session()
     if session is not None and events is None:
         events = session.events
     t0 = time.perf_counter()
-    sim = TimingSimulator(config, events=events, mode=mode)
-    key = None
-    if shared is not None and sim.mode == "fast":
-        from repro.timing.frontend import front_end_key
-
-        key = front_end_key(sim.predictor, sim.hierarchy, config.lsq_size)
-        sim._replay = shared.get(key)
+    key = columns = None
+    if shared is not None and (mode or default_timing_mode()) == "fast":
+        key = front_end_key(config)
+        columns = shared.get(key)
+    if columns is None:
+        sim = TimingSimulator(config, events=events, mode=mode)
+    else:
+        front = columns.front
+        sim = TimingSimulator(
+            config, events=events, mode=mode,
+            predictor=front.predictor, hierarchy=front.hierarchy,
+        )
+        sim._replay = columns
     stats = sim.run(trace, max_instructions, warmup=warmup, watchdog=watchdog)
-    if key is not None and not sim.front_end.hazards:
-        shared.setdefault(key, sim.front_end)
+    if key is not None and columns is None and not sim.front_end.hazards:
+        shared[key] = sim.front_end
     if session is not None:
         from repro.emulator.machine import default_dispatch
 

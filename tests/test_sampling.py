@@ -403,6 +403,43 @@ def test_sampled_journal_does_not_resume_under_other_knobs(tmp_path):
                   sampling=_plan(seed=7))
 
 
+#: A sampled sweep with a guest profile, as typed at the command line.
+PROFILED_SWEEP = [
+    "sweep", "--sample", "-n", "20000", "--sample-window", "300", "--sample-warmup", "100",
+    "--sample-interval", "2000", "--configs", "ideal",
+]
+
+
+def _profiled_sweep(out, names, jobs):
+    from repro.experiments.cli import main
+
+    assert main([*PROFILED_SWEEP, "-b", *names, "--jobs", str(jobs),
+                 "--guest-profile-out", str(out)]) == 0
+    return guestprof.load_profile(out).benchmarks
+
+
+@pytest.fixture(scope="module")
+def profiled_alone(tmp_path_factory):
+    """bzip's and mcf's profile buckets from one-benchmark sampled sweeps."""
+    out = tmp_path_factory.mktemp("profiles")
+    return {
+        name: _profiled_sweep(out / f"{name}.json", [name], 1)[name] for name in ("bzip", "mcf")
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sampled_sweep_profiles_each_benchmark(tmp_path, profiled_alone, jobs, capsys):
+    """A sampled sweep opens each benchmark's guest-profile bucket: every
+    bucket holds what a one-benchmark sweep of it counts."""
+    both = _profiled_sweep(tmp_path / "both.json", ["bzip", "mcf"], jobs)
+    assert set(both) == {"bzip", "mcf"}
+    for name, alone in profiled_alone.items():
+        assert (both[name].retired, both[name].cycles_total) == (
+            alone.retired, alone.cycles_total
+        ), name
+        assert both[name].retired > 0
+
+
 def test_sweep_rows_grow_ci_columns_only_when_sampled():
     from repro.experiments.sweep import SweepResult
 

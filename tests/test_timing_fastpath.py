@@ -8,6 +8,10 @@ construction.  This file enforces the claim on:
 * hypothesis-generated random programs (ALU-only and store/load-heavy)
   cross-checked through :func:`repro.timing.cross_check_timing`, which
   compares full stats *and* complete cycle-event streams;
+* a hypothesis matrix over every generated handler shape (every op
+  family, unsliced machines, slices in and out of order, every
+  extension, one and four issue slots per pipe), the issue pools'
+  pruning across runs, and the shape-keyed code cache;
 * real benchmark trace slices across representative configurations,
   the §5.1/§5.2/§6 extensions included;
 * sampling windows that run on warm predictor and cache state;
@@ -18,7 +22,8 @@ construction.  This file enforces the claim on:
 * a forwarded load whose line is off its set's MRU way (the one case
   where timing feeds back into the caches), also across runs;
 * :func:`simulate_configs`, whose shared front-end passes must give
-  every config its standalone stats.
+  every config its standalone stats, with no predictor or caches built
+  for the runs that replay them.
 """
 
 from __future__ import annotations
@@ -40,8 +45,11 @@ from repro.core.config import (
 )
 from repro.emulator.machine import Machine
 from repro.isa.assembler import assemble
+from repro.isa.opclass import OpClass
 from repro.obs.events import EventTrace
-from repro.timing import cross_check_timing, default_timing_mode, frontend, simulate
+from repro.timing import cross_check_timing, default_timing_mode, fastpath, frontend, simulate
+from repro.timing.fastpath import _diff_events
+from repro.timing.resources import BandwidthPool
 from repro.timing.sampling import WarmState
 from repro.timing.simulator import TimingSimulator, simulate_configs
 from repro.workloads import get_workload
@@ -110,6 +118,260 @@ def test_lockstep_random_memory_programs(source):
     ))
     for cfg in (baseline_config(), lsq_cfg, *EXTENDED_CONFIGS):
         cross_check_timing(cfg, trace)
+
+
+# ---------------------------------------------------------------------------
+# Generated handlers: every shape, every slice discipline
+# ---------------------------------------------------------------------------
+
+#: Sources include $zero, which the handlers drop.
+_SRC = ["$t0", "$t1", "$t2", "$t3", "$zero"]
+_DST = ["$t0", "$t1", "$t2", "$t3"]
+
+#: The ops of the handler-shape programs, by family; a drawn item fills
+#: in its registers and immediates.
+SHAPE_ITEMS = {
+    "logic": ["and", "or", "xor", "nor", "andi", "ori", "xori", "lui"],
+    "arith": ["addu", "subu", "addiu"],
+    "shift": ["sll", "srl", "sra", "sllv", "srlv", "srav"],
+    "compare": ["slt", "sltu", "slti", "sltiu"],
+    "muldiv": ["mult", "multu", "div", "divu"],
+    "fp": ["add.s"],
+    "load": ["lw", "lh", "lhu", "lb", "lbu"],
+    "store": ["sw", "sh", "sb"],
+    "branch2": ["beq", "bne"],
+    "branch1": ["blez", "bgtz", "bltz", "bgez"],
+    "jump": ["j", "jal", "nop"],
+}
+
+_ALIGN = {"lw": 4, "sw": 4, "lh": 2, "lhu": 2, "sh": 2}
+
+
+def _shape_item(draw, kind, op, label):
+    """Source lines of one body item (*label* names a forward target)."""
+    rd, rs, rt = draw(st.sampled_from(_DST)), draw(st.sampled_from(_SRC)), draw(
+        st.sampled_from(_SRC)
+    )
+    if kind == "logic" and op in ("andi", "ori", "xori"):
+        return [f"    {op} {rd}, {rs}, {draw(st.integers(0, 0xFFFF))}"]
+    if op == "lui":
+        return [f"    lui {rd}, {draw(st.integers(0, 0xFFFF))}"]
+    if op in ("addiu", "slti", "sltiu"):
+        return [f"    {op} {rd}, {rs}, {draw(st.integers(-0x8000, 0x7FFF))}"]
+    if op in ("sll", "srl", "sra"):
+        return [f"    {op} {rd}, {rt}, {draw(st.integers(0, 31))}"]
+    if op in ("sllv", "srlv", "srav"):
+        return [f"    {op} {rd}, {rt}, {rs}"]
+    if kind == "muldiv":
+        return [f"    {op} {rs}, {rt}", f"    mfhi {rd}", f"    mflo {rt if rt != '$zero' else rd}"]
+    if kind == "fp":  # an FP ALU op and the FP mult/div unit
+        return [
+            f"    mtc1 {rs}, $f1", "    add.s $f2, $f1, $f1",
+            "    mul.s $f3, $f2, $f1", f"    mfc1 {rd}, $f3",
+        ]
+    if kind in ("load", "store"):
+        off = _ALIGN.get(op, 1) * draw(st.integers(0, 60 // _ALIGN.get(op, 1)))
+        return [f"    {op} {rd if kind == 'load' else rt}, {off}($s0)"]
+    skip = [f"    xor {rd}, {rs}, {rt}", f"{label}:"]
+    if kind == "branch2":
+        return [f"    {op} {rs}, {rt}, {label}", *skip]
+    if kind == "branch1":
+        return [f"    {op} {rs}, {label}", *skip]
+    if op == "j":
+        return [f"    j {label}", *skip]
+    if op == "jal":  # a call and its jr $ra
+        return ["    jal sub"]
+    if op == "nop":
+        return ["    nop"]
+    return [f"    {op} {rd}, {rs}, {rt}"]
+
+
+def _shape_program(draw, items) -> str:
+    """A loop over *items* with a subroutine; repeats warm the predictor
+    and reuse every handler."""
+    lines = ["    la $s0, buf"]
+    for reg in _DST:
+        lines.append(f"    li {reg}, {draw(st.integers(0, 0xFFFFFFFF))}")
+    lines.append(f"    li $s1, {draw(st.integers(2, 4))}")
+    lines.append("loop:")
+    for i, (kind, op) in enumerate(items):
+        lines += _shape_item(draw, kind, op, f"L{i}")
+    lines += [
+        "    addiu $s1, $s1, -1",
+        "    bgtz $s1, loop",
+        "    halt",
+        "sub:",
+        "    addu $t3, $t0, $t1",
+        "    jr $ra",
+        "    .data",
+        "buf: .space 64",
+        "    .text",
+    ]
+    return "\n".join(lines)
+
+
+@st.composite
+def shape_program(draw):
+    """A random mix of body items from :data:`SHAPE_ITEMS`."""
+    kinds = st.sampled_from(sorted(SHAPE_ITEMS))
+    items = []
+    for _ in range(draw(st.integers(4, 24))):
+        kind = draw(kinds)
+        items.append((kind, draw(st.sampled_from(SHAPE_ITEMS[kind]))))
+    return _shape_program(draw, items)
+
+
+@st.composite
+def every_shape_program(draw):
+    """Every op of :data:`SHAPE_ITEMS` once, in a drawn order."""
+    items = [(kind, op) for kind, ops in SHAPE_ITEMS.items() for op in ops]
+    return _shape_program(draw, draw(st.permutations(items)))
+
+
+def _slice_configs():
+    bypass = Features(partial_operand_bypassing=True)
+    in_order_early = Features(partial_operand_bypassing=True, early_branch_resolution=True)
+    ooo = Features(partial_operand_bypassing=True, out_of_order_slices=True)
+    configs = [baseline_config(), simple_pipeline_config(2), simple_pipeline_config(4)]
+    for s in (2, 4):
+        configs += [
+            bitslice_config(s, bypass, name=f"slice{s}-bypass"),
+            bitslice_config(s, in_order_early, name=f"slice{s}-in-order-early"),
+            bitslice_config(s, ooo, name=f"slice{s}-ooo"),
+            bitslice_config(s, Features.extended(), name=f"slice{s}-extended"),
+        ]
+    # One issue slot per pipe: reservations walk past full cycles.
+    return configs + [
+        dataclasses.replace(cfg, issue_width=1, name=f"{cfg.name}-issue1") for cfg in configs
+    ]
+
+
+#: Unsliced machines, slices in order (bypassing only, and with early
+#: branch resolution) and out of order, and every extension, each also
+#: with ``issue_width=1``.
+SHAPE_CONFIGS = _slice_configs()
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape_program())
+def test_lockstep_handler_shapes(source):
+    trace = _trace(source)
+    for cfg in SHAPE_CONFIGS:
+        cross_check_timing(cfg, trace)
+
+
+@settings(max_examples=3, deadline=None)
+@given(every_shape_program())
+def test_lockstep_every_handler_shape(source):
+    """One program with every op compiles every handler kind."""
+    trace = _trace(source)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastpath, "_FACTORIES", {})
+        for cfg in SHAPE_CONFIGS:
+            cross_check_timing(cfg, trace)
+        shapes = fastpath._FACTORIES
+    kinds = {shape[0] for shape in shapes}
+    assert kinds == {"direct", "issue", "slices", "sign", "zero", "load", "store"}
+    sliced = {shape[4][:2] for shape in shapes if shape[0] == "slices"}
+    assert {klass for klass, _ in sliced} == {
+        OpClass.LOGIC, OpClass.ARITH, OpClass.SHIFT_LEFT, OpClass.SHIFT_RIGHT
+    }
+    assert (OpClass.LOGIC, True) in sliced and (OpClass.LOGIC, False) in sliced
+    assert {shape[4] for shape in shapes if shape[0] == "zero"} == {
+        (True, False), (True, True), (False, False), (False, True)
+    }
+    assert any(shape[4][2] for shape in shapes if shape[0] == "slices")  # narrow
+    assert {shape[4] for shape in shapes if shape[0] == "issue"} >= {
+        (False, False), (False, True), (True, False)
+    }
+
+
+def test_issue_pools_prune_in_lockstep():
+    """12,000 li records fill the issue pools past their prune limit.
+    The trace runs in 3,000-record pieces on one simulator, so each run
+    binds its handlers to the pool dicts the runs before it filled: a
+    prune must empty a dict in place, or the handlers that hold it and
+    the next run's would book the same slots twice (which shows where
+    one slot per cycle fills every cycle it books)."""
+    trace = tuple(Machine(get_workload("li").build(1)).trace(12_000))
+    pieces = [trace[i:i + 3000] for i in range(0, len(trace), 3000)]
+    prune = BandwidthPool._prune
+    configs = [baseline_config(), simple_pipeline_config(4), bitslice_config(4)]
+    for cfg in configs + [dataclasses.replace(c, issue_width=1) for c in configs]:
+        runs = {}
+        for mode in ("reference", "fast"):
+            horizons = []
+
+            def counting_prune(pool, horizon, horizons=horizons):
+                horizons.append(horizon)
+                prune(pool, horizon)
+
+            sim = TimingSimulator(cfg, events=EventTrace(capacity=None), mode=mode)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(BandwidthPool, "_prune", counting_prune)
+                stats = [sim.run(piece).to_dict() for piece in pieces]
+            runs[mode] = (stats, list(sim.events))
+            assert horizons, (cfg.name, mode)
+        assert runs["fast"][0] == runs["reference"][0], (cfg.name, cfg.issue_width)
+        _diff_events(runs["reference"][1], runs["fast"][1])
+
+
+#: Figure 11's configs: the ideal machine and both slice ladders.
+FIGURE11_CONFIGS = [
+    baseline_config(), *(cfg for s in (2, 4) for _, cfg in cumulative_configs(s))
+]
+
+
+def test_handlers_compile_once_per_shape(small_traces):
+    """Code is cached by shape, never by register: Figure 11's 13 configs
+    over li compile a few dozen handler factories for thousands of bound
+    handlers, and a second simulator of the same shapes compiles none."""
+    trace = small_traces["li"]
+    compiles = []
+    handlers = []
+    bind = fastpath.bind_plan
+
+    def counting_compile(source, filename, mode):
+        compiles.append(filename)
+        return compile(source, filename, mode)
+
+    def recording_bind(sim, inst, load_tail):
+        plan = bind(sim, inst, load_tail)
+        handlers.append(plan[0])
+        return plan
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastpath, "_FACTORIES", {})
+        mp.setattr(fastpath, "compile", counting_compile, raising=False)
+        mp.setattr(fastpath, "bind_plan", recording_bind)
+        simulate_configs(FIGURE11_CONFIGS, trace)
+        assert len(compiles) == len(fastpath._FACTORIES)
+        assert 40 <= len(compiles) <= 64  # 53 for this trace
+        assert len(handlers) > 10 * len(compiles)
+        runs = []
+        for _ in range(2):
+            compiles.clear()
+            handlers.clear()
+            TimingSimulator(bitslice_config(4), mode="fast").run(trace)
+            runs.append((compiles[:], [handler.__code__ for handler in handlers]))
+    assert runs[0][0] == runs[1][0] == []
+    assert runs[0][1] == runs[1][1]
+
+
+def test_fast_mode_reserves_issue_slots_inline(small_traces, monkeypatch):
+    """No fast-mode issue reservation calls BandwidthPool.reserve."""
+    calls = []
+    reserve = BandwidthPool.reserve
+
+    def counting_reserve(pool, cycle):
+        calls.append(cycle)
+        return reserve(pool, cycle)
+
+    monkeypatch.setattr(BandwidthPool, "reserve", counting_reserve)
+    simulate_configs(FIGURE11_CONFIGS, small_traces["li"])
+    assert calls == []
+    simulate(baseline_config(), small_traces["li"][:100], mode="reference")
+    assert calls  # the reference loop still does
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +589,30 @@ def test_simulate_configs_matches_standalone_runs(small_traces, name, monkeypatc
         # Same cache levels, served at its own latency.
         assert by_name["ideal-mem50"].l1d_misses == ideal.l1d_misses
         assert by_name["ideal-mem50"].cycles < ideal.cycles
+
+
+def test_replaying_runs_build_no_front_end(monkeypatch):
+    """A run that replays another's columns is built on that pass's own
+    predictor and caches: only the runs that walk a pass construct them."""
+    from repro.timing import simulator
+
+    built = []
+    for name in ("FrontEndPredictor", "MemoryHierarchy"):
+        cls = getattr(simulator, name)
+
+        def counting(*args, _cls=cls, _name=name, **kwargs):
+            built.append(_name)
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, name, counting)
+    machine = Machine(get_workload("li").build(1))
+    machine.run(5000)
+    steady = tuple(machine.trace(3000))
+    shared = simulate_configs(SHARING_CONFIGS, steady)
+    # Two passes: the default front end and the 1k gshare.
+    assert sorted(built) == ["FrontEndPredictor"] * 2 + ["MemoryHierarchy"] * 2
+    monkeypatch.undo()
+    assert [s.to_dict() for s in shared] == [simulate(c, steady).to_dict() for c in SHARING_CONFIGS]
 
 
 def test_simulate_configs_in_reference_mode_runs_each_config(small_traces, monkeypatch):
