@@ -3,13 +3,15 @@
 Measures the functional emulator and the timing simulator in
 instructions per second, and the Figure 2 and Figure 4 characterization
 kernels against their scalar oracles — useful for tracking regressions
-in the simulation infrastructure itself.
+in the simulation infrastructure itself.  The production kernels read
+a columnar ``Trace``, the oracles its records, as in the program.
 """
 
 import pytest
 
 from repro.core.config import baseline_config, bitslice_config
 from repro.emulator.machine import Machine
+from repro.emulator.trace import Trace
 from repro.memsys.hierarchy import L1D_CONFIG
 from repro.timing.simulator import simulate
 from repro.workloads import get_workload
@@ -20,7 +22,12 @@ N = 20_000
 @pytest.fixture(scope="module")
 def bzip_trace():
     machine = Machine(get_workload("bzip").build(iters=1))
-    return tuple(machine.trace(N))
+    return Trace.from_records(machine.trace(N))
+
+
+@pytest.fixture(scope="module")
+def bzip_records(bzip_trace):
+    return tuple(bzip_trace)
 
 
 def test_emulator_throughput(benchmark):
@@ -45,10 +52,10 @@ def test_timing_simulator_throughput_bitslice4(benchmark, bzip_trace):
     assert stats.instructions == N
 
 
-def test_lsq_characterization_scalar(benchmark, bzip_trace):
+def test_lsq_characterization_scalar(benchmark, bzip_records):
     from repro.characterization.lsq_char import characterize_lsq
 
-    result = benchmark(lambda: characterize_lsq(bzip_trace))
+    result = benchmark(lambda: characterize_lsq(bzip_records))
     assert result.loads > 0
 
 
@@ -61,10 +68,10 @@ def test_lsq_characterization_vectorized(benchmark, bzip_trace):
     assert result.loads > 0
 
 
-def test_tag_characterization_scalar(benchmark, bzip_trace):
+def test_tag_characterization_scalar(benchmark, bzip_records):
     from repro.characterization.tag_char import characterize_tags
 
-    result = benchmark(lambda: characterize_tags(bzip_trace, L1D_CONFIG))
+    result = benchmark(lambda: characterize_tags(bzip_records, L1D_CONFIG))
     assert result.accesses > 0
 
 

@@ -3,7 +3,10 @@
 
 Measures, per configuration, ``TimingSimulator``'s simulated cycles per
 wall-second under the pre-bound fast path vs. the reference one-pass
-loop, and the ratio.
+loop, and the ratio.  Each mode gets the input its production caller
+gives it, built before the clock starts: the fast path the columnar
+``Trace`` that ``collect_trace`` returns, the reference loop a list of
+``TraceRecord``s.
 
 Every measured configuration is first lockstep cross-checked on a slice
 of the trace (full stats + event streams), so a snapshot can never
@@ -74,16 +77,18 @@ def _best_wall(make_sim, trace, repeats: int):
 
 
 def bench_timing_layer(trace, repeats: int, verbose=print):
-    """Per-config fast/reference cycles-per-second for TimingSimulator."""
+    """Per-config fast/reference cycles-per-second for TimingSimulator
+    over *trace* (a :class:`~repro.emulator.trace.Trace`)."""
     rows = {}
-    parity = list(trace[:PARITY_SLICE])
+    parity = trace[:PARITY_SLICE]
+    records = list(trace)
     for cfg in timing_configs():
         cross_check_timing(cfg, parity)
         fast_wall, stats = _best_wall(
             lambda: TimingSimulator(cfg, mode="fast"), trace, repeats
         )
         ref_wall, _ = _best_wall(
-            lambda: TimingSimulator(cfg, mode="reference"), trace, repeats
+            lambda: TimingSimulator(cfg, mode="reference"), records, repeats
         )
         rows[cfg.name] = {
             "cycles": stats.cycles,
@@ -152,9 +157,7 @@ def main(argv=None) -> int:
     print(
         f"collecting {args.instructions} trace records of {args.benchmark!r} ..."
     )
-    trace = list(
-        runner.collect_trace(args.benchmark, args.instructions)
-    )
+    trace = runner.collect_trace(args.benchmark, args.instructions)
     print(f"benching over {len(trace)} records, best of {args.repeats}:")
 
     timing_rows = bench_timing_layer(trace, args.repeats)

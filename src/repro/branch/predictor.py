@@ -18,6 +18,13 @@ from repro.branch.ras import ReturnAddressStack
 from repro.emulator.trace import TraceRecord
 
 
+def mispredicted(predicted_taken: bool, predicted_target: int, taken: bool, target: int) -> bool:
+    """True when fetch would have gone down the wrong path."""
+    if predicted_taken != taken:
+        return True
+    return taken and predicted_target != target
+
+
 @dataclass(frozen=True)
 class PredictionOutcome:
     """Front-end prediction versus architectural outcome for one
@@ -31,9 +38,9 @@ class PredictionOutcome:
     @property
     def mispredicted(self) -> bool:
         """True when fetch would have gone down the wrong path."""
-        if self.predicted_taken != self.actual_taken:
-            return True
-        return self.actual_taken and self.predicted_target != self.actual_target
+        return mispredicted(
+            self.predicted_taken, self.predicted_target, self.actual_taken, self.actual_target
+        )
 
 
 class FrontEndPredictor:
@@ -57,47 +64,46 @@ class FrontEndPredictor:
     def predict_and_train(self, record: TraceRecord) -> PredictionOutcome:
         """Predict the control instruction in *record*, then train on
         its outcome.  Non-control records raise ``ValueError``."""
-        inst = record.inst
-        pc = record.pc
-        actual_target = record.next_pc
+        taken = record.taken
+        target = record.next_pc
+        return PredictionOutcome(*self.predict(record.pc, record.inst, taken, target), taken, target)
+
+    def predict(self, pc: int, inst, taken: bool, target: int) -> tuple[bool, int]:
+        """Predict control instruction *inst* at *pc*, then train on its
+        outcome (*taken*, successor *target*); returns the predicted
+        ``(taken, target)``.  Non-control instructions raise ``ValueError``."""
         self.control_count += 1
 
         if inst.is_branch:
             predicted_taken = self.gshare.predict(pc)
-            taken_target = pc + 4 + (inst.imm << 2)
-            predicted_target = taken_target if predicted_taken else pc + 4
+            predicted_target = pc + 4 + (inst.imm << 2) if predicted_taken else pc + 4
             self.cond_count += 1
-            self.gshare.update(pc, record.taken)
-            outcome = PredictionOutcome(predicted_taken, predicted_target, record.taken, actual_target)
-            if outcome.mispredicted:
+            self.gshare.update(pc, taken)
+            if mispredicted(predicted_taken, predicted_target, taken, target):
                 self.cond_mispredicts += 1
-            return outcome
+            return predicted_taken, predicted_target
 
         m = inst.mnemonic
         if m in ("j", "jal"):
-            predicted_target = ((pc + 4) & 0xF000_0000) | (inst.target << 2)
             if m == "jal":
                 self.ras.push(pc + 4)
-            return PredictionOutcome(True, predicted_target, True, actual_target)
+            return True, ((pc + 4) & 0xF000_0000) | (inst.target << 2)
         if m == "jalr":
             predicted = self.btb.lookup(pc)
-            self.btb.update(pc, actual_target)
+            self.btb.update(pc, target)
             self.ras.push(pc + 4)
-            outcome = PredictionOutcome(True, predicted if predicted is not None else pc + 4, True, actual_target)
-            if outcome.mispredicted:
-                self.indirect_mispredicts += 1
-            return outcome
-        if m == "jr":
+        elif m == "jr":
             if inst.rs == 31:  # return: predict through the RAS
                 predicted = self.ras.pop()
             else:
                 predicted = self.btb.lookup(pc)
-                self.btb.update(pc, actual_target)
-            outcome = PredictionOutcome(True, predicted if predicted is not None else pc + 4, True, actual_target)
-            if outcome.mispredicted:
-                self.indirect_mispredicts += 1
-            return outcome
-        raise ValueError(f"not a control instruction: {m!r}")
+                self.btb.update(pc, target)
+        else:
+            raise ValueError(f"not a control instruction: {m!r}")
+        predicted_target = predicted if predicted is not None else pc + 4
+        if mispredicted(True, predicted_target, taken, target):
+            self.indirect_mispredicts += 1
+        return True, predicted_target
 
     @property
     def direction_accuracy(self) -> float:

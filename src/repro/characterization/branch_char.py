@@ -11,9 +11,11 @@ types).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.branch.early import ALL_BITS, bits_to_detect_mispredict
 from repro.branch.gshare import GsharePredictor
+from repro.emulator.trace import as_trace
 
 
 @dataclass
@@ -58,34 +60,38 @@ def characterize_branches(
     gshare_entries: int = 64 * 1024,
     warmup: int = 0,
 ) -> BranchCharacterization:
-    """Run the Figure 6 study over *trace*.
+    """Run the Figure 6 study over *trace* (a
+    :class:`~repro.emulator.trace.Trace`, read by column, or records).
 
     The first *warmup* instructions train the predictor without being
     counted (cold-start control, as the paper's long runs amortize).
     """
+    trace = as_trace(trace)
     predictor = GsharePredictor(gshare_entries)
     result = BranchCharacterization(benchmark=benchmark)
-    seen = 0
-    for record in trace:
-        seen += 1
-        inst = record.inst
-        if not inst.is_branch:
+    branch = [inst.mnemonic if inst.is_branch else None for inst in trace.statics]
+    pcs = trace.pc
+    taken = trace.taken
+    for i, s in enumerate(islice(trace.static, len(trace))):
+        m = branch[s]
+        if m is None:
             continue
-        m = inst.mnemonic
-        predicted = predictor.predict(record.pc)
-        predictor.update(record.pc, record.taken)
-        if seen <= warmup:
+        pc = pcs[i]
+        actual = taken[i]
+        predicted = predictor.predict(pc)
+        predictor.update(pc, actual)
+        if i < warmup:
             continue
         result.branches += 1
         is_eq_type = m in ("beq", "bne")
         if is_eq_type:
             result.eq_type_branches += 1
-        if predicted == record.taken:
+        if predicted == actual:
             continue
         result.mispredictions += 1
         if is_eq_type:
             result.eq_type_mispredictions += 1
-        needed = bits_to_detect_mispredict(m, record.rs_val, record.rt_val, predicted, record.taken)
+        needed = bits_to_detect_mispredict(m, trace.rs_val[i], trace.rt_val[i], predicted, actual)
         assert needed is not None
         result.needed_bits[needed] = result.needed_bits.get(needed, 0) + 1
     return result

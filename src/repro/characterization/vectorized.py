@@ -3,11 +3,13 @@
 The scalar studies in :mod:`repro.characterization.lsq_char` and
 :mod:`repro.characterization.tag_char` are the oracles: they classify
 each access at each partial width in a Python loop.  These kernels give
-the same counts from one Python pass over the records, which builds
-columns (each memory op's kind and address for Figure 2; each L1D
-access's tag and its set's MRU-first tags, from one cache walk per
-geometry, for Figure 4), then a fixed number of numpy calls per chunk
-of :data:`CHUNK_ROWS` accesses, so memory stays bounded at any length.
+the same counts from the trace's columns
+(:class:`~repro.emulator.trace.Trace`): Figure 2 selects each memory
+op's kind and address with numpy, Figure 4 makes one cache walk per
+geometry over the ``mem_addr`` column for each L1D access's tag and its
+set's MRU-first tags; then a fixed number of numpy calls per chunk of
+:data:`CHUNK_ROWS` accesses classifies them, so memory stays bounded at
+any length.
 
 An entry's outcome at width *b* is fixed by its lowest bit *d* that
 differs from the probe: a store matches address bits 2..*b* iff
@@ -21,11 +23,14 @@ against the oracles; ``benchmarks/test_throughput.py`` times each pair.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.characterization.lsq_char import LSQCharacterization
 from repro.characterization.tag_char import TagCharacterization
+from repro.emulator.trace import as_trace
 from repro.lsq.disambiguation import FIRST_COMPARE_BIT, LAST_COMPARE_BIT, LSDCategory, classify_disambiguation
 from repro.memsys.cache import CacheConfig, SetAssociativeCache
 from repro.memsys.partial_tag import PartialTagOutcome, classify_partial_tag
@@ -106,21 +111,20 @@ def characterize_lsq_fast(
     sample_bits = tuple(range(FIRST_COMPARE_BIT, LAST_COMPARE_BIT + 1)) if bits is None else bits
     for b in sample_bits:
         classify_disambiguation(0, (), b)  # the oracle's range check
+    trace = as_trace(trace)
+    n = len(trace)
+    static = np.fromiter(trace.static, dtype=np.intp, count=n)
+    is_store = np.array([inst.is_store for inst in trace.statics], dtype=np.bool_)[static]
+    is_load = np.array([inst.is_load for inst in trace.statics], dtype=np.bool_)[static]
+    mem = np.fromiter(trace.mem_addr, dtype=np.int64, count=n)[is_store | is_load]
+    stored = is_store[is_store | is_load]
     # A load's window is the stores among the lsq_size - 1 memory ops
     # before it; -1 marks loads and the padding the first loads see.
     width = max(lsq_size - 1, 0)
-    column, load_at, load_addrs = [-1] * width, [], []
-    for record in trace:
-        inst = record.inst
-        if inst.is_store:
-            column.append(record.mem_addr & _ADDR_MASK)
-        elif inst.is_load:
-            load_at.append(len(column) - width)
-            load_addrs.append(record.mem_addr)
-            column.append(-1)
-    windows = sliding_window_view(np.array(column, dtype=np.int64), width)
-    loads = np.array(load_addrs, dtype=np.int64)
-    at = np.array(load_at, dtype=np.intp)
+    column = np.concatenate([np.full(width, -1, dtype=np.int64), np.where(stored, mem & _ADDR_MASK, -1)])
+    windows = sliding_window_view(column, width)
+    loads = mem[~stored]
+    at = np.flatnonzero(~stored)
     cols = np.array(sample_bits, dtype=np.intp)
     counts = _count(sample_bits, LSDCategory, len(at),
                     lambda rows: _lsd_codes(loads[rows], windows[at[rows]], cols))
@@ -155,8 +159,8 @@ def characterize_tags_fast(
     cache = SetAssociativeCache(config)
     shift = config.tag_shift
     tags, ways, filled = [], [], []
-    for seen, record in enumerate(trace, 1):
-        addr = record.mem_addr
+    trace = as_trace(trace)
+    for seen, addr in enumerate(islice(trace.mem_addr, len(trace)), 1):
         if addr < 0:
             continue
         if seen > warmup:

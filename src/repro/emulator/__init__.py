@@ -14,7 +14,7 @@ breaches are :class:`RunawayExecution` — all of them
 
 from repro.emulator.machine import EmulatorError, IllegalInstruction, Machine
 from repro.emulator.memory import AlignmentError, SparseMemory
-from repro.emulator.trace import TraceRecord, trace_program
+from repro.emulator.trace import Trace, TraceRecord, trace_program
 from repro.harness.errors import MemoryFault, RunawayExecution
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "MemoryFault",
     "RunawayExecution",
     "SparseMemory",
+    "Trace",
     "TraceRecord",
     "trace_program",
 ]

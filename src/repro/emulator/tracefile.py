@@ -1,13 +1,14 @@
 """Trace serialization: pack dynamic traces into compact numpy arrays.
 
 Collecting a steady-state trace means emulating through millions of
-initialization instructions; serializing the resulting records lets a
-trace be collected once and re-simulated many times (across processes,
-parameter sweeps, CI runs).  Records pack into seven parallel ``uint32``
-/ ``int64`` arrays inside a single ``.npz`` file; instructions are
-stored as their 32-bit encodings and re-decoded on load (decode results
-are cached per unique word, so a loaded trace shares ``Instruction``
-objects exactly like a freshly generated one).
+initialization instructions; serializing it lets a trace be collected
+once and re-simulated many times (across processes, parameter sweeps,
+CI runs).  A :class:`~repro.emulator.trace.Trace`'s columns pack into
+eight parallel ``uint32`` / ``int64`` / ``bool`` arrays inside a single
+``.npz`` file; each record's instruction is stored as its 32-bit
+encoding, encoded once per static instruction and decoded once per
+distinct word on load (decode results are cached per word, so loaded
+traces share ``Instruction`` objects).
 
 Robustness guarantees (format version 2):
 
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.emulator.trace import TraceRecord
+from repro.emulator.trace import COLUMNS, Trace, as_trace
 from repro.harness.errors import TraceCorruption
 from repro.isa.encoding import decode, encode
 
@@ -59,31 +60,23 @@ def _checksum(arrays: dict[str, np.ndarray]) -> int:
     return crc & 0xFFFFFFFF
 
 
-def pack_trace(records) -> dict[str, np.ndarray]:
-    """Pack an iterable of :class:`TraceRecord` into numpy arrays."""
-    records = list(records)
-    n = len(records)
-    pc = np.empty(n, dtype=np.uint32)
-    word = np.empty(n, dtype=np.uint32)
-    rs_val = np.empty(n, dtype=np.uint32)
-    rt_val = np.empty(n, dtype=np.uint32)
-    result = np.empty(n, dtype=np.uint32)
-    mem_addr = np.empty(n, dtype=np.int64)  # -1 sentinel needs a signed type
-    taken = np.empty(n, dtype=np.bool_)
-    next_pc = np.empty(n, dtype=np.uint32)
-    for i, r in enumerate(records):
-        pc[i] = r.pc
-        word[i] = encode(r.inst)
-        rs_val[i] = r.rs_val
-        rt_val[i] = r.rt_val
-        result[i] = r.result & 0xFFFFFFFF
-        mem_addr[i] = r.mem_addr
-        taken[i] = r.taken
-        next_pc[i] = r.next_pc
+def pack_trace(trace) -> dict[str, np.ndarray]:
+    """Pack a :class:`Trace` (or an iterable of :class:`TraceRecord`)
+    into numpy arrays, encoding each static instruction once."""
+    trace = as_trace(trace)
+    n = len(trace)
+    static = np.fromiter(trace.static, dtype=np.intp, count=n)
+    words = np.array([encode(inst) for inst in trace.statics], dtype=np.uint32)
     arrays = {
         "version": np.array([FORMAT_VERSION], dtype=np.uint32),
-        "pc": pc, "word": word, "rs_val": rs_val, "rt_val": rt_val,
-        "result": result, "mem_addr": mem_addr, "taken": taken, "next_pc": next_pc,
+        "pc": np.array(trace.pc[:n], dtype=np.uint32),
+        "word": words[static],
+        "rs_val": np.array(trace.rs_val[:n], dtype=np.uint32),
+        "rt_val": np.array(trace.rt_val[:n], dtype=np.uint32),
+        "result": (np.array(trace.result[:n], dtype=np.int64) & 0xFFFFFFFF).astype(np.uint32),
+        "mem_addr": np.array(trace.mem_addr[:n], dtype=np.int64),  # -1 needs a signed type
+        "taken": np.array(trace.taken[:n], dtype=np.bool_),
+        "next_pc": np.array(trace.next_pc[:n], dtype=np.uint32),
     }
     arrays["checksum"] = np.array([_checksum(arrays)], dtype=np.uint32)
     return arrays
@@ -130,36 +123,21 @@ def validate_arrays(arrays: dict[str, np.ndarray]) -> int:
     return version
 
 
-def unpack_trace(arrays: dict[str, np.ndarray]) -> list[TraceRecord]:
-    """Rebuild :class:`TraceRecord` objects from packed arrays.
+def unpack_trace(arrays: dict[str, np.ndarray]) -> Trace:
+    """Rebuild the :class:`Trace` packed into *arrays*, decoding each
+    distinct instruction word once.
 
     Raises:
         TraceCorruption: the arrays fail version/checksum validation.
     """
     validate_arrays(arrays)
-    out: list[TraceRecord] = []
-    pc = arrays["pc"]
-    word = arrays["word"]
-    rs_val = arrays["rs_val"]
-    rt_val = arrays["rt_val"]
-    result = arrays["result"]
-    mem_addr = arrays["mem_addr"]
-    taken = arrays["taken"]
-    next_pc = arrays["next_pc"]
-    for i in range(len(pc)):
-        out.append(
-            TraceRecord(
-                pc=int(pc[i]),
-                inst=_decode_cached(int(word[i])),
-                rs_val=int(rs_val[i]),
-                rt_val=int(rt_val[i]),
-                result=int(result[i]),
-                mem_addr=int(mem_addr[i]),
-                taken=bool(taken[i]),
-                next_pc=int(next_pc[i]),
-            )
-        )
-    return out
+    words, static = np.unique(arrays["word"], return_inverse=True)
+    return Trace(
+        arrays["pc"].tolist(),
+        static.tolist(),
+        [_decode_cached(word) for word in words.tolist()],
+        *(arrays[name].tolist() for name in COLUMNS[1:]),
+    )
 
 
 def _normalize_path(path: str | Path) -> Path:
@@ -168,14 +146,14 @@ def _normalize_path(path: str | Path) -> Path:
     return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
 
 
-def save_trace(path: str | Path, records) -> int:
+def save_trace(path: str | Path, trace) -> int:
     """Write a trace to *path* (``.npz``) atomically; returns the count.
 
     The arrays are written to a temporary file in the destination
     directory, flushed and fsynced, then renamed over *path* — an
     interrupted save never leaves a partial trace at *path*.
     """
-    arrays = pack_trace(records)
+    arrays = pack_trace(trace)
     path = _normalize_path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
     try:
@@ -193,7 +171,7 @@ def save_trace(path: str | Path, records) -> int:
     return len(arrays["pc"])
 
 
-def load_trace(path: str | Path) -> list[TraceRecord]:
+def load_trace(path: str | Path) -> Trace:
     """Load a trace written by :func:`save_trace`.
 
     Raises:

@@ -30,8 +30,9 @@ Design constraints honoured here:
   ``KeyboardInterrupt``.
 * **Cheap transport** — traces travel between processes as the packed
   numpy arrays of :mod:`repro.emulator.tracefile` (a few MB), not as
-  pickled ``TraceRecord`` lists (hundreds of MB), and are re-inflated
-  once in the parent via :func:`repro.experiments.runner.preload_trace`.
+  pickled ``TraceRecord`` lists (hundreds of MB); the parent unpacks
+  them to a columnar :class:`~repro.emulator.trace.Trace` and hands it
+  to :func:`repro.experiments.runner.preload_trace`.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def collect_parallel(
             failures.append(result.failure)
             continue
         try:
-            records = unpack_trace(result.arrays)
+            trace = unpack_trace(result.arrays)
         except TraceCorruption as exc:  # pragma: no cover - transport bug guard
             failures.append(
                 FailureRecord(
@@ -193,18 +194,18 @@ def collect_parallel(
             runner.set_budget_override(result.name, result.degraded_steps)
             degraded.append(result.failure)
         runner.preload_trace(
-            result.name, result.max_steps, iters, skip, profile, records
+            result.name, result.max_steps, iters, skip, profile, trace
         )
         if session is not None:
             if result.cache_hits and not result.cache_misses:
-                session.note_cache_hit(result.name, len(records), result.seconds)
+                session.note_cache_hit(result.name, len(trace), result.seconds)
             else:
                 # Workers inherit the parent's REPRO_DISPATCH, so the
                 # parent's default names the tier that emulated the trace.
                 from repro.emulator.machine import default_dispatch
 
                 session.note_collection(
-                    result.name, len(records), result.seconds,
+                    result.name, len(trace), result.seconds,
                     dispatch_mode=default_dispatch(),
                 )
         surviving.append(result.name)

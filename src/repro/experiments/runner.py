@@ -1,9 +1,10 @@
 """Shared experiment infrastructure: trace collection and config sweeps.
 
 Emulating a workload dominates experiment wall-clock, so the dynamic
-trace (a list of immutable :class:`TraceRecord`) is collected once per
-benchmark and replayed across every machine configuration; a shorter
-request is served as a prefix of a longer trace already held.
+trace is collected once per benchmark, converted once to a columnar
+:class:`~repro.emulator.trace.Trace`, and replayed across every machine
+configuration; a shorter request is served as a prefix of a longer
+trace already held, sharing its columns.
 
 Resilience: collection runs under an optional wall-clock watchdog
 (:func:`set_wall_timeout`), and :func:`collect_trace_resilient` turns a
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.core.config import MachineConfig
 from repro.emulator.machine import default_dispatch
-from repro.emulator.trace import TraceRecord
+from repro.emulator.trace import Trace, as_trace
 from repro.experiments import trace_cache
 from repro.harness.watchdog import Watchdog
 from repro.obs.guestprof import active_collector, profile_from_records
@@ -50,7 +51,7 @@ _budget_overrides: dict[str, int] = {}
 
 #: Traces collected elsewhere (parallel worker processes) and injected
 #: into this process so ``_collect`` never re-emulates them.
-_preloaded: dict[tuple, tuple[TraceRecord, ...]] = {}
+_preloaded: dict[tuple, Trace] = {}
 
 
 def set_wall_timeout(seconds: float | None) -> None:
@@ -76,7 +77,7 @@ def budget_override(name: str) -> int | None:
 
 def _fetch(
     name: str, max_steps: int, iters: int | None, skip: int | None, profile: str
-) -> tuple[TraceRecord, ...]:
+) -> Trace:
     """A trace the in-memory layer does not hold: preloaded, disk, or emulated."""
     gp = active_collector()
     if gp is not None:
@@ -120,7 +121,7 @@ def _fetch(
     )
     t0 = time.perf_counter()
     w0 = time.time()
-    trace = tuple(
+    trace = Trace.from_records(
         workload.trace(max_steps=max_steps, iters=iters, skip=skip, profile=profile, watchdog=watchdog)
     )
     seconds = time.perf_counter() - t0
@@ -144,10 +145,11 @@ class _TraceLayer:
     trace it has served, by requested length, and at most *maxsize*
     keys stay held (least recently used evicted first).
 
-    * An exact repeat returns the same tuple, with no side effects.
+    * An exact repeat returns the same trace, with no side effects.
     * A shorter request is served as the prefix of a held trace with at
-      least that many records: emulation is deterministic, so the first
-      *M* records of a longer collection are the *M*-record collection.
+      least that many records, sharing its columns: emulation is
+      deterministic, so the first *M* records of a longer collection are
+      the *M*-record collection.
       Like a persistent-cache hit it replays the prefix into an active
       guest profile, but it moves no cache or session counter.  A held
       trace with fewer records than requested (the guest halted) is
@@ -157,11 +159,11 @@ class _TraceLayer:
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
-        self._held: OrderedDict[tuple, dict[int, tuple[TraceRecord, ...]]] = OrderedDict()
+        self._held: OrderedDict[tuple, dict[int, Trace]] = OrderedDict()
 
     def __call__(
         self, name: str, max_steps: int, iters: int | None, skip: int | None, profile: str
-    ) -> tuple[TraceRecord, ...]:
+    ) -> Trace:
         key = (name, iters, skip, profile)
         held = self._held.get(key, {})
         trace = held.get(max_steps)
@@ -199,7 +201,7 @@ def collect_trace(
     iters: int | None = None,
     skip: int | None = None,
     profile: str = "ref",
-) -> tuple[TraceRecord, ...]:
+) -> Trace:
     """Steady-state dynamic trace of benchmark *name* (cached).
 
     *profile* selects the input footprint (test/train/ref, the SPEC
@@ -251,7 +253,7 @@ def collect_trace_resilient(
     profile: str = "ref",
     retry_divisor: int = 4,
     min_retry_steps: int = 1_000,
-) -> tuple[tuple[TraceRecord, ...] | None, FailureRecord | None]:
+) -> tuple[Trace | None, FailureRecord | None]:
     """Collect a trace, degrading gracefully instead of raising.
 
     Returns ``(trace, failure)``:
@@ -314,14 +316,14 @@ def preload_trace(
     iters: int | None,
     skip: int | None,
     profile: str,
-    records,
+    trace,
 ) -> None:
     """Inject a trace collected elsewhere (a ``--jobs`` worker).
 
     The next ``collect_trace`` with the same parameters returns this
     trace instead of re-emulating the workload.
     """
-    _preloaded[(name, max_steps, iters, skip, profile)] = tuple(records)
+    _preloaded[(name, max_steps, iters, skip, profile)] = as_trace(trace)
 
 
 def clear_trace_cache() -> None:

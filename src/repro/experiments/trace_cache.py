@@ -127,7 +127,8 @@ def entry_path(name: str, key: str) -> Path:
 
 
 def load(name: str, key: str):
-    """Return the cached trace for *key*, or ``None`` on a miss.
+    """Return the cached :class:`~repro.emulator.trace.Trace` for *key*,
+    or ``None`` on a miss.
 
     A corrupt or torn entry counts as a miss: it is removed
     (best-effort) and the caller re-collects — degraded performance,
@@ -138,7 +139,7 @@ def load(name: str, key: str):
         return None
     path = entry_path(name, key)
     try:
-        records = load_trace(path)
+        trace = load_trace(path)
     except FileNotFoundError:
         _misses += 1
         return None
@@ -165,17 +166,17 @@ def load(name: str, key: str):
             pass
         return None
     _hits += 1
-    return tuple(records)
+    return trace
 
 
-def store(name: str, key: str, records) -> Path | None:
+def store(name: str, key: str, trace) -> Path | None:
     """Persist a freshly collected trace (best-effort; never raises)."""
     if not enabled():
         return None
     path = entry_path(name, key)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        save_trace(path, records)
+        save_trace(path, trace)
     except OSError:
         return None
     return path

@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import islice
 
+from repro.emulator.trace import as_trace
 from repro.obs.attribution import COMPONENT_KEYS, split_claims
 
 #: Schema version of the serialized profile payload.
@@ -312,27 +314,26 @@ def profile_from_records(records, collector: GuestProfileCollector) -> None:
     """Count retirements from an already-collected trace.
 
     Cache hits skip the emulator entirely, so the machine-loop hooks
-    never see the instructions; replaying the cached records through
-    the collector keeps per-PC counts identical to a cold collection
-    (including the sampling cadence, which consumes the shared
-    countdown).
+    never see the instructions; replaying the cached trace's ``pc``
+    column (*records* is a :class:`~repro.emulator.trace.Trace` or an
+    iterable of records) through the collector keeps per-PC counts
+    identical to a cold collection (including the sampling cadence,
+    which consumes the shared countdown).
     """
+    trace = as_trace(records)
+    pcs = islice(trace.pc, len(trace))
     counts: dict[int, int] = {}
-    retired = 0
+    retired = len(trace)
     sampled = 0
     if collector.mode == "exact":
-        for rec in records:
-            pc = rec.pc
+        for pc in pcs:
             counts[pc] = counts.get(pc, 0) + 1
-            retired += 1
     else:
         period = collector.period
         left = collector.countdown
-        for rec in records:
-            retired += 1
+        for pc in pcs:
             left -= 1
             if left <= 0:
-                pc = rec.pc
                 counts[pc] = counts.get(pc, 0) + 1
                 sampled += 1
                 left = period

@@ -1,29 +1,32 @@
 """Two-pass fast path for the timing layer.
 
 A run of :class:`repro.timing.simulator.TimingSimulator` in fast mode
-is split in two:
+reads the columns of a :class:`~repro.emulator.trace.Trace` and is split
+in two:
 
-* a **front-end pass** (:mod:`repro.timing.frontend`) walks the records
+* a **front-end pass** (:mod:`repro.timing.frontend`) walks the trace
   over the gshare/BTB/RAS predictor and the cache hierarchy once and
-  keeps one column per outcome: a static-instruction index, the cache
-  level serving each fetch-line transition and each load, each load's
-  §5.2 partial-tag resolving width, and each control transfer's
+  keeps one column per outcome: the cache level serving each
+  fetch-line transition and each load, each load's §5.2 partial-tag
+  resolving width, and each control transfer's
   ``(mispredicted, predicted_taken)``.  Configs that share predictor
   and cache geometry replay one pass
   (:func:`repro.timing.simulator.simulate_configs`,
   :func:`repro.timing.sampling.sample_configs`), so the timing pass
   reads every latency from its config, never from the hierarchy;
-* a **timing pass** (:func:`run_fast`) replays the columns.  The first
-  time a static instruction is seen, :func:`bind_plan` gives it a
+* a **timing pass** (:func:`run_fast`) replays the columns.
+  :func:`bind_plan` gives each entry of the trace's static-instruction
+  table (:func:`repro.timing.frontend.decode`, built once per trace) a
   **generated handler**: straight-line source from a template per
   instruction *shape* (op kind, slices, in-order or out-of-order slice
   issue, source and destination counts, narrow-width and early-branch
   flags), compiled once per process and bound to the simulator's
   scoreboard slots, issue pools and pool dicts as closure variables.
-  A handler inlines per-slice operand readiness, the Figure 8 chain,
-  each issue-slot reservation (:meth:`BandwidthPool.reserve`'s floor
-  check, dict probe, walk past full cycles and prune check), the slice
-  claim and writeback.
+  A handler takes a record's index, reads the trace columns it needs,
+  and inlines per-slice operand readiness, the Figure 8 chain, each
+  issue-slot reservation (:meth:`BandwidthPool.reserve`'s floor check,
+  dict probe, walk past full cycles and prune check), the slice claim
+  and writeback.
 
 Further mechanical optimisations of the timing pass:
 
@@ -59,7 +62,7 @@ from itertools import islice
 
 from repro.branch.early import can_resolve_early
 from repro.core.slicing import slices_containing_difference
-from repro.isa.opclass import OpClass, op_class
+from repro.isa.opclass import OpClass
 from repro.obs.events import (
     COMMIT,
     CPI_SAMPLE,
@@ -73,12 +76,14 @@ from repro.obs.events import (
 )
 from repro.obs.guestprof import SHORTFALL_PC, profile_delta
 from repro.obs.guestprof import active_collector as _guest_collector
+from repro.emulator.trace import Trace, as_trace
 from repro.timing.frontend import (
     FORWARDED,
     L1,
     FrontEnd,
     FrontEndColumns,
     HazardDivergence,
+    decode,
 )
 from repro.timing.resources import PRUNE_ABOVE, PRUNE_KEEP
 from repro.timing.simulator import CPI_SAMPLE_INTERVAL, _StoreEntry
@@ -146,9 +151,30 @@ def _max_of(lines, var, slots):
         lines.append(f"if v > {var}: {var} = v")
 
 
-def _reserve(lines, k):
+def _reserve(lines, k, grows):
     """:meth:`BandwidthPool.reserve` on issue pool *k*, inlined: moves
-    ``r`` to the first cycle at or above it with a free slot."""
+    ``r`` to the first cycle at or above it with a free slot.
+
+    With *grows*, the prune check runs only when the reservation put a
+    new cycle in the dict, the only time the dict grows; this is the
+    reference's check after every reservation as long as a prune never
+    leaves the dict above ``PRUNE_ABOVE``.  :func:`bind_plan` sets
+    *grows* when ``ruu_size + PRUNE_KEEP <= PRUNE_ABOVE`` and
+    ``frontend_depth >= dispatch_stage``, which bound what
+    ``_prune(c - PRUNE_KEEP)`` keeps for a reservation at cycle ``c``
+    by instruction *i*, fetched at ``F``:
+
+    * the cycles from ``c - PRUNE_KEEP`` to ``c``: ``PRUNE_KEEP + 1``;
+    * the cycles above ``c``: each instruction reserves once per pool,
+      and only the ``ruu_size - 1`` instructions just before *i* can
+      hold one.  An older instruction reserves below its commit, so
+      below ``commit(i - ruu_size)``.  Fetch waits for that commit to
+      free an RUU entry, so it is at most ``F + dispatch_stage``, and
+      *i* reserves at or above ``F + frontend_depth`` (and so at or
+      above ``F + dispatch_stage``).
+
+    That is at most ``ruu_size + PRUNE_KEEP`` cycles.
+    """
     lines += [
         f"if r < p{k}._floor: r = p{k}._floor",
         f"n = u{k}.get(r, 0)",
@@ -156,11 +182,11 @@ def _reserve(lines, k):
         "    r += 1",
         f"    n = u{k}.get(r, 0)",
         f"u{k}[r] = n + 1",
-        f"if len(u{k}) > {PRUNE_ABOVE}: p{k}._prune(r - {PRUNE_KEEP})",
+        f"if {'not n and ' if grows else ''}len(u{k}) > {PRUNE_ABOVE}: p{k}._prune(r - {PRUNE_KEEP})",
     ]
 
 
-def _slices(lines, klass, S, in_order, nsrc):
+def _slices(lines, klass, S, in_order, nsrc, grows):
     """Figure 8 on *S* slice pipes (:meth:`TimingSimulator._schedule_sliced`).
 
     Sets ``c0`` .. ``c{S-1}`` (slice completions), ``complete`` (their
@@ -190,7 +216,7 @@ def _slices(lines, klass, S, in_order, nsrc):
             lines.append(f"if {prev} > r: r = {prev}")
         else:
             lines.append("if earliest > r: r = earliest")
-        _reserve(lines, k)
+        _reserve(lines, k, grows)
         if prev is None:
             lines.append("start = r")
         lines.append(f"c{k} = r + 1")
@@ -201,7 +227,7 @@ def _slices(lines, klass, S, in_order, nsrc):
     lines.append("claim = complete - start - 1")
 
 
-def _issue(lines, nsrc, width, unit):
+def _issue(lines, nsrc, width, unit, grows):
     """An atomic op, issued once its sources are whole: ``complete``."""
     _max_of(lines, "r", [f"s{i}_{k}" for i in range(nsrc) for k in range(width)])
     lines.append("if earliest > r: r = earliest")
@@ -212,33 +238,35 @@ def _issue(lines, nsrc, width, unit):
             "unit._free_at = complete",
         ]
     else:
-        _reserve(lines, 0)
+        _reserve(lines, 0, grows)
         lines.append("complete = r + lat")
 
 
-def _agen(lines, nsrc, width):
+def _agen(lines, nsrc, width, grows):
     """Address generation (:meth:`TimingSimulator._agen`): ``agen``,
     ``claim``.  Unsliced machines read only the full address."""
     if width > 1:
-        _slices(lines, OpClass.ARITH, width, False, nsrc)
+        _slices(lines, OpClass.ARITH, width, False, nsrc, grows)
         lines.append(f"agen = ({', '.join(f'c{k}' for k in range(width))},)")
     else:
-        _issue(lines, nsrc, 1, False)
+        _issue(lines, nsrc, 1, False, grows)
         lines += ["agen = (complete,)", "claim = 0"]
 
 
 def _source(shape) -> str:
     """Source of the handler factory for one *shape*.
 
-    The handler is ``handler(record, earliest, dispatch, out)`` and
-    returns ``(complete, result_times, resolve, lsd, ptm, memory,
-    slice)``: the completion cycle, the per-slice result times a
-    sliced ALU op publishes (*complete* otherwise), the control
-    resolution cycle (``None`` off control transfers) and the
-    instruction's CPI claims besides fetch's.
+    The handler is ``handler(i, earliest, dispatch, out)`` for record
+    *i* of the trace, whose columns it reads, and returns ``(complete,
+    result_times, resolve, lsd, ptm, memory, slice)``: the completion
+    cycle, the per-slice result times a sliced ALU op publishes
+    (*complete* otherwise), the control resolution cycle (``None`` off
+    control transfers) and the instruction's CPI claims besides
+    fetch's.  *grows* picks :func:`_reserve`'s prune check.
     """
-    kind, width, nsrc, nwd, flags = shape
+    kind, width, nsrc, nwd, flags, grows = shape
     lines: list[str] = []
+    columns = []  # the trace columns the handler reads
     times = "complete"
     resolve = "None"
     claims = "0, 0, 0, claim"
@@ -250,27 +278,28 @@ def _source(shape) -> str:
         resolve = "complete" if flags else "None"
     elif kind == "issue":  # unsliced ops, FULL units
         unit, is_branch = flags
-        _issue(lines, nsrc, width, unit)
+        _issue(lines, nsrc, width, unit, grows)
         claims = "0, 0, 0, 0"
         resolve = "complete" if is_branch else "None"
     elif kind == "slices":  # sliceable ALU ops
         klass, in_order, narrow = flags
-        _slices(lines, klass, width, in_order, nsrc)
+        _slices(lines, klass, width, in_order, nsrc, grows)
         times = "per"
         scalar = False
         per = f"[{', '.join(f'c{k}' for k in range(width))}]"
         if narrow:
-            lines.append(f"per = relax({per}, record.result)")
+            lines.append(f"per = relax({per}, result[i])")
+            columns.append("result")
             lines += [f"rr[d{j}_0:d{j}_0 + {width}] = per" for j in range(nwd)]
         else:
             lines.append(f"per = {per}")
             lines += [f"rr[d{j}_{k}] = c{k}" for j in range(nwd) for k in range(width)]
     elif kind == "sign":  # slt family and sign-testing branches: the top slice
-        _slices(lines, OpClass.ARITH, width, False, nsrc)
+        _slices(lines, OpClass.ARITH, width, False, nsrc, grows)
         resolve = "complete" if flags else "None"
     elif kind == "zero":  # beq / bne, with §5.3 early resolution
         in_order, early = flags
-        _slices(lines, OpClass.ZERO_TEST, width, in_order, nsrc)
+        _slices(lines, OpClass.ZERO_TEST, width, in_order, nsrc, grows)
         lines.append("resolve = complete")
         resolve = "resolve"
         if early:
@@ -278,9 +307,9 @@ def _source(shape) -> str:
             lines += [
                 # The front end's gshare prediction, as the reference
                 # loop reads it before training.
-                "taken = out & 1 == 1",
-                "if taken != record.taken and can_resolve_early(mnem, taken):",
-                f"    diff = slices_containing_difference(record.rs_val, record.rt_val, {width})",
+                "predicted = out & 1 == 1",
+                "if predicted != taken[i] and can_resolve_early(mnem, predicted):",
+                f"    diff = slices_containing_difference(rs_val[i], rt_val[i], {width})",
                 "    if diff:",
                 f"        per = ({', '.join(f'c{k}' for k in range(width))},)",
                 f"        resolve = {pick}",
@@ -292,24 +321,26 @@ def _source(shape) -> str:
                 '                extra.get("early_branch_saved_cycles", 0) + (complete - resolve)',
                 "            )",
             ]
+            columns += ["taken", "rs_val", "rt_val"]
     elif kind == "load":
-        _agen(lines, nsrc, width)
-        lines.append("complete, lsd, ptm, mem = load_tail(record, agen, dispatch, out)")
+        _agen(lines, nsrc, width, grows)
+        lines.append("complete, lsd, ptm, mem = load_tail(i, agen, dispatch, out)")
         claims = "lsd, ptm, mem, claim"
     elif kind == "store":
-        _agen(lines, nsrc, width)
+        _agen(lines, nsrc, width, grows)
         # Data readiness reads the register the raw rt field names, as
         # the reference loop does (a GPR even for swc1).
         _max_of(lines, "data", [f"t{k}" for k in range(width)])
         lines += [
             "complete = agen[-1]",
             "if data > complete: complete = data",
-            "addr = record.mem_addr",
+            "addr = mem_addr[i]",
             # Committed by the loop once it knows the commit cycle.
             "entry = Entry(sim.seq, addr, agen, data, 0, dispatch)",
             "window.append(entry)",
             "fwd[addr & ~3] = entry",
         ]
+        columns.append("mem_addr")
     else:  # pragma: no cover - bind_plan names every kind
         raise ValueError(f"unknown handler kind {kind!r}")
     if scalar:
@@ -318,8 +349,9 @@ def _source(shape) -> str:
 
     out = [
         "def factory(rr, s, d, t, p, u, W, lat, unit, load_tail, relax, sim, window, fwd,"
-        " Entry, mnem):"
+        " Entry, mnem, trace):"
     ]
+    out += [f"    {column} = trace.{column}" for column in columns]
     for tup, names in (
         ("s", [f"s{i}_{k}" for i in range(nsrc) for k in range(width)]),
         ("d", [f"d{j}_{k}" for j in range(nwd) for k in range(width)]),
@@ -329,7 +361,7 @@ def _source(shape) -> str:
     ):
         if names:
             out.append(f"    {', '.join(names)}, = {tup}")
-    out.append("    def handler(record, earliest, dispatch, out):")
+    out.append("    def handler(i, earliest, dispatch, out):")
     out += [f"        {line}" for line in lines]
     out.append("    return handler")
     return "\n".join(out) + "\n"
@@ -367,13 +399,16 @@ def _full_unit(sim, m):
     return ex, None
 
 
-def bind_plan(sim, inst, load_tail):
+def bind_plan(sim, info, load_tail, trace):
     """Bind one static instruction to its generated handler.
 
-    Returns ``(handler, is_mem, is_control, is_branch, is_store)``;
-    ``handler(record, earliest, dispatch, out)`` performs the execute
-    stage given the record's front-end outcome code *out*: operand
-    readiness, the Figure 8 slice schedule with its issue-pool
+    *info* is the instruction's :class:`~repro.timing.frontend.StaticInfo`
+    in *trace*'s decode table (:func:`~repro.timing.frontend.decode`,
+    built once per trace); this picks the config's handler shape and
+    binds it.  Returns ``(handler, is_mem, is_control, is_branch,
+    is_store)``; ``handler(i, earliest, dispatch, out)`` performs the
+    execute stage of record *i* given its front-end outcome code *out*:
+    operand readiness, the Figure 8 slice schedule with its issue-pool
     reservations, destination writeback to the flat scoreboard, and a
     store's LSQ entry.  It returns ``(complete, result_times, resolve,
     lsd, ptm, memory, slice)`` (:func:`_source`) exactly as the
@@ -383,58 +418,51 @@ def bind_plan(sim, inst, load_tail):
     An unsliced machine writes every register slice at once, so its
     handlers track slice 0 of each register only.
     """
-    m = inst.mnemonic
-    klass = op_class(m)
-    is_branch = inst.is_branch
+    klass = info.klass
+    is_branch = info.is_branch
     sliced = sim.sliced
     S = sim.num_slices
     width = S if sliced else 1
-    srcs = inst.src_regs()
-    dsts = inst.dst_regs()
     lat = sim.config.ex_stages
     unit = None
-    data = ()
-    if klass is OpClass.NOP or inst.is_nop:
-        srcs = ()
+    if info.nop:
         kind, flags = "direct", False
     elif klass in _ALU_CLASSES:
         if sliced:
             in_order = klass is OpClass.LOGIC and not sim.ooo_slices
-            kind, flags = "slices", (klass, in_order, sim.narrow and bool(dsts))
+            kind, flags = "slices", (klass, in_order, sim.narrow and info.writes)
         else:
             kind, flags = "issue", (False, False)
     elif klass is OpClass.COMPARE and not is_branch:
         kind, flags = ("sign", False) if sliced else ("issue", (False, False))
     elif klass is OpClass.FULL:
-        lat, unit = _full_unit(sim, m)
+        lat, unit = _full_unit(sim, info.mnemonic)
         kind, flags = "issue", (unit is not None, False)
     elif klass is OpClass.LOAD:
         kind, flags = "load", None
     elif klass is OpClass.STORE:
-        srcs = srcs[:1]  # address generation reads the base register only
-        data = (inst.rt,)
         kind, flags = "store", None
     elif is_branch:
         if not sliced:
             kind, flags = "issue", (False, True)
-        elif m in ("beq", "bne"):
+        elif info.mnemonic in ("beq", "bne"):
             kind, flags = "zero", (not sim.ooo_slices, sim.early_branch)
         else:
             kind, flags = "sign", True
     else:  # j / jal; jr / jalr / syscall / break need whole registers
         kind, flags = "direct", klass is OpClass.JUMP
-    # $0 is never written, so it is ready at cycle 0 and drops out.
-    srcs = tuple(r for r in srcs if r)
-    wdsts = tuple(r for r in dsts if r)
+    srcs, dsts = info.srcs, info.dsts
     pools = tuple(sim.issue_pools[:width])
-    handler = _factory((kind, width, len(srcs), len(wdsts), flags))(
+    cfg = sim.config
+    grows = cfg.ruu_size + PRUNE_KEEP <= PRUNE_ABOVE and cfg.frontend_depth >= cfg.dispatch_stage
+    handler = _factory((kind, width, len(srcs), len(dsts), flags, grows))(
         sim._rr,
         tuple(r * S + k for r in srcs for k in range(width)),
-        tuple(r * S + k for r in wdsts for k in range(width)),
-        tuple(r * S + k for r in data for k in range(width)),
+        tuple(r * S + k for r in dsts for k in range(width)),
+        tuple(r * S + k for r in info.data for k in range(width)),
         pools,
         tuple(pool._used for pool in pools),
-        sim.config.issue_width,
+        cfg.issue_width,
         lat,
         unit,
         load_tail,
@@ -443,13 +471,13 @@ def bind_plan(sim, inst, load_tail):
         sim.store_window,
         sim._fwd,
         _StoreEntry,
-        m,
+        info.mnemonic,
+        trace,
     )
-    is_mem = klass is OpClass.LOAD or klass is OpClass.STORE
-    return handler, is_mem, inst.is_control, is_branch, klass is OpClass.STORE
+    return handler, info.is_mem, info.is_control, is_branch, info.is_store
 
 
-def _load_tail_for(sim, columns, replaying):
+def _load_tail_for(sim, trace, columns, replaying):
     """Load disambiguation and memory access over the front-end columns.
 
     Replicates :meth:`TimingSimulator._lsd_release` and
@@ -463,9 +491,10 @@ def _load_tail_for(sim, columns, replaying):
     decision, after checking it would decide the same way
     (:class:`~repro.timing.frontend.HazardDivergence` otherwise).
 
-    ``load_tail(record, agen, dispatch, out)`` returns ``(data_ready,
-    lsd, ptm, memory)``: the cycle the data is ready and the load's
-    disambiguation, way-mispredict and memory CPI claims.
+    ``load_tail(i, agen, dispatch, out)`` for record *i* of *trace*
+    returns ``(data_ready, lsd, ptm, memory)``: the cycle the data is
+    ready and the load's disambiguation, way-mispredict and memory CPI
+    claims.
 
     Equivalence of the incremental store window with the reference's
     per-load filter ``[s for s in window if s.commit > dispatch]``:
@@ -497,6 +526,8 @@ def _load_tail_for(sim, columns, replaying):
     low_slice = (1 << slice_bits) - 1
     events = sim.events
     obs_on = sim._obs_enabled
+    pcs = trace.pc
+    addrs = trace.mem_addr
     l1_latency = cfg.l1_latency
     latency = (
         0,
@@ -530,11 +561,11 @@ def _load_tail_for(sim, columns, replaying):
             decide(out)
             return out
 
-    def load_tail(record, agen, dispatch, out):
+    def load_tail(i, agen, dispatch, out):
         while window and window[0].commit <= dispatch:
             window.popleft()
         stats = sim.stats
-        addr = record.mem_addr
+        addr = addrs[i]
         a_full = agen[-1]
         release = lsd = 0
         if window:
@@ -586,7 +617,7 @@ def _load_tail_for(sim, columns, replaying):
                     stats.lsd_early_releases += 1
                     if obs_on:
                         events.emit(
-                            EARLY_RELEASE, release, sim.seq, record.pc,
+                            EARLY_RELEASE, release, sim.seq, pcs[i],
                             {"full_release": full},
                         )
             if spec_forward:
@@ -605,7 +636,7 @@ def _load_tail_for(sim, columns, replaying):
                     lsd = replay
                     if obs_on:
                         events.emit(
-                            REPLAY, release, sim.seq, record.pc, {"reason": "spec_forward"}
+                            REPLAY, release, sim.seq, pcs[i], {"reason": "spec_forward"}
                         )
         if out < 0:  # HAZARD: the access waited on the forwarding decision
             out = hazard(addr, False)
@@ -627,7 +658,7 @@ def _load_tail_for(sim, columns, replaying):
                 stats.ptm_way_mispredicts += 1
                 if obs_on:
                     events.emit(
-                        WAY_MISPREDICT, access_start + l1_latency, sim.seq, record.pc,
+                        WAY_MISPREDICT, access_start + l1_latency, sim.seq, pcs[i],
                         {"addr": addr},
                     )
                 return (
@@ -639,7 +670,7 @@ def _load_tail_for(sim, columns, replaying):
             stats.load_replays += 1
             if obs_on:
                 events.emit(
-                    REPLAY, access_start + lat, sim.seq, record.pc, {"reason": "l1d_miss"}
+                    REPLAY, access_start + lat, sim.seq, pcs[i], {"reason": "l1d_miss"}
                 )
             mem = (lat - l1_latency) + replay
             if settled:  # zero match: the miss is known early
@@ -659,7 +690,7 @@ def _load_tail_for(sim, columns, replaying):
         stats.load_replays += 1
         if obs_on:
             events.emit(
-                REPLAY, access_start + lat, sim.seq, record.pc, {"reason": "l1d_miss"}
+                REPLAY, access_start + lat, sim.seq, pcs[i], {"reason": "l1d_miss"}
             )
         return access_start + lat + replay, lsd, 0, (lat - l1_latency) + replay
 
@@ -669,23 +700,26 @@ def _load_tail_for(sim, columns, replaying):
 # ------------------------------------------------------------- main loop
 
 def _take(trace, limit):
-    """The records a run simulates: all of *trace*, or its first *limit*."""
-    if limit is None:
-        return trace if isinstance(trace, (list, tuple)) else list(trace)
-    limit = max(0, limit)
-    if isinstance(trace, (list, tuple)):
-        return trace[:limit] if len(trace) > limit else trace
-    return list(islice(trace, limit))
+    """The :class:`~repro.emulator.trace.Trace` a run simulates: all of
+    *trace*, or its first *limit* records.  A trace is served as is or
+    as a prefix; records (a sequence or an iterator, of which no more
+    than *limit* are read) are converted to columns."""
+    if limit is not None:
+        limit = max(0, limit)
+        trace = trace[:limit] if isinstance(trace, Trace) else islice(trace, limit)
+    return as_trace(trace)
 
 
 def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
     """Fast-mode main loop for :class:`TimingSimulator`.
 
-    Runs the two passes: the front-end pass walks the records over the
-    simulator's predictor and hierarchy (or the simulator replays the
-    columns another run handed it, hazard decisions included), then the
-    timing pass replays them through the generated handlers with fetch,
-    commit and the CPI waterfall (:func:`repro.obs.attribution.attribute_delta`)
+    Runs the two passes over the trace's columns: the front-end pass
+    walks the records over the simulator's predictor and hierarchy (or
+    the simulator replays the columns another run handed it, hazard
+    decisions included), then the timing pass replays them through the
+    generated handlers, bound from the trace's decode table
+    (:func:`~repro.timing.frontend.decode`), with fetch, commit and the
+    CPI waterfall (:func:`repro.obs.attribution.attribute_delta`)
     inlined.  Statement order and arithmetic mirror
     :meth:`TimingSimulator.run_reference`; the lockstep cross-check
     enforces bit-identity.
@@ -699,24 +733,25 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
     emit_text = sim._emit_text
     if watchdog is not None:
         watchdog.start()
-    records = _take(trace, None if max_instructions is None else max_instructions + warmup)
-    n = len(records)
+    trace = _take(trace, None if max_instructions is None else max_instructions + warmup)
+    n = len(trace)
 
     columns = sim._replay
     replaying = columns is not None
     if not replaying:
         front = FrontEnd(sim.predictor, sim.hierarchy, sim.current_fetch_line)
         columns = FrontEndColumns(front, cfg.lsq_size, sim.store_window)
-        walked = columns.walk(records, 0)
+        walked = columns.walk(trace, 0)
     else:
         sim._replay = None
-        if len(columns.static) != n:
-            raise ValueError(f"front-end columns cover {len(columns.static)} records, the run {n}")
+        if len(columns.outcome) != n:
+            raise ValueError(f"front-end columns cover {len(columns.outcome)} records, the run {n}")
         walked = n
     sim.front_end = columns
-    statics = columns.statics
-    load_tail = _load_tail_for(sim, columns, replaying)
-    plans = [bind_plan(sim, inst, load_tail) for inst in statics]
+    load_tail = _load_tail_for(sim, trace, columns, replaying)
+    plans = [bind_plan(sim, info, load_tail, trace) for info in decode(trace)]
+    pcs = trace.pc
+    statics = trace.statics
 
     commit_ring = sim.commit_ring
     mem_ring = sim.mem_commit_ring
@@ -747,9 +782,9 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
     warm_commit = 0
     start = 0
     while start < n:
-        for record, s, fl, out in zip(
-            islice(records, start, walked),
-            islice(columns.static, start, walked),
+        for i, s, fl, out in zip(
+            range(start, walked),
+            islice(trace.static, start, walked),
             islice(columns.fetch, start, walked),
             islice(columns.outcome, start, walked),
         ):
@@ -807,7 +842,7 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
             dispatch = F + dispatch_stage
 
             complete, result_times, resolve, cd, cp, cml, cs = handler(
-                record, F + frontend_depth, dispatch, out
+                i, F + frontend_depth, dispatch, out
             )
 
             # ---------------- control redirect ----------------
@@ -871,7 +906,7 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
                     stats.cpi_base += rem
                 if prof is not None:
                     profile_delta(
-                        prof, record.pc, delta, (cb, cr, cq, cd, cp, cm, cs)
+                        prof, pcs[i], delta, (cb, cr, cq, cd, cp, cm, cs)
                     )
             last = commit
             if first_commit is None:
@@ -888,8 +923,8 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
                     stats.loads += 1
 
             if obs_on:
-                pc = record.pc
-                inst = record.inst
+                pc = pcs[i]
+                inst = statics[s]
                 fetch_args: dict = {"mnemonic": inst.mnemonic}
                 if emit_text:
                     from repro.isa.disassembler import format_instruction
@@ -924,9 +959,7 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
         # pass has now made or skipped: resume it there.
         start = walked
         if start < n:
-            walked = columns.walk(records, start)
-            plans.extend(bind_plan(sim, inst, load_tail) for inst in statics[len(plans):])
-
+            walked = columns.walk(trace, start)
 
     sim.fetch_cycle = fetch_cycle
     sim.fetched_this_cycle = fetched
@@ -1000,11 +1033,11 @@ def cross_check_timing(config, trace, max_instructions=None, warmup=0):
     """
     from repro.timing.simulator import TimingSimulator
 
-    records = trace if isinstance(trace, list) else list(trace)
+    trace = as_trace(trace)
     ref = TimingSimulator(config, events=EventTrace(capacity=None), mode="reference")
     fast = TimingSimulator(config, events=EventTrace(capacity=None), mode="fast")
-    ref_stats = ref.run(records, max_instructions, warmup=warmup)
-    fast_stats = fast.run(records, max_instructions, warmup=warmup)
+    ref_stats = ref.run(trace, max_instructions, warmup=warmup)
+    fast_stats = fast.run(trace, max_instructions, warmup=warmup)
     _diff_dicts(f"SimStats[{config.name}]", ref_stats.to_dict(), fast_stats.to_dict())
     _diff_events(ref.events, fast.events)
     return fast_stats

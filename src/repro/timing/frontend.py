@@ -7,9 +7,9 @@ on timing: which cache level serves a fetch line or a load, what the
 mispredicts are functions of the record stream.  The fast timing path
 (:mod:`repro.timing.fastpath`) therefore runs in two passes:
 
-* the **front-end pass** (:meth:`FrontEndColumns.walk`) feeds the
-  records through a predictor and hierarchy once and keeps one column
-  per outcome;
+* the **front-end pass** (:meth:`FrontEndColumns.walk`) feeds a
+  trace's columns through a predictor and hierarchy once and keeps one
+  column per outcome;
 * the **timing pass** replays those columns under the config's
   latencies and pipeline.
 
@@ -37,8 +37,9 @@ shares only passes that met no hazard.
 
 from __future__ import annotations
 
-from itertools import islice
+from typing import NamedTuple
 
+from repro.branch.predictor import mispredicted
 from repro.isa.opclass import OpClass, op_class
 from repro.memsys.hierarchy import L1D_CONFIG, L1I_CONFIG, L2_CONFIG
 
@@ -73,6 +74,51 @@ def record_kind(inst) -> int:
     return CONTROL if inst.is_control else OTHER
 
 
+class StaticInfo(NamedTuple):
+    """What both passes need of one static instruction (:func:`decode`)."""
+
+    mnemonic: str
+    klass: OpClass
+    kind: int                #: front-end kind (:func:`record_kind`)
+    nop: bool
+    srcs: tuple[int, ...]    #: registers the execute stage reads, ``$0`` dropped
+    dsts: tuple[int, ...]    #: registers written, ``$0`` dropped
+    writes: bool             #: names a destination register, ``$0`` included
+    data: tuple[int, ...]    #: a store's data register, as the raw rt field names it
+    is_mem: bool
+    is_control: bool
+    is_branch: bool
+    is_store: bool
+
+
+def _static_info(inst) -> StaticInfo:
+    klass = op_class(inst.mnemonic)
+    nop = klass is OpClass.NOP or inst.is_nop
+    is_store = klass is OpClass.STORE
+    srcs = inst.src_regs()
+    if nop:
+        srcs = ()
+    elif is_store:
+        srcs = srcs[:1]  # address generation reads the base register only
+    dsts = inst.dst_regs()
+    return StaticInfo(
+        inst.mnemonic, klass, record_kind(inst), nop,
+        tuple(r for r in srcs if r), tuple(r for r in dsts if r), bool(dsts),
+        (inst.rt,) if is_store else (),
+        klass is OpClass.LOAD or is_store, inst.is_control, inst.is_branch, is_store,
+    )
+
+
+def decode(trace) -> list[StaticInfo]:
+    """*trace*'s static-instruction table, one :class:`StaticInfo` per
+    entry of ``trace.statics``: built once per trace and kept in its
+    ``memo``, which its prefixes share, for every config's run."""
+    table = trace.memo.get("timing")
+    if table is None:
+        table = trace.memo["timing"] = [_static_info(inst) for inst in trace.statics]
+    return table
+
+
 def front_end_key(config) -> tuple:
     """Everything besides the records and the starting state that a
     hazard-free front-end pass under *config* depends on: the geometry
@@ -103,15 +149,17 @@ class FrontEnd:
         self.line = line  #: current fetch line (-1: none yet)
         self._shift = hierarchy.l1i.config.offset_bits
 
-    def step(self, record, kind: int) -> tuple[int, int]:
+    def step(self, pc: int, kind: int, addr: int = -1, inst=None, taken: bool = False,
+             target: int = 0) -> tuple[int, int]:
         """Feed one record through; returns ``(fetch, outcome)``.
 
-        *fetch* is the level serving a new fetch line (0: same line).
-        *outcome* is :meth:`load`'s code for a load,
-        ``mispredicted << 1 | predicted_taken`` for a control transfer
-        and 0 otherwise.
+        The record is at *pc*, of front-end *kind*; a load or store
+        accesses *addr*, and a control transfer (*inst*) goes to
+        *target*, *taken* or not.  *fetch* is the level serving a new
+        fetch line (0: same line).  *outcome* is :meth:`load`'s code for
+        a load, ``mispredicted << 1 | predicted_taken`` for a control
+        transfer and 0 otherwise.
         """
-        pc = record.pc
         line = pc >> self._shift
         fetch = 0
         if line != self.line:
@@ -121,12 +169,12 @@ class FrontEnd:
         if kind == OTHER:
             return fetch, 0
         if kind == LOAD:
-            return fetch, self.load(record.mem_addr)
+            return fetch, self.load(addr)
         if kind == STORE:
-            self.hierarchy.warm_data(record.mem_addr)
+            self.hierarchy.warm_data(addr)
             return fetch, 0
-        outcome = self.predictor.predict_and_train(record)
-        return fetch, outcome.mispredicted << 1 | outcome.predicted_taken
+        predicted_taken, predicted_target = self.predictor.predict(pc, inst, taken, target)
+        return fetch, mispredicted(predicted_taken, predicted_target, taken, target) << 1 | predicted_taken
 
     def load(self, addr: int) -> int:
         """A load's data access: ``resolving_width << 2 | level``, the
@@ -141,24 +189,20 @@ class FrontEnd:
 class FrontEndColumns:
     """One run's front-end outcomes, one entry per record.
 
-    ``static[i]`` indexes ``statics`` (the run's distinct instructions),
-    ``fetch[i]`` and ``outcome[i]`` are :meth:`FrontEnd.step`'s results,
-    and ``outcome[i]`` is :data:`HAZARD` where the walk stopped.
-    ``decisions`` holds the timing pass's decision at each hazard load,
-    in order: :data:`FORWARDED` or the outcome code of its access.
+    ``fetch[i]`` and ``outcome[i]`` are :meth:`FrontEnd.step`'s results
+    for record *i* of the trace walked, and ``outcome[i]`` is
+    :data:`HAZARD` where the walk stopped.  ``decisions`` holds the
+    timing pass's decision at each hazard load, in order:
+    :data:`FORWARDED` or the outcome code of its access.
     """
 
     def __init__(self, front: FrontEnd, lsq_size: int, window) -> None:
         self.front = front
-        self.statics: list = []
-        self.static: list[int] = []
         self.fetch = bytearray()
         self.outcome: list[int] = []
         self.decisions: list[int] = []
         self.hazards = 0
         self._lsq_size = lsq_size
-        self._index: dict[int, int] = {}
-        self._kinds: list[int] = []
         # Stores a younger load may forward from: word -> ordinal of
         # its youngest store, seeded from the simulator's store window
         # (*window*, oldest first) so a run continues the one before.
@@ -168,13 +212,17 @@ class FrontEndColumns:
             self._stores += 1
             self._store_words[entry.addr & ~3] = self._stores
 
-    def walk(self, records, start: int) -> int:
-        """Extend the columns over ``records[start:]``; returns where it
-        stopped: ``len(records)``, or one past a hazard load."""
-        index = self._index
-        statics = self.statics
-        kinds = self._kinds
-        static = self.static
+    def walk(self, trace, start: int) -> int:
+        """Extend the columns over records ``start:`` of *trace* (a
+        :class:`~repro.emulator.trace.Trace`, read by column); returns
+        where it stopped: ``len(trace)``, or one past a hazard load."""
+        kinds = [info.kind for info in decode(trace)]
+        statics = trace.statics
+        static = trace.static
+        pcs = trace.pc
+        addrs = trace.mem_addr
+        taken = trace.taken
+        targets = trace.next_pc
         fetch = self.fetch
         outcome = self.outcome
         words = self._store_words
@@ -182,36 +230,33 @@ class FrontEndColumns:
         stores = self._stores
         step = self.front.step
         l1d = self.front.hierarchy.l1d
-        stop = start
-        for record in islice(records, start, None):
-            stop += 1
-            inst = record.inst
-            # Keyed by identity: records share their decoded instruction,
-            # and statics keeps each one alive for the whole walk.
-            s = index.get(id(inst))
-            if s is None:
-                s = index[id(inst)] = len(statics)
-                statics.append(inst)
-                kinds.append(record_kind(inst))
-            static.append(s)
+        n = len(trace)
+        for i in range(start, n):
+            s = static[i]
             kind = kinds[s]
-            if kind == STORE:
-                stores += 1
-                words[record.mem_addr & ~3] = stores
-            elif kind == LOAD:
-                addr = record.mem_addr
-                youngest = words.get(addr & ~3)
-                if youngest is not None and youngest > stores - lsq_size and not l1d.is_mru(addr):
-                    f, _ = step(record, OTHER)
-                    fetch.append(f)
-                    outcome.append(HAZARD)
-                    self.hazards += 1
-                    break
-            f, o = step(record, kind)
+            if kind == CONTROL:
+                f, o = step(pcs[i], CONTROL, -1, statics[s], taken[i], targets[i])
+            elif kind == OTHER:
+                f, o = step(pcs[i], OTHER)
+            else:
+                addr = addrs[i]
+                if kind == STORE:
+                    stores += 1
+                    words[addr & ~3] = stores
+                else:
+                    youngest = words.get(addr & ~3)
+                    if youngest is not None and youngest > stores - lsq_size and not l1d.is_mru(addr):
+                        f, _ = step(pcs[i], OTHER)
+                        fetch.append(f)
+                        outcome.append(HAZARD)
+                        self.hazards += 1
+                        self._stores = stores
+                        return i + 1
+                f, o = step(pcs[i], kind, addr)
             fetch.append(f)
             outcome.append(o)
         self._stores = stores
-        return stop
+        return n
 
 
 __all__ = [
@@ -227,6 +272,8 @@ __all__ = [
     "FrontEnd",
     "FrontEndColumns",
     "HazardDivergence",
+    "StaticInfo",
+    "decode",
     "front_end_key",
     "record_kind",
 ]

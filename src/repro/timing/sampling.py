@@ -174,7 +174,10 @@ class WarmState:
         and predictor training on every control transfer — without any
         of the timing bookkeeping.
         """
-        self._front.step(record, record_kind(record.inst))
+        inst = record.inst
+        self._front.step(
+            record.pc, record_kind(inst), record.mem_addr, inst, record.taken, record.next_pc
+        )
         self.warmed += 1
 
 
@@ -455,6 +458,7 @@ def _sample_group(
     of skipped, warmed and measured instructions are the lead's.
     """
     from repro.emulator.machine import Machine
+    from repro.emulator.trace import Trace
     from repro.obs.guestprof import (
         GuestProfileCollector,
         active_collector,
@@ -529,10 +533,11 @@ def _sample_group(
                     result.warmed += 1
             if machine.halted:
                 break
-        records = list(machine.trace(window_budget, watchdog=watchdog))
+        # One columnar trace per window, which the lead and riders share.
+        window = Trace.from_records(machine.trace(window_budget, watchdog=watchdog))
         sim = TimingSimulator(lead_config, predictor=warm.predictor, hierarchy=warm.hierarchy)
-        stats = sim.run(records, warmup=plan.warmup)
-        result.detail_warmup += min(len(records), plan.warmup)
+        stats = sim.run(window, warmup=plan.warmup)
+        result.detail_warmup += min(len(window), plan.warmup)
         if not stats.instructions:
             break  # the guest halted inside the detailed warmup: nothing measured
         result.measured += stats.instructions
@@ -543,14 +548,14 @@ def _sample_group(
             share = shares.get(i)
             try:
                 with redirected_guest_profile(share):
-                    riders[i].append(rider.run(records, warmup=plan.warmup))
+                    riders[i].append(rider.run(window, warmup=plan.warmup))
             except HazardDivergence:
                 del riders[i]
                 continue
             if share is not None:
                 # The window's trace counted its records once; a config
                 # sampled on its own counts them again.
-                profile_from_records(records, share)
+                profile_from_records(window, share)
         if post and not machine.halted:
             result.skipped += fast_forward(post)
         if plan.ci_target > 0.0:

@@ -31,7 +31,7 @@ from repro.branch.early import can_resolve_early
 from repro.branch.predictor import FrontEndPredictor
 from repro.core.config import MachineConfig
 from repro.core.slicing import slices_containing_difference, split_value
-from repro.emulator.trace import TraceRecord
+from repro.emulator.trace import TraceRecord, as_trace
 from repro.isa.opclass import OpClass, op_class
 from repro.isa.registers import HI, LO, NUM_EXT_REGS
 from repro.memsys.hierarchy import MemoryHierarchy
@@ -930,11 +930,13 @@ def simulate_configs(
     latencies.  A replaying run is built on the pass's own predictor and
     caches, which it never touches, instead of fresh ones.  Columns are
     shared only when their pass met no store-forwarding hazard.
+    Records that are not a :class:`~repro.emulator.trace.Trace` are
+    converted to one once, for every config.
     """
-    records = trace if isinstance(trace, (list, tuple)) else tuple(trace)
+    trace = as_trace(trace)
     shared: dict = {}
     return [
-        _simulate(config, records, None, warmup, None, None, None, shared)
+        _simulate(config, trace, None, warmup, None, None, None, shared)
         for config in configs
     ]
 

@@ -335,8 +335,8 @@ def test_handlers_compile_once_per_shape(small_traces):
         compiles.append(filename)
         return compile(source, filename, mode)
 
-    def recording_bind(sim, inst, load_tail):
-        plan = bind(sim, inst, load_tail)
+    def recording_bind(sim, info, load_tail, trace):
+        plan = bind(sim, info, load_tail, trace)
         handlers.append(plan[0])
         return plan
 

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.emulator.machine import Machine
+from repro.emulator.trace import COLUMNS
 from repro.experiments import runner, trace_cache
 from repro.obs import guestprof
 from repro.obs.session import end_session, start_session
@@ -78,6 +79,17 @@ def test_prefix_equals_a_fresh_shorter_collection(emulations):
     assert session.collections == collections and session.cache_hits == 0
     assert short == long[:1_700]
     end_session()
+    assert short == _fresh(1_700)
+
+
+def test_prefix_shares_the_held_columns(emulations):
+    """A prefix is a view on the held trace: the same column lists, no
+    copy, and still equal to a fresh shorter collection."""
+    long = _collect(3_000)
+    short = _collect(1_700)
+    assert len(short) == 1_700 and len(emulations) == 1
+    for name in ("static", "statics", *COLUMNS):
+        assert getattr(short, name) is getattr(long, name), name
     assert short == _fresh(1_700)
 
 

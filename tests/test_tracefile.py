@@ -1,11 +1,21 @@
 """Trace serialization round trips."""
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.config import bitslice_config
+from repro.emulator.machine import Machine
+from repro.emulator.trace import Trace
 from repro.emulator.tracefile import load_trace, pack_trace, save_trace, unpack_trace
+from repro.isa.assembler import assemble
+from repro.isa.encoding import encode
 from repro.timing.simulator import simulate
+
+from tests.test_differential import straight_line_program
+from tests.test_timing_fastpath import memory_program
 
 
 def test_pack_unpack_roundtrip(small_traces):
@@ -152,3 +162,67 @@ def test_failed_save_does_not_clobber_existing(tmp_path, small_traces):
         save_trace(path, [object()])  # not TraceRecords: packing explodes
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["trace.npz"]
+
+
+# ------------------------------------------------------------ format freeze
+
+_FIELDS = ("pc", "word", "rs_val", "rt_val", "result", "mem_addr", "taken", "next_pc")
+
+
+def _pack_records(records) -> dict:
+    """Format-2 arrays packed record by record: the oracle that pins the
+    file format (field arrays, dtypes and the CRC-32 over them)."""
+    n = len(records)
+    arrays = {
+        "version": np.array([2], dtype=np.uint32),
+        "pc": np.empty(n, dtype=np.uint32),
+        "word": np.empty(n, dtype=np.uint32),
+        "rs_val": np.empty(n, dtype=np.uint32),
+        "rt_val": np.empty(n, dtype=np.uint32),
+        "result": np.empty(n, dtype=np.uint32),
+        "mem_addr": np.empty(n, dtype=np.int64),
+        "taken": np.empty(n, dtype=np.bool_),
+        "next_pc": np.empty(n, dtype=np.uint32),
+    }
+    for i, r in enumerate(records):
+        for name in _FIELDS:
+            value = encode(r.inst) if name == "word" else getattr(r, name)
+            arrays[name][i] = value & 0xFFFFFFFF if name == "result" else value
+    crc = 0
+    for name in ("version",) + _FIELDS:
+        crc = zlib.crc32(name.encode(), crc)
+        crc = zlib.crc32(str(arrays[name].dtype).encode(), crc)
+        crc = zlib.crc32(arrays[name].tobytes(), crc)
+    arrays["checksum"] = np.array([crc & 0xFFFFFFFF], dtype=np.uint32)
+    return arrays
+
+
+def _assert_format_frozen(records, tmp_path) -> None:
+    oracle = _pack_records(records)
+    for packed in (pack_trace(Trace.from_records(records)), pack_trace(records)):
+        assert packed.keys() == oracle.keys()
+        for name, array in oracle.items():
+            assert packed[name].dtype == array.dtype, name
+            assert np.array_equal(packed[name], array), name
+    # Both format versions load to a Trace whose records are the emulator's.
+    legacy = {k: v for k, v in oracle.items() if k != "checksum"}
+    legacy["version"] = np.array([1], dtype=np.uint32)
+    for version, arrays in ((2, oracle), (1, legacy)):
+        path = tmp_path / f"v{version}.npz"
+        np.savez_compressed(path, **arrays)
+        loaded = load_trace(path)
+        assert isinstance(loaded, Trace)
+        assert tuple(loaded) == tuple(records)
+        assert np.array_equal(pack_trace(loaded)["checksum"], oracle["checksum"])
+
+
+@given(st_program=straight_line_program(), memory=memory_program())
+@settings(max_examples=15, deadline=None)
+def test_format_frozen_on_random_programs(tmp_path_factory, st_program, memory):
+    for source in (st_program[0], memory):
+        records = tuple(Machine(assemble(source)).trace(5_000))
+        _assert_format_frozen(records, tmp_path_factory.mktemp("freeze"))
+
+
+def test_format_frozen_on_a_workload(tmp_path, small_traces):
+    _assert_format_frozen(small_traces["mcf"], tmp_path)
