@@ -24,11 +24,11 @@ BENCH_SUBSET = ("bzip", "li", "mcf", "vortex")
 def _no_persistent_trace_cache():
     """Benchmarks measure real collection cost: a warm ~/.cache would
     silently turn an emulation bench into an npz-load bench."""
-    from repro.experiments import trace_cache
+    from repro import context
 
-    trace_cache.configure(enabled=False)
+    context.reset(cache_enabled=False)
     yield
-    trace_cache.configure(enabled=False)
+    context.reset(cache_enabled=False)
 
 
 @pytest.fixture(scope="session")

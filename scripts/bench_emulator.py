@@ -134,7 +134,7 @@ def measure_profile_overhead(benchmarks, steps: int, repeats: int,
     Program so code-cache state and host frequency drift hit both arms
     equally — the methodology behind the documented overhead number.
     """
-    from repro.obs.guestprof import end_guest_profile, start_guest_profile
+    from repro.obs.guestprof import GuestProfileCollector, redirected_guest_profile
 
     ratios = []
     for name in benchmarks:
@@ -147,13 +147,10 @@ def measure_profile_overhead(benchmarks, steps: int, repeats: int,
             machine.run(steps)
             off = min(off, time.process_time() - t0)
             machine = Machine(program, dispatch="blocks")
-            start_guest_profile()
-            try:
+            with redirected_guest_profile(GuestProfileCollector()):
                 t0 = time.process_time()
                 machine.run(steps)
                 on = min(on, time.process_time() - t0)
-            finally:
-                end_guest_profile()
         ratios.append(on / off)
         verbose(f"  {name:<8s} profiler off {off:6.3f}s  on {on:6.3f}s  "
                 f"overhead {on / off - 1:+6.1%}")

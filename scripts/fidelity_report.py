@@ -8,8 +8,9 @@ Usage::
 
 Regenerates Figures 1, 2, 4, 6, 11, 12 and Table 1 at a small budget,
 scores each paper claim against its tolerance band, renders CPI stacks
-for the headline configurations, and appends run-over-run trend deltas
-from ``BENCH_*.json`` perf snapshots.  Exits 1 when any figure is out
+for the headline configurations, and, given ``--bench-dir DIR``, appends
+run-over-run trend deltas from DIR's ``BENCH_*.json`` perf snapshots.
+Exits 1 when any figure is out
 of tolerance (the CI fidelity gate), unless ``--no-fail`` is given.
 """
 

@@ -8,7 +8,7 @@ Top-level convenience surface; the subpackages are the real API:
 * :mod:`repro.workloads` — the 11-benchmark synthetic suite
 * :mod:`repro.memsys` — caches, partial tag matching, hierarchy
 * :mod:`repro.branch` — gshare/BTB/RAS and early branch resolution
-* :mod:`repro.lsq` — load/store queue and partial disambiguation
+* :mod:`repro.lsq` — partial load–store disambiguation
 * :mod:`repro.core` — bit slicing, dependence rules, configurations
 * :mod:`repro.timing` — the out-of-order timing simulator
 * :mod:`repro.characterization` — the Figure 2/4/6 studies

@@ -38,14 +38,6 @@ class TagCharacterization:
         full = self.config.tag_bits
         return self.fraction(full, PartialTagOutcome.SINGLE_HIT)
 
-    def converged_bit(self, tolerance: float = 0.01) -> int:
-        """First width at which the MULTI fraction drops below
-        *tolerance* (where the bars of Figure 4 have converged)."""
-        for bits in sorted(self.counts):
-            if self.fraction(bits, PartialTagOutcome.MULTI) < tolerance:
-                return bits
-        return self.config.tag_bits
-
 
 def characterize_tags(
     trace,

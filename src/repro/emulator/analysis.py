@@ -156,11 +156,6 @@ class StaticCallGraph:
         i = bisect_right(self.entries, pc)
         return self.entries[i - 1] if i else None
 
-    def name_of(self, pc: int) -> str:
-        """Function name for any text PC (``?`` outside the text segment)."""
-        entry = self.function_of(pc)
-        return "?" if entry is None else self.names[entry]
-
     def stack_of(self, entry: int) -> tuple[str, ...]:
         """Deterministic root→function name path for one function entry.
 

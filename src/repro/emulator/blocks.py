@@ -62,6 +62,7 @@ from __future__ import annotations
 import time
 import weakref
 
+from repro.context import current as _run_context
 from repro.emulator.dispatch import (
     ACCESS,
     ADDR,
@@ -82,7 +83,6 @@ from repro.emulator.dispatch import (
     sext,
     sgn,
 )
-from repro.obs.tracing import active_tracer
 
 _M = 0xFFFFFFFF
 
@@ -249,7 +249,7 @@ def _note_compile(
                 "variant": variant,
             }
         )
-    tracer = active_tracer()
+    tracer = _run_context().tracer
     if tracer is not None:
         tracer.mark(
             f"jit.compile {pc:#x}",

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 import os
-import time
 
+from repro.context import current as _run_context
 from repro.emulator import dispatch as _dispatch
 from repro.emulator.dispatch import bits_from_f32, f32_from_bits, to_signed
-from repro.obs.guestprof import active_collector as _guest_collector
 from repro.emulator.memory import SparseMemory
 from repro.emulator.syscalls import SYS_EXIT, do_syscall
 from repro.emulator.trace import TraceRecord
@@ -543,7 +542,7 @@ class Machine:
         check per loop activation is the profiler's entire footprint on
         a disabled run.
         """
-        if _guest_collector() is not None:
+        if _run_context().collector is not None:
             yield from self._loop_profiled(max_steps, watchdog, emit)
             return
         if watchdog is not None:
@@ -702,7 +701,7 @@ class Machine:
         profile is folded in even when the loop unwinds on a watchdog
         breach or guest fault.
         """
-        gp = _guest_collector()
+        gp = _run_context().collector
         exact = gp.mode == "exact"
         counts: dict[int, int] = {}
         if watchdog is not None:
@@ -894,22 +893,14 @@ class Machine:
             eng.flush_stats()
             gp.add_counts(counts, n)
 
-    def run(self, max_steps: int = 10_000_000, watchdog=None, profiler=None) -> int:
+    def run(self, max_steps: int = 10_000_000, watchdog=None) -> int:
         """Run until halt or *max_steps*; returns instructions retired.
 
         *max_steps* is a soft window bound (exhausting it returns, as
         before).  An optional :class:`~repro.harness.watchdog.Watchdog`
         enforces hard step/wall-clock budgets, raising
-        :class:`~repro.harness.errors.RunawayExecution` on breach.  An
-        optional :class:`~repro.obs.profiler.PhaseProfiler` records the
-        run's wall time and emulated-instructions-per-second throughput
-        under the ``emulate.run`` phase.
+        :class:`~repro.harness.errors.RunawayExecution` on breach.
         """
-        if profiler is not None:
-            with profiler.phase("emulate.run") as ph:
-                retired = self.run(max_steps, watchdog=watchdog)
-                ph.add_items(retired)
-            return retired
         start = self.instret
         # emit=False: the generator never yields, so this single next()
         # drives the whole run without per-instruction suspension.
@@ -945,24 +936,11 @@ class Machine:
             pass
         return self.instret - start
 
-    def trace(self, max_steps: int = 10_000_000, watchdog=None, profiler=None):
+    def trace(self, max_steps: int = 10_000_000, watchdog=None):
         """Yield :class:`TraceRecord` for each retired instruction.
 
-        *watchdog* has the same semantics as in :meth:`run`.  An
-        optional :class:`~repro.obs.profiler.PhaseProfiler` accumulates
-        wall time and throughput under ``emulate.trace`` when the
-        generator finishes (or is closed).
+        *watchdog* has the same semantics as in :meth:`run`.
         """
-        start = self.instret
-        if profiler is not None:
-            t0 = time.perf_counter()
-            try:
-                yield from self._loop(max_steps, watchdog, True)
-            finally:
-                profiler.add(
-                    "emulate.trace", time.perf_counter() - t0, items=self.instret - start
-                )
-            return
         yield from self._loop(max_steps, watchdog, True)
 
     @property

@@ -15,7 +15,7 @@ from repro.experiments.runner import collect_trace, sweep_configs
 #: (partial tags), figure6 (early branches), figure11 (IPC), figure12
 #: (speedup decomposition), table1 (benchmark characteristics),
 #: workload_table (suite validation).  Shared helpers: report (tables),
-#: ascii_plot (charts), aggregate (means/CIs), results_io (JSON +
-#: regression diff), cli (console entry point).
+#: ascii_plot (charts), results_io (JSON + regression diff), cli
+#: (console entry point).
 
 __all__ = ["collect_trace", "sweep_configs"]

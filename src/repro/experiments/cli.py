@@ -39,7 +39,8 @@ Observability flags (see ``docs/observability.md``):
 * ``--trace-spans FILE`` — sweep-wide distributed trace: spans from the
   orchestrator, the workers, and every cell merged into one JSONL span
   log plus a Perfetto-loadable timeline (one lane per worker);
-* ``--profile`` — top-N hottest phases with host inst/s throughput;
+* ``--profile`` — trace the run and print its top-N span names by self
+  time (calls, seconds, share, records/s), worker spans included;
 * ``--heartbeat SECONDS`` — periodic progress line for long sweeps
   (including ``--jobs`` sweeps: cells done / in flight / failed);
 * ``--live`` — live sweep status line (done/pending/failed, cells/s,
@@ -57,6 +58,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from repro.context import RunContext, activate
 from repro.experiments import figure1, figure2, figure4, figure6, figure11, figure12, table1, workload_table
 from repro.emulator.machine import default_dispatch
 from repro.timing.fastpath import default_timing_mode
@@ -68,8 +70,10 @@ from repro.experiments.runner import (
     collect_trace,
     collect_trace_resilient,
     render_failure_report,
-    set_wall_timeout,
 )
+from repro.obs.guestprof import GuestProfileCollector
+from repro.obs.session import ObsSession
+from repro.obs.tracing import Tracer
 from repro.workloads import BENCHMARK_NAMES
 from repro.workloads.suite import PROFILES
 
@@ -225,11 +229,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--profile", action="store_true",
-        help="print the top-N hottest simulation phases (wall time + inst/s)",
+        help="trace the run and print its top-N span names by self time "
+             "(calls, seconds, share, records/s)",
     )
     obs.add_argument(
         "--profile-top", type=int, default=10, metavar="N",
-        help="phases shown by --profile (default 10)",
+        help="span names shown by --profile (default 10)",
     )
     obs.add_argument(
         "--heartbeat", type=float, default=None, metavar="SECONDS",
@@ -287,7 +292,6 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    set_wall_timeout(args.timeout)
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
@@ -339,63 +343,50 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{set_flags}: sampling knobs need --sample", file=sys.stderr)
         return 2
     args.sampling_plan = sampling_plan
-    trace_cache.configure(
-        args.trace_cache, enabled=False if args.no_trace_cache else None
-    )
-    trace_cache.reset_stats()
     obs_on = bool(
         args.metrics_out or args.trace_events or args.profile or args.heartbeat is not None
     )
-    if obs_on:
-        from repro.obs.session import start_session
-
-        start_session(
-            trace_events=bool(args.trace_events),
-            heartbeat_interval=args.heartbeat,
-        )
-    tracing_on = bool(args.trace_spans)
-    if tracing_on:
-        from repro.obs.tracing import start_tracing
-
-        start_tracing()
     guestprof_on = args.guest_profile is not None or bool(args.guest_profile_out)
-    if guestprof_on:
-        from repro.obs.guestprof import start_guest_profile
-
-        start_guest_profile(
-            mode=args.guest_profile or "exact", period=args.guest_profile_period
-        )
+    context = activate(RunContext(
+        session=(
+            ObsSession(trace_events=bool(args.trace_events), heartbeat_interval=args.heartbeat)
+            if obs_on else None
+        ),
+        tracer=Tracer() if args.trace_spans or args.profile else None,
+        collector=(
+            GuestProfileCollector(args.guest_profile or "exact", args.guest_profile_period)
+            if guestprof_on else None
+        ),
+        wall_timeout=args.timeout,
+        cache_dir=Path(args.trace_cache).expanduser() if args.trace_cache is not None else None,
+        cache_enabled=False if args.no_trace_cache else None,
+    ))
+    trace_cache.reset_stats()
     try:
         return _run_experiments(args, n, prof, benches, argv)
     finally:
-        # Guest profile first (the obs manifest summarizes it), then obs
-        # outputs while the tracer is still active (the manifest reads
-        # its stats), then the tracer's spans flush to disk.
-        collector = None
-        if guestprof_on:
-            from repro.obs.guestprof import end_guest_profile
+        # The run's recorders end here; its knobs stay set.  Guest
+        # profile first (the obs manifest summarizes it), then obs
+        # outputs (the manifest reads the tracer's stats), then the
+        # spans and the profile table.
+        collector, session, tracer = context.collector, context.session, context.tracer
+        context.collector = context.session = context.tracer = None
+        if collector is not None:
+            _guarded_output("guest profile", _write_guest_profile, args, collector)
+        if session is not None:
+            _guarded_output(
+                "observability", _write_obs_outputs, args, session, argv, collector, tracer
+            )
+        if tracer is not None:
+            _guarded_output("tracing", _write_span_outputs, args, tracer)
 
-            collector = end_guest_profile()
-            try:
-                _write_guest_profile(args, collector)
-            except Exception as exc:  # never mask the experiment's own status
-                print(f"guest profile output failed: {exc}", file=sys.stderr)
-        if obs_on:
-            from repro.obs.session import end_session
 
-            session = end_session()
-            try:
-                _write_obs_outputs(args, session, argv, collector)
-            except Exception as exc:  # never mask the experiment's own status
-                print(f"observability output failed: {exc}", file=sys.stderr)
-        if tracing_on:
-            from repro.obs.tracing import end_tracing
-
-            tracer = end_tracing()
-            try:
-                _write_span_outputs(args, tracer)
-            except Exception as exc:  # never mask the experiment's own status
-                print(f"tracing output failed: {exc}", file=sys.stderr)
+def _guarded_output(label: str, write, *args) -> None:
+    """Run one output writer; its failure never masks the experiment's status."""
+    try:
+        write(*args)
+    except Exception as exc:
+        print(f"{label} output failed: {exc}", file=sys.stderr)
 
 
 def _guest_profile_summary(collector) -> dict | None:
@@ -419,8 +410,6 @@ def _guest_profile_summary(collector) -> dict | None:
 
 def _write_guest_profile(args, collector) -> None:
     """Persist the guest profile (``--guest-profile-out``)."""
-    if collector is None:
-        return
     if args.guest_profile_out:
         from repro.obs.guestprof import write_profile
 
@@ -441,16 +430,15 @@ def _write_guest_profile(args, collector) -> None:
         )
 
 
-def _write_obs_outputs(args, session, argv, collector=None) -> None:
-    """Flush the session's telemetry: profile report, metrics dump,
-    event trace (JSONL + Perfetto), and the BENCH_<run> perf snapshot."""
+def _write_obs_outputs(args, session, argv, collector, tracer) -> None:
+    """Flush the session's telemetry: metrics dump, event trace (JSONL +
+    Perfetto), and the BENCH_<run> perf snapshot."""
     import time
 
     from repro.emulator import blocks as blocks_mod
     from repro.experiments.supervisor import supervisor_stats
     from repro.harness.atomicio import atomic_write_text
     from repro.obs.manifest import build_manifest, write_bench_snapshot
-    from repro.obs.tracing import active_tracer
 
     compiler = blocks_mod.telemetry()
     if compiler is not None:
@@ -476,12 +464,10 @@ def _write_obs_outputs(args, session, argv, collector=None) -> None:
             "compiler": compiler,
             "timing": default_timing_mode(),
             "supervisor": supervisor_stats(),
-            "tracing": active_tracer().stats() if active_tracer() is not None else None,
+            "tracing": tracer.stats() if tracer is not None else None,
             "guest_profile": _guest_profile_summary(collector),
         },
     )
-    if args.profile:
-        print(session.profiler.report(args.profile_top))
     registry = session.finalize_registry()
     if args.metrics_out:
         out = Path(args.metrics_out)
@@ -507,10 +493,13 @@ def _write_obs_outputs(args, session, argv, collector=None) -> None:
 
 
 def _write_span_outputs(args, tracer) -> None:
-    """Flush the distributed trace: span JSONL + merged Perfetto timeline."""
-    from repro.obs.tracing import write_span_chrome_trace, write_spans_jsonl
+    """The ``--profile`` table, then the distributed trace: span JSONL +
+    merged Perfetto timeline."""
+    from repro.obs.tracing import profile_report, write_span_chrome_trace, write_spans_jsonl
 
-    if tracer is None:  # pragma: no cover - guarded by tracing_on
+    if args.profile:
+        print(profile_report(tracer, args.profile_top))
+    if not args.trace_spans:
         return
     out = Path(args.trace_spans)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.experiments.results_io import payload_checksum
 from repro.harness.atomicio import atomic_write_json
 from repro.harness.errors import JournalCorruption
-from repro.obs.tracing import active_tracer
+from repro.obs.tracing import active_tracer, traced
 from repro.timing.stats import METRIC_CATALOG, SimStats
 
 #: Journal / result-store schema version (strictly validated).
@@ -257,13 +256,10 @@ class SweepJournal:
         }
         payload["checksum"] = payload_checksum(payload)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tracer = active_tracer()
-        t0 = time.perf_counter() if tracer is not None else 0.0
-        atomic_write_json(self.path, payload, sync_dir=True)
-        if tracer is not None:
-            # Measure the measurement infrastructure: the journal's
-            # atomic+fsync flushes are the supervisor's main overhead.
-            tracer.profiler.add("journal.flush", time.perf_counter() - t0)
+        # Measure the measurement infrastructure: the journal's
+        # atomic+fsync flushes are the supervisor's main overhead.
+        with traced("journal.flush", category="journal"):
+            atomic_write_json(self.path, payload, sync_dir=True)
 
     def _trace_transition(self, cell: CellRecord, error: str | None = None) -> None:
         """Annotate the merged timeline with one cell state change."""
@@ -283,9 +279,6 @@ class SweepJournal:
 
     def cell(self, key: str) -> CellRecord:
         return self._by_key[key]
-
-    def by_state(self, state: str) -> list[CellRecord]:
-        return [cell for cell in self.cells if cell.state == state]
 
     def match_cells(self, cells: list[CellRecord]) -> None:
         """Require the journal to describe exactly this grid.

@@ -9,12 +9,12 @@ itself runs under :func:`repro.experiments.supervisor.run_sweep`.
 Design constraints honoured here:
 
 * **Explicit state inheritance** — the runner's wall-clock timeout and
-  per-benchmark budget overrides, and the trace cache's configuration,
-  live in module globals that a ``spawn``-ed worker would silently
-  lose.  :func:`repro.experiments.supervisor.apply_worker_state`
-  re-applies all of them in every worker (and every *respawned*
-  worker), so a ``--timeout 60 --jobs 8`` run enforces the same budget
-  in all eight processes.
+  per-benchmark budget overrides, the trace cache's configuration and
+  the guest profiler and tracer switches live in the run context
+  (:mod:`repro.context`), which a ``spawn``-ed worker would silently
+  lose.  The supervised pool hands every worker (and every *respawned*
+  worker) one snapshot of it, so a ``--timeout 60 --jobs 8`` run
+  enforces the same budget in all eight processes.
 * **Failure isolation** — a crashing workload inside a worker becomes
   the same :class:`FailureRecord` a sequential ``--keep-going`` run
   would produce; one bad benchmark never takes down the pool.  A
@@ -41,15 +41,11 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 
+from repro.context import current
 from repro.emulator.tracefile import pack_trace, unpack_trace
 from repro.experiments import runner, trace_cache
 from repro.experiments.runner import FailureRecord
-from repro.experiments.supervisor import (
-    PoolTask,
-    SupervisedPool,
-    SupervisorPolicy,
-    current_worker_state,
-)
+from repro.experiments.supervisor import PoolTask, SupervisedPool, SupervisorPolicy
 from repro.harness.errors import TraceCorruption
 
 #: Collection keeps the pre-supervisor behaviour: no automatic retries
@@ -115,10 +111,8 @@ def collect_parallel(
     run manifest).  Returns ``(surviving, failures, degraded)`` with
     the same semantics as the sequential ``--keep-going`` pre-pass.
     """
-    from repro.obs.session import active_session
-
     names = list(names)
-    session = active_session()
+    session = current().session
     tasks = [
         PoolTask(
             id=name,
@@ -155,9 +149,7 @@ def collect_parallel(
                 failed=failed_count, in_flight=len(inflight),
             )
 
-    with SupervisedPool(
-        jobs, policy=_PASSTHROUGH_POLICY, init_state=current_worker_state()
-    ) as pool:
+    with SupervisedPool(jobs, policy=_PASSTHROUGH_POLICY) as pool:
         outcomes = pool.run(tasks, on_event=on_event if session is not None else None)
 
     surviving: list[str] = []

@@ -790,9 +790,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--warmup", type=int, default=FIDELITY_WARMUP,
                         help="warmup instructions (default: %(default)s)")
     parser.add_argument("--run-name", default="fidelity", help="label for the report header")
-    parser.add_argument("--bench-dir", default="benchmarks",
+    parser.add_argument("--bench-dir", default=None,
                         help="directory scanned for BENCH_*.json trend snapshots "
-                        "(default: %(default)s)")
+                        "(default: none; the report shows only its own run)")
     parser.add_argument("--out-md", metavar="PATH",
                         help="also write the markdown report to PATH")
     parser.add_argument("--out-html", metavar="PATH",

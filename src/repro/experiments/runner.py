@@ -12,6 +12,8 @@ failing workload into a :class:`FailureRecord` — with one bounded retry
 at a reduced instruction budget — instead of an aborted sweep.  A
 successful retry registers a per-benchmark budget override so every
 later collection of that benchmark stays inside the budget that worked.
+The budget and the overrides live in the run context
+(:mod:`repro.context`), which ``--jobs`` workers inherit.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.context import current
 from repro.core.config import MachineConfig
 from repro.emulator.machine import default_dispatch
 from repro.emulator.trace import Trace, as_trace
 from repro.experiments import trace_cache
 from repro.harness.watchdog import Watchdog
-from repro.obs.guestprof import active_collector, profile_from_records
-from repro.obs.session import active_session
-from repro.obs.tracing import active_tracer
+from repro.obs.guestprof import profile_from_records
 from repro.timing.simulator import simulate_configs
 from repro.timing.stats import SimStats
 from repro.workloads import get_workload
@@ -41,14 +42,6 @@ DEFAULT_INSTRUCTIONS = 30_000
 #: warm caches and predictors.
 DEFAULT_WARMUP = 10_000
 
-#: Wall-clock budget (seconds) applied to every trace collection, or
-#: ``None`` for unbounded.  Set from the CLI's ``--timeout``.
-_wall_timeout: float | None = None
-
-#: Per-benchmark instruction-budget caps registered by graceful
-#: degradation (a collection that only succeeded at a reduced budget).
-_budget_overrides: dict[str, int] = {}
-
 #: Traces collected elsewhere (parallel worker processes) and injected
 #: into this process so ``_collect`` never re-emulates them.
 _preloaded: dict[tuple, Trace] = {}
@@ -56,30 +49,30 @@ _preloaded: dict[tuple, Trace] = {}
 
 def set_wall_timeout(seconds: float | None) -> None:
     """Set (or clear, with ``None``) the collection wall-clock budget."""
-    global _wall_timeout
-    _wall_timeout = seconds
+    current().wall_timeout = seconds
 
 
 def wall_timeout() -> float | None:
     """The current collection wall-clock budget."""
-    return _wall_timeout
+    return current().wall_timeout
 
 
 def set_budget_override(name: str, max_steps: int) -> None:
     """Cap every future collection of *name* at *max_steps*."""
-    _budget_overrides[name] = max_steps
+    current().budget_overrides[name] = max_steps
 
 
 def budget_override(name: str) -> int | None:
     """The degraded budget registered for *name*, if any."""
-    return _budget_overrides.get(name)
+    return current().budget_overrides.get(name)
 
 
 def _fetch(
     name: str, max_steps: int, iters: int | None, skip: int | None, profile: str
 ) -> Trace:
     """A trace the in-memory layer does not hold: preloaded, disk, or emulated."""
-    gp = active_collector()
+    context = current()
+    gp = context.collector
     if gp is not None:
         # Route machine-loop counts (cold) / record replays (cache hit)
         # at this benchmark's bucket.  Preloaded traces are NOT counted
@@ -90,8 +83,7 @@ def _fetch(
     if preloaded is not None:
         return preloaded
     workload = get_workload(name)
-    session = active_session()
-    tracer = active_tracer()
+    session, tracer = context.session, context.tracer
     # L2: the persistent on-disk cache.  The key covers the program
     # image, so a stale entry after a workload edit is unreachable.
     key = None
@@ -115,8 +107,8 @@ def _fetch(
         if tracer is not None:
             tracer.mark(f"cache.miss.{name}", category="cache")
     watchdog = (
-        Watchdog(max_seconds=_wall_timeout, label=f"collect[{name}]")
-        if _wall_timeout is not None
+        Watchdog(max_seconds=context.wall_timeout, label=f"collect[{name}]")
+        if context.wall_timeout is not None
         else None
     )
     t0 = time.perf_counter()
@@ -132,7 +124,6 @@ def _fetch(
             f"emulate.{name}", category="emulate",
             start=w0, end=time.time(), records=len(trace),
         )
-        tracer.profiler.add(f"collect.{name}", seconds, items=len(trace))
     if key is not None:
         trace_cache.store(name, key, trace)
     return trace
@@ -176,7 +167,7 @@ class _TraceLayer:
                 trace = _fetch(name, max_steps, iters, skip, profile)
             else:
                 trace = longer[:max_steps]
-                gp = active_collector()
+                gp = current().collector
                 if gp is not None:
                     gp.begin_benchmark(name)
                     profile_from_records(trace, gp)
@@ -208,15 +199,15 @@ def collect_trace(
     input-set analogue).  A registered budget override (graceful
     degradation) caps *max_steps*.
     """
-    cap = _budget_overrides.get(name)
+    context = current()
+    cap = context.budget_overrides.get(name)
     if cap is not None and max_steps > cap:
         max_steps = cap
-    session = active_session()
-    if session is not None:
+    if context.session is not None:
         # Keep the benchmark context current even when the trace is a
         # cache hit, so subsequent simulate() runs attribute correctly.
-        session.current_benchmark = name
-    gp = active_collector()
+        context.session.current_benchmark = name
+    gp = context.collector
     if gp is not None:
         # Same for the guest profiler: timing cycles attributed by the
         # simulate() that follows must land in this benchmark's bucket
@@ -334,6 +325,6 @@ def clear_trace_cache() -> None:
     are reset so tests observe a clean slate).
     """
     _collect.cache_clear()
-    _budget_overrides.clear()
+    current().budget_overrides.clear()
     _preloaded.clear()
     trace_cache.reset_stats()

@@ -7,8 +7,9 @@ with a supervised worker pool and layers a crash-safe journal
 
 * **dead workers** — each worker runs over its own pipe with a
   heartbeat; a SIGKILLed or hung worker is detected, its cell retried
-  on a respawned worker (with the parent's runner/cache/timing state
-  re-applied), and the respawn counted in ``sweep.supervisor.*``;
+  on a respawned worker (which inherits the same snapshot of the
+  parent's run context), and the respawn counted in
+  ``sweep.supervisor.*``;
 * **poison cells** — a cell that keeps failing is retried with
   exponential backoff plus seeded jitter and, past the retry budget,
   quarantined as a :class:`~repro.experiments.runner.FailureRecord`
@@ -42,14 +43,14 @@ import random
 import signal
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
 from multiprocessing.sharedctypes import RawValue
 from pathlib import Path
 
-from repro.experiments import trace_cache
-from repro.obs import guestprof, tracing
+from repro import context
+from repro.obs import tracing
+from repro.obs.tracing import traced
 from repro.experiments.journal import (
     DONE,
     FAILED,
@@ -229,69 +230,15 @@ def detect_stragglers(
     return out
 
 
-def _tspan(tracer, name: str, category: str = "span", **args):
-    """A tracer span, or a no-op context when tracing is off."""
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, category=category, **args)
-
-
 # --------------------------------------------------------------------------
 # Worker process
 # --------------------------------------------------------------------------
-
-def current_worker_state() -> tuple:
-    """Snapshot the parent module state every worker must re-apply.
-
-    The same tuple is used at first spawn and at every respawn, so a
-    replacement worker is indistinguishable from the one it replaces.
-    The tier switches (``REPRO_DISPATCH``/``REPRO_TIMING``) need no slot:
-    spawned workers inherit the parent's environment.
-    """
-    from repro.experiments import runner
-
-    enabled = trace_cache.enabled()
-    gp = guestprof.active_collector()
-    return (
-        runner.wall_timeout(),
-        dict(runner._budget_overrides),
-        str(trace_cache.cache_dir()) if enabled else None,
-        enabled,
-        (gp.mode, gp.period) if gp is not None else None,
-    )
-
-
-def apply_worker_state(
-    wall_timeout,
-    budget_overrides,
-    cache_dir,
-    cache_enabled,
-    guest_profile=None,
-) -> None:
-    """Re-apply parent-process module state inside a fresh worker.
-
-    Everything the runner keeps in globals must be passed explicitly: a
-    spawned interpreter starts from ``import repro``, not from a copy
-    of the parent's memory.
-    """
-    from repro.experiments import runner
-
-    runner.set_wall_timeout(wall_timeout)
-    for name, cap in budget_overrides.items():
-        runner.set_budget_override(name, cap)
-    trace_cache.configure(cache_dir, cache_enabled)
-    if guest_profile is not None:
-        # (mode, period) snapshot of the parent's collector: the worker
-        # runs its own, drained into every reply's aux for the
-        # orchestrator to merge (commutative per-PC sums).
-        guestprof.start_guest_profile(mode=guest_profile[0], period=guest_profile[1])
-
 
 def _drain_aux(tracer):
     """Build one reply's aux payload: tracer spans plus the worker's
     drained guest profile (shipped even when tracing is off)."""
     aux = tracer.drain() if tracer is not None else None
-    gp = guestprof.active_collector()
+    gp = context.current().collector
     if gp is not None and gp.benchmarks:
         aux = dict(aux) if isinstance(aux, dict) else {}
         aux["guestprof"] = gp.drain()
@@ -310,9 +257,7 @@ def _heartbeat_loop(hb, interval: float) -> None:
         time.sleep(interval)
 
 
-def _worker_main(
-    conn, hb, init_state, fault_plan, heartbeat_interval, tracing_on=False
-) -> None:
+def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval) -> None:
     """Worker loop: receive a task, execute it, send a checksummed reply.
 
     The parent owns interruption (it terminates workers on drain), so
@@ -320,21 +265,21 @@ def _worker_main(
     ignored here; a worker must never die mid-``send`` with a torn
     message because the user pressed Ctrl-C.
 
-    With *tracing_on* the worker runs its own process-global tracer:
-    each task adopts the span context the orchestrator sent, executes
-    under a ``worker.execute`` span (instrumentation points deeper in
-    the stack — trace-cache hits, collection — nest under it), and the
-    finished spans plus phase-profiler samples ride back in the reply's
-    ``aux`` slot for the orchestrator to merge.  A SIGKILLed worker
-    simply never ships its spans — the orchestrator's attempt span
-    records the loss.
+    The worker runs under the run context its parent's *snapshot*
+    restores (:class:`repro.context.Snapshot`).  When the parent traces,
+    the worker's context holds a tracer of its own: each task adopts
+    the span context the orchestrator sent, executes under a
+    ``worker.execute`` span (instrumentation points deeper in the stack
+    — trace-cache hits, collection, simulation — nest under it), and
+    the finished spans ride back in the reply's ``aux`` slot for the
+    orchestrator to merge.  A SIGKILLed worker simply never ships its
+    spans — the orchestrator's attempt span records the loss.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except ValueError:  # pragma: no cover - non-main-thread embedding
         pass
-    apply_worker_state(*init_state)
-    tracer = tracing.start_tracing(process=tracing.worker_process_label()) if tracing_on else None
+    tracer = context.activate(snapshot.restore()).tracer
     threading.Thread(
         target=_heartbeat_loop, args=(hb, heartbeat_interval), daemon=True
     ).start()
@@ -458,8 +403,11 @@ class SupervisedPool:
     worker, so an exception (or Ctrl-C) anywhere in the sweep can never
     leak orphaned processes::
 
-        with SupervisedPool(jobs, init_state=current_worker_state()) as pool:
+        with SupervisedPool(jobs) as pool:
             outcomes = pool.run(tasks, on_event=...)
+
+    Every worker runs under the snapshot of the run context
+    (:mod:`repro.context`) taken when the pool is built.
 
     ``on_event(kind, task, info)`` observes the lifecycle —
     ``dispatch`` (info: attempt), ``done`` (info: value), ``retry``
@@ -472,14 +420,15 @@ class SupervisedPool:
         self,
         jobs: int,
         policy: SupervisorPolicy | None = None,
-        init_state: tuple | None = None,
         fault_plan: ProcessFaultPlan | None = None,
     ) -> None:
         self.jobs = max(1, jobs)
         self.policy = policy or SupervisorPolicy()
-        self.init_state = init_state if init_state is not None else current_worker_state()
+        # One snapshot for every spawn and respawn, so a replacement
+        # worker is indistinguishable from the one it replaces.
+        self.snapshot = context.current().snapshot()
         self.fault_plan = fault_plan
-        self.tracer = tracing.active_tracer()
+        self.tracer = context.current().tracer
         self._ctx = get_context(_MP_CONTEXT)
         self._workers: list[_Worker] = []
         self._next_lane = 0
@@ -520,8 +469,8 @@ class SupervisedPool:
         hb = RawValue("d", 0.0)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, hb, self.init_state, self.fault_plan,
-                  self.policy.heartbeat_interval, self.tracer is not None),
+            args=(child_conn, hb, self.snapshot, self.fault_plan,
+                  self.policy.heartbeat_interval),
             daemon=True,
         )
         proc.start()
@@ -646,7 +595,7 @@ class SupervisedPool:
         if self.tracer is not None:
             self.tracer.ingest(aux)
         if isinstance(aux, dict) and aux.get("guestprof") is not None:
-            gp = guestprof.active_collector()
+            gp = context.current().collector
             if gp is not None:
                 gp.ingest(aux["guestprof"])
         if kind == "error":
@@ -787,7 +736,6 @@ def _execute_cells(payload) -> list[tuple[SimStats, object]]:
 
     name, configs, max_steps, warmup, iters, skip, profile, plan = payload
     label = f"{name}/{'+'.join(config.name for config in configs)}"
-    tracer = tracing.active_tracer()
     if plan is not None:
         from repro.harness.watchdog import Watchdog
         from repro.timing.sampling import sample_configs
@@ -800,26 +748,20 @@ def _execute_cells(payload) -> list[tuple[SimStats, object]]:
             Watchdog(max_seconds=wall * len(configs), label=f"sample[{name}]")
             if wall else None
         )
-        with _tspan(tracer, f"sample.{label}", category="simulate"):
+        with traced(f"sample.{label}", category="simulate"):
             results = sample_configs(
                 name, configs, plan, budget=max_steps,
                 iters=iters, skip=skip, profile=profile, watchdog=watchdog,
             )
         return [(result.stats, None) for result in results]
-    with _tspan(tracer, f"collect.{name}", category="collect"):
+    with traced(f"collect.{name}", category="collect"):
         trace, record = runner.collect_trace_resilient(
             name, max_steps + warmup, iters=iters, skip=skip, profile=profile
         )
     if trace is None:
         raise RuntimeError(record.describe())
-    t0 = time.perf_counter()
-    with _tspan(tracer, f"simulate.{label}", category="simulate"):
+    with traced(f"simulate.{label}", category="simulate"):
         runs = simulate_configs(configs, trace, warmup=warmup)
-    if tracer is not None:
-        tracer.profiler.add(
-            f"simulate.{name}", time.perf_counter() - t0,
-            items=sum(stats.instructions for stats in runs),
-        )
     return [(stats, record if i == 0 else None) for i, stats in enumerate(runs)]
 
 
@@ -908,13 +850,11 @@ def run_sweep(
     global _last_report
     from repro.experiments import runner
     from repro.experiments.runner import FailureRecord
-    from repro.obs.session import active_session
     from repro.workloads import get_workload
 
     policy = policy or SupervisorPolicy()
     names, configs = list(names), list(configs)
-    tracer = tracing.active_tracer()
-    session = active_session()
+    tracer, session = context.current().tracer, context.current().session
     root = None
     if tracer is not None:
         root = tracer.begin(
@@ -963,11 +903,11 @@ def run_sweep(
     if journal_path is not None:
         path = Path(journal_path)
         if resume and path.exists():
-            with _tspan(tracer, "journal.load", category="journal", path=str(path)):
+            with traced("journal.load", category="journal", path=str(path)):
                 journal = SweepJournal.load(path)
                 journal.match_cells(cells)
         else:
-            with _tspan(tracer, "journal.create", category="journal", path=str(path)):
+            with traced("journal.create", category="journal", path=str(path)):
                 journal = SweepJournal.create(
                     path,
                     spec={
@@ -991,7 +931,7 @@ def run_sweep(
     # re-executed (never trusted); failed/quarantined cells get a fresh
     # retry budget.
     results: dict[str, SimStats] = {}
-    with _tspan(tracer, "journal.replay", category="journal"):
+    with traced("journal.replay", category="journal"):
         for cell in journal.cells:
             if cell.state == DONE:
                 stats = journal.load_result(cell.key)
@@ -1127,10 +1067,7 @@ def run_sweep(
 
     if pending:
         try:
-            with SupervisedPool(
-                jobs, policy=policy, init_state=current_worker_state(),
-                fault_plan=fault_plan,
-            ) as pool:
+            with SupervisedPool(jobs, policy=policy, fault_plan=fault_plan) as pool:
                 outcomes = pool.run(tasks, on_event=on_event)
         except KeyboardInterrupt:
             # Graceful drain: the journal already reflects every
@@ -1230,8 +1167,6 @@ __all__ = [
     "SupervisorPolicy",
     "SupervisorReport",
     "TaskOutcome",
-    "apply_worker_state",
-    "current_worker_state",
     "detect_stragglers",
     "last_report",
     "reset_stats",

@@ -36,6 +36,7 @@ import os
 import sys
 from pathlib import Path
 
+from repro.context import current
 from repro.emulator.tracefile import FORMAT_VERSION, load_trace, save_trace
 from repro.harness.errors import TraceCorruption
 from repro.isa.assembler import program_digest
@@ -53,11 +54,6 @@ DEFAULT_DIR = "~/.cache/repro-traces"
 
 _DISABLING_VALUES = ("off", "0", "none", "disabled")
 
-#: Explicit runtime configuration (set by the CLI / tests); ``None``
-#: means "fall back to the environment".
-_configured_dir: Path | None = None
-_configured_enabled: bool | None = None
-
 #: Process-wide hit/miss counters (exported into run manifests).
 _hits = 0
 _misses = 0
@@ -69,28 +65,31 @@ _corrupt_entries = 0
 
 
 def configure(directory: str | Path | None = None, enabled: bool | None = None) -> None:
-    """Set (or with ``None`` arguments, clear) the explicit cache config.
+    """Set (or with ``None`` arguments, clear) the explicit cache config
+    in the run context.
 
     Explicit configuration wins over the ``REPRO_TRACE_CACHE``
     environment variable, which wins over the default directory.
     """
-    global _configured_dir, _configured_enabled
-    _configured_dir = Path(directory).expanduser() if directory is not None else None
-    _configured_enabled = enabled
+    context = current()
+    context.cache_dir = Path(directory).expanduser() if directory is not None else None
+    context.cache_enabled = enabled
 
 
 def enabled() -> bool:
     """Whether the persistent cache is active for this process."""
-    if _configured_enabled is not None:
-        return _configured_enabled
+    configured = current().cache_enabled
+    if configured is not None:
+        return configured
     value = os.environ.get(ENV_VAR, "").strip().lower()
     return value not in _DISABLING_VALUES
 
 
 def cache_dir() -> Path:
     """The active cache directory (not necessarily created yet)."""
-    if _configured_dir is not None:
-        return _configured_dir
+    configured = current().cache_dir
+    if configured is not None:
+        return configured
     value = os.environ.get(ENV_VAR, "").strip()
     if value and value.lower() not in _DISABLING_VALUES:
         return Path(value).expanduser()
@@ -152,9 +151,7 @@ def load(name: str, key: str):
             file=sys.stderr,
             flush=True,
         )
-        from repro.obs.session import active_session
-
-        session = active_session()
+        session = current().session
         if session is not None:
             session.registry.counter(
                 "cache.corrupt_entries",

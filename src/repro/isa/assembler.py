@@ -80,10 +80,6 @@ class Program:
     def text_size(self) -> int:
         return 4 * len(self.text)
 
-    def address_of(self, label: str) -> int:
-        """Virtual address of *label* (raises ``KeyError`` if absent)."""
-        return self.symbols[label]
-
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*)\s*:\s*(.*)$")
 _MEM_RE = re.compile(r"^(.*)\(\s*(\$?\w+)\s*\)$")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.registers import FCC, FP_BASE, HI, LO, reg_name
+from repro.isa.registers import FCC, FP_BASE, HI, LO
 
 #: Mnemonics grouped by operand shape, used for dataflow and printing.
 R3_OPS = frozenset({"add", "addu", "sub", "subu", "and", "or", "xor", "nor", "slt", "sltu"})
@@ -183,10 +183,3 @@ class Instruction:
 
 #: Canonical no-op (``sll $0, $0, 0``).
 NOP = Instruction("sll")
-
-
-def describe_operands(inst: Instruction) -> str:
-    """Human-readable operand summary, mainly for debugging aids."""
-    srcs = ", ".join(reg_name(r) if r < 32 else ("$hi" if r == HI else "$lo") for r in inst.src_regs())
-    dsts = ", ".join(reg_name(r) if r < 32 else ("$hi" if r == HI else "$lo") for r in inst.dst_regs())
-    return f"reads [{srcs}] writes [{dsts}]"

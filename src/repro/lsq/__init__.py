@@ -1,7 +1,8 @@
-"""Load/store queue substrate with partial-address disambiguation.
+"""Partial-address load–store disambiguation.
 
-Implements the 32-entry unified LSQ of Table 2 and the bit-serial
-early load–store disambiguation of paper §5.1 / Figure 2.
+The bit-serial early load–store disambiguation of paper §5.1 /
+Figure 2: how many low-order address bits a load must compare against
+the prior stores in its queue window before its fate is known.
 """
 
 from repro.lsq.disambiguation import (
@@ -10,14 +11,10 @@ from repro.lsq.disambiguation import (
     bits_to_disambiguate,
     classify_disambiguation,
 )
-from repro.lsq.queue import LoadStoreQueue, LSQEntry, PartialSearchResult
 
 __all__ = [
     "FIRST_COMPARE_BIT",
     "LSDCategory",
-    "LSQEntry",
-    "LoadStoreQueue",
-    "PartialSearchResult",
     "bits_to_disambiguate",
     "classify_disambiguation",
 ]

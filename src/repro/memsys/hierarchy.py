@@ -26,10 +26,6 @@ class AccessResult:
     l1_hit: bool
     l2_hit: bool
 
-    @property
-    def is_miss(self) -> bool:
-        return not self.l1_hit
-
 
 class MemoryHierarchy:
     """Two cache levels over a fixed-latency main memory."""

@@ -1,4 +1,4 @@
-"""Observability layer: metrics, cycle-event tracing, profiling, provenance.
+"""Observability layer: metrics, cycle events, spans, guest profiles, provenance.
 
 The paper's claims are measurements; this package makes every run of
 the reproduction produce structured, diffable, provenance-stamped
@@ -8,8 +8,6 @@ telemetry (see ``docs/observability.md``):
   gauges, log2 histograms, timers) addressed by dotted name;
 * :mod:`repro.obs.events` — bounded ring buffer of typed cycle events
   with JSONL and Chrome/Perfetto trace export;
-* :mod:`repro.obs.profiler` — per-phase wall time and host-side
-  instructions-per-second throughput;
 * :mod:`repro.obs.manifest` — run manifests (config, seed, git SHA,
   package versions) and ``BENCH_<run>.json`` perf snapshots;
 * :mod:`repro.obs.session` — the per-driver-run aggregate the CLI's
@@ -17,7 +15,14 @@ telemetry (see ``docs/observability.md``):
 * :mod:`repro.obs.tracing` — sweep-wide distributed spans (orchestrator,
   workers, cells) with cross-process context propagation, merged into a
   single Perfetto timeline plus a schema-validated JSONL span log
-  (the CLI's ``--trace-spans`` / ``--live``).
+  (the CLI's ``--trace-spans`` / ``--live``), and the one timing
+  mechanism: the ``--profile`` table ranks span names by self time;
+* :mod:`repro.obs.guestprof` — per-PC retirement counts and CPI stacks
+  of the guest programs (``--guest-profile``).
+
+The session, the tracer and the guest-profile collector of a run live
+in its run context (:mod:`repro.context`), which ``--jobs`` workers
+inherit as one snapshot.
 """
 
 from repro.obs.events import (
@@ -48,7 +53,6 @@ from repro.obs.manifest import (
     validate_manifest,
     write_bench_snapshot,
 )
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -78,7 +82,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ObsSession",
-    "PhaseProfiler",
     "Span",
     "Timer",
     "Tracer",

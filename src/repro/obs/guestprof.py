@@ -26,9 +26,9 @@ per-PC sums of non-negative counts — so ``--jobs`` sweep workers drain
 their collector into the reply payload and the orchestrator ingests
 them in any order, exactly like ``SimStats.merge``.
 
-Like the observability session, the collector is process-global and
-**off by default**: every producer hook is one
-:func:`active_collector` ``None`` check, so disabled runs execute the
+Like the observability session, the collector lives in the run
+context (:mod:`repro.context`) and is **off by default**: every
+producer hook is one ``None`` check, so disabled runs execute the
 byte-identical pre-existing loops.
 """
 
@@ -38,6 +38,7 @@ import json
 from contextlib import contextmanager
 from itertools import islice
 
+from repro.context import current
 from repro.emulator.trace import as_trace
 from repro.obs.attribution import COMPONENT_KEYS, split_claims
 
@@ -76,7 +77,7 @@ class BenchProfile:
 
 
 class GuestProfileCollector:
-    """Process-global guest profiler; activate via :func:`start_guest_profile`."""
+    """The run's guest profiler; activate via :func:`start_guest_profile`."""
 
     def __init__(self, mode: str = "exact", period: int | None = None) -> None:
         self.mode = _canon_mode(mode)
@@ -341,41 +342,37 @@ def profile_from_records(records, collector: GuestProfileCollector) -> None:
     collector.add_counts(counts, retired, sampled)
 
 
-# ------------------------------------------------------------ global state
-
-_active: GuestProfileCollector | None = None
-
+# ------------------------------------------------------- active collector
 
 def start_guest_profile(
     mode: str = "exact", period: int | None = None
 ) -> GuestProfileCollector:
-    """Activate a new global collector (replacing any existing one)."""
-    global _active
-    _active = GuestProfileCollector(mode=mode, period=period)
-    return _active
+    """Activate a new collector in the run context (replacing any existing one)."""
+    collector = current().collector = GuestProfileCollector(mode=mode, period=period)
+    return collector
 
 
 def end_guest_profile() -> GuestProfileCollector | None:
     """Deactivate and return the current collector."""
-    global _active
-    collector, _active = _active, None
+    context = current()
+    collector, context.collector = context.collector, None
     return collector
 
 
 def active_collector() -> GuestProfileCollector | None:
     """The current collector, or ``None`` when guest profiling is off."""
-    return _active
+    return current().collector
 
 
 @contextmanager
 def redirected_guest_profile(collector: GuestProfileCollector | None):
-    """Temporarily make *collector* the active one (``None``: off)."""
-    global _active
-    saved, _active = _active, collector
+    """Temporarily make *collector* the run context's (``None``: off)."""
+    context = current()
+    saved, context.collector = context.collector, collector
     try:
         yield saved
     finally:
-        _active = saved
+        context.collector = saved
 
 
 def suspended_guest_profile():

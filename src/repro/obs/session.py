@@ -1,13 +1,14 @@
 """Per-run observability session.
 
-One :class:`ObsSession` ties the metrics registry, the cycle-event
-trace, and the phase profiler to a single driver invocation, and
-collects the per-run records behind the ``BENCH_<run>.json`` perf
-snapshot.  The session is process-global (like the runner's wall-clock
-budget) so instrumentation points deep in the stack — ``simulate()``,
-trace collection — can report without threading a handle through every
-experiment signature; when no session is active every hook is a single
-``None`` check, keeping the uninstrumented hot path unchanged.
+One :class:`ObsSession` ties the metrics registry and the cycle-event
+trace to a single run of the CLI, and collects the per-run records
+behind the ``BENCH_<run>.json`` perf snapshot.  It lives in the run
+context (:mod:`repro.context`), so instrumentation points deep in the
+stack — ``simulate()``, trace collection — report without a handle
+threaded through every experiment signature; when no session is active
+every hook is a single ``None`` check, keeping the uninstrumented hot
+path unchanged.  Where the time went is the span tracer's job
+(:mod:`repro.obs.tracing`, ``--profile``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+from repro.context import current
 from repro.obs.events import DEFAULT_CAPACITY, EventTrace
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 
 
@@ -55,7 +56,6 @@ class ObsSession:
         stream=None,
     ) -> None:
         self.registry = MetricsRegistry()
-        self.profiler = PhaseProfiler()
         self.events = EventTrace(events_capacity) if trace_events else None
         self.heartbeat_interval = heartbeat_interval
         self.stream = stream if stream is not None else sys.stderr
@@ -79,7 +79,6 @@ class ObsSession:
         """Called after one emulator trace collection."""
         self.current_benchmark = benchmark
         self.collections += 1
-        self.profiler.add(f"collect.{benchmark}", seconds, items=records)
         self.registry.counter("emulate.instructions", help="emulated trace records").inc(records)
         self.registry.counter("emulate.collections", help="trace collections").inc()
         self.registry.timer("emulate.wall", help="emulator wall time").add(seconds)
@@ -103,7 +102,6 @@ class ObsSession:
         """Called when a collection is served by the persistent cache."""
         self.current_benchmark = benchmark
         self.cache_hits += 1
-        self.profiler.add(f"cache.hit.{benchmark}", seconds, items=records)
         self.registry.counter("trace_cache.hits", help="persistent-cache hits").inc()
         self.registry.counter(
             "trace_cache.records", help="trace records served from cache"
@@ -152,9 +150,6 @@ class ObsSession:
                 timing_mode=timing_mode,
                 dispatch_mode=dispatch_mode,
             )
-        )
-        self.profiler.add(
-            f"simulate.{benchmark}", wall_seconds, items=stats.instructions
         )
         stats.publish(self.registry)
         self.registry.counter("sim.runs", help="timing simulations").inc()
@@ -212,8 +207,6 @@ class ObsSession:
             rec["instructions"] += run.instructions
             rec["runs"] += 1
         for name, rec in out.items():
-            collect = self.profiler.phases.get(f"collect.{name}")
-            rec["emulate_seconds"] = collect.seconds if collect else 0.0
             rec["instructions_per_second"] = (
                 rec["instructions"] / rec["wall_seconds"] if rec["wall_seconds"] > 0 else 0.0
             )
@@ -228,8 +221,7 @@ class ObsSession:
         return out
 
     def finalize_registry(self) -> MetricsRegistry:
-        """Fold profiler phases into the registry and return it."""
-        self.profiler.publish(self.registry)
+        """Add the session's own gauges and event counts; return the registry."""
         self.registry.gauge("obs.elapsed_seconds", help="session wall time").set(self.elapsed)
         if self.events is not None:
             self.registry.counter("obs.events.emitted", help="cycle events emitted").inc(
@@ -252,26 +244,22 @@ class ObsSession:
         return self.registry
 
 
-_active: ObsSession | None = None
-
-
 def start_session(**kwargs) -> ObsSession:
-    """Activate a new global session (replacing any existing one)."""
-    global _active
-    _active = ObsSession(**kwargs)
-    return _active
+    """Activate a new session in the run context (replacing any existing one)."""
+    session = current().session = ObsSession(**kwargs)
+    return session
 
 
 def end_session() -> ObsSession | None:
     """Deactivate and return the current session."""
-    global _active
-    session, _active = _active, None
+    context = current()
+    session, context.session = context.session, None
     return session
 
 
 def active_session() -> ObsSession | None:
     """The current session, or ``None`` when observability is off."""
-    return _active
+    return current().session
 
 
 __all__ = ["ObsSession", "RunRecord", "active_session", "end_session", "start_session"]

@@ -16,18 +16,22 @@ measuring the measurement infrastructure itself:
 * a :class:`Tracer` records spans in one process.  The orchestrator
   owns the root; workers run their own tracer, **adopt** the span
   context the orchestrator sends with each task, and ship their
-  finished spans (plus phase-profiler samples) back over the existing
-  checksummed result transport, where the orchestrator **ingests**
-  them into a single merged timeline;
+  finished spans back over the existing checksummed result transport,
+  where the orchestrator **ingests** them into a single merged
+  timeline;
+* ``--profile`` ranks the merged spans' names by self time
+  (:func:`profile_report`), so one mechanism times the run whether it
+  ran in one process or many;
 * exports mirror the cycle-event stream's discipline: a JSONL span log
   (one schema-validated object per line, see :func:`validate_span`)
   and a Perfetto-loadable Chrome trace
   (:func:`spans_to_chrome_trace`) with one ``pid`` per process and one
   lane (``tid``) per (process, lane) pair — one lane per worker.
 
-Tracing is **off by default**: every instrumentation point is a single
-``active_tracer() is None`` check, the same near-zero-overhead contract
-as :func:`repro.obs.session.active_session`.  Wall-clock timestamps use
+Tracing is **off by default**: the tracer lives in the run context
+(:mod:`repro.context`) and every instrumentation point is a single
+``None`` check, the same near-zero-overhead contract as the
+observability session's.  Wall-clock timestamps use
 ``time.time()`` so spans from different processes on the same host
 merge onto one timeline.
 """
@@ -39,13 +43,13 @@ import json
 import os
 import time
 import uuid
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.profiler import PhaseProfiler
+from repro.context import current
 
 #: Span-log schema version (validated line by line, like cycle events).
 SPAN_FORMAT = 1
@@ -145,7 +149,7 @@ class Span:
 class Tracer:
     """Per-process span recorder with cross-process context hand-off.
 
-    The orchestrator's tracer is process-global
+    The orchestrator's tracer is the run context's
     (:func:`start_tracing` / :func:`active_tracer`); worker processes
     build their own, :meth:`adopt` the ``(trace_id, parent_span_id)``
     context that rides with each dispatched task, and :meth:`drain`
@@ -169,10 +173,9 @@ class Tracer:
         self._spans: deque[Span] = deque(maxlen=capacity)
         self.emitted = 0
         #: Implicit parent for spans begun without an explicit one (the
-        #: sweep root in the orchestrator, the task span in a worker).
+        #: sweep root in the orchestrator, the task span in a worker, or
+        #: the innermost open :meth:`span` block).
         self.default_parent: str | None = None
-        #: Worker-side phase samples that ship home with the spans.
-        self.profiler = PhaseProfiler()
         self._seq = itertools.count(1)
 
     # ------------------------------------------------------------ recording
@@ -254,8 +257,13 @@ class Tracer:
         lane: int = 0,
         **args,
     ):
-        """Context manager: ``ok`` on success, ``error`` on exception."""
+        """Context manager: ``ok`` on success, ``error`` on exception.
+
+        Spans begun inside the block without an explicit parent nest
+        under this one, so self times subtract exactly the work inside.
+        """
         span = self.begin(name, category=category, parent=parent, lane=lane, **args)
+        outer, self.default_parent = self.default_parent, span.span_id
         try:
             yield span
         except BaseException as exc:
@@ -263,6 +271,8 @@ class Tracer:
             raise
         else:
             self.finish(span)
+        finally:
+            self.default_parent = outer
 
     def _append(self, span: Span) -> None:
         self.emitted += 1
@@ -283,18 +293,14 @@ class Tracer:
         self.default_parent = parent
 
     def drain(self) -> dict:
-        """Ship-home payload: finished spans + phase samples, then reset.
+        """Ship-home payload: the finished spans, then reset.
 
         The span dicts are plain JSON-compatible objects, so they ride
         inside the supervised pool's pickled (and checksummed) result
         transport without any new wire format.
         """
-        payload = {
-            "spans": [span.to_dict() for span in self._spans],
-            "phases": self.profiler.to_dict(),
-        }
+        payload = {"spans": [span.to_dict() for span in self._spans]}
         self._spans.clear()
-        self.profiler = PhaseProfiler()
         return payload
 
     def ingest(self, payload: dict | None) -> int:
@@ -313,9 +319,6 @@ class Tracer:
                 accepted += 1
             except (ValueError, KeyError, TypeError):
                 continue
-        phases = payload.get("phases")
-        if isinstance(phases, dict):
-            self.profiler.merge_dict(phases)
         return accepted
 
     # --------------------------------------------------------------- access
@@ -352,28 +355,72 @@ class Tracer:
         }
 
 
-# ----------------------------------------------------------- global tracer
-
-_active: Tracer | None = None
-
+# ----------------------------------------------------------- active tracer
 
 def start_tracing(process: str = ORCHESTRATOR, **kwargs) -> Tracer:
-    """Activate a process-global tracer (replacing any existing one)."""
-    global _active
-    _active = Tracer(process=process, **kwargs)
-    return _active
+    """Activate a tracer in the run context (replacing any existing one)."""
+    tracer = current().tracer = Tracer(process=process, **kwargs)
+    return tracer
 
 
 def end_tracing() -> Tracer | None:
     """Deactivate and return the current tracer."""
-    global _active
-    tracer, _active = _active, None
+    context = current()
+    tracer, context.tracer = context.tracer, None
     return tracer
 
 
 def active_tracer() -> Tracer | None:
     """The current tracer, or ``None`` when tracing is off (default)."""
-    return _active
+    return current().tracer
+
+
+def traced(name: str, category: str = "span", **args):
+    """A span of the active tracer, or a no-op context when tracing is
+    off; either way ``with`` yields the span (or ``None``)."""
+    tracer = current().tracer
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(name, category=category, **args)
+
+
+def profile_report(spans: Iterable[Span], top_n: int = 10) -> str:
+    """``--profile``'s table: span names ranked by self time.
+
+    A span's self time is its duration minus its children's, floored at
+    zero (a parent waits while children run in parallel workers).
+    Marks, unfinished spans and a sweep's ``cell`` spans are left out:
+    a cell span covers, for the timeline, time its task's attempt
+    spans already hold.  ``records/s`` divides the ``records`` argument
+    of a name's spans (trace records emulated or loaded, instructions
+    simulated) by their self time.
+    """
+    timed = [s for s in spans if s.status in (OK, ERROR) and s.category != "cell"]
+    children: dict[str, float] = defaultdict(float)
+    for s in timed:
+        if s.parent_id is not None:
+            children[s.parent_id] += s.duration
+    rows: dict[str, list] = {}
+    for s in timed:
+        row = rows.setdefault(s.name, [0, 0.0, 0])
+        row[0] += 1
+        row[1] += max(0.0, s.duration - children[s.span_id])
+        row[2] += s.args.get("records", 0)
+    if not rows:
+        return "(no timed spans)"
+    total = sum(row[1] for row in rows.values()) or 1e-12
+    ranked = sorted(rows.items(), key=lambda item: item[1][1], reverse=True)[:top_n]
+    lines = [
+        f"=== Profile: top {len(ranked)} of {len(rows)} span names by self time ===",
+        f"{'span':<40} {'calls':>7} {'seconds':>9} {'share':>7} {'records/s':>12}",
+    ]
+    for name, (calls, seconds, records) in ranked:
+        rate = f"{records / seconds:,.0f}" if records and seconds > 0 else "-"
+        lines.append(
+            f"{name:<40} {calls:>7} {seconds:>9.3f} {seconds / total:>6.1%} {rate:>12}"
+        )
+    lines.append(f"{'total':<40} {'':>7} {total:>9.3f}")
+    return "\n".join(lines)
 
 
 # ------------------------------------------------------------------- JSONL
@@ -578,9 +625,11 @@ __all__ = [
     "end_tracing",
     "load_spans_jsonl",
     "new_trace_id",
+    "profile_report",
     "spans_to_chrome_trace",
     "start_tracing",
     "to_jsonl_lines",
+    "traced",
     "validate_span",
     "validate_spans_file",
     "worker_process_label",

@@ -74,8 +74,8 @@ from repro.obs.events import (
     WAY_MISPREDICT,
     EventTrace,
 )
+from repro.context import current as _run_context
 from repro.obs.guestprof import SHORTFALL_PC, profile_delta
-from repro.obs.guestprof import active_collector as _guest_collector
 from repro.emulator.trace import Trace, as_trace
 from repro.timing.frontend import (
     FORWARDED,
@@ -727,7 +727,7 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
     cfg = sim.config
     stats = sim.stats
     ev = sim.events
-    gp = _guest_collector()
+    gp = _run_context().collector
     prof: dict | None = {} if gp is not None else None
     obs_on = sim._obs_enabled
     emit_text = sim._emit_text

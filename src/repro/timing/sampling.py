@@ -50,6 +50,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from repro.branch.predictor import FrontEndPredictor
+from repro.context import current as _run_context
 from repro.core.config import MachineConfig
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.timing.frontend import FrontEnd, HazardDivergence, front_end_key, record_kind
@@ -316,9 +317,7 @@ def stats_error_bars(stats: SimStats) -> tuple[float, float] | None:
 
 def _publish_session(result: SamplingResult) -> None:
     """Accumulate ``sampling.*`` metrics into the active obs session."""
-    from repro.obs.session import active_session
-
-    session = active_session()
+    session = _run_context().session
     if session is None:
         return
     reg = session.registry
@@ -405,11 +404,9 @@ def sample_configs(
     wall-clock budget, so the call never times out where its configs,
     run one by one, would not.
     """
-    from repro.obs.guestprof import active_collector
-
     plan.validate()
     configs = list(configs)
-    gp = active_collector()
+    gp = _run_context().collector
     if gp is not None:
         # Route the windows' counts and cycles to this benchmark's
         # bucket, as an exact collection does.
@@ -431,10 +428,9 @@ def sample_configs(
 
 def _groups(configs: list[MachineConfig], plan: SamplingPlan) -> list[list[int]]:
     """Indices of the configs that can share a machine, in order."""
-    from repro.obs.guestprof import active_collector
     from repro.timing.fastpath import default_timing_mode
 
-    gp = active_collector()
+    gp = _run_context().collector
     if (
         len(configs) < 2
         or plan.ci_target > 0.0
@@ -461,7 +457,6 @@ def _sample_group(
     from repro.emulator.trace import Trace
     from repro.obs.guestprof import (
         GuestProfileCollector,
-        active_collector,
         profile_from_records,
         redirected_guest_profile,
         suspended_guest_profile,
@@ -482,7 +477,7 @@ def _sample_group(
     # Each rider's windows, and its share of the guest profile: a rider
     # that drops out runs again on its own, so shares are folded in last.
     riders = {i: [] for i in range(1, len(configs))}
-    gp = active_collector()
+    gp = _run_context().collector
     shares = {i: GuestProfileCollector() for i in riders} if gp is not None else {}
 
     n_periods = min(max(1, budget // plan.interval), plan.max_windows)

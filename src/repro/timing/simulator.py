@@ -29,6 +29,7 @@ from itertools import islice
 
 from repro.branch.early import can_resolve_early
 from repro.branch.predictor import FrontEndPredictor
+from repro.context import current as _run_context
 from repro.core.config import MachineConfig
 from repro.core.slicing import slices_containing_difference, split_value
 from repro.emulator.trace import TraceRecord, as_trace
@@ -38,7 +39,7 @@ from repro.memsys.hierarchy import MemoryHierarchy
 from repro.memsys.partial_tag import partial_tag_lookup
 from repro.obs.attribution import attribute_delta
 from repro.obs.guestprof import SHORTFALL_PC, profile_delta
-from repro.obs.guestprof import active_collector as _guest_collector
+from repro.obs.tracing import traced
 from repro.obs.events import (
     COMMIT,
     CPI_SAMPLE,
@@ -560,7 +561,7 @@ class TimingSimulator:
         stats = self.stats
         S = self.num_slices
         ev = self.events  # hoisted: None when observability is off
-        gp = _guest_collector()
+        gp = _run_context().collector
         # Per-PC CPI attribution (guest profiler): pc → component cycles,
         # filled from the same commit deltas the SimStats stack sees.
         prof: dict | None = {} if gp is not None else None
@@ -907,8 +908,10 @@ def simulate(
     When an observability session is active (``--metrics-out`` /
     ``--trace-events`` / ``--profile``), the run is wall-timed, its
     counters accumulate into the session registry, and cycle events
-    land in the session ring buffer; with no session the only cost is
-    one ``None`` check.  *mode* overrides the ``REPRO_TIMING``
+    land in the session ring buffer; while a tracer is active
+    (``--trace-spans`` / ``--profile``) the run records one
+    ``simulate.<config>`` span.  With neither, the only cost is two
+    ``None`` checks.  *mode* overrides the ``REPRO_TIMING``
     fast/reference selection for this run.
     """
     return _simulate(config, trace, max_instructions, warmup, watchdog, events, mode)
@@ -944,10 +947,9 @@ def simulate_configs(
 def _simulate(config, trace, max_instructions, warmup, watchdog, events, mode, shared=None):
     """One :func:`simulate` run; with *shared* (front-end key -> columns),
     replay matching columns and offer this run's for later ones."""
-    from repro.obs.session import active_session
     from repro.timing.fastpath import default_timing_mode
 
-    session = active_session()
+    session = _run_context().session
     if session is not None and events is None:
         events = session.events
     t0 = time.perf_counter()
@@ -964,7 +966,10 @@ def _simulate(config, trace, max_instructions, warmup, watchdog, events, mode, s
             predictor=front.predictor, hierarchy=front.hierarchy,
         )
         sim._replay = columns
-    stats = sim.run(trace, max_instructions, warmup=warmup, watchdog=watchdog)
+    with traced(f"simulate.{config.name}", category="simulate") as span:
+        stats = sim.run(trace, max_instructions, warmup=warmup, watchdog=watchdog)
+        if span is not None:
+            span.args["records"] = stats.instructions
     if key is not None and columns is None and not sim.front_end.hazards:
         shared[key] = sim.front_end
     if session is not None:

@@ -65,11 +65,6 @@ finish: la   $a0, bench_name
 """
 
 
-def expected_output_prefix(name: str) -> str:
-    """The stdout prefix a run of workload *name* must produce."""
-    return f"{name}:"
-
-
 def scaled_size(base: int, footprint_divisor: int) -> int:
     """Shrink a power-of-two footprint by a power-of-two divisor.
 

@@ -34,6 +34,22 @@ def stall(payload):
     return "never reached in stall tests"
 
 
+def run_context(payload):
+    """The worker's run context, as the snapshot it would hand on.
+
+    With a marker directory, the first attempt SIGKILLs its worker, so
+    the answer comes from the respawned one.
+    """
+    from repro import context
+
+    if payload:
+        marker = Path(payload[0]) / "killed-once"
+        if not marker.exists():
+            marker.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+    return context.current().snapshot()
+
+
 def flaky(payload):
     """Fail (by SIGKILL) until a marker file exists, then succeed.
 

@@ -10,38 +10,36 @@ from __future__ import annotations
 
 import pytest
 
+from repro import context
 from repro.emulator import blocks
 from repro.emulator.machine import Machine
-from repro.experiments import runner, supervisor, trace_cache
-from repro.obs import guestprof
+from repro.experiments import supervisor, trace_cache
 from repro.isa.assembler import assemble
 from repro.workloads import get_workload
 
 
 @pytest.fixture(autouse=True)
-def _isolate_runner_globals(monkeypatch):
-    """Keep the runner's process-global knobs from leaking across tests.
+def _isolate_run_context(monkeypatch):
+    """Keep the run context and the process counters from leaking
+    across tests.
 
-    ``set_wall_timeout`` and the persistent trace cache are module
-    state; a test that sets either must not change the behaviour of
-    every test that runs after it.  The cache is disabled both
-    explicitly and via the environment (the CLI's ``main()`` resets the
-    explicit configuration, so the env layer is what actually protects
-    CLI tests) — the suite never reads or writes ``~/.cache``.  Cache
-    tests opt back in with ``trace_cache.configure(tmp_path,
-    enabled=True)``.
+    A test that sets a timeout, a budget override, a cache directory or
+    a recorder must not change the behaviour of every test that runs
+    after it: each test starts and ends with a fresh run context.  The
+    cache is disabled both explicitly and via the environment (the
+    CLI's ``main()`` activates a context of its own, so the env layer is
+    what actually protects CLI tests) — the suite never reads or writes
+    ``~/.cache``.  Cache tests opt back in with
+    ``trace_cache.configure(tmp_path, enabled=True)``.
     """
     monkeypatch.setenv(trace_cache.ENV_VAR, "off")
-    trace_cache.configure(enabled=False)
+    context.reset(cache_enabled=False)
     trace_cache.reset_stats()
     yield
-    runner.set_wall_timeout(None)
-    runner._budget_overrides.clear()
-    trace_cache.configure(enabled=False)
+    context.reset(cache_enabled=False)
     trace_cache.reset_stats()
     supervisor.reset_stats()
     blocks.reset_stats()
-    guestprof.end_guest_profile()
 
 
 @pytest.fixture(scope="session")

@@ -1,96 +1,6 @@
-"""Aggregation helpers and ASCII chart rendering."""
+"""ASCII chart rendering."""
 
-import math
-
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.experiments.aggregate import (
-    arithmetic_mean,
-    confidence_interval,
-    geometric_mean,
-    harmonic_mean,
-    speedup_summary,
-)
 from repro.experiments.ascii_plot import hbar_chart, line_plot, stacked_hbar
-
-POS = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20)
-
-# ---------------------------------------------------------------- means
-
-
-def test_geometric_mean_known():
-    assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-    assert geometric_mean([2.0, 2.0, 2.0]) == pytest.approx(2.0)
-
-
-def test_harmonic_mean_known():
-    assert harmonic_mean([1.0, 1.0]) == 1.0
-    assert harmonic_mean([2.0, 6.0]) == pytest.approx(3.0)
-
-
-@given(POS)
-def test_mean_inequality(values):
-    """HM <= GM <= AM for positive values."""
-    hm = harmonic_mean(values)
-    gm = geometric_mean(values)
-    am = arithmetic_mean(values)
-    assert hm <= gm * (1 + 1e-9)
-    assert gm <= am * (1 + 1e-9)
-
-
-@given(st.floats(0.1, 10.0), st.integers(1, 10))
-def test_means_of_constant(value, n):
-    values = [value] * n
-    for mean in (harmonic_mean, geometric_mean, arithmetic_mean):
-        assert mean(values) == pytest.approx(value)
-
-
-def test_means_reject_empty_and_nonpositive():
-    for mean in (harmonic_mean, geometric_mean):
-        with pytest.raises(ValueError):
-            mean([])
-        with pytest.raises(ValueError):
-            mean([1.0, 0.0])
-    with pytest.raises(ValueError):
-        arithmetic_mean([])
-
-
-# -------------------------------------------------------------- speedups
-
-
-def test_speedup_summary():
-    base = {"a": 1.0, "b": 2.0, "c": 1.0}
-    improved = {"a": 2.0, "b": 2.0, "d": 9.0}
-    summary = speedup_summary(base, improved)
-    assert summary["a"] == 2.0 and summary["b"] == 1.0
-    assert "d" not in summary or summary.get("d") is None or True
-    assert summary["__min__"] == 1.0 and summary["__max__"] == 2.0
-    assert summary["__geomean__"] == pytest.approx(math.sqrt(2.0))
-
-
-def test_speedup_summary_disjoint_rejected():
-    with pytest.raises(ValueError):
-        speedup_summary({"a": 1.0}, {"b": 1.0})
-
-
-def test_confidence_interval_contains_mean():
-    values = [1.0, 1.1, 0.9, 1.05, 0.95]
-    lo, hi = confidence_interval(values)
-    assert lo < arithmetic_mean(values) < hi
-    with pytest.raises(ValueError):
-        confidence_interval([1.0])
-
-
-def test_confidence_widens_with_confidence():
-    values = [1.0, 1.2, 0.8, 1.1, 0.9, 1.0]
-    lo95, hi95 = confidence_interval(values, 0.95)
-    lo99, hi99 = confidence_interval(values, 0.99)
-    assert hi99 - lo99 > hi95 - lo95
-
-
-# ----------------------------------------------------------------- plots
 
 
 def test_hbar_chart_basic():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import context
 from repro.core.config import baseline_config, cumulative_configs
 from repro.emulator import trace as trace_module
 from repro.emulator.machine import Machine
@@ -78,7 +79,8 @@ def test_fast_simulate_configs_reads_only_columns(li_records, record_views):
 def test_warm_fidelity_report_reads_only_columns(tmp_path, record_views):
     """A warm report loads its traces from the cache, serves prefixes,
     simulates and characterizes without one record view."""
-    saved = (trace_cache._configured_dir, trace_cache._configured_enabled)
+    run = context.current()
+    saved = (run.cache_dir, run.cache_enabled)
     trace_cache.configure(tmp_path, enabled=True)
     try:
         runner.clear_trace_cache()

@@ -172,6 +172,23 @@ def test_compiler_telemetry_comes_only_from_snapshots(tmp_path):
     assert folded["snapshots_scanned"] == 1
 
 
+def test_default_run_scans_no_snapshot_directory(tmp_path, monkeypatch):
+    """Without --bench-dir the report reads no BENCH_*.json, not even
+    from a ./benchmarks directory that holds some."""
+    import shutil
+
+    (tmp_path / "benchmarks").mkdir()
+    shutil.copy("benchmarks/BENCH_baseline.json", tmp_path / "benchmarks" / "BENCH_a.json")
+    monkeypatch.chdir(tmp_path)
+    js = tmp_path / "r.json"
+    code = main(["-b", "li", "-n", "1500", "--warmup", "300", "--quiet", "--no-fail",
+                 "--out-json", str(js)])
+    assert code == 0
+    payload = json.loads(js.read_text())
+    assert payload["trend"] == []
+    assert payload["campaign"]["snapshots_scanned"] == 0
+
+
 def test_cli_writes_artifacts_and_gates(tmp_path, capsys):
     md = tmp_path / "r.md"
     html = tmp_path / "r.html"

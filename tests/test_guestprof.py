@@ -222,22 +222,31 @@ def test_suspension_excludes_bookkeeping_runs():
     assert collector.benchmarks == {}
 
 
-def test_worker_state_round_trips_guest_profile():
-    from repro.experiments.supervisor import apply_worker_state, current_worker_state
+def test_worker_state_round_trips_guest_profile(tmp_path):
+    """A worker's run context, restored from the parent's pickled
+    snapshot, keeps every knob and runs a collector and a tracer of its
+    own (the parent's session stays behind)."""
+    import pickle
 
-    start_guest_profile(mode="sample", period=32)
-    try:
-        state = current_worker_state()
-    finally:
-        end_guest_profile()
-    assert state[-1] == ("sample", 32)
-    apply_worker_state(*state)
-    try:
-        worker_side = active_collector()
-        assert worker_side is not None
-        assert (worker_side.mode, worker_side.period) == ("sample", 32)
-    finally:
-        end_guest_profile()
+    from repro import context
+    from repro.experiments import trace_cache
+    from repro.obs.session import start_session
+    from repro.obs.tracing import start_tracing
+
+    parent_collector = start_guest_profile(mode="sample", period=32)
+    start_tracing()
+    start_session()
+    parent = context.current()
+    parent.wall_timeout = 7.5
+    parent.budget_overrides["li"] = 1234
+    trace_cache.configure(tmp_path, enabled=True)
+    worker = pickle.loads(pickle.dumps(parent.snapshot())).restore()
+    assert (worker.collector.mode, worker.collector.period) == ("sample", 32)
+    assert worker.collector is not parent_collector
+    assert worker.tracer.process.startswith("worker-") and worker.tracer is not parent.tracer
+    assert (worker.wall_timeout, worker.budget_overrides) == (7.5, {"li": 1234})
+    assert (worker.cache_dir, worker.cache_enabled) == (tmp_path, True)
+    assert worker.session is None
 
 
 # ------------------------------------------------------------ repro-profile

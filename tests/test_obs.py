@@ -1,4 +1,4 @@
-"""Observability layer: registry, events, profiler, manifest, session."""
+"""Observability layer: registry, events, manifest, session."""
 
 import json
 
@@ -22,7 +22,6 @@ from repro.obs.manifest import (
     validate_manifest,
     write_bench_snapshot,
 )
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import MetricsRegistry, validate_metrics_dump
 from repro.obs.session import ObsSession, active_session, end_session, start_session
 
@@ -173,30 +172,6 @@ def test_chrome_trace_pairs_fetch_commit(tmp_path):
     assert "traceEvents" in json.loads(path.read_text())
 
 
-# ---------------------------------------------------------------- profiler
-
-def test_profiler_phases_and_throughput():
-    prof = PhaseProfiler()
-    with prof.phase("simulate.li") as ph:
-        ph.add_items(1000)
-    prof.add("collect.li", 2.0, items=500)
-    stats = {s.name: s for s in prof.hottest(10)}
-    assert stats["collect.li"].items_per_second == 250.0
-    assert stats["simulate.li"].calls == 1
-    report = prof.report(top_n=1)
-    assert "collect.li" in report and "top 1 of 2" in report
-    assert "simulate.li" not in report.splitlines()[2]
-
-
-def test_profiler_publishes_to_registry():
-    prof = PhaseProfiler()
-    prof.add("collect.li", 1.5, items=100)
-    reg = MetricsRegistry()
-    prof.publish(reg)
-    assert reg.get("profile.collect.li.wall").seconds == pytest.approx(1.5)
-    assert reg.get("profile.collect.li.items").value == 100
-
-
 # ---------------------------------------------------------------- manifest
 
 def test_manifest_builds_and_validates():
@@ -253,7 +228,6 @@ def test_session_aggregates_runs_into_bench_records():
     assert li["ipc"] == {"baseline": 0.5, "bitslice-2": pytest.approx(1000 / 1500)}
     assert li["instructions"] == 2000
     assert li["instructions_per_second"] == pytest.approx(2000 / 0.5)
-    assert li["emulate_seconds"] == pytest.approx(0.5)
     # Counters accumulated under the catalog names.
     assert session.registry.get("sim.instructions").value == 2000
     assert session.registry.get("sim.mem.loads").value == 100
@@ -332,24 +306,11 @@ def test_simstats_merge_all():
         SimStats.merge_all([])
 
 
-def test_aggregate_module_delegates_to_stats():
-    from repro.experiments.aggregate import merge_stats, stats_rows
-    from repro.timing.stats import SimStats
-
-    runs = [SimStats(config_name="c", instructions=10, cycles=20),
-            SimStats(config_name="c", instructions=30, cycles=40)]
-    assert merge_stats(runs).instructions == 40
-    rows = stats_rows(runs)
-    assert len(rows) == 2 and rows[0]["derived"]["ipc"] == 0.5
-
-
 def test_finalize_registry_includes_profiler_and_event_counts():
     session = ObsSession(trace_events=True, events_capacity=2)
     session.events.emit(FETCH, 0, 1, 0)
     session.events.emit(FETCH, 1, 2, 0)
     session.events.emit(FETCH, 2, 3, 0)
-    session.profiler.add("collect.li", 1.0, items=10)
     reg = session.finalize_registry()
     assert reg.get("obs.events.emitted").value == 3
     assert reg.get("obs.events.dropped").value == 1
-    assert "profile.collect.li.wall" in reg

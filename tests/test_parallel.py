@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import context
 from repro.core.config import baseline_config, simple_pipeline_config
 from repro.experiments import parallel, runner, trace_cache
-from repro.experiments.supervisor import run_sweep
+from repro.experiments.supervisor import PoolTask, SupervisedPool, SupervisorPolicy, run_sweep
 from repro.harness.faults import ProcessFaultPlan
+from repro.obs.guestprof import start_guest_profile
+from repro.obs.tracing import start_tracing
 from repro.timing.simulator import simulate
 from repro.timing.stats import SimStats
 
@@ -38,9 +41,26 @@ def test_collect_parallel_preloads_parent_cache():
     assert ("li", N, None, None, "ref") in runner._preloaded
 
 
-def test_workers_inherit_wall_timeout():
-    """A timeout set in the parent must bind inside every worker."""
+def test_workers_inherit_wall_timeout(tmp_path):
+    """A spawned worker and the worker respawned after a SIGKILL run
+    under the parent's run context (timeout, budget overrides, cache
+    directory and switch, guest-profile mode and period, tracing), and
+    the timeout binds inside them."""
     runner.set_wall_timeout(1e-9)  # impossible budget: all attempts fail
+    runner.set_budget_override("mcf", 900)
+    trace_cache.configure(tmp_path / "cache", enabled=True)
+    start_guest_profile(mode="sample", period=64)
+    start_tracing()
+    expected = context.current().snapshot()
+    task = "tests._supervisor_tasks:run_context"
+    tasks = [PoolTask(id="spawned", fn=task, payload=()),
+             PoolTask(id="respawned", fn=task, payload=(str(tmp_path),), max_retries=1)]
+    with SupervisedPool(1, policy=SupervisorPolicy(backoff=0.0)) as pool:
+        outcomes = pool.run(tasks)
+    assert outcomes["respawned"].attempts == 2
+    assert outcomes["spawned"].value == expected == outcomes["respawned"].value
+    assert expected.guest_profile == ("sample", 64) and expected.tracing
+
     surviving, failures, degraded = parallel.collect_parallel(["li"], N, jobs=1)
     assert surviving == [] and not degraded
     (record,) = failures

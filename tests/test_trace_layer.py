@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro import context
 from repro.emulator.machine import Machine
 from repro.emulator.trace import COLUMNS
 from repro.experiments import runner, trace_cache
@@ -26,7 +27,8 @@ SKIP = 0
 
 @contextmanager
 def trace_cache_disabled():
-    saved = (trace_cache._configured_dir, trace_cache._configured_enabled)
+    run = context.current()
+    saved = (run.cache_dir, run.cache_enabled)
     trace_cache.configure(enabled=False)
     try:
         yield
