@@ -64,10 +64,6 @@ PARITY_SLICE = 3_000
 #: numbers give 24.6x (the same ~21% headroom the old floor had).
 SPEEDUP_FLOOR = 19.5
 
-#: Blocks-tier guest-profiler overhead ceiling enforced by
-#: ``--profile-overhead`` (the documented budget is <10%).
-PROFILE_OVERHEAD_BUDGET = 0.10
-
 
 def geomean(values) -> float:
     values = list(values)
@@ -126,37 +122,6 @@ def bench_benchmark(name: str, steps: int, repeats: int, verbose=print) -> dict:
     return row
 
 
-def measure_profile_overhead(benchmarks, steps: int, repeats: int,
-                             verbose=print) -> float:
-    """Geomean blocks-tier slowdown with the exact guest profiler on.
-
-    Interleaves profiler-off and profiler-on repeats over a shared warm
-    Program so code-cache state and host frequency drift hit both arms
-    equally — the methodology behind the documented overhead number.
-    """
-    from repro.obs.guestprof import GuestProfileCollector, redirected_guest_profile
-
-    ratios = []
-    for name in benchmarks:
-        program = get_workload(name).build(iters=None, profile="ref")
-        Machine(program, dispatch="blocks").run(steps)  # warm the code cache
-        off = on = math.inf
-        for _ in range(repeats):
-            machine = Machine(program, dispatch="blocks")
-            t0 = time.process_time()
-            machine.run(steps)
-            off = min(off, time.process_time() - t0)
-            machine = Machine(program, dispatch="blocks")
-            with redirected_guest_profile(GuestProfileCollector()):
-                t0 = time.process_time()
-                machine.run(steps)
-                on = min(on, time.process_time() - t0)
-        ratios.append(on / off)
-        verbose(f"  {name:<8s} profiler off {off:6.3f}s  on {on:6.3f}s  "
-                f"overhead {on / off - 1:+6.1%}")
-    return geomean(ratios) - 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument(
@@ -192,29 +157,7 @@ def main(argv=None) -> int:
         "--speedup-floor", type=float, default=SPEEDUP_FLOOR, metavar="X",
         help=f"geomean floor used by --check-speedup (default {SPEEDUP_FLOOR})",
     )
-    parser.add_argument(
-        "--profile-overhead", action="store_true",
-        help="measure the blocks tier with the exact guest profiler enabled "
-             f"and fail above the {PROFILE_OVERHEAD_BUDGET:.0%} overhead budget",
-    )
     args = parser.parse_args(argv)
-
-    if args.profile_overhead:
-        print(
-            f"guest-profiler overhead on the blocks tier "
-            f"(cap {args.steps:,d}, best of {args.repeats}):"
-        )
-        overhead = measure_profile_overhead(args.benchmarks, args.steps, args.repeats)
-        print(f"geomean enabled-mode overhead: {overhead:+.1%} "
-              f"(budget <{PROFILE_OVERHEAD_BUDGET:.0%})")
-        if overhead >= PROFILE_OVERHEAD_BUDGET:
-            print(
-                f"error: guest-profiler overhead {overhead:.1%} >= "
-                f"{PROFILE_OVERHEAD_BUDGET:.0%} budget",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
 
     if args.assert_fast_active:
         mode = default_dispatch()

@@ -4,7 +4,7 @@ A run turns on at most one observability session, one span tracer and
 one guest-profile collector, and sets the runner's collection budgets
 and the trace cache's directory and switch.  One :class:`RunContext`
 holds all of it and :func:`current` returns the active one, so
-instrumentation deep in the stack (the emulator's loops, ``simulate()``,
+instrumentation deep in the stack (block compilation, ``simulate()``,
 trace collection) reads it without a handle threaded through every
 experiment signature.  A recorder that is off is ``None``: its hooks
 cost one attribute check and the uninstrumented loops run unchanged.
@@ -50,13 +50,12 @@ class RunContext:
 
     def snapshot(self) -> Snapshot:
         """The picklable state a spawned worker inherits."""
-        collector = self.collector
         return Snapshot(
             wall_timeout=self.wall_timeout,
             budget_overrides=dict(self.budget_overrides),
             cache_dir=self.cache_dir,
             cache_enabled=self.cache_enabled,
-            guest_profile=(collector.mode, collector.period) if collector is not None else None,
+            guest_profile=self.collector is not None,
             tracing=self.tracer is not None,
         )
 
@@ -64,15 +63,14 @@ class RunContext:
 @dataclass(frozen=True)
 class Snapshot:
     """A parent's context as a worker inherits it: the knobs by value,
-    the guest profiler as its ``(mode, period)`` and the tracer as a
-    switch.  The session stays in the parent, which records the cells
-    the workers run."""
+    the guest profiler and the tracer as switches.  The session stays in
+    the parent, which records the cells the workers run."""
 
     wall_timeout: float | None
     budget_overrides: dict[str, int]
     cache_dir: Path | None
     cache_enabled: bool | None
-    guest_profile: tuple[str, int] | None
+    guest_profile: bool
     tracing: bool
 
     def restore(self) -> RunContext:
@@ -84,10 +82,7 @@ class Snapshot:
 
         return RunContext(
             tracer=Tracer(process=worker_process_label()) if self.tracing else None,
-            collector=(
-                GuestProfileCollector(*self.guest_profile)
-                if self.guest_profile is not None else None
-            ),
+            collector=GuestProfileCollector() if self.guest_profile else None,
             wall_timeout=self.wall_timeout,
             budget_overrides=dict(self.budget_overrides),
             cache_dir=self.cache_dir,

@@ -951,9 +951,9 @@ class BlockEngine:
         ``r<N>`` locals are the register values, and the trace
         variant's ``_rec`` holds the records retired so far.  This
         commits those registers, sets ``pc``/``instret`` to the
-        faulting item and yields ``(pc, record)`` for each retired
-        instruction (``record`` is ``None`` outside the trace
-        variant); then the faulting item's bound handler re-raises the
+        faulting item and yields the record of each retired
+        instruction (``None`` outside the trace variant); then the
+        faulting item's bound handler re-raises the
         reference exception.  If it does not raise, the compiled body
         disagreed with the handlers, which is a divergence, not a
         guest fault.
@@ -978,7 +978,7 @@ class BlockEngine:
         machine.instret += retired
         records = local.get("_rec")
         for i in range(retired):
-            yield pcs[i], None if records is None else records[i]
+            yield None if records is None else records[i]
         machine._bound[(machine.pc - self.base) >> 2](machine, True)
         raise DispatchDivergence(
             f"compiled block raised {original!r} but its faulting instruction did not"

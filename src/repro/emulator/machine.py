@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 
-from repro.context import current as _run_context
 from repro.emulator import dispatch as _dispatch
 from repro.emulator.dispatch import bits_from_f32, f32_from_bits, to_signed
 from repro.emulator.memory import SparseMemory
@@ -52,13 +51,6 @@ DISPATCH_ENV = "REPRO_DISPATCH"
 
 #: Interpreter tiers: the production tier, then the golden reference.
 DISPATCH_TIERS = ("blocks", "reference")
-
-#: Retirements a profiled exact-mode block chain may run before it
-#: yields to the outer loop, where the chain-encoded execution buffer
-#: is drained into the histogram.  Bounds the buffer on pathological
-#: all-tiny-block runs (a few MB of ints at the default) while keeping
-#: the drain check off the per-execution hot path.
-_PROFILE_DRAIN = 262_144
 
 
 def default_dispatch() -> str:
@@ -537,14 +529,10 @@ class Machine:
         only) dispatches through the functional-warming block variants
         — see :meth:`run_warm`.
 
-        When a guest profiler is active the counting twin
-        (:meth:`_loop_profiled`) runs instead; this single ``None``
-        check per loop activation is the profiler's entire footprint on
-        a disabled run.
+        The loop keeps no guest profile: the guest profiler counts the
+        records of a collected trace
+        (:func:`~repro.obs.guestprof.profile_from_records`).
         """
-        if _run_context().collector is not None:
-            yield from self._loop_profiled(max_steps, watchdog, emit)
-            return
         if watchdog is not None:
             watchdog.start()
         n = 0
@@ -600,7 +588,7 @@ class Machine:
                                 try:
                                     records = fn(self)
                                 except Exception as exc:  # resume at the fault
-                                    for _pc, record in eng.replay(self, exc):
+                                    for record in eng.replay(self, exc):
                                         n += 1
                                         yield record
                                     raise  # pragma: no cover - replay re-raises
@@ -683,216 +671,6 @@ class Machine:
             eng.side_exits += side_exits
             eng.flush_stats()
 
-    def _loop_profiled(self, max_steps: int, watchdog, emit: bool):
-        """Guest-profiling twin of :meth:`_loop`.
-
-        Same retirement semantics, plus per-PC retirement counting for
-        the active :class:`~repro.obs.guestprof.GuestProfileCollector`.
-        ``sample`` mode and the reference tier count each instruction
-        as it retires, through the per-instruction bound handlers (or
-        :meth:`step_reference`), so samples land on the exact PC a
-        cache-hit replay (:func:`~repro.obs.guestprof.profile_from_records`)
-        charges.  ``exact`` mode on the blocks tier runs compiled
-        blocks and counts one ``(leader, retired)`` pair per compiled
-        execution, folding the pairs into per-PC counts on exit —
-        compiled bodies commit a prefix of their static item list at
-        every exit point, so an execution that retired ``k``
-        instructions retired exactly ``items[:k]``.  The partial
-        profile is folded in even when the loop unwinds on a watchdog
-        breach or guest fault.
-        """
-        gp = _run_context().collector
-        exact = gp.mode == "exact"
-        counts: dict[int, int] = {}
-        if watchdog is not None:
-            watchdog.start()
-        n = 0
-        if not exact or self._engine is None:
-            period = gp.period
-            left = gp.countdown
-            sampled = 0
-            bound = self._bound
-            base = self.program.text_base
-            size = 0 if bound is None else len(bound)
-            try:
-                while not self.halted and n < max_steps:
-                    pc = self.pc
-                    if bound is None:
-                        record = self.step_reference()
-                    else:
-                        index = (pc - base) >> 2
-                        if pc & 3 or not 0 <= index < size or bound[index] is None:
-                            self.fetch(pc)  # raises the canonical IllegalInstruction
-                        record = bound[index](self, emit)
-                    n += 1
-                    if exact:
-                        counts[pc] = counts.get(pc, 0) + 1
-                    else:
-                        left -= 1
-                        if left <= 0:
-                            counts[pc] = counts.get(pc, 0) + 1
-                            sampled += 1
-                            left = period
-                    if watchdog is not None:
-                        watchdog.poll(n)
-                    if emit:
-                        yield record
-            finally:
-                gp.countdown = left
-                gp.add_counts(counts, n, sampled)
-            return
-        # Exact mode, blocks tier: same dispatch structure as _loop, with
-        # one histogram update per compiled execution.
-        eng = self._engine
-        bound = self._bound
-        base = self.program.text_base
-        size = len(bound)
-        variant = "trace" if emit else "run"
-        table = eng.tables[variant]
-        # Run dispatch appends one already-materialised int per compiled
-        # execution: a ``~leader`` marker at each chain entry, then the
-        # raw ``ret`` word (``(next_leader + 1) << 8 | retired``) of every
-        # execution.  Each execution's leader is implied by the chain —
-        # ``lead[k+1] = (ret[k] >> 8) - 1`` — so the hot loop does no
-        # arithmetic or allocation at all; :func:`_fold_pending`
-        # reconstructs ``leader << 8 | retired`` histogram keys vectorised
-        # with numpy (MAX_BLOCK_LEN < 256 keeps the pack exact).  Chains
-        # yield to the outer loop every ``_PROFILE_DRAIN`` retirements so
-        # ``pending`` stays bounded.
-        bexecs: dict[int, int] = {}
-        bexecs_get = bexecs.get
-        pending: list[int] = []
-        pending_append = pending.append
-        counts_get = counts.get
-        execs = 0
-        insts = 0
-        fallback = 0
-        side_exits = 0
-
-        def _fold_pending() -> None:
-            """Decode the chain-encoded buffer into ``bexecs``."""
-            import numpy as np
-
-            raw = np.array(pending, dtype=np.int64)
-            pending.clear()
-            if len(raw) < 2:
-                return
-            prev = raw[:-1]
-            cur = raw[1:]
-            lead = np.where(prev < 0, ~prev, (prev >> 8) - 1)
-            keys = ((lead << 8) | (cur & 255))[cur >= 0]
-            uniq, times = np.unique(keys, return_counts=True)
-            for key, reps in zip(uniq.tolist(), times.tolist()):
-                bexecs[key] = bexecs_get(key, 0) + reps
-        try:
-            while not self.halted and n < max_steps:
-                pc = self.pc
-                index = (pc - base) >> 2
-                if pc & 3 or not 0 <= index < size:
-                    self.fetch(pc)  # raises the canonical IllegalInstruction
-                entry = table[index]
-                if entry is not None:
-                    cls = entry.__class__
-                    if cls is int:
-                        if entry <= 1:
-                            eng.compile_block(index, variant)
-                            entry = table[index]
-                            cls = None if entry is None else tuple
-                        else:
-                            table[index] = entry - 1
-                            cls = None
-                    if cls is tuple:
-                        n_max, fn = entry
-                        if emit:
-                            if n + n_max <= max_steps:
-                                try:
-                                    records = fn(self)
-                                except Exception as exc:  # resume at the fault
-                                    for rpc, record in eng.replay(self, exc):
-                                        n += 1
-                                        counts[rpc] = counts_get(rpc, 0) + 1
-                                        yield record
-                                    raise  # pragma: no cover - replay re-raises
-                                cnt = len(records)
-                                n += cnt
-                                execs += 1
-                                insts += cnt
-                                if cnt != n_max:
-                                    side_exits += 1
-                                key = (index << 8) | cnt
-                                bexecs[key] = bexecs_get(key, 0) + 1
-                                if watchdog is not None:
-                                    watchdog.poll(n)
-                                yield from records
-                                continue
-                        else:
-                            ran = False
-                            if len(pending) >= _PROFILE_DRAIN:
-                                _fold_pending()
-                            pending_append(~index)
-                            limit = n + _PROFILE_DRAIN
-                            if limit > max_steps:
-                                limit = max_steps
-                            while n + n_max <= limit:
-                                try:
-                                    ret = fn(self)
-                                except Exception as exc:  # resume at the fault
-                                    for rpc, _ in eng.replay(self, exc):
-                                        n += 1
-                                        counts[rpc] = counts_get(rpc, 0) + 1
-                                    raise  # pragma: no cover - replay re-raises
-                                ran = True
-                                pending_append(ret)
-                                cnt = ret & 255
-                                n += cnt
-                                execs += 1
-                                insts += cnt
-                                if cnt != n_max:
-                                    side_exits += 1
-                                if watchdog is not None:
-                                    watchdog.poll(n)
-                                ni = (ret >> 8) - 1
-                                if ni < 0:
-                                    break
-                                nxt = table[ni]
-                                if nxt.__class__ is not tuple:
-                                    break  # cold/profiling leader: outer loop
-                                n_max, fn = nxt
-                            if ran:
-                                continue
-                handler = bound[index]
-                if handler is None:
-                    self.fetch(pc)  # raises the canonical IllegalInstruction
-                record = handler(self, emit)
-                n += 1
-                fallback += 1
-                counts[pc] = counts_get(pc, 0) + 1
-                if watchdog is not None:
-                    watchdog.poll(n)
-                if emit:
-                    yield record
-        finally:
-            if pending:
-                _fold_pending()
-            for key, times in bexecs.items():
-                lead = key >> 8
-                cnt = key & 255
-                block = eng._extents.get(lead)
-                if block is None:
-                    # Cross-machine code-cache hits bind without
-                    # re-deriving the extent; _extent is pure static
-                    # analysis, so recompute it here.
-                    block = eng._extents[lead] = eng._extent(lead)
-                for ti, _inst, _cont in block.items[:cnt]:
-                    bpc = base + 4 * ti
-                    counts[bpc] = counts.get(bpc, 0) + times
-            eng.execs += execs
-            eng.insts += insts
-            eng.fallback += fallback
-            eng.side_exits += side_exits
-            eng.flush_stats()
-            gp.add_counts(counts, n)
-
     def run(self, max_steps: int = 10_000_000, watchdog=None) -> int:
         """Run until halt or *max_steps*; returns instructions retired.
 
@@ -921,9 +699,6 @@ class Machine:
         instructions warm through their trace records — branch-dense
         regions form short or cold blocks, so the fallback carries a
         disproportionate share of the predictor training stream.
-        Execution under an active guest profiler does not warm;
-        sampling suspends guest profiles around warm spans for exactly
-        that reason.
 
         Requires ``dispatch='blocks'`` and an attached warm sink.
         """

@@ -44,7 +44,10 @@ Observability flags (see ``docs/observability.md``):
 * ``--heartbeat SECONDS`` — periodic progress line for long sweeps
   (including ``--jobs`` sweeps: cells done / in flight / failed);
 * ``--live`` — live sweep status line (done/pending/failed, cells/s,
-  ETA, active-cell ages) for the ``sweep`` experiment.
+  ETA, active-cell ages) for the ``sweep`` experiment;
+* ``--guest-profile`` / ``--guest-profile-out FILE`` — per-PC retired
+  counts of every collected trace plus per-PC CPI stacks from the
+  timing runs (render with ``repro-profile``).
 
 Any of these also writes a ``BENCH_<run>.json`` perf snapshot (IPC,
 host throughput, wall time per benchmark) into ``--bench-dir``.
@@ -241,20 +244,14 @@ def _parser() -> argparse.ArgumentParser:
         help="print a progress line at most every SECONDS during long sweeps",
     )
     obs.add_argument(
-        "--guest-profile", nargs="?", const="exact", default=None,
-        choices=("exact", "sample"), metavar="MODE",
-        help="profile guest code: per-PC retired counts from the emulator "
-             "tiers plus per-PC CPI stacks from the timing layer "
-             "(MODE: exact [default] or sample)",
+        "--guest-profile", action="store_true",
+        help="profile guest code: per-PC retired counts from each collected "
+             "trace plus per-PC CPI stacks from the timing layer",
     )
     obs.add_argument(
         "--guest-profile-out", default=None, metavar="FILE",
         help="write the guest profile as JSON (implies --guest-profile; "
              "feed to repro-profile for reports and flamegraphs)",
-    )
-    obs.add_argument(
-        "--guest-profile-period", type=int, default=None, metavar="N",
-        help="sampling period for --guest-profile sample (default 1024)",
     )
     obs.add_argument(
         "--bench-dir", default=".benchmarks", metavar="DIR",
@@ -346,17 +343,14 @@ def main(argv: list[str] | None = None) -> int:
     obs_on = bool(
         args.metrics_out or args.trace_events or args.profile or args.heartbeat is not None
     )
-    guestprof_on = args.guest_profile is not None or bool(args.guest_profile_out)
+    guestprof_on = args.guest_profile or bool(args.guest_profile_out)
     context = activate(RunContext(
         session=(
             ObsSession(trace_events=bool(args.trace_events), heartbeat_interval=args.heartbeat)
             if obs_on else None
         ),
         tracer=Tracer() if args.trace_spans or args.profile else None,
-        collector=(
-            GuestProfileCollector(args.guest_profile or "exact", args.guest_profile_period)
-            if guestprof_on else None
-        ),
+        collector=GuestProfileCollector() if guestprof_on else None,
         wall_timeout=args.timeout,
         cache_dir=Path(args.trace_cache).expanduser() if args.trace_cache is not None else None,
         cache_enabled=False if args.no_trace_cache else None,
@@ -394,12 +388,9 @@ def _guest_profile_summary(collector) -> dict | None:
     if collector is None:
         return None
     return {
-        "mode": collector.mode,
-        "period": collector.period,
         "benchmarks": {
             name: {
                 "retired": prof.retired,
-                "sampled": prof.sampled,
                 "cycles_total": prof.cycles_total,
                 "pcs": len(prof.counts),
             }

@@ -23,7 +23,7 @@ Examples::
     repro-profile -b gzip -n 30000
     repro-profile -b li --config bitslice4 --annotate
     repro-profile --in profile.json --flamegraph li.folded
-    repro-profile -b mcf --mode sample --period 512 --out profile.json
+    repro-profile -b mcf --out profile.json
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.emulator.analysis import collapsed_stacks, static_call_graph, write_c
 from repro.isa.disassembler import disassemble
 from repro.obs.attribution import COMPONENT_KEYS
 from repro.obs.guestprof import (
-    DEFAULT_PERIOD,
     SHORTFALL_PC,
     end_guest_profile,
     load_profile,
@@ -79,14 +78,6 @@ def _parser() -> argparse.ArgumentParser:
         "available: ideal pipe2 pipe4 bitslice2 bitslice4)",
     )
     p.add_argument(
-        "--mode", choices=("exact", "sample"), default="exact",
-        help="counting mode (default exact: every retirement)",
-    )
-    p.add_argument(
-        "--period", type=int, default=None, metavar="N",
-        help=f"sampling period for --mode sample (default {DEFAULT_PERIOD})",
-    )
-    p.add_argument(
         "--input-profile", dest="input_profile", default="ref",
         choices=("test", "train", "ref"),
         help="workload input footprint, also used to rebuild the program "
@@ -127,7 +118,7 @@ def _collect_profile(args):
 
     config = parse_configs([args.config])[0]
     names = tuple(args.benchmarks or DEFAULT_BENCHMARKS)
-    start_guest_profile(mode=args.mode, period=args.period)
+    start_guest_profile()
     try:
         for name in names:
             trace = collect_trace(
@@ -192,14 +183,13 @@ def _function_rows(graph, prof):
     return out
 
 
-def _render_benchmark(name, prof, program, top, annotate, annotate_min, mode):
+def _render_benchmark(name, prof, program, top, annotate, annotate_min):
     lines = []
-    unit = "retirements" if mode == "exact" else "samples"
     total = sum(prof.counts.values()) or 1
     cpi = prof.cycles_total / prof.retired if prof.retired else 0.0
     lines.append(f"=== {name} ===")
     lines.append(
-        f"retired {prof.retired}  profiled {sum(prof.counts.values())} {unit}"
+        f"retired {prof.retired}  profiled {sum(prof.counts.values())} retirements"
         + (f"  cycles {prof.cycles_total}  CPI {cpi:.3f}" if prof.cycles_total else "")
     )
     graph = static_call_graph(program) if program is not None else None
@@ -207,7 +197,7 @@ def _render_benchmark(name, prof, program, top, annotate, annotate_min, mode):
     funcs = _function_rows(graph, prof)
     if funcs:
         lines.append("")
-        lines.append(f"hot functions ({unit}):")
+        lines.append("hot functions (retirements):")
         lines.append(f"  {'function':<24} {'retired':>10} {'share':>7} {'cycles':>10} {'CPI':>6}")
         for fname, _entry, retired, cycles in funcs[:top]:
             fcpi = f"{cycles / retired:6.2f}" if retired and cycles else "     -"
@@ -238,7 +228,7 @@ def _render_benchmark(name, prof, program, top, annotate, annotate_min, mode):
             if entry is None or retired / total < threshold:
                 continue
             lines.append("")
-            lines.append(f"--- {fname} ({retired / total:.1%} of {unit}) ---")
+            lines.append(f"--- {fname} ({retired / total:.1%} of retirements) ---")
             i = graph.entries.index(entry)
             stop = graph.entries[i + 1] if i + 1 < len(graph.entries) else graph.limit
             for pc in range(entry, stop, 4):
@@ -298,7 +288,7 @@ def main(argv=None) -> int:
     sections = [
         _render_benchmark(
             n, collector.benchmarks[n], programs[n],
-            args.top, args.annotate, args.annotate_min, collector.mode,
+            args.top, args.annotate, args.annotate_min,
         )
         for n in names
     ]

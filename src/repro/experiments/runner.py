@@ -70,20 +70,18 @@ def budget_override(name: str) -> int | None:
 def _fetch(
     name: str, max_steps: int, iters: int | None, skip: int | None, profile: str
 ) -> Trace:
-    """A trace the in-memory layer does not hold: preloaded, disk, or emulated."""
-    context = current()
-    gp = context.collector
-    if gp is not None:
-        # Route machine-loop counts (cold) / record replays (cache hit)
-        # at this benchmark's bucket.  Preloaded traces are NOT counted
-        # here: the collecting worker already profiled them and shipped
-        # its collector in the reply aux.
-        gp.begin_benchmark(name)
+    """A trace the in-memory layer does not hold: preloaded, disk, or emulated.
+
+    A disk or emulated trace is counted into an active guest profile
+    once it is whole.  A preloaded one is not: the worker that collected
+    it counted it and shipped its profile home in the reply.
+    """
     preloaded = _preloaded.get((name, max_steps, iters, skip, profile))
     if preloaded is not None:
         return preloaded
+    context = current()
     workload = get_workload(name)
-    session, tracer = context.session, context.tracer
+    session, tracer, gp = context.session, context.tracer, context.collector
     # L2: the persistent on-disk cache.  The key covers the program
     # image, so a stale entry after a workload edit is unreachable.
     key = None
@@ -124,6 +122,8 @@ def _fetch(
             f"emulate.{name}", category="emulate",
             start=w0, end=time.time(), records=len(trace),
         )
+    if gp is not None:
+        profile_from_records(trace, gp)
     if key is not None:
         trace_cache.store(name, key, trace)
     return trace
@@ -141,7 +141,7 @@ class _TraceLayer:
       least that many records, sharing its columns: emulation is
       deterministic, so the first *M* records of a longer collection are
       the *M*-record collection.
-      Like a persistent-cache hit it replays the prefix into an active
+      Like a persistent-cache hit it counts the prefix into an active
       guest profile, but it moves no cache or session counter.  A held
       trace with fewer records than requested (the guest halted) is
       never used.
@@ -169,7 +169,6 @@ class _TraceLayer:
                 trace = longer[:max_steps]
                 gp = current().collector
                 if gp is not None:
-                    gp.begin_benchmark(name)
                     profile_from_records(trace, gp)
             held[max_steps] = trace
         self._held[key] = held
@@ -209,9 +208,9 @@ def collect_trace(
         context.session.current_benchmark = name
     gp = context.collector
     if gp is not None:
-        # Same for the guest profiler: timing cycles attributed by the
-        # simulate() that follows must land in this benchmark's bucket
-        # even when the trace itself is an in-memory cache hit.
+        # Same for the guest profiler: the trace's retirements and the
+        # cycles of the simulate() that follows land in this benchmark's
+        # bucket, even when the trace itself is an in-memory cache hit.
         gp.begin_benchmark(name)
     return _collect(name, max_steps, iters, skip, profile)
 

@@ -257,7 +257,7 @@ def _heartbeat_loop(hb, interval: float) -> None:
         time.sleep(interval)
 
 
-def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval) -> None:
+def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval, spawned_at) -> None:
     """Worker loop: receive a task, execute it, send a checksummed reply.
 
     The parent owns interruption (it terminates workers on drain), so
@@ -272,7 +272,10 @@ def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval) -> None:
     ``worker.execute`` span (instrumentation points deeper in the stack
     — trace-cache hits, collection, simulation — nest under it), and
     the finished spans ride back in the reply's ``aux`` slot for the
-    orchestrator to merge.  A SIGKILLed worker simply never ships its
+    orchestrator to merge.  The first task's attempt span also holds a
+    ``worker.start`` span, from *spawned_at* (the orchestrator's clock
+    at spawn) to the first receive: the worker's start-up, which the
+    attempt waited for.  A SIGKILLed worker simply never ships its
     spans — the orchestrator's attempt span records the loss.
     """
     try:
@@ -289,6 +292,7 @@ def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval) -> None:
             msg = conn.recv()
         except (EOFError, OSError):
             return
+        received = time.time()
         if msg[0] == "exit":
             return
         _, task_id, attempt, fn_name, payload, ctx = msg
@@ -300,6 +304,9 @@ def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval) -> None:
         task_span = None
         if tracer is not None:
             tracer.adopt(ctx[:2] if ctx is not None else None)
+            if spawned_at is not None:
+                tracer.record("worker.start", category="worker", start=spawned_at, end=received)
+                spawned_at = None
             label = ctx[2] if ctx is not None and len(ctx) > 2 else task_id
             task_span = tracer.begin(
                 label, category="worker.execute", attempt=attempt, pid=os.getpid()
@@ -470,7 +477,7 @@ class SupervisedPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, hb, self.snapshot, self.fault_plan,
-                  self.policy.heartbeat_interval),
+                  self.policy.heartbeat_interval, time.time()),
             daemon=True,
         )
         proc.start()

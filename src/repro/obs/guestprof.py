@@ -2,39 +2,35 @@
 
 The metrics layer answers "how fast was the run"; this module answers
 "which guest code was hot".  A :class:`GuestProfileCollector` holds
-per-benchmark PC histograms filled in by two producers:
+per-benchmark PC histograms:
 
-* the **emulator tiers** record retired-instruction counts.  The
-  reference tier counts per instruction; the blocks tier counts one
-  ``(leader, retired)`` pair per compiled-block execution
-  and folds the pairs into per-PC counts at loop exit — the block
-  items are static, so an execution that retires ``k`` instructions
-  retired exactly the first ``k`` items of the block (side exits
-  commit a prefix), and the hot path pays one dict update per *block*
-  rather than per instruction;
+* **retired counts** have one producer, the collected trace:
+  :func:`profile_from_records` counts a trace's ``pc`` column wherever
+  the experiment layer obtains a trace — once per emulated or
+  disk-cached collection, once per served prefix, and once per sampled
+  window for the lead config and for each rider.  The emulator never
+  reads the collector, so counts cannot depend on the dispatch tier,
+  and a collection that fails counts nothing;
 * the **timing simulator** attributes each commit-to-commit cycle
   delta to the committing PC, split across the CPI components with the
   same clamped waterfall the ``SimStats`` stack uses
   (:func:`repro.obs.attribution.split_claims`), so per-line cycle
   stacks sum exactly to the run's total cycles.
 
-Two modes: ``exact`` (every retirement counted) and ``sample`` (every
-*period*-th retirement, counted per instruction on every tier so a
-sample lands on the exact PC a trace-cache replay charges).  Profiles
-merge commutatively —
-per-PC sums of non-negative counts — so ``--jobs`` sweep workers drain
-their collector into the reply payload and the orchestrator ingests
-them in any order, exactly like ``SimStats.merge``.
+Every retirement is counted.  Profiles merge commutatively — per-PC
+sums of non-negative counts — so ``--jobs`` sweep workers drain their
+collector into the reply payload and the orchestrator ingests them in
+any order, exactly like ``SimStats.merge``.
 
 Like the observability session, the collector lives in the run
 context (:mod:`repro.context`) and is **off by default**: every
-producer hook is one ``None`` check, so disabled runs execute the
-byte-identical pre-existing loops.
+producer hook is one ``None`` check.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from contextlib import contextmanager
 from itertools import islice
 
@@ -50,28 +46,19 @@ PROFILE_FORMAT = 1
 #: keeps the per-PC stacks summing exactly to the reported cycles.
 SHORTFALL_PC = -1
 
-#: Default sampling period (retirements per sample) for ``sample`` mode.
-DEFAULT_PERIOD = 1024
-
-
-def _canon_mode(mode) -> str:
-    return "sample" if str(mode).strip().lower() in ("sample", "sampling") else "exact"
-
 
 class BenchProfile:
     """One benchmark's PC histograms (mutable accumulation buckets)."""
 
-    __slots__ = ("counts", "cycles", "retired", "sampled", "cycles_total")
+    __slots__ = ("counts", "cycles", "retired", "cycles_total")
 
     def __init__(self) -> None:
-        #: pc → retired instructions (exact mode) or samples (sample mode).
+        #: pc → retired instructions.
         self.counts: dict[int, int] = {}
         #: pc → per-component attributed cycles, ``COMPONENT_KEYS`` order.
         self.cycles: dict[int, list[int]] = {}
-        #: total retired instructions observed (exact == sum of counts).
+        #: total retired instructions observed (the sum of counts).
         self.retired = 0
-        #: samples taken (sample mode; 0 in exact mode).
-        self.sampled = 0
         #: total timing cycles attributed into :attr:`cycles`.
         self.cycles_total = 0
 
@@ -79,17 +66,9 @@ class BenchProfile:
 class GuestProfileCollector:
     """The run's guest profiler; activate via :func:`start_guest_profile`."""
 
-    def __init__(self, mode: str = "exact", period: int | None = None) -> None:
-        self.mode = _canon_mode(mode)
-        if self.mode == "sample":
-            self.period = max(1, int(period if period is not None else DEFAULT_PERIOD))
-        else:
-            self.period = 1
+    def __init__(self) -> None:
         self.benchmarks: dict[str, BenchProfile] = {}
         self._current: BenchProfile | None = None
-        #: Sampling countdown, carried across emulator loop invocations
-        #: so the every-N cadence survives block boundaries and restarts.
-        self.countdown = self.period
 
     # ------------------------------------------------------------ buckets
 
@@ -109,14 +88,13 @@ class GuestProfileCollector:
 
     # ---------------------------------------------------------- producers
 
-    def add_counts(self, counts: dict[int, int], retired: int, sampled: int = 0) -> None:
-        """Fold one emulator loop's PC histogram into the active bucket."""
+    def add_counts(self, counts: dict[int, int], retired: int) -> None:
+        """Fold one trace's PC histogram into the active bucket."""
         prof = self.current()
         dst = prof.counts
         for pc, c in counts.items():
             dst[pc] = dst.get(pc, 0) + c
         prof.retired += retired
-        prof.sampled += sampled
 
     def add_cycles(self, percpc: dict[int, list[int]], total_cycles: int) -> None:
         """Fold one timing run's per-PC cycle stacks into the active bucket."""
@@ -134,28 +112,33 @@ class GuestProfileCollector:
     # ------------------------------------------------------ serialization
 
     def to_dict(self) -> dict:
-        """Schema-stable payload (all PC keys as strings, sorted)."""
+        """Schema-stable payload (all PC keys as strings, sorted).
+
+        Format 1 names a counting mode, a period and a per-benchmark
+        sample count; every profile counts each retirement, so they are
+        always ``exact``, 1 and 0.
+        """
         benches = {}
         for name in sorted(self.benchmarks):
             p = self.benchmarks[name]
             benches[name] = {
                 "retired": p.retired,
-                "sampled": p.sampled,
+                "sampled": 0,
                 "cycles_total": p.cycles_total,
                 "counts": {str(pc): c for pc, c in sorted(p.counts.items())},
                 "cycles": {str(pc): list(v) for pc, v in sorted(p.cycles.items())},
             }
         return {
             "format": PROFILE_FORMAT,
-            "mode": self.mode,
-            "period": self.period,
+            "mode": "exact",
+            "period": 1,
             "components": list(COMPONENT_KEYS),
             "benchmarks": benches,
         }
 
     def drain(self) -> dict:
-        """Serialize accumulated buckets and reset them (keeps the
-        sampling countdown).  Mirrors ``Tracer.drain``: a sweep worker
+        """Serialize accumulated buckets and reset them.  Mirrors
+        ``Tracer.drain``: a sweep worker
         ships the payload back with each reply and the orchestrator
         ingests it, so nothing is double-counted across replies."""
         payload = self.to_dict()
@@ -168,7 +151,7 @@ class GuestProfileCollector:
         problems = validate_profile(payload)
         if problems:
             raise ValueError(f"invalid guest profile: {problems[0]}")
-        coll = cls(mode=payload["mode"], period=payload.get("period"))
+        coll = cls()
         coll.ingest(payload)
         return coll
 
@@ -187,7 +170,6 @@ class GuestProfileCollector:
             if prof is None:
                 prof = self.benchmarks[name] = BenchProfile()
             prof.retired += int(bench.get("retired", 0))
-            prof.sampled += int(bench.get("sampled", 0))
             prof.cycles_total += int(bench.get("cycles_total", 0))
             for key, c in (bench.get("counts") or {}).items():
                 pc = int(key)
@@ -213,10 +195,10 @@ def validate_profile(payload) -> list[str]:
         return ["payload is not an object"]
     if payload.get("format") != PROFILE_FORMAT:
         problems.append(f"format is {payload.get('format')!r}, expected {PROFILE_FORMAT}")
-    if payload.get("mode") not in ("exact", "sample"):
-        problems.append(f"mode is {payload.get('mode')!r}")
-    if not isinstance(payload.get("period"), int) or payload.get("period", 0) < 1:
-        problems.append("period is not a positive integer")
+    if payload.get("mode") != "exact":
+        problems.append(f"mode is {payload.get('mode')!r}, expected 'exact'")
+    if payload.get("period") != 1:
+        problems.append(f"period is {payload.get('period')!r}, expected 1")
     if list(payload.get("components", [])) != list(COMPONENT_KEYS):
         problems.append("components do not match COMPONENT_KEYS")
     benches = payload.get("benchmarks")
@@ -239,11 +221,11 @@ def validate_profile(payload) -> list[str]:
                 if not _is_pc_key(key) or not isinstance(c, int) or c < 0:
                     problems.append(f"{where}.counts[{key!r}] malformed")
                     break
-            if payload.get("mode") == "exact" and isinstance(bench.get("retired"), int):
+            if isinstance(bench.get("retired"), int):
                 total = sum(c for c in counts.values() if isinstance(c, int))
                 if total != bench["retired"]:
                     problems.append(
-                        f"{where}: exact counts sum to {total}, retired={bench['retired']}"
+                        f"{where}: counts sum to {total}, retired={bench['retired']}"
                     )
         cycles = bench.get("cycles")
         if not isinstance(cycles, dict):
@@ -312,43 +294,22 @@ def profile_delta(prof: dict, pc: int, delta: int, claims: tuple) -> None:
 
 
 def profile_from_records(records, collector: GuestProfileCollector) -> None:
-    """Count retirements from an already-collected trace.
+    """Count a collected trace's retirements into *collector*'s active bucket.
 
-    Cache hits skip the emulator entirely, so the machine-loop hooks
-    never see the instructions; replaying the cached trace's ``pc``
-    column (*records* is a :class:`~repro.emulator.trace.Trace` or an
-    iterable of records) through the collector keeps per-PC counts
-    identical to a cold collection (including the sampling cadence,
-    which consumes the shared countdown).
+    The only producer of retired counts: *records* is a
+    :class:`~repro.emulator.trace.Trace` (a prefix counts only its own
+    records) or an iterable of records, and every record counts once
+    at its PC.
     """
     trace = as_trace(records)
-    pcs = islice(trace.pc, len(trace))
-    counts: dict[int, int] = {}
-    retired = len(trace)
-    sampled = 0
-    if collector.mode == "exact":
-        for pc in pcs:
-            counts[pc] = counts.get(pc, 0) + 1
-    else:
-        period = collector.period
-        left = collector.countdown
-        for pc in pcs:
-            left -= 1
-            if left <= 0:
-                counts[pc] = counts.get(pc, 0) + 1
-                sampled += 1
-                left = period
-        collector.countdown = left
-    collector.add_counts(counts, retired, sampled)
+    collector.add_counts(Counter(islice(trace.pc, len(trace))), len(trace))
 
 
 # ------------------------------------------------------- active collector
 
-def start_guest_profile(
-    mode: str = "exact", period: int | None = None
-) -> GuestProfileCollector:
+def start_guest_profile() -> GuestProfileCollector:
     """Activate a new collector in the run context (replacing any existing one)."""
-    collector = current().collector = GuestProfileCollector(mode=mode, period=period)
+    collector = current().collector = GuestProfileCollector()
     return collector
 
 
@@ -378,17 +339,15 @@ def redirected_guest_profile(collector: GuestProfileCollector | None):
 def suspended_guest_profile():
     """Temporarily deactivate the collector (no-op when already off).
 
-    Used around execution that must stay out of the profile — the
-    steady-state fast-forward before a traced window, so a cold
-    collection counts exactly the instructions a cache hit replays
-    through :func:`profile_from_records`.
+    Used around work that must stay out of the profile: Figure 1 times
+    its own program, whose cycles would otherwise land in the bucket of
+    whichever benchmark began last.
     """
     return redirected_guest_profile(None)
 
 
 __all__ = [
     "BenchProfile",
-    "DEFAULT_PERIOD",
     "GuestProfileCollector",
     "PROFILE_FORMAT",
     "SHORTFALL_PC",

@@ -360,11 +360,11 @@ def sample_benchmark(
     (``budget // interval`` periods, at least one); with a CI target
     the run then auto-extends period by period until the relative CI
     half-width meets it.  Initialization is skipped exactly as
-    :meth:`repro.workloads.suite.Workload.trace` does (same skip-hint,
-    same guest-profile suspension), so a sampled cell measures the same
-    steady-state region an exact cell does.  *dispatch* picks the
-    emulator tier (default: ``REPRO_DISPATCH``); the reference tier
-    warms by trace-mode observation, bit-identically but slower.
+    :meth:`repro.workloads.suite.Workload.trace` does (same skip hint),
+    so a sampled cell measures the same steady-state region an exact
+    cell does.  *dispatch* picks the emulator tier (default:
+    ``REPRO_DISPATCH``); the reference tier warms by trace-mode
+    observation, bit-identically but slower.
     This is ``sample_configs(name, [config], ...)[0]``.
     """
     return sample_configs(
@@ -395,9 +395,8 @@ def sample_configs(
     touch the shared predictor or caches.  A rider that would decide a
     hazard load differently drops out and runs on its own.  Every
     config runs on its own when ``plan.ci_target`` is set (each stops at
-    its own window count), under ``REPRO_TIMING=reference`` (the
-    reference loop walks its own structures) and under a ``sample``-mode
-    guest profile (whose shared countdown follows execution order).
+    its own window count) and under ``REPRO_TIMING=reference`` (the
+    reference loop walks its own structures).
 
     *watchdog* budgets the whole call.  A rider re-run on its own adds
     one config's share (``max_seconds / len(configs)``) to its
@@ -430,12 +429,10 @@ def _groups(configs: list[MachineConfig], plan: SamplingPlan) -> list[list[int]]
     """Indices of the configs that can share a machine, in order."""
     from repro.timing.fastpath import default_timing_mode
 
-    gp = _run_context().collector
     if (
         len(configs) < 2
         or plan.ci_target > 0.0
         or default_timing_mode() == "reference"
-        or (gp is not None and gp.mode == "sample")
     ):
         return [[i] for i in range(len(configs))]
     groups: dict[tuple, list[int]] = {}
@@ -452,6 +449,13 @@ def _sample_group(
     Returns one result per config, ``None`` for a rider that dropped
     out.  Riders see exactly the windows the lead sees, so the counts
     of skipped, warmed and measured instructions are the lead's.
+
+    An active guest profile counts each window's records once for the
+    lead and once for each rider, as a config sampled on its own would;
+    the init skip and the warming stay out of it.  An active tracer
+    records the init skip (``skip.<benchmark>``), each warming
+    fast-forward (``warm.<benchmark>``), each window's trace
+    (``window.<benchmark>``) and each timing run (``simulate.<config>``).
     """
     from repro.emulator.machine import Machine
     from repro.emulator.trace import Trace
@@ -459,9 +463,9 @@ def _sample_group(
         GuestProfileCollector,
         profile_from_records,
         redirected_guest_profile,
-        suspended_guest_profile,
     )
-    from repro.timing.simulator import TimingSimulator
+    from repro.obs.tracing import traced
+    from repro.timing.simulator import TimingSimulator, run_traced
     from repro.workloads.suite import get_workload, skip_hint
 
     workload = get_workload(name)
@@ -479,6 +483,8 @@ def _sample_group(
     riders = {i: [] for i in range(1, len(configs))}
     gp = _run_context().collector
     shares = {i: GuestProfileCollector() for i in riders} if gp is not None else {}
+    for share in shares.values():
+        share.begin_benchmark(name)
 
     n_periods = min(max(1, budget // plan.interval), plan.max_windows)
     if plan.ci_target > 0.0:
@@ -493,23 +499,24 @@ def _sample_group(
     # keeping the whole schedule a pure function of the seed.
     place = random.Random(f"sampling-phase:{plan.seed}").randrange
 
-    def fast_forward(span: int) -> int:
+    def fast_forward(length: int) -> int:
         # Warming fast-forward: block-compiled execution whose warm
         # hooks train the same predictor/hierarchy objects the windows
-        # run on.  Outside any guest profile (like the init skip in
-        # Workload.trace) so profiles cover exactly the measured
-        # windows.  Without a blocks engine, trace-mode observation is
+        # run on.  Without a blocks engine, trace-mode observation is
         # the slow-but-faithful equivalent.
-        with suspended_guest_profile():
+        with traced(f"warm.{name}", category="emulate") as span:
             if blocks_warm:
-                return machine.run_warm(span, watchdog=watchdog)
-            ran = 0
-            for record in machine.trace(span, watchdog=watchdog):
-                warm.observe(record)
-                ran += 1
-            return ran
+                ran = machine.run_warm(length, watchdog=watchdog)
+            else:
+                ran = 0
+                for record in machine.trace(length, watchdog=watchdog):
+                    warm.observe(record)
+                    ran += 1
+            if span is not None:
+                span.args["records"] = ran
+        return ran
 
-    with suspended_guest_profile():
+    with traced(f"skip.{name}", category="emulate"):
         machine.run(skip, watchdog=watchdog)
 
     window_budget = plan.warmup + plan.window
@@ -522,16 +529,20 @@ def _sample_group(
         if machine.halted:
             break
         if plan.warm:
-            with suspended_guest_profile():
-                for record in machine.trace(plan.warm, watchdog=watchdog):
-                    warm.observe(record)
-                    result.warmed += 1
+            for record in machine.trace(plan.warm, watchdog=watchdog):
+                warm.observe(record)
+                result.warmed += 1
             if machine.halted:
                 break
         # One columnar trace per window, which the lead and riders share.
-        window = Trace.from_records(machine.trace(window_budget, watchdog=watchdog))
+        with traced(f"window.{name}", category="emulate") as span:
+            window = Trace.from_records(machine.trace(window_budget, watchdog=watchdog))
+            if span is not None:
+                span.args["records"] = len(window)
+        if gp is not None:
+            profile_from_records(window, gp)
         sim = TimingSimulator(lead_config, predictor=warm.predictor, hierarchy=warm.hierarchy)
-        stats = sim.run(window, warmup=plan.warmup)
+        stats = run_traced(sim, window, warmup=plan.warmup)
         result.detail_warmup += min(len(window), plan.warmup)
         if not stats.instructions:
             break  # the guest halted inside the detailed warmup: nothing measured
@@ -543,13 +554,11 @@ def _sample_group(
             share = shares.get(i)
             try:
                 with redirected_guest_profile(share):
-                    riders[i].append(rider.run(window, warmup=plan.warmup))
+                    riders[i].append(run_traced(rider, window, warmup=plan.warmup))
             except HazardDivergence:
                 del riders[i]
                 continue
             if share is not None:
-                # The window's trace counted its records once; a config
-                # sampled on its own counts them again.
                 profile_from_records(window, share)
         if post and not machine.halted:
             result.skipped += fast_forward(post)
@@ -575,9 +584,7 @@ def _sample_group(
         windows = riders.get(i)
         out.append(None if windows is None else replace(result, windows=windows))
         if windows is not None and gp is not None:
-            share = shares[i].current()
-            gp.add_counts(share.counts, share.retired)
-            gp.add_cycles(share.cycles, share.cycles_total)
+            gp.merge(shares[i])
     for run in out:
         if run is not None:
             _summarize(run)

@@ -944,6 +944,16 @@ def simulate_configs(
     ]
 
 
+def run_traced(sim: TimingSimulator, trace, *args, **kwargs) -> SimStats:
+    """``sim.run(trace, ...)`` under a ``simulate.<config>`` span while a
+    tracer is active (``records``: instructions simulated)."""
+    with traced(f"simulate.{sim.config.name}", category="simulate") as span:
+        stats = sim.run(trace, *args, **kwargs)
+        if span is not None:
+            span.args["records"] = stats.instructions
+    return stats
+
+
 def _simulate(config, trace, max_instructions, warmup, watchdog, events, mode, shared=None):
     """One :func:`simulate` run; with *shared* (front-end key -> columns),
     replay matching columns and offer this run's for later ones."""
@@ -966,10 +976,7 @@ def _simulate(config, trace, max_instructions, warmup, watchdog, events, mode, s
             predictor=front.predictor, hierarchy=front.hierarchy,
         )
         sim._replay = columns
-    with traced(f"simulate.{config.name}", category="simulate") as span:
-        stats = sim.run(trace, max_instructions, warmup=warmup, watchdog=watchdog)
-        if span is not None:
-            span.args["records"] = stats.instructions
+    stats = run_traced(sim, trace, max_instructions, warmup=warmup, watchdog=watchdog)
     if key is not None and columns is None and not sim.front_end.hazards:
         shared[key] = sim.front_end
     if session is not None:

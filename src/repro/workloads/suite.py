@@ -148,16 +148,11 @@ class Workload:
         the skip fast-forward and the traced window together.
         """
         from repro.emulator.machine import Machine
-        from repro.obs.guestprof import suspended_guest_profile
 
         machine = Machine(self.build(iters, profile))
         if skip is None:
             skip = _skip_hint_cached(self.name, profile)
-        # The fast-forward stays out of any active guest profile: the
-        # profile covers exactly the traced window, so a cold collection
-        # and a cache-hit replay count the same instructions.
-        with suspended_guest_profile():
-            machine.run(skip, watchdog=watchdog)
+        machine.run(skip, watchdog=watchdog)
         yield from machine.trace(max_steps, watchdog=watchdog)
 
 
@@ -204,16 +199,12 @@ def fit_iter_costs(name: str, profile: str = "ref") -> tuple[int, int]:
     (``scripts/calibrate_workloads.py`` regenerates the table with it).
     """
     from repro.emulator.machine import Machine
-    from repro.obs.guestprof import suspended_guest_profile
 
     lengths = []
-    # Calibration runs are bookkeeping, not the measured window — keep
-    # them out of any active guest profile.
-    with suspended_guest_profile():
-        for iters in CALIBRATION_ITERS:
-            machine = Machine(_build_cached(name, iters, profile))
-            machine.run(20_000_000)
-            lengths.append(machine.instret)
+    for iters in CALIBRATION_ITERS:
+        machine = Machine(_build_cached(name, iters, profile))
+        machine.run(20_000_000)
+        lengths.append(machine.instret)
     init = max(0, 2 * lengths[0] - lengths[1])
     per_iter = max(1, lengths[1] - lengths[0])
     return init, per_iter

@@ -385,26 +385,6 @@ def test_fault_mid_block_leaves_reference_state(source, threshold, method):
     assert blocks.stats()["replays"] == 1
 
 
-@pytest.mark.parametrize("method", ["run", "trace"])
-def test_fault_mid_block_exact_guest_profile_counts_reference_pcs(method):
-    """The exact guest profiler charges the instructions a compiled body
-    retired before its fault to the PCs the reference retired them at."""
-    from collections import Counter
-
-    from repro.obs.guestprof import end_guest_profile, start_guest_profile
-
-    program = assemble(_FAULT_RMW)
-    want, _ = _run_to_fault(Machine(program, dispatch="reference"), "trace")
-    profile = start_guest_profile("exact").begin_benchmark("rmw")
-    try:
-        m = Machine(program)
-        _run_to_fault(m, method)
-    finally:
-        end_guest_profile()
-    assert profile.retired == m.instret == len(want)
-    assert profile.counts == Counter(record.pc for record in want)
-
-
 # ------------------------------------------------------- profiling threshold
 
 def test_threshold_gates_compilation():

@@ -162,6 +162,27 @@ def test_sweep_profile_reports_worker_spans(tmp_path, capsys):
     assert rows["emulate.li"][1] == rows["emulate.gzip"][1] == "1"
 
 
+def test_sampled_sweep_profile_says_where_the_time_went(tmp_path, capsys):
+    """A sampled sweep's ``--profile`` table has rows for the init skip,
+    the warming fast-forwards, the window traces, each config's window
+    timing runs and the worker's start-up."""
+    rc = main([
+        "sweep", "--sample", "-n", "20000", "--sample-window", "300",
+        "--sample-warmup", "100", "--sample-interval", "2000", "-b", "bzip",
+        "--configs", "ideal", "bitslice4", "--jobs", "1",
+        "--profile", "--profile-top", "30", "--bench-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    table = out[out.index("=== Profile:"):].splitlines()
+    rows = {line.split()[0]: line.split() for line in table[2:-1]}
+    windows = 20_000 // 2_000
+    assert rows["simulate.ideal"][1] == rows["simulate.bitslice-4"][1] == str(windows)
+    assert rows["window.bzip"][1] == str(windows)
+    assert int(rows["warm.bzip"][1]) >= windows
+    assert rows["skip.bzip"][1] == rows["worker.start"][1] == "1"
+
+
 def test_observability_off_leaves_no_session(tmp_path):
     from repro.obs.session import active_session
 

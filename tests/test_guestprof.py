@@ -1,10 +1,12 @@
 """Guest profiler: per-PC counts, per-line CPI stacks, merge semantics.
 
-The acceptance contract of the profiling PR, as tests:
+The contract, as tests:
 
-* per-PC retired counts are identical across the emulator dispatch
-  tiers (reference / blocks) and sum exactly to the run's total
-  retirements;
+* per-PC retired counts come from collected traces only: a cold
+  collection on either dispatch tier, a disk-cache hit and a served
+  prefix each count exactly their trace's PC histogram, a failed
+  collection counts nothing, and the emulator's own runs (warming,
+  Figure 1) leave the profile alone;
 * per-line cycle stacks sum exactly to the timing run's total cycles,
   identically under both timing modes;
 * disabled profiling leaves simulation results byte-identical;
@@ -16,11 +18,15 @@ The acceptance contract of the profiling PR, as tests:
 
 from __future__ import annotations
 
+import gc
 import json
+from collections import Counter
+from itertools import islice
 
 import pytest
 
-from repro.emulator.machine import Machine
+from repro.emulator.machine import DISPATCH_TIERS, Machine
+from repro.experiments import runner, trace_cache
 from repro.isa.assembler import assemble
 from repro.obs.attribution import COMPONENT_KEYS
 from repro.obs.guestprof import (
@@ -29,7 +35,6 @@ from repro.obs.guestprof import (
     active_collector,
     end_guest_profile,
     load_profile,
-    profile_from_records,
     start_guest_profile,
     suspended_guest_profile,
     validate_profile,
@@ -62,61 +67,139 @@ helper:
 
 STEPS = 3_000
 
+#: The shortest guest (go halts after about 16k instructions at iters=1),
+#: collected from its first instruction.
+NAME = "go"
+ITERS = 1
 
-def _run_counts(dispatch: str | None = None, steps: int = STEPS):
-    """Retired counts from one machine run on *dispatch* (default tier
-    when ``None``)."""
-    machine = Machine(assemble(LOOP_SOURCE), dispatch=dispatch)
+
+def _histogram(trace) -> Counter:
+    """The oracle: one count per record at its PC."""
+    return Counter(record.pc for record in trace)
+
+
+def _collect(steps: int = STEPS):
+    return runner.collect_trace(NAME, steps, iters=ITERS, skip=0)
+
+
+def _profiled(collect):
+    """``collect()``'s trace and the profile bucket it filled."""
     collector = start_guest_profile()
     try:
-        machine.run(steps)
+        trace = collect()
     finally:
         end_guest_profile()
-    prof = collector.benchmarks["?"]
-    return prof
+    return trace, collector.benchmarks[NAME]
 
 
-# "fast" is the retired per-instruction tier's name, still accepted as a
-# spelling of the production tier.
-@pytest.mark.parametrize("dispatch", ["reference", "fast", "blocks"])
-def test_counts_sum_to_retired(dispatch):
-    prof = _run_counts(dispatch)
+@pytest.fixture()
+def empty_layer():
+    runner.clear_trace_cache()
+    yield
+    runner.clear_trace_cache()
+
+
+@pytest.mark.parametrize("dispatch", DISPATCH_TIERS)
+def test_counts_sum_to_retired(dispatch, monkeypatch, empty_layer):
+    """A cold collection on each dispatch tier counts its trace's PC
+    histogram, which sums to the records collected."""
+    monkeypatch.setenv("REPRO_DISPATCH", dispatch)
+    trace, prof = _profiled(_collect)
+    assert prof.retired == len(trace) == STEPS
+    assert prof.counts == _histogram(trace)
+
+
+def test_counts_identical_across_tiers(monkeypatch, empty_layer):
+    profiles = []
+    for dispatch in DISPATCH_TIERS:
+        monkeypatch.setenv("REPRO_DISPATCH", dispatch)
+        runner.clear_trace_cache()
+        profiles.append(_profiled(_collect)[1].counts)
+    assert profiles[0] == profiles[1]
+
+
+def test_cold_counts_match_record_replay(tmp_path, monkeypatch, empty_layer):
+    """On both tiers, a cold collection, a disk-cache hit and a served
+    prefix each count exactly the PC histogram of the trace returned."""
+    for dispatch in DISPATCH_TIERS:
+        monkeypatch.setenv("REPRO_DISPATCH", dispatch)
+        trace_cache.configure(tmp_path / dispatch, enabled=True)
+        runner.clear_trace_cache()
+        cold, cold_prof = _profiled(_collect)
+        runner._collect.cache_clear()
+        hit, hit_prof = _profiled(_collect)
+        assert trace_cache.stats()["hits"] == 1
+        prefix, prefix_prof = _profiled(lambda: _collect(STEPS // 3))
+        assert len(prefix) == STEPS // 3 and trace_cache.stats()["hits"] == 1
+        for trace, prof in ((cold, cold_prof), (hit, hit_prof), (prefix, prefix_prof)):
+            assert prof.retired == len(trace)
+            assert prof.counts == _histogram(trace)
+        assert hit_prof.counts == cold_prof.counts
+
+
+def test_failed_collection_counts_only_its_retry(monkeypatch, empty_layer):
+    """A collection that fails mid-trace counts nothing: after a retry at
+    a degraded budget, the profile holds exactly the retry's trace, also
+    once the failed attempt's generator is garbage-collected."""
+    real_trace = Machine.trace
+
+    def fail_full_budget(self, max_steps=10_000_000, watchdog=None):
+        records = real_trace(self, max_steps, watchdog)
+        if max_steps == 4 * STEPS:
+            yield from islice(records, 1_500)
+            raise RuntimeError("collection fault")
+        yield from records
+
+    monkeypatch.setattr(Machine, "trace", fail_full_budget)
+    trace, prof = _profiled(lambda: runner.collect_trace_resilient(
+        NAME, 4 * STEPS, iters=ITERS, skip=0)[0])
+    gc.collect()
+    assert len(trace) == STEPS and runner.budget_override(NAME) == STEPS
     assert prof.retired == STEPS
-    assert sum(prof.counts.values()) == STEPS
+    assert prof.counts == _histogram(trace)
 
 
-def test_counts_identical_across_tiers():
-    reference = _run_counts("reference")
-    default = _run_counts()
-    assert default.counts == reference.counts
+def test_run_warm_warms_under_an_active_profile():
+    """Functional warming is the same with a guest profile on: the
+    emulator never reads the collector."""
+    from repro.core.config import baseline_config
+    from repro.timing.sampling import WarmState
+    from repro.workloads import get_workload
 
+    def warmed():
+        machine = Machine(get_workload("gzip").build())
+        warm = WarmState(baseline_config())
+        machine.attach_warm_sink(warm.hierarchy, warm.predictor)
+        assert machine.run_warm(20_000) == 20_000
+        hier, pred = warm.hierarchy, warm.predictor
+        return (
+            [(cache.hits, cache.misses, cache._sets) for cache in (hier.l1i, hier.l1d, hier.l2)],
+            bytes(pred.gshare.table), pred.gshare.history,
+        )
 
-def test_cold_counts_match_record_replay():
-    """Machine-loop counting ≡ replaying cached records (cache-hit path)."""
-    records = tuple(Machine(assemble(LOOP_SOURCE)).trace(STEPS))
-    cold = _run_counts()
-    replay = GuestProfileCollector()
-    profile_from_records(records, replay)
-    assert replay.benchmarks["?"].counts == cold.counts
-    assert replay.benchmarks["?"].retired == cold.retired
-
-
-def test_sample_mode_counts_samples():
-    machine = Machine(assemble(LOOP_SOURCE))
-    collector = start_guest_profile(mode="sample", period=64)
+    plain = warmed()
+    assert plain[0][1][0] + plain[0][1][1] > 0  # the data cache was warmed
+    collector = start_guest_profile()
     try:
-        machine.run(STEPS)
+        assert warmed() == plain
     finally:
         end_guest_profile()
-    prof = collector.benchmarks["?"]
-    assert prof.retired == STEPS
-    assert prof.sampled == STEPS // 64
-    assert sum(prof.counts.values()) == prof.sampled
-    # Sampling cadence survives the cache-hit replay path too.
-    replay = GuestProfileCollector(mode="sample", period=64)
-    records = tuple(Machine(assemble(LOOP_SOURCE)).trace(STEPS))
-    profile_from_records(records, replay)
-    assert replay.benchmarks["?"].counts == prof.counts
+    assert collector.benchmarks == {}
+
+
+def test_figure1_stays_out_of_the_guest_profile(empty_layer):
+    """Figure 1 emulates and times a program of its own: the bucket of
+    the benchmark collected before it keeps exactly what it had."""
+    from repro.experiments import figure1
+
+    collector = start_guest_profile()
+    try:
+        _collect()
+        before = collector.to_dict()
+        figure1.run()
+    finally:
+        end_guest_profile()
+    assert collector.to_dict() == before
 
 
 def _simulate_with_profile(timing_mode: str):
@@ -161,27 +244,33 @@ def test_disabled_profiler_leaves_results_identical():
     assert profiled.to_dict() == plain.to_dict()
 
 
-def test_profile_roundtrip_and_validation(tmp_path):
-    machine = Machine(assemble(LOOP_SOURCE))
+def test_profile_roundtrip_and_validation(tmp_path, empty_layer):
+    from repro.core.config import bitslice_config
+    from repro.timing.simulator import simulate
+
     collector = start_guest_profile()
     try:
-        collector.begin_benchmark("loopy")
-        machine.run(STEPS)
+        simulate(bitslice_config(4), _collect(), warmup=500)
     finally:
         end_guest_profile()
+    assert collector.benchmarks[NAME].retired == STEPS
     path = tmp_path / "profile.json"
     write_profile(path, collector)
     assert validate_profile(json.loads(path.read_text())) == []
     loaded = load_profile(path)
-    assert loaded.benchmarks["loopy"].counts == collector.benchmarks["loopy"].counts
+    assert loaded.to_dict() == collector.to_dict()
 
-    # The validator enforces the exact-sum invariants.
+    # The validator enforces the exact-sum invariants and format 1's
+    # fixed counting mode.
     broken = collector.to_dict()
-    broken["benchmarks"]["loopy"]["retired"] += 1
+    broken["benchmarks"][NAME]["retired"] += 1
     assert any("counts sum" in p for p in validate_profile(broken))
     broken = collector.to_dict()
-    broken["benchmarks"]["loopy"]["cycles"][str(SHORTFALL_PC)] = [1] * len(COMPONENT_KEYS)
+    broken["benchmarks"][NAME]["cycles"][str(SHORTFALL_PC)] = [1] * len(COMPONENT_KEYS)
     assert any("cycle stacks sum" in p for p in validate_profile(broken))
+    broken = collector.to_dict()
+    broken["mode"], broken["period"] = "sample", 64
+    assert len(validate_profile(broken)) == 2
 
 
 def test_merge_is_commutative_and_drain_resets():
@@ -211,11 +300,15 @@ def test_merge_is_commutative_and_drain_resets():
 
 
 def test_suspension_excludes_bookkeeping_runs():
+    from repro.core.config import baseline_config
+    from repro.timing.simulator import simulate
+
+    records = tuple(Machine(assemble(LOOP_SOURCE)).trace(1_000))
     collector = start_guest_profile()
     try:
         with suspended_guest_profile():
             assert active_collector() is None
-            Machine(assemble(LOOP_SOURCE)).run(1_000)
+            simulate(baseline_config(), records)
         assert active_collector() is collector
     finally:
         end_guest_profile()
@@ -233,7 +326,7 @@ def test_worker_state_round_trips_guest_profile(tmp_path):
     from repro.obs.session import start_session
     from repro.obs.tracing import start_tracing
 
-    parent_collector = start_guest_profile(mode="sample", period=32)
+    parent_collector = start_guest_profile()
     start_tracing()
     start_session()
     parent = context.current()
@@ -241,8 +334,7 @@ def test_worker_state_round_trips_guest_profile(tmp_path):
     parent.budget_overrides["li"] = 1234
     trace_cache.configure(tmp_path, enabled=True)
     worker = pickle.loads(pickle.dumps(parent.snapshot())).restore()
-    assert (worker.collector.mode, worker.collector.period) == ("sample", 32)
-    assert worker.collector is not parent_collector
+    assert worker.collector is not None and worker.collector is not parent_collector
     assert worker.tracer.process.startswith("worker-") and worker.tracer is not parent.tracer
     assert (worker.wall_timeout, worker.budget_overrides) == (7.5, {"li": 1234})
     assert (worker.cache_dir, worker.cache_enabled) == (tmp_path, True)

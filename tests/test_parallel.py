@@ -44,12 +44,12 @@ def test_collect_parallel_preloads_parent_cache():
 def test_workers_inherit_wall_timeout(tmp_path):
     """A spawned worker and the worker respawned after a SIGKILL run
     under the parent's run context (timeout, budget overrides, cache
-    directory and switch, guest-profile mode and period, tracing), and
-    the timeout binds inside them."""
+    directory and switch, guest profiling, tracing), and the timeout
+    binds inside them."""
     runner.set_wall_timeout(1e-9)  # impossible budget: all attempts fail
     runner.set_budget_override("mcf", 900)
     trace_cache.configure(tmp_path / "cache", enabled=True)
-    start_guest_profile(mode="sample", period=64)
+    start_guest_profile()
     start_tracing()
     expected = context.current().snapshot()
     task = "tests._supervisor_tasks:run_context"
@@ -59,7 +59,7 @@ def test_workers_inherit_wall_timeout(tmp_path):
         outcomes = pool.run(tasks)
     assert outcomes["respawned"].attempts == 2
     assert outcomes["spawned"].value == expected == outcomes["respawned"].value
-    assert expected.guest_profile == ("sample", 64) and expected.tracing
+    assert expected.guest_profile and expected.tracing
 
     surviving, failures, degraded = parallel.collect_parallel(["li"], N, jobs=1)
     assert surviving == [] and not degraded

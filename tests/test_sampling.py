@@ -311,9 +311,9 @@ def test_configs_run_on_their_own_when_they_cannot_share(groups_run, monkeypatch
 
 
 def test_grouped_guest_profile_counts_each_config_like_a_standalone_run(monkeypatch):
-    """Exact-mode guest profile: riders count each window's records as a
-    standalone run would, and a rider that drops out contributes only
-    its standalone re-run."""
+    """Guest profile: riders count each window's records as a standalone
+    run would, and a rider that drops out contributes only its
+    standalone re-run."""
     real_run = simulator.TimingSimulator.run
     flipped = []
 
@@ -330,13 +330,13 @@ def test_grouped_guest_profile_counts_each_config_like_a_standalone_run(monkeypa
     for flip in (False, True):
         if flip:
             monkeypatch.setattr(simulator.TimingSimulator, "run", run)
-        guestprof.start_guest_profile("exact")
+        guestprof.start_guest_profile()
         sample_configs(HAZARD_RUN["name"], configs, HAZARD_RUN["plan"],
                        HAZARD_RUN["budget"], skip=0)
         profiles.append(guestprof.end_guest_profile().to_dict())
     monkeypatch.setattr(simulator.TimingSimulator, "run", real_run)
     assert flipped
-    guestprof.start_guest_profile("exact")
+    guestprof.start_guest_profile()
     for config in configs:
         sample_benchmark(HAZARD_RUN["name"], config, HAZARD_RUN["plan"],
                          HAZARD_RUN["budget"], skip=0)

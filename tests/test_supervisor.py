@@ -401,12 +401,12 @@ def test_killed_group_fails_each_cell_and_resumes_to_identical_output(tmp_path):
 
 
 def test_grouped_sampled_sweep_guest_profile_matches_per_cell_tasks(pool_tasks):
-    """Exact-mode guest profiles merge to the same profile whether a
+    """Guest profiles merge to the same profile whether a
     benchmark's cells run as one task or one sweep each."""
     configs = [baseline_config(), bitslice_config(4)]
     profiles = []
     for sweeps in ([configs], [[config] for config in configs]):
-        guestprof.start_guest_profile("exact")
+        guestprof.start_guest_profile()
         for sweep in sweeps:
             _, failures, _, _ = run_sweep(["bzip"], sweep, SAMPLED_N, 0, jobs=1,
                                           fault_plan=ProcessFaultPlan(), **SAMPLED)

@@ -182,13 +182,12 @@ def test_preloaded_trace_wins_over_a_prefix(emulations):
     assert collector.benchmarks[NAME].retired == 0
 
 
-@pytest.mark.parametrize("mode, period", [("exact", None), ("sample", 37)])
-def test_guest_profile_matches_a_cold_shorter_collection(mode, period):
+def test_guest_profile_matches_a_cold_shorter_collection():
     """Serving a prefix feeds the guest profile what collecting it would."""
 
     def profiled(serve_prefix: bool) -> dict:
         runner.clear_trace_cache()
-        collector = guestprof.start_guest_profile(mode, period)
+        collector = guestprof.start_guest_profile()
         try:
             with trace_cache_disabled():
                 _collect(2_500)

@@ -18,6 +18,8 @@ from repro.core.config import baseline_config, bitslice_config
 from repro.experiments.journal import DONE, SweepJournal
 from repro.experiments.progress import SweepProgress
 from repro.experiments.supervisor import (
+    PoolTask,
+    SupervisedPool,
     SupervisorPolicy,
     detect_stragglers,
     run_sweep,
@@ -350,6 +352,23 @@ def test_resumed_sweep_records_every_done_cell_exactly_once(tmp_path):
     transitions = [s for s in tracer.spans(category="journal")
                    if s.name == "journal.transition"]
     assert any(s.args.get("state") == "done" for s in transitions)
+
+
+def test_worker_start_up_is_a_span_of_the_first_attempt():
+    """A spawned worker's start-up, from its spawn to its first task, is
+    a ``worker.start`` span under the attempt that waited for it."""
+    tracer = tracing.start_tracing()
+    tasks = [PoolTask(id=t, fn="tests._supervisor_tasks:echo", payload=(t,)) for t in "ab"]
+    with SupervisedPool(1) as pool:
+        pool.run(tasks)
+    (spawn,) = [s for s in tracer if s.name == "worker.spawn"]
+    (start,) = [s for s in tracer if s.name == "worker.start"]
+    first, _ = sorted(tracer.spans(category="cell.attempt"), key=lambda s: s.start)
+    executes = tracer.spans(category="worker.execute")
+    assert start.category == "worker" and start.parent_id == first.span_id
+    assert start.process == executes[0].process != spawn.process
+    assert start.start <= spawn.start <= start.end <= min(s.start for s in executes)
+    assert "worker.start" in tracing.profile_report(tracer.spans())
 
 
 def test_sweep_untraced_by_default_emits_nothing(tmp_path):
