@@ -10,8 +10,8 @@ experiment signature.  A recorder that is off is ``None``: its hooks
 cost one attribute check and the uninstrumented loops run unchanged.
 
 The CLI builds one context per run and activates it (:func:`activate`).
-A spawned ``--jobs`` worker starts from ``import repro``, not from a
-copy of the parent's memory, so the supervised pool hands every worker,
+A spawned sweep worker starts from ``import repro``, not from a copy
+of the parent's memory, so the supervised pool hands every worker,
 at first spawn and at every respawn, the same picklable
 :class:`Snapshot` of the parent's context, and the worker activates
 :meth:`Snapshot.restore`.  The tier switches (``REPRO_DISPATCH``,

@@ -9,9 +9,8 @@ in the paper's methodology (§4: "We use a trace driven simulator for
 our characterization work").
 
 The emulator yields records one at a time; everything that keeps a
-trace (the runner's layers, the trace cache, the ``--jobs`` transport,
-a sampled window) holds it as a :class:`Trace`, the same fields as
-columns.
+trace (the runner's layers, the trace cache, a sampled window) holds
+it as a :class:`Trace`, the same fields as columns.
 """
 
 from __future__ import annotations

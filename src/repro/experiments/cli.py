@@ -25,7 +25,8 @@ Resilience flags:
 
 Performance flags (see ``docs/performance.md``):
 
-* ``--jobs N`` — fan trace collection out to N worker processes;
+* ``--jobs N`` — worker processes of the ``sweep`` experiment's
+  supervised pool (any other experiment exits 2 for ``N > 1``);
 * ``--trace-cache DIR`` / ``--no-trace-cache`` — persistent on-disk
   trace cache location (default ``~/.cache/repro-traces``, also
   settable via ``REPRO_TRACE_CACHE``) or opt-out.
@@ -42,7 +43,7 @@ Observability flags (see ``docs/observability.md``):
 * ``--profile`` — trace the run and print its top-N span names by self
   time (calls, seconds, share, records/s), worker spans included;
 * ``--heartbeat SECONDS`` — periodic progress line for long sweeps
-  (including ``--jobs`` sweeps: cells done / in flight / failed);
+  (cells done / in flight / failed);
 * ``--live`` — live sweep status line (done/pending/failed, cells/s,
   ETA, active-cell ages) for the ``sweep`` experiment;
 * ``--guest-profile`` / ``--guest-profile-out FILE`` — per-PC retired
@@ -94,6 +95,9 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-experiment",
         description="Regenerate the tables and figures of 'Exploiting Partial Operand Knowledge' (ICPP 2003).",
+        # A prefix of a flag is an error, never that flag: --sample-warm
+        # must not silently set --sample-warmup.
+        allow_abbrev=False,
     )
     p.add_argument("experiment", choices=EXPERIMENTS, help="which artifact to regenerate")
     p.add_argument(
@@ -135,7 +139,7 @@ def _parser() -> argparse.ArgumentParser:
     perf = p.add_argument_group("performance (docs/performance.md)")
     perf.add_argument(
         "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker processes for parallel trace collection (default 1: sequential)",
+        help="worker processes for the 'sweep' experiment (default 1)",
     )
     perf.add_argument(
         "--trace-cache", default=None, metavar="DIR",
@@ -194,11 +198,6 @@ def _parser() -> argparse.ArgumentParser:
     samp.add_argument(
         "--sample-interval", type=int, default=None, metavar="N",
         help="systematic-sampling period in instructions (default 20000)",
-    )
-    samp.add_argument(
-        "--sample-warm", type=int, default=None, metavar="N",
-        help="extra trace-mode warming instructions per window (default 0; "
-             "the warming fast-forward usually makes this unnecessary)",
     )
     samp.add_argument(
         "--ci-target", type=float, default=None, metavar="FRAC",
@@ -292,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
+    if args.jobs > 1 and args.experiment != "sweep":
+        print("--jobs applies to the 'sweep' experiment only", file=sys.stderr)
+        return 2
     if args.journal and args.resume:
         print("--journal and --resume are mutually exclusive (resume names the journal)",
               file=sys.stderr)
@@ -303,7 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         "--sample-window": args.sample_window,
         "--sample-warmup": args.sample_warmup,
         "--sample-interval": args.sample_interval,
-        "--sample-warm": args.sample_warm,
         "--ci-target": args.ci_target,
         "--sample-seed": args.sample_seed,
         "--sample-max-windows": args.sample_max_windows,
@@ -323,7 +324,6 @@ def main(argv: list[str] | None = None) -> int:
                 ("window", args.sample_window),
                 ("warmup", args.sample_warmup),
                 ("interval", args.sample_interval),
-                ("warm", args.sample_warm),
                 ("ci_target", args.ci_target),
                 ("seed", args.sample_seed),
                 ("max_windows", args.sample_max_windows),
@@ -536,63 +536,53 @@ def _run_experiments(args, n, prof, benches, argv) -> int:
 
     # Per-benchmark isolation: pre-collect each workload's trace so a
     # broken/runaway workload is dropped (or degraded) up front instead
-    # of killing whichever experiment touches it first.  With --jobs N
-    # the same pre-pass fans out across worker processes; either way
-    # the experiments below replay preloaded traces.
-    # The 'sweep' experiment is excluded: its supervised workers collect
-    # (resiliently) inside each cell, and a pre-pass here would not
-    # reach them anyway under spawn.
-    if (args.keep_going or args.jobs > 1) and args.experiment not in ("fig1", "inject", "sweep"):
-        target = benches or BENCHMARK_NAMES
-        if args.jobs > 1:
-            from repro.experiments.parallel import collect_parallel
-
-            surviving, fails, degr = collect_parallel(
-                target, n + DEFAULT_WARMUP, jobs=args.jobs, profile=prof
-            )
-            if fails and not args.keep_going:
-                for record in fails:
-                    print(record.describe(), file=sys.stderr)
-                return 1
-            failures.extend(fails)
-            degraded.extend(degr)
-        else:
-            surviving = []
-            for name in target:
-                trace, record = collect_trace_resilient(name, n + DEFAULT_WARMUP, profile=prof)
-                if trace is None:
-                    failures.append(record)
-                else:
-                    surviving.append(name)
-                    if record is not None:
-                        degraded.append(record)
-        benches = tuple(surviving)
-        if not benches:
+    # of killing whichever experiment touches it first; the experiments
+    # below are then served from the runner's held traces.  The 'sweep'
+    # experiment is excluded: its supervised workers collect
+    # (resiliently) inside each cell.
+    failed: set[str] = set()
+    if args.keep_going and args.experiment not in ("fig1", "inject", "sweep"):
+        target = benches or (
+            figure2.FIGURE2_BENCHMARKS if args.experiment == "fig2" else BENCHMARK_NAMES
+        )
+        for name in target:
+            trace, record = collect_trace_resilient(name, n + DEFAULT_WARMUP, profile=prof)
+            if trace is None:
+                failures.append(record)
+                failed.add(name)
+            elif record is not None:
+                degraded.append(record)
+        if failed.issuperset(target):
             print(render_failure_report(failures, degraded))
             return 1
 
+    def own(default: tuple[str, ...]) -> tuple[str, ...]:
+        """An experiment's benchmarks: the given ones or its own
+        default, less any the pre-pass dropped."""
+        return tuple(name for name in benches or default if name not in failed)
+
     if args.experiment in ("table1", "all"):
-        guarded("table1", lambda: table1.run(benches or BENCHMARK_NAMES, n, profile=prof))
+        guarded("table1", lambda: table1.run(own(BENCHMARK_NAMES), n, profile=prof))
     if args.experiment == "fig1":
         guarded("fig1", figure1.run)
     if args.experiment in ("fig2", "all"):
-        guarded("fig2", lambda: figure2.run(benches or figure2.FIGURE2_BENCHMARKS, n, profile=prof))
+        guarded("fig2", lambda: figure2.run(own(figure2.FIGURE2_BENCHMARKS), n, profile=prof))
     if args.experiment in ("fig4", "all"):
         guarded("fig4", lambda: figure4.run(n, profile=prof))
     if args.experiment in ("fig6", "all"):
-        guarded("fig6", lambda: figure6.run(benches or BENCHMARK_NAMES, n, profile=prof))
+        guarded("fig6", lambda: figure6.run(own(BENCHMARK_NAMES), n, profile=prof))
     if args.experiment in ("fig11", "fig12", "all"):
         # fig12 derives from fig11's sweep; for a fig12-only run the
         # base is computed (guarded) but not printed.
         base = guarded(
             "fig11",
-            lambda: figure11.run(benches or BENCHMARK_NAMES, n, profile=prof),
+            lambda: figure11.run(own(BENCHMARK_NAMES), n, profile=prof),
             show=args.experiment in ("fig11", "all"),
         )
         if args.experiment in ("fig12", "all") and base is not None:
             guarded("fig12", lambda: figure12.run(base=base))
     if args.experiment in ("workloads", "all"):
-        guarded("workloads", lambda: workload_table.run(benches or BENCHMARK_NAMES, n, profile=prof))
+        guarded("workloads", lambda: workload_table.run(own(BENCHMARK_NAMES), n, profile=prof))
 
     if args.experiment == "sweep":
         from repro.experiments import sweep as sweep_mod

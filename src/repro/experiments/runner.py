@@ -13,7 +13,7 @@ at a reduced instruction budget — instead of an aborted sweep.  A
 successful retry registers a per-benchmark budget override so every
 later collection of that benchmark stays inside the budget that worked.
 The budget and the overrides live in the run context
-(:mod:`repro.context`), which ``--jobs`` workers inherit.
+(:mod:`repro.context`), which sweep workers inherit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.context import current
 from repro.core.config import MachineConfig
 from repro.emulator.machine import default_dispatch
-from repro.emulator.trace import Trace, as_trace
+from repro.emulator.trace import Trace
 from repro.experiments import trace_cache
 from repro.harness.watchdog import Watchdog
 from repro.obs.guestprof import profile_from_records
@@ -41,10 +41,6 @@ DEFAULT_INSTRUCTIONS = 30_000
 #: Instructions simulated (but not measured) before the IPC window to
 #: warm caches and predictors.
 DEFAULT_WARMUP = 10_000
-
-#: Traces collected elsewhere (parallel worker processes) and injected
-#: into this process so ``_collect`` never re-emulates them.
-_preloaded: dict[tuple, Trace] = {}
 
 
 def set_wall_timeout(seconds: float | None) -> None:
@@ -70,15 +66,10 @@ def budget_override(name: str) -> int | None:
 def _fetch(
     name: str, max_steps: int, iters: int | None, skip: int | None, profile: str
 ) -> Trace:
-    """A trace the in-memory layer does not hold: preloaded, disk, or emulated.
+    """A trace the in-memory layer does not hold: from disk, or emulated.
 
-    A disk or emulated trace is counted into an active guest profile
-    once it is whole.  A preloaded one is not: the worker that collected
-    it counted it and shipped its profile home in the reply.
+    Either is counted into an active guest profile once it is whole.
     """
-    preloaded = _preloaded.get((name, max_steps, iters, skip, profile))
-    if preloaded is not None:
-        return preloaded
     context = current()
     workload = get_workload(name)
     session, tracer, gp = context.session, context.tracer, context.collector
@@ -145,7 +136,8 @@ class _TraceLayer:
       guest profile, but it moves no cache or session counter.  A held
       trace with fewer records than requested (the guest halted) is
       never used.
-    * Anything else goes to :func:`_fetch`.
+    * Anything else goes to :func:`_fetch`: the persistent cache, else
+      emulation.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -160,10 +152,7 @@ class _TraceLayer:
         trace = held.get(max_steps)
         if trace is None:
             longer = next((t for t in held.values() if len(t) >= max_steps), None)
-            if longer is None or (name, max_steps, iters, skip, profile) in _preloaded:
-                # A preloaded trace was profiled by the worker that
-                # collected it; serving a prefix instead would count it
-                # twice.
+            if longer is None:
                 trace = _fetch(name, max_steps, iters, skip, profile)
             else:
                 trace = longer[:max_steps]
@@ -300,22 +289,6 @@ def sweep_configs(
     return simulate_configs(configs, collect_trace(name, max_steps + warmup), warmup=warmup)
 
 
-def preload_trace(
-    name: str,
-    max_steps: int,
-    iters: int | None,
-    skip: int | None,
-    profile: str,
-    trace,
-) -> None:
-    """Inject a trace collected elsewhere (a ``--jobs`` worker).
-
-    The next ``collect_trace`` with the same parameters returns this
-    trace instead of re-emulating the workload.
-    """
-    _preloaded[(name, max_steps, iters, skip, profile)] = as_trace(trace)
-
-
 def clear_trace_cache() -> None:
     """Drop cached traces and degradation state (tests, memory).
 
@@ -325,5 +298,4 @@ def clear_trace_cache() -> None:
     """
     _collect.cache_clear()
     current().budget_overrides.clear()
-    _preloaded.clear()
     trace_cache.reset_stats()

@@ -1,9 +1,9 @@
 """Supervised, resumable sweep orchestration.
 
-:mod:`repro.experiments.parallel` made sweeps *parallel*; this module
-makes them *survivable*.  It replaces the bare ``multiprocessing.Pool``
-with a supervised worker pool and layers a crash-safe journal
-(:mod:`repro.experiments.journal`) on top, so a sweep tolerates:
+The ``sweep`` experiment runs its (benchmark × config) grid on this
+module's supervised worker pool (``--jobs N`` sizes it), with a
+crash-safe journal (:mod:`repro.experiments.journal`) on top, so a
+sweep tolerates:
 
 * **dead workers** — each worker runs over its own pipe with a
   heartbeat; a SIGKILLed or hung worker is detected, its cell retried

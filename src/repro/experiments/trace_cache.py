@@ -25,8 +25,8 @@ Safety properties:
   corrupting results.
 * **Concurrency** — writers never clobber readers (atomic rename), and
   two processes racing to fill the same key both produce identical
-  bytes, so last-writer-wins is harmless.  This is what makes the
-  ``--jobs`` parallel sweep cheap on a warm cache.
+  bytes, so last-writer-wins is harmless: a ``sweep --jobs N`` run's
+  workers share one cache.
 """
 
 from __future__ import annotations
@@ -190,14 +190,6 @@ def stats() -> dict:
     }
 
 
-def add_stats(hits: int = 0, misses: int = 0, corrupt_entries: int = 0) -> None:
-    """Fold counters observed elsewhere (worker processes) into ours."""
-    global _hits, _misses, _corrupt_entries
-    _hits += hits
-    _misses += misses
-    _corrupt_entries += corrupt_entries
-
-
 def reset_stats() -> None:
     """Zero the hit/miss/corruption counters (tests, fresh sweeps)."""
     global _hits, _misses, _corrupt_entries
@@ -210,7 +202,6 @@ __all__ = [
     "CACHE_SCHEMA",
     "DEFAULT_DIR",
     "ENV_VAR",
-    "add_stats",
     "cache_dir",
     "cache_key",
     "configure",

@@ -21,14 +21,13 @@ telemetry (see ``docs/observability.md``):
   of the guest programs (``--guest-profile``).
 
 The session, the tracer and the guest-profile collector of a run live
-in its run context (:mod:`repro.context`), which ``--jobs`` workers
-inherit as one snapshot.
+in its run context (:mod:`repro.context`), which sweep workers inherit
+as one snapshot.
 """
 
 from repro.obs.events import (
     CycleEvent,
     EventTrace,
-    merge_chrome_traces,
     validate_event,
     validate_jsonl_file,
     write_chrome_trace,
@@ -94,7 +93,6 @@ __all__ = [
     "end_tracing",
     "load_bench_snapshot",
     "load_profile",
-    "merge_chrome_traces",
     "spans_to_chrome_trace",
     "start_guest_profile",
     "start_session",

@@ -158,15 +158,17 @@ def validate_jsonl_file(path: str | Path) -> int:
 
 # ----------------------------------------------------------- Chrome trace
 
-def _stream_to_chrome_events(
-    events: Iterable[CycleEvent], pid: int, lanes: int
-) -> list[dict]:
-    """Chrome events for one process's stream, on its own ``pid`` row.
+def to_chrome_trace(events: Iterable[CycleEvent], lanes: int = 16) -> dict:
+    """Convert the event stream to Chrome trace-event format.
 
-    Fetch→commit pairing is private to the stream (keyed by this
-    stream's ``seq`` values only) and every lane ``tid`` lives under
-    *pid*, so two processes' events can never pair or collide with each
-    other when merged into one trace.
+    Instruction lifetimes (fetch → commit) become ``"X"`` duration
+    slices named by mnemonic, spread over *lanes* virtual threads so
+    overlapping instructions render as parallel tracks (the paper's
+    Figure 1 view); anomaly events become ``"i"`` instants; CPI-stack
+    samples become a ``"C"`` counter track (one series per attribution
+    component).  One simulated cycle maps to one microsecond of trace
+    time.  Cycle events come from one process (the run's session), so
+    everything lands on one ``pid`` row.
     """
     fetches: dict[int, CycleEvent] = {}
     trace_events: list[dict] = []
@@ -184,7 +186,7 @@ def _stream_to_chrome_events(
                     "ph": "X",
                     "ts": begin,
                     "dur": max(1, e.cycle - begin),
-                    "pid": pid,
+                    "pid": 1,
                     "tid": 1 + (e.seq % lanes),
                     "args": {"seq": e.seq, "pc": e.pc, **e.args},
                 }
@@ -196,7 +198,7 @@ def _stream_to_chrome_events(
                     "cat": "attribution",
                     "ph": "C",
                     "ts": e.cycle,
-                    "pid": pid,
+                    "pid": 1,
                     "args": dict(e.args),
                 }
             )
@@ -208,53 +210,11 @@ def _stream_to_chrome_events(
                     "ph": "i",
                     "s": "t",
                     "ts": e.cycle,
-                    "pid": pid,
+                    "pid": 1,
                     "tid": 1 + (e.seq % lanes),
                     "args": {"seq": e.seq, "pc": e.pc, **e.args},
                 }
             )
-    return trace_events
-
-
-def to_chrome_trace(events: Iterable[CycleEvent], lanes: int = 16) -> dict:
-    """Convert the event stream to Chrome trace-event format.
-
-    Instruction lifetimes (fetch → commit) become ``"X"`` duration
-    slices named by mnemonic, spread over *lanes* virtual threads so
-    overlapping instructions render as parallel tracks (the paper's
-    Figure 1 view); anomaly events become ``"i"`` instants; CPI-stack
-    samples become a ``"C"`` counter track (one series per attribution
-    component).  One simulated cycle maps to one microsecond of trace
-    time.
-
-    For a *single* stream this is the whole story; to combine streams
-    from several processes use :func:`merge_chrome_traces`, which keys
-    lanes by (process, lane) instead of letting ``seq % lanes`` collide
-    across processes.
-    """
-    return {
-        "traceEvents": _stream_to_chrome_events(events, pid=1, lanes=lanes),
-        "displayTimeUnit": "ms",
-        "otherData": {"time_unit": "1 ts = 1 simulated cycle"},
-    }
-
-
-def merge_chrome_traces(streams: dict[str, Iterable[CycleEvent]], lanes: int = 16) -> dict:
-    """Merge per-process event streams into one Chrome trace.
-
-    *streams* maps a process label (``"orchestrator"``,
-    ``"worker-1234"``) to that process's events.  Each process gets its
-    own ``pid`` row (named via ``"M"`` metadata) and its own private
-    lane space, fixing the collision the single-stream form would
-    produce: two processes' events with the same ``seq`` used to land
-    on the same (pid, tid) lane and pair fetch/commit across processes.
-    """
-    trace_events: list[dict] = []
-    for pid, (process, events) in enumerate(sorted(streams.items()), start=1):
-        trace_events.append(
-            {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": process}}
-        )
-        trace_events.extend(_stream_to_chrome_events(events, pid=pid, lanes=lanes))
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
@@ -283,7 +243,6 @@ __all__ = [
     "EventTrace",
     "FETCH",
     "REPLAY",
-    "merge_chrome_traces",
     "SLICE_COMPLETE",
     "WAY_MISPREDICT",
     "to_chrome_trace",

@@ -14,9 +14,9 @@ of magnitude: it alternates
   Cache content has far longer history than any affordable discrete
   warming span — a line loaded 100k instructions ago still turns a
   memory miss into an L2 hit — which is why SMARTS warms functionally
-  throughout the fast-forward rather than in bursts before windows,
-* **optional trace-mode warming spans** (``plan.warm``) — the discrete
-  fallback used when the machine has no blocks engine, and
+  throughout the fast-forward rather than in bursts before windows
+  (without a blocks engine, trace-mode observation does the same
+  training, slower), and
 * **measurement windows** — short detailed-simulation slices run on a
   fresh :class:`~repro.timing.simulator.TimingSimulator` built on the
   warmed predictor/hierarchy, plus a detailed-warmup prefix that is
@@ -76,13 +76,11 @@ class SamplingPlan:
 
     One *period* of ``interval`` instructions is laid out as::
 
-        [ warming ff | trace warming | detailed warmup | window | warming ff ]
+        [ warming ff | detailed warmup | window | warming ff ]
 
-    so ``interval`` must cover ``warm + warmup + window``.  The
-    fast-forward spans warm caches and predictors continuously at
-    block-compiled speed; ``warm`` adds a discrete trace-mode warming
-    span before each window and defaults to 0 (it only earns its cost
-    on machines without a blocks engine).  The seed fixes the
+    so ``interval`` must cover ``warmup + window``.  The fast-forward
+    spans warm caches and predictors continuously at block-compiled
+    speed.  The seed fixes the
     stratified window placement — each period's measured span lands at
     a seeded-uniform offset inside the period, breaking aliasing
     against guest loop periods — and the bootstrap resamples; two runs
@@ -91,7 +89,6 @@ class SamplingPlan:
 
     window: int = 500          #: measured instructions per window
     warmup: int = 200          #: detailed-simulated but unmeasured prefix
-    warm: int = 0              #: trace-mode warming instructions per period
     interval: int = 20_000     #: systematic-sampling period
     ci_target: float = 0.0     #: relative CI half-width target (0 = fixed budget)
     confidence: float = 0.95   #: bootstrap confidence level
@@ -103,12 +100,12 @@ class SamplingPlan:
     def validate(self) -> "SamplingPlan":
         if self.window < 1:
             raise ValueError(f"sampling window must be >= 1, got {self.window}")
-        if self.warmup < 0 or self.warm < 0:
-            raise ValueError("sampling warmup/warm spans must be >= 0")
-        if self.interval < self.warm + self.warmup + self.window:
+        if self.warmup < 0:
+            raise ValueError("sampling warmup must be >= 0")
+        if self.interval < self.warmup + self.window:
             raise ValueError(
                 f"sampling interval {self.interval} cannot fit "
-                f"warm {self.warm} + warmup {self.warmup} + window {self.window}"
+                f"warmup {self.warmup} + window {self.window}"
             )
         if not 0.0 <= self.ci_target < 1.0:
             raise ValueError(f"ci_target must be in [0, 1), got {self.ci_target}")
@@ -123,12 +120,16 @@ class SamplingPlan:
         return self
 
     def canonical(self) -> str:
-        """Deterministic identity string (journal cell-key component)."""
+        """Deterministic identity string (journal cell-key component).
+
+        ``warm=0`` names a trace-mode warming knob that no longer
+        exists; it stays so existing journals keep their cell keys.
+        """
         return "|".join(
             (
                 f"window={self.window}",
                 f"warmup={self.warmup}",
-                f"warm={self.warm}",
+                "warm=0",
                 f"interval={self.interval}",
                 f"ci={self.ci_target!r}",
                 f"conf={self.confidence!r}",
@@ -164,7 +165,6 @@ class WarmState:
             memory_latency=config.memory_latency,
         )
         self._front = FrontEnd(self.predictor, self.hierarchy)
-        self.warmed = 0
 
     def observe(self, record) -> None:
         """Feed one architectural trace record through the warm structures.
@@ -179,7 +179,6 @@ class WarmState:
         self._front.step(
             record.pc, record_kind(inst), record.mem_addr, inst, record.taken, record.next_pc
         )
-        self.warmed += 1
 
 
 @dataclass
@@ -194,17 +193,11 @@ class SamplingResult:
     ipc_hi: float = 0.0
     rel_halfwidth: float = float("inf")
     skipped: int = 0                 #: warming-fast-forward instructions
-    warmed: int = 0                  #: functional-warming instructions
     detail_warmup: int = 0           #: detailed-simulated but unmeasured
     measured: int = 0                #: instructions in measured windows
     halted: bool = False             #: guest halted before the schedule ended
     trajectory: list[tuple[int, float]] = field(default_factory=list)
     cpi_ci: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    @property
-    def executed(self) -> int:
-        """Instructions retired inside the sampled region (all spans)."""
-        return self.skipped + self.warmed + self.detail_warmup + self.measured
 
 
 def _percentile_ci(values: list[float], confidence: float) -> tuple[float, float]:
@@ -280,13 +273,11 @@ def _attach_extra(result: SamplingResult) -> None:
     extra["sampling.windows"] = float(len(result.windows))
     extra["sampling.window"] = float(plan.window)
     extra["sampling.warmup"] = float(plan.warmup)
-    extra["sampling.warm"] = float(plan.warm)
     extra["sampling.interval"] = float(plan.interval)
     extra["sampling.seed"] = float(plan.seed)
     extra["sampling.ci_target"] = float(plan.ci_target)
     extra["sampling.confidence"] = float(plan.confidence)
     extra["sampling.instructions_skipped"] = float(result.skipped)
-    extra["sampling.instructions_warmed"] = float(result.warmed)
     extra["sampling.instructions_detail_warmup"] = float(result.detail_warmup)
     extra["sampling.instructions_measured"] = float(result.measured)
     extra["sampling.ipc_point"] = result.ipc_point
@@ -327,9 +318,6 @@ def _publish_session(result: SamplingResult) -> None:
     reg.counter(
         "sampling.instructions_skipped", help="instructions fast-forwarded in run mode"
     ).inc(result.skipped)
-    reg.counter(
-        "sampling.instructions_warmed", help="functional-warming instructions"
-    ).inc(result.warmed)
     reg.counter(
         "sampling.instructions_measured", help="instructions inside measured windows"
     ).inc(result.measured)
@@ -448,7 +436,7 @@ def _sample_group(
 
     Returns one result per config, ``None`` for a rider that dropped
     out.  Riders see exactly the windows the lead sees, so the counts
-    of skipped, warmed and measured instructions are the lead's.
+    of skipped and measured instructions are the lead's.
 
     An active guest profile counts each window's records once for the
     lead and once for each rider, as a config sampled on its own would;
@@ -489,8 +477,8 @@ def _sample_group(
     n_periods = min(max(1, budget // plan.interval), plan.max_windows)
     if plan.ci_target > 0.0:
         n_periods = max(n_periods, plan.min_windows)
-    slack = plan.interval - plan.warm - plan.warmup - plan.window
-    # Stratified placement: each period's warm+window span lands at a
+    slack = plan.interval - plan.warmup - plan.window
+    # Stratified placement: each period's warmup+window span lands at a
     # seeded-uniform offset within the period instead of a fixed phase.
     # The guests are short periodic kernels, so strict systematic
     # sampling aliases badly against loop periods (a fixed phase can be
@@ -528,12 +516,6 @@ def _sample_group(
             result.skipped += fast_forward(pre)
         if machine.halted:
             break
-        if plan.warm:
-            for record in machine.trace(plan.warm, watchdog=watchdog):
-                warm.observe(record)
-                result.warmed += 1
-            if machine.halted:
-                break
         # One columnar trace per window, which the lead and riders share.
         with traced(f"window.{name}", category="emulate") as span:
             window = Trace.from_records(machine.trace(window_budget, watchdog=watchdog))

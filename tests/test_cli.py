@@ -41,6 +41,12 @@ def test_unknown_experiment_rejected():
         main(["figure99"])
 
 
+def test_flag_prefixes_are_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--sample", "--sample-warm", "100", "-b", "go"])
+    assert exc.value.code == 2
+
+
 def test_keep_going_isolates_failing_benchmark(tmp_path, capsys, monkeypatch):
     """Acceptance scenario: one broken workload → partial results, exit 1."""
     runner.clear_trace_cache()
@@ -84,6 +90,29 @@ def test_keep_going_clean_run_reports_no_failures(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "no failures" in out
+
+
+def test_keep_going_keeps_each_experiments_own_benchmarks(capsys):
+    """``--keep-going`` drops only the benchmarks that failed: Figure 2
+    still prints its own two panels, byte for byte as without it."""
+    runner.clear_trace_cache()
+    try:
+        assert main(["fig2", "-n", "2000"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["fig2", "-n", "2000", "--keep-going"]) == 0
+        kept = capsys.readouterr().out
+    finally:
+        runner.clear_trace_cache()
+    assert plain.count("Figure 2 — ") == 2
+    assert kept == plain + runner.render_failure_report([]) + "\n"
+
+
+def test_jobs_applies_to_the_sweep_experiment_only(capsys):
+    assert main(["table1", "-n", "2000", "-b", "go", "--jobs", "2"]) == 2
+    assert "--jobs applies to the 'sweep' experiment only" in capsys.readouterr().err
+    assert main(["sweep", "-n", "2000", "-b", "go", "li", "--configs", "ideal", "--jobs", "2"]) == 0
+    rows = [line.split("|")[:2] for line in capsys.readouterr().out.splitlines() if "|" in line]
+    assert [[cell.strip() for cell in row] for row in rows[1:]] == [["go", "ideal"], ["li", "ideal"]]
 
 
 def test_inject_experiment_reports_clean_campaign(capsys):

@@ -1,4 +1,4 @@
-"""Parallel layer: collection fan-out, state inheritance, swept grids."""
+"""Parallel layer: worker state inheritance, swept grids."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro import context
 from repro.core.config import baseline_config, simple_pipeline_config
-from repro.experiments import parallel, runner, trace_cache
+from repro.experiments import runner, trace_cache
 from repro.experiments.supervisor import PoolTask, SupervisedPool, SupervisorPolicy, run_sweep
 from repro.harness.faults import ProcessFaultPlan
 from repro.obs.guestprof import start_guest_profile
@@ -25,20 +25,10 @@ def _fresh_runner():
     runner.clear_trace_cache()
 
 
-def test_collect_parallel_matches_sequential():
-    names = ["li", "mcf"]
-    surviving, failures, degraded = parallel.collect_parallel(names, N, jobs=2)
-    assert surviving == names and not failures and not degraded
-    for name in names:
-        preloaded = runner.collect_trace(name, N)
-        runner._collect.cache_clear()
-        runner._preloaded.clear()
-        assert preloaded == runner.collect_trace(name, N)
-
-
-def test_collect_parallel_preloads_parent_cache():
-    parallel.collect_parallel(["li"], N, jobs=1)
-    assert ("li", N, None, None, "ref") in runner._preloaded
+def _sweep_li(**kwargs):
+    """A one-benchmark, one-config sweep on one worker."""
+    return run_sweep(["li"], [baseline_config()], N, WARMUP, jobs=1,
+                     fault_plan=ProcessFaultPlan(), **kwargs)
 
 
 def test_workers_inherit_wall_timeout(tmp_path):
@@ -61,37 +51,46 @@ def test_workers_inherit_wall_timeout(tmp_path):
     assert outcomes["spawned"].value == expected == outcomes["respawned"].value
     assert expected.guest_profile and expected.tracing
 
-    surviving, failures, degraded = parallel.collect_parallel(["li"], N, jobs=1)
-    assert surviving == [] and not degraded
+    grid, failures, degraded, _ = _sweep_li(
+        keep_going=True, policy=SupervisorPolicy(max_cell_retries=0, backoff=0.0)
+    )
+    assert grid == {} and not degraded
     (record,) = failures
-    assert record.benchmark == "li" and record.stage == "collect"
+    assert record.benchmark == "li"
+    assert "li: collect failed with RunawayExecution" in record.message
 
 
 def test_workers_inherit_dispatch_mode(monkeypatch):
-    """The parent's REPRO_DISPATCH reaches spawned workers."""
+    """The parent's REPRO_DISPATCH reaches spawned workers: a worker on
+    the reference tier compiles no blocks, one on the default tier
+    does, and both time the same trace."""
+    tracer = start_tracing()
     monkeypatch.setenv("REPRO_DISPATCH", "reference")
-    surviving, failures, degraded = parallel.collect_parallel(["li"], N, jobs=1)
-    assert surviving == ["li"] and not failures and not degraded
-    preloaded = runner._preloaded[("li", N, None, None, "ref")]
+    reference, failures, _, _ = _sweep_li()
+    assert not failures
+    assert [s.name for s in tracer.spans(category="emulate")] == ["emulate.li"]
+    assert not tracer.spans(category="jit")
     monkeypatch.delenv("REPRO_DISPATCH")
-    runner.clear_trace_cache()
-    # Traces are mode-invariant by construction, so the worker's
-    # reference-tier collection must equal a sequential default one.
-    assert preloaded == runner.collect_trace("li", N)
+    blocks, failures, _, _ = _sweep_li()
+    assert not failures
+    assert tracer.spans(category="jit")
+    assert reference["li"]["ideal"].to_dict() == blocks["li"]["ideal"].to_dict()
 
 
 def test_workers_inherit_cache_config(tmp_path):
+    """A worker reads and writes the parent's trace cache: the first
+    sweep's worker stores li's trace there, the second's reads it back
+    and ships its ``cache.hit.li`` span home."""
     trace_cache.configure(tmp_path, enabled=True)
-    parallel.collect_parallel(["li"], N, jobs=1)
+    tracer = start_tracing()
+    first, failures, _, _ = _sweep_li()
+    assert not failures
     assert len(list(tmp_path.iterdir())) == 1  # worker wrote the entry
-    stats = trace_cache.stats()
-    assert stats["misses"] == 1 and stats["hits"] == 0
-    # Second pass: the worker reads the entry the first worker wrote.
-    runner.clear_trace_cache()
-    trace_cache.configure(tmp_path, enabled=True)
-    parallel.collect_parallel(["li"], N, jobs=1)
-    stats = trace_cache.stats()
-    assert stats["hits"] == 1 and stats["misses"] == 0
+    assert [s.name for s in tracer.spans(category="cache")] == ["cache.miss.li"]
+    second, failures, _, _ = _sweep_li()
+    assert not failures
+    assert [s.name for s in tracer.spans(category="cache")] == ["cache.miss.li", "cache.hit.li"]
+    assert first["li"]["ideal"].to_dict() == second["li"]["ideal"].to_dict()
 
 
 def test_run_sweep_grid_matches_sequential_simulation():

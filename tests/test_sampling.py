@@ -47,11 +47,11 @@ def test_default_plan_validates():
     [
         {"window": 0},
         {"warmup": -1},
-        {"warm": -1},
-        {"interval": 300},          # cannot fit warm + warmup + window
+        {"interval": 300},          # cannot fit warmup + window
         {"ci_target": 1.0},
         {"ci_target": -0.1},
         {"confidence": 0.4},
+        {"confidence": 1.0},
         {"min_windows": 1},
         {"max_windows": 1},         # < min_windows
         {"resamples": 1},

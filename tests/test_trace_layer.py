@@ -166,22 +166,6 @@ def test_repeat_after_cache_clear_is_a_disk_hit(emulations):
     assert trace_cache.stats()["hits"] == 1
 
 
-def test_preloaded_trace_wins_over_a_prefix(emulations):
-    """A ``--jobs`` worker already profiled its preloaded trace, so the
-    layer returns it rather than a prefix it would profile again."""
-    _collect(2_000)
-    shipped = _collect(1_000)
-    runner.clear_trace_cache()
-    runner.preload_trace(NAME, 1_000, ITERS, SKIP, "ref", shipped)
-    _collect(2_000)
-    collector = guestprof.start_guest_profile()
-    try:
-        assert _collect(1_000) is runner._preloaded[(NAME, 1_000, ITERS, SKIP, "ref")]
-    finally:
-        guestprof.end_guest_profile()
-    assert collector.benchmarks[NAME].retired == 0
-
-
 def test_guest_profile_matches_a_cold_shorter_collection():
     """Serving a prefix feeds the guest profile what collecting it would."""
 

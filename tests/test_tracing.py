@@ -26,7 +26,7 @@ from repro.experiments.supervisor import (
 )
 from repro.harness.faults import ProcessFaultPlan
 from repro.obs import tracing
-from repro.obs.events import CycleEvent, merge_chrome_traces, to_chrome_trace
+from repro.obs.events import CycleEvent, to_chrome_trace
 from repro.obs.tracing import Span, Tracer
 
 N = 1_200
@@ -221,62 +221,30 @@ def test_chrome_trace_flags_unfinished_spans_and_instants():
     assert doc["otherData"]["trace_id"] == tracer.trace_id
 
 
-def test_cycle_event_streams_merge_onto_distinct_pids():
-    """Satellite check: ``merge_chrome_traces`` gives each stream its own
-    pid while the single-stream form stays metadata-free (old format)."""
-    def stream():
-        return [
-            CycleEvent(kind="fetch", cycle=1, seq=1, pc=64, args={"mnemonic": "add"}),
-            CycleEvent(kind="commit", cycle=3, seq=1, pc=64,
-                       args={"complete": True, "mispredicted": False}),
-        ]
-
-    single = to_chrome_trace(stream())
-    assert all(e["ph"] != "M" for e in single["traceEvents"])
-    merged = merge_chrome_traces({"worker-1": stream(), "worker-2": stream()})
-    meta = {e["args"]["name"]: e["pid"] for e in merged["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "process_name"}
-    assert set(meta) == {"worker-1", "worker-2"}
-    slice_pids = {e["pid"] for e in merged["traceEvents"] if e["ph"] == "X"}
-    assert slice_pids == set(meta.values())
-    assert len(slice_pids) == 2
-
-
-def test_cpi_sample_counter_track_round_trips_through_merge(tmp_path):
-    """Satellite check: ``cpi_sample`` events survive the multi-process
-    merge as per-pid ``"C"`` counter events with their component series
-    intact, and the written file is byte-deterministic (sorted keys)."""
+def test_cpi_sample_counter_track_round_trips_through_chrome_trace(tmp_path):
+    """``cpi_sample`` events become ``"C"`` counter events with their
+    component series intact, and the written file is byte-deterministic
+    (sorted keys)."""
     from repro.obs.events import CPI_SAMPLE, write_chrome_trace
 
-    def stream(scale):
-        return [
-            CycleEvent(kind=CPI_SAMPLE, cycle=cycle, seq=0, pc=0,
-                       args={"base": scale * cycle, "memory": scale})
-            for cycle in (10, 20)
-        ]
-
-    merged = merge_chrome_traces({"worker-1": stream(1), "worker-2": stream(3)})
-    meta = {e["args"]["name"]: e["pid"] for e in merged["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "process_name"}
-    counters = [e for e in merged["traceEvents"] if e["ph"] == "C"]
-    assert len(counters) == 4
-    assert all(e["name"] == "cpi_stack" for e in counters)
-    by_pid = {}
-    for e in counters:
-        by_pid.setdefault(e["pid"], []).append(e)
-    assert set(by_pid) == set(meta.values())  # one track per process row
-    w2 = by_pid[meta["worker-2"]]
-    assert [e["args"] for e in w2] == [
-        {"base": 30, "memory": 3}, {"base": 60, "memory": 3}
+    events = [
+        CycleEvent(kind=CPI_SAMPLE, cycle=cycle, seq=0, pc=0,
+                   args={"base": 3 * cycle, "memory": 3})
+        for cycle in (10, 20)
+    ]
+    counters = [e for e in to_chrome_trace(events)["traceEvents"] if e["ph"] == "C"]
+    assert [(e["name"], e["ts"], e["args"]) for e in counters] == [
+        ("cpi_stack", 10, {"base": 30, "memory": 3}),
+        ("cpi_stack", 20, {"base": 60, "memory": 3}),
     ]
 
-    path = tmp_path / "merged.json"
-    write_chrome_trace(stream(1) + stream(3), path)
+    path = tmp_path / "events.json"
+    assert write_chrome_trace(events, path) == 2
     first = path.read_text()
-    write_chrome_trace(stream(1) + stream(3), path)
+    write_chrome_trace(events, path)
     assert path.read_text() == first
     reloaded = json.loads(first)
-    assert [e for e in reloaded["traceEvents"] if e["ph"] == "C"]
+    assert [e for e in reloaded["traceEvents"] if e["ph"] == "C"] == counters
     assert '"args": {"base"' in first  # keys serialized sorted
 
 
