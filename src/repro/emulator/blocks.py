@@ -153,7 +153,8 @@ JIT_LANE = 90
 
 
 def stats() -> dict:
-    """Process-wide block-engine counters (for manifests / metrics)."""
+    """Process-wide block-engine counters (the manifest's ``compiler``
+    block carries them as its ``stats``; see :func:`telemetry`)."""
     return dict(_STATS)
 
 
@@ -166,48 +167,6 @@ def reset_stats() -> None:
     for key in _STATS:
         _STATS[key] = 0.0 if key == "compile_seconds" else 0
     _COMPILE_EVENTS.clear()
-
-
-def publish_stats(registry) -> None:
-    """Export the engine counters as ``emu.blocks.*`` metrics."""
-    s = stats()
-    registry.counter("emu.blocks.compiled", help="blocks compiled").inc(s["blocks_compiled"])
-    registry.counter("emu.blocks.superblocks", help="superblocks among compiled").inc(
-        s["superblocks"]
-    )
-    registry.timer("emu.blocks.compile_wall", help="block compile wall time").add(
-        s["compile_seconds"]
-    )
-    registry.counter("emu.blocks.execs", help="compiled-block executions").inc(
-        s["block_execs"]
-    )
-    registry.counter("emu.blocks.insts", help="instructions retired in blocks").inc(
-        s["block_insts"]
-    )
-    registry.counter(
-        "emu.blocks.fallback_insts", help="instructions retired on fallback dispatch"
-    ).inc(s["fallback_insts"])
-    registry.counter("emu.blocks.replays", help="fault replays of compiled blocks").inc(
-        s["replays"]
-    )
-    registry.counter("emu.blocks.side_exits", help="early superblock exits").inc(
-        s["side_exits"]
-    )
-    registry.counter(
-        "emu.blocks.cache_binds", help="compiles served by the per-program code cache"
-    ).inc(s["cache_binds"])
-    registry.counter(
-        "emu.blocks.mem_run_sites", help="batched lw/sw runs in compiled blocks"
-    ).inc(s["mem_run_sites"])
-    registry.counter(
-        "emu.blocks.mem_run_words", help="words covered by batched lw/sw runs"
-    ).inc(s["mem_run_words"])
-    registry.gauge(
-        "emu.blocks.code_cache_programs", help="programs with live code caches"
-    ).set(len(_CODE_CACHE))
-    registry.gauge(
-        "emu.blocks.code_cache_entries", help="cached code objects (all programs)"
-    ).set(sum(len(c) for c in _CODE_CACHE.values()))
 
 
 def telemetry() -> dict | None:
@@ -1051,7 +1010,6 @@ __all__ = [
     "BlockEngine",
     "compile_events",
     "cross_check_blocks",
-    "publish_stats",
     "reset_stats",
     "stats",
     "telemetry",

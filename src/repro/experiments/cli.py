@@ -431,11 +431,6 @@ def _write_obs_outputs(args, session, argv, collector, tracer) -> None:
     from repro.harness.atomicio import atomic_write_text
     from repro.obs.manifest import build_manifest, write_bench_snapshot
 
-    compiler = blocks_mod.telemetry()
-    if compiler is not None:
-        # The blocks tier ran: export its counters as emu.blocks.*
-        # metrics alongside the manifest's compiler-telemetry section.
-        blocks_mod.publish_stats(session.registry)
     manifest = build_manifest(
         config={
             "experiment": args.experiment,
@@ -450,9 +445,7 @@ def _write_obs_outputs(args, session, argv, collector, tracer) -> None:
             "trace_cache": trace_cache.stats(),
             "jobs": args.jobs,
             "dispatch": default_dispatch(),
-            "dispatch_tiers": session.dispatch_tier_stats() or None,
-            "blocks": blocks_mod.stats() if default_dispatch() == "blocks" else None,
-            "compiler": compiler,
+            "compiler": blocks_mod.telemetry(),
             "timing": default_timing_mode(),
             "supervisor": supervisor_stats(),
             "tracing": tracer.stats() if tracer is not None else None,

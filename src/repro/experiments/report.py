@@ -587,8 +587,8 @@ def _compiler_telemetry(bench_dir: str | Path | None, warnings: list[str]) -> di
     manifests.  This process's live block-engine counters stay out: they
     include host compile seconds, and the report must be byte-identical
     across runs and dispatch tiers (they reach the CLI manifest's
-    ``compiler`` block and the ``emu.blocks.*`` metrics instead).  Empty
-    when no snapshot saw the blocks tier compile anything.
+    ``compiler`` block instead).  Empty when no snapshot saw the blocks
+    tier compile anything.
     """
     from repro.obs.manifest import load_bench_snapshot
 

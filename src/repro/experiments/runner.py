@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.context import current
 from repro.core.config import MachineConfig
-from repro.emulator.machine import default_dispatch
 from repro.emulator.trace import Trace
 from repro.experiments import trace_cache
 from repro.harness.watchdog import Watchdog
@@ -79,14 +78,13 @@ def _fetch(
     if trace_cache.enabled():
         program = workload.build(iters=iters, profile=profile)
         key = trace_cache.cache_key(name, max_steps, iters, skip, profile, program)
-        t0 = time.perf_counter()
         w0 = time.time()
         cached = trace_cache.load(name, key)
         if cached is not None:
             if gp is not None:
                 profile_from_records(cached, gp)
             if session is not None:
-                session.note_cache_hit(name, len(cached), time.perf_counter() - t0)
+                session.note_cache_hit(name, len(cached))
             if tracer is not None:
                 tracer.record(
                     f"cache.hit.{name}", category="cache",
@@ -100,14 +98,12 @@ def _fetch(
         if context.wall_timeout is not None
         else None
     )
-    t0 = time.perf_counter()
     w0 = time.time()
     trace = Trace.from_records(
         workload.trace(max_steps=max_steps, iters=iters, skip=skip, profile=profile, watchdog=watchdog)
     )
-    seconds = time.perf_counter() - t0
     if session is not None:
-        session.note_collection(name, len(trace), seconds, dispatch_mode=default_dispatch())
+        session.note_collection(name, len(trace))
     if tracer is not None:
         tracer.record(
             f"emulate.{name}", category="emulate",

@@ -8,8 +8,8 @@ sweep tolerates:
 * **dead workers** — each worker runs over its own pipe with a
   heartbeat; a SIGKILLed or hung worker is detected, its cell retried
   on a respawned worker (which inherits the same snapshot of the
-  parent's run context), and the respawn counted in
-  ``sweep.supervisor.*``;
+  parent's run context), and the respawn counted in the run
+  manifest's ``supervisor`` block;
 * **poison cells** — a cell that keeps failing is retried with
   exponential backoff plus seeded jitter and, past the retry budget,
   quarantined as a :class:`~repro.experiments.runner.FailureRecord`
@@ -51,6 +51,7 @@ from pathlib import Path
 from repro import context
 from repro.obs import tracing
 from repro.obs.tracing import traced
+from repro.experiments import trace_cache
 from repro.experiments.journal import (
     DONE,
     FAILED,
@@ -150,23 +151,6 @@ class SupervisorReport:
             "retry_storms": list(self.retry_storms),
         }
 
-    def publish(self, registry) -> None:
-        """Accumulate into a metrics registry under ``sweep.supervisor.*``."""
-        counters = (
-            ("cells_total", "sweep cells in the grid"),
-            ("cells_executed", "cells executed this run (not resumed)"),
-            ("resume_hits", "cells replayed from a resumed journal"),
-            ("respawns", "workers respawned after death or stall"),
-            ("retries", "cell retry dispatches"),
-            ("quarantined", "poison cells quarantined after exhausting retries"),
-            ("corrupt_results", "worker results rejected by checksum"),
-        )
-        for name, help in counters:
-            registry.counter(f"sweep.supervisor.{name}", help=help).inc(getattr(self, name))
-        registry.gauge(
-            "sweep.supervisor.resume_hit_rate", help="fraction of cells served by --resume"
-        ).set(self.resume_hit_rate)
-
     def render(self) -> str:
         extras = ""
         if self.stragglers:
@@ -236,13 +220,16 @@ def detect_stragglers(
 
 def _drain_aux(tracer):
     """Build one reply's aux payload: tracer spans plus the worker's
-    drained guest profile (shipped even when tracing is off)."""
-    aux = tracer.drain() if tracer is not None else None
+    drained guest profile and trace-cache counts (both shipped even
+    when tracing is off)."""
+    aux = tracer.drain() if tracer is not None else {}
     gp = context.current().collector
     if gp is not None and gp.benchmarks:
-        aux = dict(aux) if isinstance(aux, dict) else {}
         aux["guestprof"] = gp.drain()
-    return aux
+    cache_counts = trace_cache.take_counts()
+    if cache_counts is not None:
+        aux["trace_cache"] = cache_counts
+    return aux or None
 
 
 def _resolve(fn_name: str):
@@ -601,10 +588,12 @@ class SupervisedPool:
         aux = msg[5] if len(msg) > 5 else None
         if self.tracer is not None:
             self.tracer.ingest(aux)
-        if isinstance(aux, dict) and aux.get("guestprof") is not None:
+        if isinstance(aux, dict):
             gp = context.current().collector
-            if gp is not None:
+            if gp is not None and aux.get("guestprof") is not None:
                 gp.ingest(aux["guestprof"])
+            if aux.get("trace_cache") is not None:
+                trace_cache.add_counts(aux["trace_cache"])
         if kind == "error":
             error, message = msg[3], msg[4]
             if self.tracer is not None and span is not None:
@@ -1131,29 +1120,15 @@ def run_sweep(
     journal.flush()
     _last_report = report
     if session is not None:
-        from repro.emulator.machine import default_dispatch
-        from repro.timing.fastpath import default_timing_mode
-
         # Cells simulate inside workers (no session there), so the
         # orchestrator records them for the BENCH snapshot here —
         # executed cells with their dispatch-to-done wall time, resumed
-        # cells at zero wall (they cost one journal read).  Workers
-        # inherit the parent's environment, so the parent's tier
-        # switches name what actually ran.
-        mode = default_timing_mode()
-        dmode = default_dispatch()
+        # cells at zero wall (they cost one journal read).
         for cell in cells:
             stats = results.get(cell.key)
             if stats is not None:
                 session.current_benchmark = cell.benchmark
-                session.record_run(
-                    stats,
-                    cell_wall.get(cell.key, 0.0),
-                    timing_mode=mode,
-                    dispatch_mode=dmode,
-                )
-        report.publish(session.registry)
-        session.note_supervisor(report)
+                session.record_run(stats, cell_wall.get(cell.key, 0.0))
     if tracer is not None and root is not None:
         tracer.finish(
             root,

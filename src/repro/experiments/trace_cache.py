@@ -54,14 +54,14 @@ DEFAULT_DIR = "~/.cache/repro-traces"
 
 _DISABLING_VALUES = ("off", "0", "none", "disabled")
 
-#: Process-wide hit/miss counters (exported into run manifests).
-_hits = 0
-_misses = 0
-#: Entries that failed validation and were dropped.  Recovery is
+#: Process-wide hit/miss counters (exported into run manifests), plus
+#: entries that failed validation and were dropped.  Recovery is
 #: automatic (re-collect), but it must never be *silent*: a climbing
-#: count means disk trouble, and a user deserves to know their warm
-#: cache is quietly rotting.
-_corrupt_entries = 0
+#: ``corrupt_entries`` means disk trouble, and a user deserves to know
+#: their warm cache is quietly rotting.  A sweep worker ships its
+#: counts home with each reply (:func:`take_counts`), and the
+#: orchestrator adds them to its own (:func:`add_counts`).
+_counts = {"hits": 0, "misses": 0, "corrupt_entries": 0}
 
 
 def configure(directory: str | Path | None = None, enabled: bool | None = None) -> None:
@@ -133,36 +133,29 @@ def load(name: str, key: str):
     (best-effort) and the caller re-collects — degraded performance,
     never degraded correctness.  Counters update as a side effect.
     """
-    global _hits, _misses, _corrupt_entries
     if not enabled():
         return None
     path = entry_path(name, key)
     try:
         trace = load_trace(path)
     except FileNotFoundError:
-        _misses += 1
+        _counts["misses"] += 1
         return None
     except (TraceCorruption, OSError) as exc:
-        _misses += 1
-        _corrupt_entries += 1
+        _counts["misses"] += 1
+        _counts["corrupt_entries"] += 1
         print(
             f"[trace-cache] warning: dropped corrupt entry {path.name} "
             f"({type(exc).__name__}: {exc}); re-collecting {name}",
             file=sys.stderr,
             flush=True,
         )
-        session = current().session
-        if session is not None:
-            session.registry.counter(
-                "cache.corrupt_entries",
-                help="trace-cache entries dropped after failing validation",
-            ).inc()
         try:
             path.unlink()
         except OSError:
             pass
         return None
-    _hits += 1
+    _counts["hits"] += 1
     return trace
 
 
@@ -181,27 +174,35 @@ def store(name: str, key: str, trace) -> Path | None:
 
 def stats() -> dict:
     """Hit/miss counters plus the active configuration, for manifests."""
-    return {
-        "enabled": enabled(),
-        "dir": str(cache_dir()),
-        "hits": _hits,
-        "misses": _misses,
-        "corrupt_entries": _corrupt_entries,
-    }
+    return {"enabled": enabled(), "dir": str(cache_dir()), **_counts}
 
 
 def reset_stats() -> None:
     """Zero the hit/miss/corruption counters (tests, fresh sweeps)."""
-    global _hits, _misses, _corrupt_entries
-    _hits = 0
-    _misses = 0
-    _corrupt_entries = 0
+    for name in _counts:
+        _counts[name] = 0
+
+
+def take_counts() -> dict[str, int] | None:
+    """The counters since the last take, zeroed; ``None`` when all are 0."""
+    if not any(_counts.values()):
+        return None
+    taken = dict(_counts)
+    reset_stats()
+    return taken
+
+
+def add_counts(counts: dict[str, int]) -> None:
+    """Add another process's :func:`take_counts` to this one's counters."""
+    for name in _counts:
+        _counts[name] += counts.get(name, 0)
 
 
 __all__ = [
     "CACHE_SCHEMA",
     "DEFAULT_DIR",
     "ENV_VAR",
+    "add_counts",
     "cache_dir",
     "cache_key",
     "configure",
@@ -211,4 +212,5 @@ __all__ = [
     "reset_stats",
     "stats",
     "store",
+    "take_counts",
 ]

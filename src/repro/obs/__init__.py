@@ -4,8 +4,8 @@ The paper's claims are measurements; this package makes every run of
 the reproduction produce structured, diffable, provenance-stamped
 telemetry (see ``docs/observability.md``):
 
-* :mod:`repro.obs.registry` — hierarchical metrics registry (counters,
-  gauges, log2 histograms, timers) addressed by dotted name;
+* :mod:`repro.obs.registry` — hierarchical metrics registry (counters
+  and log2 histograms) addressed by dotted name;
 * :mod:`repro.obs.events` — bounded ring buffer of typed cycle events
   with JSONL and Chrome/Perfetto trace export;
 * :mod:`repro.obs.manifest` — run manifests (config, seed, git SHA,
@@ -52,14 +52,7 @@ from repro.obs.manifest import (
     validate_manifest,
     write_bench_snapshot,
 )
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-    validate_metrics_dump,
-)
+from repro.obs.registry import Counter, Histogram, MetricsRegistry, validate_metrics_dump
 from repro.obs.session import ObsSession, active_session, end_session, start_session
 from repro.obs.guestprof import (
     GuestProfileCollector,
@@ -76,13 +69,11 @@ __all__ = [
     "Counter",
     "CycleEvent",
     "EventTrace",
-    "Gauge",
     "GuestProfileCollector",
     "Histogram",
     "MetricsRegistry",
     "ObsSession",
     "Span",
-    "Timer",
     "Tracer",
     "active_collector",
     "active_session",

@@ -15,6 +15,7 @@ cannot be determined degrade to ``None`` rather than failing a run.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -153,13 +154,32 @@ def write_bench_snapshot(
     benchmarks: dict[str, dict],
     manifest: dict,
 ) -> Path:
-    """Atomically write ``BENCH_<run>.json`` into *directory*."""
+    """Atomically write ``BENCH_<run>.json`` into *directory*; returns its path.
+
+    An existing snapshot is never replaced: the name is reserved with an
+    exclusive create, and a taken name moves the run to the first free
+    ``<run>-<n>`` (``n`` from 2), so runs that end in the same second
+    keep one snapshot each.
+    """
     payload = bench_snapshot(run, benchmarks, manifest)
     validate_bench_snapshot(payload)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{run}.json"
-    atomic_write_json(path, payload)
+    name, n = run, 1
+    while True:
+        path = directory / f"BENCH_{name}.json"
+        try:
+            os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            break
+        except FileExistsError:
+            n += 1
+            name = f"{run}-{n}"
+    payload["run"] = name
+    try:
+        atomic_write_json(path, payload)
+    except BaseException:
+        path.unlink(missing_ok=True)  # free the reserved name
+        raise
     return path
 
 

@@ -1,29 +1,25 @@
 """Hierarchical metrics registry.
 
 Components register metrics by dotted name (``sim.l1d.hits``,
-``emulate.instructions``) into a :class:`MetricsRegistry`.  Four metric
-kinds cover every counter the repo produces:
+``emulate.instructions``) into a :class:`MetricsRegistry`.  Two metric
+kinds cover every count the repo produces:
 
 * :class:`Counter` — monotonically increasing event count;
-* :class:`Gauge` — last-written value (also the lazy/callback form, so a
-  live object can be observed with zero hot-loop overhead);
 * :class:`Histogram` — fixed log2 buckets (bucket *k* holds values
-  ``2**(k-1) < v <= 2**k``), the right shape for latencies and queue
-  depths that span orders of magnitude;
-* :class:`Timer` — accumulated wall seconds plus a call count.
+  ``2**(k-1) < v <= 2**k``), the right shape for sizes that span
+  orders of magnitude.
 
-The registry serializes to a flat, sorted, schema-validated dict (see
+Where the time went is the span tracer's job (:mod:`repro.obs.tracing`),
+and what ran is the run manifest's (:mod:`repro.obs.manifest`), so the
+registry holds neither clocks nor copies of manifest fields.  It
+serializes to a flat, sorted, schema-validated dict (see
 :data:`METRICS_DUMP_FORMAT` and :func:`validate_metrics_dump`) so dumps
-from different runs diff cleanly line-by-line.  Registries and dumps
-merge commutatively: counters/histograms/timers add, gauges last-write-
-win — the aggregation rule each kind's semantics require.
+from different runs diff cleanly line-by-line.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from collections.abc import Callable, Iterator
 
 #: Format tag embedded in every metrics dump.
 METRICS_DUMP_FORMAT = 1
@@ -31,7 +27,8 @@ METRICS_DUMP_FORMAT = 1
 #: Number of log2 buckets (covers values up to 2**62, plus overflow).
 HISTOGRAM_BUCKETS = 64
 
-_KINDS = ("counter", "gauge", "histogram", "timer")
+#: Metric kind → the fields its dump entry carries.
+_DUMP_FIELDS = {"counter": ("value",), "histogram": ("count", "total", "buckets")}
 
 
 class Counter:
@@ -50,36 +47,6 @@ class Counter:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "help": self.help, "value": self.value}
-
-    def merge_from(self, payload: dict) -> None:
-        self.value += payload["value"]
-
-
-class Gauge:
-    """Last-written value; optionally backed by a zero-cost callback."""
-
-    __slots__ = ("name", "help", "_value", "_fn")
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", fn: Callable[[], float] | None = None) -> None:
-        self.name = name
-        self.help = help
-        self._value = 0.0
-        self._fn = fn
-
-    def set(self, value: float) -> None:
-        self._value = value
-        self._fn = None
-
-    @property
-    def value(self) -> float:
-        return self._fn() if self._fn is not None else self._value
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "help": self.help, "value": self.value}
-
-    def merge_from(self, payload: dict) -> None:
-        self.set(payload["value"])  # last write wins
 
 
 class Histogram:
@@ -121,55 +88,6 @@ class Histogram:
             "buckets": self.nonzero_buckets(),
         }
 
-    def merge_from(self, payload: dict) -> None:
-        self.count += payload["count"]
-        self.total += payload["total"]
-        for key, c in payload["buckets"].items():
-            k = int(key.rsplit("**", 1)[1])
-            self.buckets[min(k, HISTOGRAM_BUCKETS - 1)] += c
-
-
-class Timer:
-    """Accumulated wall-clock seconds with a call count.
-
-    Usable as a context manager::
-
-        with registry.timer("sim.run"):
-            ...
-    """
-
-    __slots__ = ("name", "help", "seconds", "calls", "_t0")
-    kind = "timer"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.seconds = 0.0
-        self.calls = 0
-        self._t0 = None
-
-    def add(self, seconds: float, calls: int = 1) -> None:
-        self.seconds += seconds
-        self.calls += calls
-
-    def __enter__(self) -> "Timer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.add(time.perf_counter() - self._t0)
-        self._t0 = None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "help": self.help, "seconds": self.seconds, "calls": self.calls}
-
-    def merge_from(self, payload: dict) -> None:
-        self.seconds += payload["seconds"]
-        self.calls += payload["calls"]
-
-
-_METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram, "timer": Timer}
-
 
 def _check_name(name: str) -> None:
     if not name or any(not part for part in name.split(".")):
@@ -180,7 +98,7 @@ class MetricsRegistry:
     """Get-or-create store of metrics addressed by dotted name."""
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Counter | Gauge | Histogram | Timer] = {}
+        self._metrics: dict[str, Counter | Histogram] = {}
 
     def _get_or_create(self, cls, name: str, help: str):
         _check_name(name)
@@ -198,44 +116,11 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)
-
     def histogram(self, name: str, help: str = "") -> Histogram:
         return self._get_or_create(Histogram, name, help)
 
-    def timer(self, name: str, help: str = "") -> Timer:
-        return self._get_or_create(Timer, name, help)
-
-    def callback_gauge(self, name: str, fn: Callable[[], float], help: str = "") -> Gauge:
-        """A gauge whose value is read lazily from *fn* at export time —
-        the zero-overhead way to expose a live object's state."""
-        gauge = self.gauge(name, help)
-        gauge._fn = fn
-        return gauge
-
-    # ------------------------------------------------------------- access
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self) -> Iterator:
-        return iter(sorted(self._metrics.values(), key=lambda m: m.name))
-
     def get(self, name: str):
         return self._metrics.get(name)
-
-    def subtree(self, prefix: str) -> dict[str, object]:
-        """All metrics under ``prefix.`` (or the exact name), by name."""
-        dotted = prefix + "."
-        return {
-            name: m
-            for name, m in sorted(self._metrics.items())
-            if name == prefix or name.startswith(dotted)
-        }
 
     # ------------------------------------------------------------- export
 
@@ -246,33 +131,11 @@ class MetricsRegistry:
             "metrics": {name: m.to_dict() for name, m in sorted(self._metrics.items())},
         }
 
-    def flat(self) -> dict[str, float]:
-        """name → one representative scalar per metric (for quick diffs)."""
-        out: dict[str, float] = {}
-        for m in self:
-            if isinstance(m, Timer):
-                out[m.name] = m.seconds
-            elif isinstance(m, Histogram):
-                out[m.name] = m.count
-            else:
-                out[m.name] = m.value
-        return out
-
     def to_json(self, manifest: dict | None = None) -> str:
         payload = self.to_dict()
         if manifest is not None:
             payload["manifest"] = manifest
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    def merge_dump(self, dump: dict) -> None:
-        """Fold a :meth:`to_dict` payload into this registry."""
-        validate_metrics_dump(dump)
-        for name, payload in dump["metrics"].items():
-            metric = self._get_or_create(_METRIC_TYPES[payload["kind"]], name, payload.get("help", ""))
-            metric.merge_from(payload)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        self.merge_dump(other.to_dict())
 
 
 def validate_metrics_dump(payload: dict) -> None:
@@ -289,29 +152,21 @@ def validate_metrics_dump(payload: dict) -> None:
     metrics = payload.get("metrics")
     if not isinstance(metrics, dict):
         raise ValueError("metrics dump missing 'metrics' mapping")
-    required = {
-        "counter": ("value",),
-        "gauge": ("value",),
-        "histogram": ("count", "total", "buckets"),
-        "timer": ("seconds", "calls"),
-    }
     for name, entry in metrics.items():
         _check_name(name)
         kind = entry.get("kind")
-        if kind not in _KINDS:
+        if kind not in _DUMP_FIELDS:
             raise ValueError(f"metric {name!r}: unknown kind {kind!r}")
-        for field in required[kind]:
+        for field in _DUMP_FIELDS[kind]:
             if field not in entry:
                 raise ValueError(f"metric {name!r}: {kind} entry missing {field!r}")
 
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "HISTOGRAM_BUCKETS",
     "METRICS_DUMP_FORMAT",
     "MetricsRegistry",
-    "Timer",
     "validate_metrics_dump",
 ]

@@ -2,10 +2,10 @@
 
 The supervised sweep orchestrator (:mod:`repro.experiments.supervisor`)
 is a small distributed system — an orchestrator process, a pool of
-spawned workers, a crash-safe journal — and ``sweep.supervisor.*``
-counters alone cannot answer *where the time went*: which cells
-straggled, which workers died mid-cell, what a retry storm cost, what
-the trace cache actually saved.  This module is the span substrate that
+spawned workers, a crash-safe journal — and the run manifest's
+``supervisor`` counters alone cannot answer *where the time went*:
+which cells straggled, which workers died mid-cell, what a retry storm
+cost, what the trace cache actually saved.  This module is the span substrate that
 answers those questions, applying the uops.info discipline of
 measuring the measurement infrastructure itself:
 

@@ -69,6 +69,15 @@ CPI_COMPONENTS: tuple[str, ...] = (
     "cpi_slice_wait",
 )
 
+#: Bootstrap confidence level of every sampled interval.
+CONFIDENCE = 0.95
+
+#: Windows required before a CI check can stop a run (a CI needs variance).
+MIN_WINDOWS = 2
+
+#: Bootstrap resamples per CI evaluation.
+RESAMPLES = 200
+
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -91,11 +100,8 @@ class SamplingPlan:
     warmup: int = 200          #: detailed-simulated but unmeasured prefix
     interval: int = 20_000     #: systematic-sampling period
     ci_target: float = 0.0     #: relative CI half-width target (0 = fixed budget)
-    confidence: float = 0.95   #: bootstrap confidence level
-    min_windows: int = 2       #: windows required before a CI check can stop the run
     max_windows: int = 512     #: auto-extension cap
     seed: int = 2003           #: window-placement + bootstrap RNG seed
-    resamples: int = 200       #: bootstrap resample count
 
     def validate(self) -> "SamplingPlan":
         if self.window < 1:
@@ -109,21 +115,17 @@ class SamplingPlan:
             )
         if not 0.0 <= self.ci_target < 1.0:
             raise ValueError(f"ci_target must be in [0, 1), got {self.ci_target}")
-        if not 0.5 <= self.confidence < 1.0:
-            raise ValueError(f"confidence must be in [0.5, 1), got {self.confidence}")
-        if self.min_windows < 2:
-            raise ValueError("min_windows must be >= 2 (a CI needs variance)")
-        if self.max_windows < self.min_windows:
-            raise ValueError("max_windows must be >= min_windows")
-        if self.resamples < 2:
-            raise ValueError("resamples must be >= 2")
+        if self.max_windows < MIN_WINDOWS:
+            raise ValueError(f"max_windows must be >= {MIN_WINDOWS}")
         return self
 
     def canonical(self) -> str:
         """Deterministic identity string (journal cell-key component).
 
         ``warm=0`` names a trace-mode warming knob that no longer
-        exists; it stays so existing journals keep their cell keys.
+        exists, and ``conf``, ``min`` and ``resamples`` name what are
+        now module constants; they stay so existing journals keep
+        their cell keys.
         """
         return "|".join(
             (
@@ -132,11 +134,11 @@ class SamplingPlan:
                 "warm=0",
                 f"interval={self.interval}",
                 f"ci={self.ci_target!r}",
-                f"conf={self.confidence!r}",
-                f"min={self.min_windows}",
+                f"conf={CONFIDENCE!r}",
+                f"min={MIN_WINDOWS}",
                 f"max={self.max_windows}",
                 f"seed={self.seed}",
-                f"resamples={self.resamples}",
+                f"resamples={RESAMPLES}",
             )
         )
 
@@ -241,7 +243,7 @@ def bootstrap_cis(windows: list[SimStats], plan: SamplingPlan) -> dict:
     randrange = rng.randrange
     ipc_samples: list[float] = []
     comp_samples: dict[str, list[float]] = {c: [] for c in CPI_COMPONENTS}
-    for _ in range(plan.resamples):
+    for _ in range(RESAMPLES):
         idxs = [randrange(n) for _ in range(n)]
         ti = sum(insts[i] for i in idxs)
         tc = sum(cycles[i] for i in idxs)
@@ -250,9 +252,9 @@ def bootstrap_cis(windows: list[SimStats], plan: SamplingPlan) -> dict:
             for c in CPI_COMPONENTS:
                 vals = comps[c]
                 comp_samples[c].append(sum(vals[i] for i in idxs) / ti)
-    out["ipc_ci"] = _percentile_ci(ipc_samples, plan.confidence)
+    out["ipc_ci"] = _percentile_ci(ipc_samples, CONFIDENCE)
     out["cpi_ci"] = {
-        c: _percentile_ci(s, plan.confidence) if s else (0.0, 0.0)
+        c: _percentile_ci(s, CONFIDENCE) if s else (0.0, 0.0)
         for c, s in comp_samples.items()
     }
     lo, hi = out["ipc_ci"]
@@ -266,7 +268,9 @@ def _attach_extra(result: SamplingResult) -> None:
     ``extra`` rides bit-identically through the journal result store
     (:func:`repro.experiments.journal.stats_to_payload`), the
     supervised pool and the obs registry, so sampled cells need no new
-    serialization format anywhere downstream.
+    serialization format anywhere downstream: a sampled sweep's
+    metrics dump carries these as ``sim.extra.sampling.*``, and
+    sampling records no metric of its own.
     """
     plan = result.plan
     extra = result.stats.extra
@@ -276,7 +280,7 @@ def _attach_extra(result: SamplingResult) -> None:
     extra["sampling.interval"] = float(plan.interval)
     extra["sampling.seed"] = float(plan.seed)
     extra["sampling.ci_target"] = float(plan.ci_target)
-    extra["sampling.confidence"] = float(plan.confidence)
+    extra["sampling.confidence"] = float(CONFIDENCE)
     extra["sampling.instructions_skipped"] = float(result.skipped)
     extra["sampling.instructions_detail_warmup"] = float(result.detail_warmup)
     extra["sampling.instructions_measured"] = float(result.measured)
@@ -304,31 +308,6 @@ def stats_error_bars(stats: SimStats) -> tuple[float, float] | None:
     if lo is None or hi is None:
         return None
     return float(lo), float(hi)
-
-
-def _publish_session(result: SamplingResult) -> None:
-    """Accumulate ``sampling.*`` metrics into the active obs session."""
-    session = _run_context().session
-    if session is None:
-        return
-    reg = session.registry
-    reg.counter("sampling.windows", help="detailed measurement windows run").inc(
-        len(result.windows)
-    )
-    reg.counter(
-        "sampling.instructions_skipped", help="instructions fast-forwarded in run mode"
-    ).inc(result.skipped)
-    reg.counter(
-        "sampling.instructions_measured", help="instructions inside measured windows"
-    ).inc(result.measured)
-    reg.gauge(
-        "sampling.ci_rel_halfwidth", help="relative IPC CI half-width at run end"
-    ).set(result.rel_halfwidth if result.rel_halfwidth != float("inf") else -1.0)
-    hist = reg.histogram(
-        "sampling.ci_checks_windows", help="windows accumulated at each CI evaluation"
-    )
-    for n_windows, _half in result.trajectory:
-        hist.observe(n_windows)
 
 
 def sample_benchmark(
@@ -408,8 +387,6 @@ def sample_configs(
         watchdog.max_seconds += len(dropped) * watchdog.max_seconds / len(configs)
     for i in dropped:
         (results[i],) = _sample_group(name, [configs[i]], *args)
-    for result in results:
-        _publish_session(result)
     return results
 
 
@@ -476,7 +453,7 @@ def _sample_group(
 
     n_periods = min(max(1, budget // plan.interval), plan.max_windows)
     if plan.ci_target > 0.0:
-        n_periods = max(n_periods, plan.min_windows)
+        n_periods = max(n_periods, MIN_WINDOWS)
     slack = plan.interval - plan.warmup - plan.window
     # Stratified placement: each period's warmup+window span lands at a
     # seeded-uniform offset within the period instead of a fixed phase.
@@ -547,7 +524,7 @@ def _sample_group(
         if plan.ci_target > 0.0:
             # Auto-extension: keep adding windows (past the scheduled
             # budget if needed) until the CI target is met.
-            if len(result.windows) >= plan.min_windows:
+            if len(result.windows) >= MIN_WINDOWS:
                 cis = bootstrap_cis(result.windows, plan)
                 result.trajectory.append((len(result.windows), cis["rel_halfwidth"]))
                 if cis["rel_halfwidth"] <= plan.ci_target:

@@ -980,14 +980,7 @@ def _simulate(config, trace, max_instructions, warmup, watchdog, events, mode, s
     if key is not None and columns is None and not sim.front_end.hazards:
         shared[key] = sim.front_end
     if session is not None:
-        from repro.emulator.machine import default_dispatch
-
-        session.record_run(
-            stats,
-            time.perf_counter() - t0,
-            timing_mode=sim.mode,
-            dispatch_mode=default_dispatch(),
-        )
+        session.record_run(stats, time.perf_counter() - t0)
     return stats
 
 

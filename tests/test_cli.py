@@ -156,6 +156,21 @@ def test_observability_flags_emit_all_artifacts(tmp_path, capsys):
     names = dump["metrics"]
     assert names["sim.instructions"]["value"] > 0
     assert names["emulate.instructions"]["value"] > 0
+    # One copy of each fact: the dump counts work, spans time it and the
+    # manifest names what ran, so no clock, gauge or manifest copy here.
+    from repro.timing.stats import METRIC_CATALOG
+
+    expected = {metric: "counter" for metric, _help in METRIC_CATALOG.values()}
+    expected.update({
+        "emulate.collections": "counter",
+        "emulate.instructions": "counter",
+        "obs.events.dropped": "counter",
+        "obs.events.emitted": "counter",
+        "sim.run_instructions": "histogram",
+        "sim.runs": "counter",
+    })
+    assert {name: m["kind"] for name, m in names.items()} == expected
+    assert not {"blocks", "dispatch_tiers"} & set(dump["manifest"])
 
     assert validate_jsonl_file(events) > 0
     perfetto = events.with_suffix(".perfetto.json")
@@ -166,6 +181,7 @@ def test_observability_flags_emit_all_artifacts(tmp_path, capsys):
     assert len(snapshots) == 1
     payload = load_bench_snapshot(snapshots[0])
     li = payload["benchmarks"]["li"]
+    assert set(li) == {"ipc", "wall_seconds", "instructions", "runs", "instructions_per_second"}
     assert li["ipc"] and all(v > 0 for v in li["ipc"].values())
     assert li["instructions_per_second"] > 0
     assert payload["manifest"]["git_sha"] is None or len(payload["manifest"]["git_sha"]) == 40

@@ -29,19 +29,25 @@ from repro.obs.session import ObsSession, active_session, end_session, start_ses
 # ---------------------------------------------------------------- registry
 
 def test_counter_gauge_accumulate():
+    """Counters and histograms accumulate across get-or-create calls."""
     reg = MetricsRegistry()
     reg.counter("sim.loads").inc(3)
     reg.counter("sim.loads").inc(2)          # get-or-create: same metric
-    reg.gauge("sim.occupancy").set(7.5)
+    reg.histogram("sim.run_instructions").observe(1000)
+    reg.histogram("sim.run_instructions").observe(3000)
     assert reg.get("sim.loads").value == 5
-    assert reg.get("sim.occupancy").value == 7.5
+    assert reg.get("sim.run_instructions").count == 2
+    assert reg.get("sim.run_instructions").total == 4000
 
 
 def test_kind_conflict_rejected():
     reg = MetricsRegistry()
     reg.counter("a.b")
     with pytest.raises(TypeError):
-        reg.gauge("a.b")
+        reg.histogram("a.b")
+    reg.histogram("c.d")
+    with pytest.raises(TypeError):
+        reg.counter("c.d")
 
 
 def test_bad_names_rejected():
@@ -65,47 +71,17 @@ def test_histogram_log2_buckets():
     assert h.mean == pytest.approx(1010 / 6)
 
 
-def test_timer_context_manager():
-    reg = MetricsRegistry()
-    with reg.timer("phase"):
-        pass
-    t = reg.get("phase")
-    assert t.calls == 1 and t.seconds >= 0
-
-
-def test_callback_gauge_reads_live_object():
-    reg = MetricsRegistry()
-    state = {"v": 1}
-    reg.callback_gauge("live", lambda: state["v"])
-    assert reg.get("live").value == 1
-    state["v"] = 42
-    assert reg.to_dict()["metrics"]["live"]["value"] == 42
-
-
-def test_subtree_selects_prefix():
-    reg = MetricsRegistry()
-    reg.counter("sim.l1d.hits")
-    reg.counter("sim.l1d.misses")
-    reg.counter("emulate.instructions")
-    assert set(reg.subtree("sim.l1d")) == {"sim.l1d.hits", "sim.l1d.misses"}
-    assert set(reg.subtree("sim")) == {"sim.l1d.hits", "sim.l1d.misses"}
-
-
 def test_dump_roundtrip_and_merge():
+    """A dump survives JSON unchanged and validates."""
     a = MetricsRegistry()
     a.counter("c").inc(2)
     a.histogram("h").observe(5)
-    a.timer("t").add(0.5)
-    a.gauge("g").set(1.0)
-    dump = a.to_dict()
+    dump = json.loads(a.to_json())
     validate_metrics_dump(dump)
-    b = MetricsRegistry()
-    b.counter("c").inc(1)
-    b.merge_dump(dump)
-    assert b.get("c").value == 3
-    assert b.get("h").count == 1
-    assert b.get("t").seconds == pytest.approx(0.5)
-    assert b.get("g").value == 1.0
+    assert dump == a.to_dict()
+    assert dump["metrics"]["c"]["value"] == 2
+    assert dump["metrics"]["h"]["count"] == 1
+    assert dump["metrics"]["h"]["buckets"] == {"le_2**3": 1}
 
 
 def test_validate_metrics_dump_rejects_garbage():
@@ -115,6 +91,11 @@ def test_validate_metrics_dump_rejects_garbage():
         validate_metrics_dump({"format": 1, "metrics": {"x": {"kind": "nope"}}})
     with pytest.raises(ValueError):
         validate_metrics_dump({"format": 1, "metrics": {"x": {"kind": "counter"}}})
+    # Spans time a run and the manifest names what ran: no clocks or
+    # last-written values in a dump.
+    for kind, fields in (("timer", {"seconds": 1.0, "calls": 1}), ("gauge", {"value": 1.0})):
+        with pytest.raises(ValueError):
+            validate_metrics_dump({"format": 1, "metrics": {"x": {"kind": kind, **fields}}})
 
 
 # ------------------------------------------------------------------ events
@@ -195,6 +176,27 @@ def test_bench_snapshot_roundtrip(tmp_path):
     assert payload["totals"]["benchmarks"] == 1
 
 
+def test_bench_snapshot_never_replaces_an_existing_one(tmp_path):
+    """Two runs with one name (e.g. ending in the same second) into one
+    directory keep a snapshot each; a lone run's name is unchanged."""
+    manifest = build_manifest(config={}, argv=[])
+    paths = [
+        write_bench_snapshot(
+            tmp_path, "table1-20260101T000000Z",
+            {"li": {"ipc": {"ideal": ipc}, "wall_seconds": 1.0, "instructions_per_second": 1.0}},
+            manifest,
+        )
+        for ipc in (0.5, 0.7)
+    ]
+    assert [p.name for p in paths] == [
+        "BENCH_table1-20260101T000000Z.json", "BENCH_table1-20260101T000000Z-2.json"
+    ]
+    assert set(tmp_path.iterdir()) == set(paths)
+    payloads = [load_bench_snapshot(p) for p in paths]
+    assert [p["benchmarks"]["li"]["ipc"]["ideal"] for p in payloads] == [0.5, 0.7]
+    assert [p["run"] for p in payloads] == [p.name[len("BENCH_"):-len(".json")] for p in paths]
+
+
 def test_bench_snapshot_validation_rejects_missing_fields(tmp_path):
     manifest = build_manifest(config={}, argv=[])
     with pytest.raises(ValueError):
@@ -217,7 +219,7 @@ def test_session_aggregates_runs_into_bench_records():
     from repro.timing.stats import SimStats
 
     session = ObsSession()
-    session.note_collection("li", 5000, 0.5)
+    session.note_collection("li", 5000)
     stats = SimStats(config_name="baseline", instructions=1000, cycles=2000, loads=100)
     session.record_run(stats, 0.25)
     stats2 = SimStats(config_name="bitslice-2", instructions=1000, cycles=1500)
@@ -225,6 +227,8 @@ def test_session_aggregates_runs_into_bench_records():
     records = session.bench_records()
     assert set(records) == {"li"}
     li = records["li"]
+    # The manifest names the tiers that ran; a record does not repeat them.
+    assert set(li) == {"ipc", "wall_seconds", "instructions", "runs", "instructions_per_second"}
     assert li["ipc"] == {"baseline": 0.5, "bitslice-2": pytest.approx(1000 / 1500)}
     assert li["instructions"] == 2000
     assert li["instructions_per_second"] == pytest.approx(2000 / 0.5)
@@ -234,27 +238,12 @@ def test_session_aggregates_runs_into_bench_records():
     assert session.registry.get("emulate.instructions").value == 5000
 
 
-def test_bench_records_carry_mode_fields():
-    from repro.timing.stats import SimStats
-
-    session = ObsSession()
-    session.note_collection("li", 100, 0.1)
-    stats = SimStats(config_name="baseline", instructions=10, cycles=20)
-    session.record_run(stats, 0.1, timing_mode="fast", dispatch_mode="blocks")
-    rec = session.bench_records()["li"]
-    assert rec["timing_mode"] == "fast"
-    assert rec["dispatch_mode"] == "blocks"
-    # A second run under a different dispatch mode marks it mixed.
-    session.record_run(stats, 0.1, timing_mode="fast", dispatch_mode="fast")
-    assert session.bench_records()["li"]["dispatch_mode"] == "mixed"
-
-
 def test_session_heartbeat_emits_progress_lines():
     import io
 
     stream = io.StringIO()
     session = ObsSession(heartbeat_interval=0.0, stream=stream)
-    session.note_collection("li", 100, 0.1)
+    session.note_collection("li", 100)
     out = stream.getvalue()
     assert "[obs]" in out and "1 collections" in out
 

@@ -80,16 +80,23 @@ def test_workers_inherit_dispatch_mode(monkeypatch):
 def test_workers_inherit_cache_config(tmp_path):
     """A worker reads and writes the parent's trace cache: the first
     sweep's worker stores li's trace there, the second's reads it back
-    and ships its ``cache.hit.li`` span home."""
+    and ships its ``cache.hit.li`` span home.  Each worker's miss and
+    hit reach the orchestrator's ``trace_cache.stats()``, which the run
+    manifest reports."""
     trace_cache.configure(tmp_path, enabled=True)
     tracer = start_tracing()
     first, failures, _, _ = _sweep_li()
     assert not failures
     assert len(list(tmp_path.iterdir())) == 1  # worker wrote the entry
     assert [s.name for s in tracer.spans(category="cache")] == ["cache.miss.li"]
+    stats = trace_cache.stats()
+    assert (stats["hits"], stats["misses"], stats["corrupt_entries"]) == (0, 1, 0)
+    trace_cache.reset_stats()
     second, failures, _, _ = _sweep_li()
     assert not failures
     assert [s.name for s in tracer.spans(category="cache")] == ["cache.miss.li", "cache.hit.li"]
+    stats = trace_cache.stats()
+    assert (stats["hits"], stats["misses"], stats["corrupt_entries"]) == (1, 0, 0)
     assert first["li"]["ideal"].to_dict() == second["li"]["ideal"].to_dict()
 
 

@@ -50,11 +50,9 @@ def test_default_plan_validates():
         {"interval": 300},          # cannot fit warmup + window
         {"ci_target": 1.0},
         {"ci_target": -0.1},
-        {"confidence": 0.4},
-        {"confidence": 1.0},
-        {"min_windows": 1},
-        {"max_windows": 1},         # < min_windows
-        {"resamples": 1},
+        # < MIN_WINDOWS; the explicit id is the one this case had when
+        # confidence, min_windows and resamples were plan knobs.
+        pytest.param({"max_windows": 1}, id="overrides8"),
     ],
 )
 def test_plan_validation_rejects_bad_knobs(overrides):
@@ -66,7 +64,7 @@ def test_plan_canonical_is_a_full_identity():
     assert _plan().canonical() == _plan().canonical()
     base = _plan().canonical()
     for overrides in ({"window": 301}, {"interval": 2500}, {"seed": 99},
-                      {"ci_target": 0.05}, {"resamples": 300}):
+                      {"ci_target": 0.05}, {"max_windows": 100}):
         assert _plan(**overrides).canonical() != base
     assert _plan().with_seed(7) == _plan(seed=7)
 
@@ -365,7 +363,7 @@ def test_cell_key_includes_every_sampling_knob():
                                sampling=_plan().canonical())
     # Every knob is identity: any change re-keys the cell.
     for overrides in ({"seed": 7}, {"window": 301}, {"interval": 2500},
-                      {"ci_target": 0.05}, {"resamples": 300}):
+                      {"ci_target": 0.05}, {"max_windows": 100}):
         reseeded = cell_key("bzip", config, 1000, 200, 1, 0, "ref", "img",
                             sampling=_plan(**overrides).canonical())
         assert reseeded != sampled

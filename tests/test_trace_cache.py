@@ -90,19 +90,30 @@ def test_corruption_recovery_is_not_silent(cache, capsys):
     assert stats["corrupt_entries"] == 1 and stats["misses"] == 2
 
 
-def test_corruption_counter_reaches_obs_session(cache, capsys):
-    from repro.obs.session import end_session, start_session
+def test_corruption_counter_reaches_obs_session(tmp_path, monkeypatch, capsys):
+    """A dropped corrupt entry reaches the run manifest's ``trace_cache``
+    block, the one copy of the count a metrics dump carries."""
+    import json
 
-    _collect_fresh("li", 1_100)
-    (entry,) = list(cache.iterdir())
-    entry.write_bytes(b"garbage")
-    session = start_session()
+    from repro.experiments.cli import main
+
+    monkeypatch.delenv(trace_cache.ENV_VAR)
+    cache_dir = tmp_path / "cache"
+    argv = ["table1", "-n", "1000", "-b", "go", "--trace-cache", str(cache_dir)]
+    metrics = tmp_path / "m.json"
+    runner.clear_trace_cache()
     try:
-        _collect_fresh("li", 1_100)
-        value = session.registry.counter("cache.corrupt_entries").value
+        assert main(argv) == 0
+        (entry,) = list(cache_dir.iterdir())
+        entry.write_bytes(b"garbage")
+        runner.clear_trace_cache()
+        assert main([*argv, "--metrics-out", str(metrics), "--bench-dir", str(tmp_path)]) == 0
     finally:
-        end_session()
-    assert value == 1
+        runner.clear_trace_cache()
+    dump = json.loads(metrics.read_text())
+    block = dump["manifest"]["trace_cache"]
+    assert (block["corrupt_entries"], block["misses"], block["hits"]) == (1, 1, 0)
+    assert not [name for name in dump["metrics"] if "corrupt" in name]
 
 
 def test_garbage_entry_falls_back_to_recollection(cache):

@@ -74,11 +74,12 @@ def test_prefix_equals_a_fresh_shorter_collection(emulations):
     session = start_session()
     long = _collect(3_000)
     assert len(long) == 3_000 and len(emulations) == 1
-    stats, collections = trace_cache.stats(), session.collections
+    collections = session.registry.get("emulate.collections")
+    stats, count = trace_cache.stats(), collections.value
     short = _collect(1_700)
     assert len(emulations) == 1  # no Machine.trace
     assert trace_cache.stats() == stats
-    assert session.collections == collections and session.cache_hits == 0
+    assert collections.value == count == 1
     assert short == long[:1_700]
     end_session()
     assert short == _fresh(1_700)
