@@ -3,7 +3,10 @@
 Terminal-friendly renderings of the paper's figures: horizontal bar
 charts (the Figure 11 IPC bars, with the ideal machine drawn as a tick
 mark, matching the paper's thin ideal bars) and multi-series line plots
-(the Figure 6 detection curves).
+(the Figure 6 detection curves), plus the fixed-width tables, series
+and stacks (:func:`render_table`, :func:`render_series`,
+:func:`render_stack`) that the experiment modules' ``render()`` methods
+share.
 """
 
 from __future__ import annotations
@@ -102,3 +105,47 @@ def stacked_hbar(
         body = "".join(bar)[:width]
         lines.append(f"{label:<{label_w}} [{body:<{width}}] {total:.3f}")
     return "\n".join(lines)
+
+
+def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = "") -> str:
+    """Simple fixed-width table."""
+    cols = len(headers)
+    cells = [[_fmt(c) for c in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in cells:
+        for i in range(cols):
+            widths[i] = max(widths[i], len(row[i]))
+    sep = "-+-".join("-" * w for w in widths)
+    out = []
+    if title:
+        out.append(title)
+    out.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    out.append(sep)
+    for row in cells:
+        out.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(out)
+
+
+def render_series(name: str, points: Sequence[tuple[object, float]], fmt: str = "{:.3f}") -> str:
+    """One figure series as ``name: x=y`` pairs."""
+    body = "  ".join(f"{x}={fmt.format(y)}" for x, y in points)
+    return f"{name}: {body}"
+
+
+def render_stack(
+    title: str,
+    categories: Sequence[str],
+    per_x: dict[object, Sequence[float]],
+    fmt: str = "{:5.1%}",
+) -> str:
+    """A stacked-bar figure as text: one line per x value."""
+    out = [title, "  " + "  ".join(categories)]
+    for x, values in per_x.items():
+        out.append(f"{x!s:>6} " + "  ".join(fmt.format(v) for v in values))
+    return "\n".join(out)
+
+
+def _fmt(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    return str(value)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.core.config import MachineConfig, baseline_config, bitslice_config, describe, simple_pipeline_config
 from repro.emulator.machine import Machine
 from repro.isa.assembler import assemble
+from repro.obs.events import EventTrace
 from repro.obs.guestprof import suspended_guest_profile
 from repro.timing.pipeview import TimelineEvent, render_timeline
 from repro.timing.simulator import TimingSimulator
@@ -77,19 +78,24 @@ class Figure1Result:
 def run(window: int = 11) -> Figure1Result:
     """Regenerate Figure 1's three panels.
 
+    Each panel is one steady-state loop body near the end of the run,
+    and the simulators record cycle events only from its first
+    instruction on (:attr:`~repro.obs.events.EventTrace.first_seq`).
+
     The timing runs suspend the guest profile: the Figure 1 program is
     not a benchmark, and its cycles would otherwise land in the bucket
     of whichever benchmark began last.
     """
     trace = tuple(Machine(assemble(FIGURE1_SOURCE)).trace(3_000))
+    first_seq = max(0, len(trace) - window - 22) + 1
     panels: dict[str, tuple[MachineConfig, list[TimelineEvent]]] = {}
     ipcs: dict[str, float] = {}
     with suspended_guest_profile():
         for config in (baseline_config(), simple_pipeline_config(2), bitslice_config(2)):
-            sim = TimingSimulator(config, record_timeline=True)
+            events = EventTrace(capacity=None, first_seq=first_seq)
+            sim = TimingSimulator(config, record_timeline=True, events=events)
             stats = sim.run(iter(trace))
-            # One steady-state loop body near the end of the run.
-            start = max(0, len(sim.timeline) - window - 22)
-            panels[config.name] = (config, sim.timeline[start : start + window])
+            rows = [e for e in sim.timeline if e.seq < first_seq + window]
+            panels[config.name] = (config, rows)
             ipcs[config.name] = stats.ipc
     return Figure1Result(panels=panels, ipcs=ipcs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import CUMULATIVE_TECHNIQUES, baseline_config, cumulative_configs
-from repro.experiments.report import render_table
+from repro.experiments.ascii_plot import hbar_chart, render_table
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, collect_trace
 from repro.timing.simulator import simulate_configs
 from repro.timing.stats import SimStats
@@ -84,8 +84,6 @@ class Figure11Result:
     def render_chart(self) -> str:
         """Figure 11 as bar charts: full bit-slice IPC per benchmark,
         with the ideal machine drawn as the paper's thin tick bar."""
-        from repro.experiments.ascii_plot import hbar_chart
-
         parts = []
         for s in self.slice_counts:
             rows = [(name, self.ipc(name, s)) for name in self.ideal]

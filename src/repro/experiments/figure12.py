@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.core.config import CUMULATIVE_TECHNIQUES
 from repro.experiments import figure11
-from repro.experiments.report import render_table
+from repro.experiments.ascii_plot import render_table
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS
 from repro.workloads import BENCHMARK_NAMES
 

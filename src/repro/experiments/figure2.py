@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.characterization.lsq_char import LSQCharacterization
 from repro.characterization.vectorized import characterize_lsq_fast
-from repro.experiments.report import render_stack
+from repro.experiments.ascii_plot import render_stack
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, collect_trace
 from repro.lsq.disambiguation import LSDCategory
 

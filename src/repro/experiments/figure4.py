@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.characterization.tag_char import TagCharacterization
 from repro.characterization.vectorized import characterize_tags_fast
-from repro.experiments.report import render_stack
+from repro.experiments.ascii_plot import render_stack
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, collect_trace
 from repro.memsys.cache import CacheConfig
 from repro.memsys.partial_tag import PartialTagOutcome

@@ -15,7 +15,7 @@ from repro.characterization.branch_char import (
     average_detected_fraction,
     characterize_branches,
 )
-from repro.experiments.report import render_series, render_table
+from repro.experiments.ascii_plot import line_plot, render_series, render_table
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, collect_trace
 from repro.workloads import BENCHMARK_NAMES
 
@@ -84,8 +84,6 @@ class Figure6Result:
     def render_chart(self) -> str:
         """Figure 6 as a character-grid line plot (one series per
         benchmark, detection fraction vs. bits examined)."""
-        from repro.experiments.ascii_plot import line_plot
-
         series = {
             name: [(b, char.detected_fraction(b)) for b in self.bits]
             for name, char in self.curves.items()

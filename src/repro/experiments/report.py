@@ -1,18 +1,12 @@
-"""Experiment rendering and paper-fidelity regression reports.
+"""Paper-fidelity regression reports (``repro-report``).
 
-Two layers live here:
-
-* ASCII rendering helpers (:func:`render_table`, :func:`render_series`,
-  :func:`render_stack`) shared by the experiment modules' ``render()``
-  methods;
-* the ``repro-report`` fidelity reporter: :func:`run_fidelity`
-  regenerates Figures 1, 2, 4, 6, 11, 12 and Table 1 at a configurable
-  budget, scores each paper claim against a tolerance band
-  (:class:`FigureCheck`), decomposes the headline configurations into
-  CPI stacks, folds in run-over-run trend deltas from ``BENCH_*.json``
-  perf snapshots, and renders the whole thing as markdown or a
-  self-contained HTML page.  CI runs it after the perf-smoke job and
-  fails on out-of-tolerance figures.
+:func:`run_fidelity` regenerates Figures 1, 2, 4, 6, 11, 12 and Table 1
+at a configurable budget, scores each paper claim against a tolerance band
+(:class:`FigureCheck`), decomposes the headline configurations into CPI
+stacks, folds in run-over-run trend deltas from ``BENCH_*.json`` perf
+snapshots, and renders the whole thing as markdown or a self-contained
+HTML page.  CI runs it after the perf-smoke job and fails on
+out-of-tolerance figures.
 """
 
 from __future__ import annotations
@@ -23,53 +17,6 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-
-
-def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = "") -> str:
-    """Simple fixed-width table."""
-    cols = len(headers)
-    cells = [[_fmt(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i in range(cols):
-            widths[i] = max(widths[i], len(row[i]))
-    sep = "-+-".join("-" * w for w in widths)
-    out = []
-    if title:
-        out.append(title)
-    out.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    out.append(sep)
-    for row in cells:
-        out.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(out)
-
-
-def render_series(name: str, points: Sequence[tuple[object, float]], fmt: str = "{:.3f}") -> str:
-    """One figure series as ``name: x=y`` pairs."""
-    body = "  ".join(f"{x}={fmt.format(y)}" for x, y in points)
-    return f"{name}: {body}"
-
-
-def render_stack(
-    title: str,
-    categories: Sequence[str],
-    per_x: dict[object, Sequence[float]],
-    fmt: str = "{:5.1%}",
-) -> str:
-    """A stacked-bar figure as text: one line per x value."""
-    out = [title, "  " + "  ".join(categories)]
-    for x, values in per_x.items():
-        out.append(f"{x!s:>6} " + "  ".join(fmt.format(v) for v in values))
-    return "\n".join(out)
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
-
-
-# ===================================================== fidelity reporting
 
 #: Default budget for a fidelity run — big enough that every band below
 #: holds, small enough for CI (seconds per benchmark, not minutes).
@@ -520,7 +467,6 @@ def _campaign_health(bench_dir: str | Path | None, warnings: list[str]) -> dict:
     after crashes, and straggler / retry-storm flags.
     """
     from repro.experiments import trace_cache
-    from repro.experiments.supervisor import supervisor_stats
     from repro.obs.manifest import load_bench_snapshot
 
     health = {
@@ -534,7 +480,10 @@ def _campaign_health(bench_dir: str | Path | None, warnings: list[str]) -> dict:
         "snapshots_scanned": 0,
     }
     blocks = []
-    live = supervisor_stats()
+    # A process that never imported the supervisor ran no sweep, and a
+    # report should not pay the supervisor's import to learn that.
+    supervisor = sys.modules.get("repro.experiments.supervisor")
+    live = supervisor.supervisor_stats() if supervisor is not None else None
     if isinstance(live, dict):
         blocks.append(live)
     if bench_dir is not None and Path(bench_dir).is_dir():

@@ -25,7 +25,7 @@ from repro.core.config import (
     bitslice_config,
     simple_pipeline_config,
 )
-from repro.experiments.report import render_table
+from repro.experiments.ascii_plot import render_table
 from repro.experiments.runner import DEFAULT_WARMUP, FailureRecord
 from repro.experiments.supervisor import SupervisorPolicy, SupervisorReport, run_sweep
 from repro.timing.stats import SimStats

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import baseline_config
-from repro.experiments.report import render_table
+from repro.experiments.ascii_plot import render_table
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP, collect_trace
 from repro.timing.simulator import simulate
 from repro.workloads import BENCHMARK_NAMES

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.emulator.analysis import TraceProfile, profile_trace
-from repro.experiments.report import render_table
+from repro.experiments.ascii_plot import render_table
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, collect_trace
 from repro.workloads import BENCHMARK_NAMES
 

@@ -163,7 +163,7 @@ class CampaignReport:
         return out
 
     def render(self) -> str:
-        from repro.experiments.report import render_table
+        from repro.experiments.ascii_plot import render_table
 
         table = render_table(
             ["Fault kind", "Injected", "Detected", "Masked", "Silent"],

@@ -75,12 +75,20 @@ class EventTrace:
     *capacity* ``None`` records everything (the pipeline viewer's mode);
     an integer bounds memory and silently drops the oldest events,
     counted in :attr:`dropped`.
+
+    *first_seq* is the first dynamic sequence number whose events the
+    timing loops record: both skip every emission site of an older
+    instruction, so a pipeline viewer that shows one late window
+    (``record_timeline``, Figure 1) pays for events from that window on
+    only.  The stream is then exactly the full stream's events with
+    ``seq >= first_seq``.
     """
 
-    def __init__(self, capacity: int | None = DEFAULT_CAPACITY) -> None:
+    def __init__(self, capacity: int | None = DEFAULT_CAPACITY, first_seq: int = 1) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive or None (unbounded)")
         self.capacity = capacity
+        self.first_seq = first_seq
         self._events: deque[CycleEvent] = deque(maxlen=capacity)
         self.emitted = 0
 

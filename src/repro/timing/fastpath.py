@@ -19,9 +19,10 @@ in two:
   table (:func:`repro.timing.frontend.decode`, built once per trace) a
   **generated handler**: straight-line source from a template per
   instruction *shape* (op kind, slices, in-order or out-of-order slice
-  issue, source and destination counts, narrow-width and early-branch
-  flags), compiled once per process and bound to the simulator's
-  scoreboard slots, issue pools and pool dicts as closure variables.
+  issue, source and destination counts, the narrow-width flag),
+  compiled once per process and bound to the simulator's scoreboard
+  slots, issue pools, pool dicts and §5.3 early-branch flag as closure
+  variables.
   A handler takes a record's index, reads the trace columns it needs,
   and inlines per-slice operand readiness, the Figure 8 chain, each
   issue-slot reservation (:meth:`BandwidthPool.reserve`'s floor check,
@@ -128,7 +129,9 @@ class TimingDivergence(AssertionError):
 # feature flags it tests), never per register number.  A shape compiles
 # once per process into a factory; binding an instruction calls the
 # factory with its scoreboard slots, the issue pools and their dicts as
-# closure variables.
+# closure variables.  What costs a handler at most one test per call
+# (the early-branch flag) is a closure variable too, not a shape field:
+# each shape is a compile, and a report compiles every shape it meets.
 
 #: Handler factories compiled so far, by shape (see :func:`bind_plan`).
 _FACTORIES: dict[tuple, object] = {}
@@ -297,31 +300,31 @@ def _source(shape) -> str:
     elif kind == "sign":  # slt family and sign-testing branches: the top slice
         _slices(lines, OpClass.ARITH, width, False, nsrc, grows)
         resolve = "complete" if flags else "None"
-    elif kind == "zero":  # beq / bne, with §5.3 early resolution
-        in_order, early = flags
+    elif kind == "zero":  # beq / bne, with §5.3 early resolution if `early`
+        in_order = flags
         _slices(lines, OpClass.ZERO_TEST, width, in_order, nsrc, grows)
-        lines.append("resolve = complete")
+        pick = "per[diff[0]]" if in_order else "min([per[k] for k in diff])"
+        lines += [
+            "resolve = complete",
+            "if early:",
+            # The front end's gshare prediction, as the reference loop
+            # reads it before training.
+            "    predicted = out & 1 == 1",
+            "    if predicted != taken[i] and can_resolve_early(mnem, predicted):",
+            f"        diff = slices_containing_difference(rs_val[i], rt_val[i], {width})",
+            "        if diff:",
+            f"            per = ({', '.join(f'c{k}' for k in range(width))},)",
+            f"            resolve = {pick}",
+            "            if resolve < complete:",
+            "                stats = sim.stats",
+            "                stats.early_resolved_mispredicts += 1",
+            "                extra = stats.extra",
+            '                extra["early_branch_saved_cycles"] = (',
+            '                    extra.get("early_branch_saved_cycles", 0) + (complete - resolve)',
+            "                )",
+        ]
         resolve = "resolve"
-        if early:
-            pick = "per[diff[0]]" if in_order else "min([per[k] for k in diff])"
-            lines += [
-                # The front end's gshare prediction, as the reference
-                # loop reads it before training.
-                "predicted = out & 1 == 1",
-                "if predicted != taken[i] and can_resolve_early(mnem, predicted):",
-                f"    diff = slices_containing_difference(rs_val[i], rt_val[i], {width})",
-                "    if diff:",
-                f"        per = ({', '.join(f'c{k}' for k in range(width))},)",
-                f"        resolve = {pick}",
-                "        if resolve < complete:",
-                "            stats = sim.stats",
-                "            stats.early_resolved_mispredicts += 1",
-                "            extra = stats.extra",
-                '            extra["early_branch_saved_cycles"] = (',
-                '                extra.get("early_branch_saved_cycles", 0) + (complete - resolve)',
-                "            )",
-            ]
-            columns += ["taken", "rs_val", "rt_val"]
+        columns += ["taken", "rs_val", "rt_val"]
     elif kind == "load":
         _agen(lines, nsrc, width, grows)
         lines.append("complete, lsd, ptm, mem = load_tail(i, agen, dispatch, out)")
@@ -348,8 +351,8 @@ def _source(shape) -> str:
     lines.append(f"return complete, {times}, {resolve}, {claims}")
 
     out = [
-        "def factory(rr, s, d, t, p, u, W, lat, unit, load_tail, relax, sim, window, fwd,"
-        " Entry, mnem, trace):"
+        "def factory(rr, s, d, t, p, u, W, lat, unit, early, load_tail, relax, sim, window,"
+        " fwd, Entry, mnem, trace):"
     ]
     out += [f"    {column} = trace.{column}" for column in columns]
     for tup, names in (
@@ -446,12 +449,14 @@ def bind_plan(sim, info, load_tail, trace):
         if not sliced:
             kind, flags = "issue", (False, True)
         elif info.mnemonic in ("beq", "bne"):
-            kind, flags = "zero", (not sim.ooo_slices, sim.early_branch)
+            kind, flags = "zero", not sim.ooo_slices
         else:
             kind, flags = "sign", True
     else:  # j / jal; jr / jalr / syscall / break need whole registers
         kind, flags = "direct", klass is OpClass.JUMP
-    srcs, dsts = info.srcs, info.dsts
+    # A source-less op reads $zero, whose slots are always 0, and so
+    # shares the one-source shapes.
+    srcs, dsts = info.srcs or (0,), info.dsts
     pools = tuple(sim.issue_pools[:width])
     cfg = sim.config
     grows = cfg.ruu_size + PRUNE_KEEP <= PRUNE_ABOVE and cfg.frontend_depth >= cfg.dispatch_stage
@@ -465,6 +470,7 @@ def bind_plan(sim, info, load_tail, trace):
         cfg.issue_width,
         lat,
         unit,
+        sim.early_branch,
         load_tail,
         sim._relax_narrow,
         sim,
@@ -526,6 +532,7 @@ def _load_tail_for(sim, trace, columns, replaying):
     low_slice = (1 << slice_bits) - 1
     events = sim.events
     obs_on = sim._obs_enabled
+    first_seq = events.first_seq if obs_on else 0
     pcs = trace.pc
     addrs = trace.mem_addr
     l1_latency = cfg.l1_latency
@@ -615,7 +622,7 @@ def _load_tail_for(sim, trace, columns, replaying):
                         release = t
                 if release < full and early_helped:
                     stats.lsd_early_releases += 1
-                    if obs_on:
+                    if obs_on and sim.seq >= first_seq:
                         events.emit(
                             EARLY_RELEASE, release, sim.seq, pcs[i],
                             {"full_release": full},
@@ -634,7 +641,7 @@ def _load_tail_for(sim, trace, columns, replaying):
                     )
                     release = max(release, a_full) + replay
                     lsd = replay
-                    if obs_on:
+                    if obs_on and sim.seq >= first_seq:
                         events.emit(
                             REPLAY, release, sim.seq, pcs[i], {"reason": "spec_forward"}
                         )
@@ -656,7 +663,7 @@ def _load_tail_for(sim, trace, columns, replaying):
                     stats.ptm_early_hits += 1
                     return access_start + l1_latency, lsd, 0, 0
                 stats.ptm_way_mispredicts += 1
-                if obs_on:
+                if obs_on and sim.seq >= first_seq:
                     events.emit(
                         WAY_MISPREDICT, access_start + l1_latency, sim.seq, pcs[i],
                         {"addr": addr},
@@ -668,7 +675,7 @@ def _load_tail_for(sim, trace, columns, replaying):
             lat = latency[level]
             stats.l1d_misses += 1
             stats.load_replays += 1
-            if obs_on:
+            if obs_on and sim.seq >= first_seq:
                 events.emit(
                     REPLAY, access_start + lat, sim.seq, pcs[i], {"reason": "l1d_miss"}
                 )
@@ -688,7 +695,7 @@ def _load_tail_for(sim, trace, columns, replaying):
             return access_start + lat, lsd, 0, 0
         stats.l1d_misses += 1
         stats.load_replays += 1
-        if obs_on:
+        if obs_on and sim.seq >= first_seq:
             events.emit(
                 REPLAY, access_start + lat, sim.seq, pcs[i], {"reason": "l1d_miss"}
             )
@@ -730,7 +737,10 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
     gp = _run_context().collector
     prof: dict | None = {} if gp is not None else None
     obs_on = sim._obs_enabled
+    first_seq = ev.first_seq if obs_on else 0
     emit_text = sim._emit_text
+    if emit_text:
+        from repro.isa.disassembler import format_instruction
     if watchdog is not None:
         watchdog.start()
     trace = _take(trace, None if max_instructions is None else max_instructions + warmup)
@@ -922,13 +932,11 @@ def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
                 else:
                     stats.loads += 1
 
-            if obs_on:
+            if obs_on and seq >= first_seq:
                 pc = pcs[i]
                 inst = statics[s]
                 fetch_args: dict = {"mnemonic": inst.mnemonic}
                 if emit_text:
-                    from repro.isa.disassembler import format_instruction
-
                     fetch_args["text"] = format_instruction(inst, pc=pc)
                 ev.emit(FETCH, F, seq, pc, fetch_args)
                 ev.emit(DISPATCH, dispatch, seq, pc)

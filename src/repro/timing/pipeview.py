@@ -17,6 +17,12 @@ Usage::
     sim = TimingSimulator(bitslice_config(2), record_timeline=True)
     sim.run(trace, max_instructions=40)
     print(render_timeline(sim.timeline, limit=20))
+
+``record_timeline`` records every instruction unless *events* is given:
+with ``events=EventTrace(capacity=None, first_seq=N)`` both timing loops
+skip the emission sites of instructions numbered below ``N``, and the
+timeline starts at instruction ``N`` (Figure 1 records only the window
+it draws).
 """
 
 from __future__ import annotations

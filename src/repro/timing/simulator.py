@@ -106,7 +106,8 @@ class TimingSimulator:
         #: are all views over this one stream.  *record_timeline*
         #: captures every instruction (unbounded, with disassembled
         #: labels); an explicit *events* ring buffer bounds memory for
-        #: long sweeps.
+        #: long sweeps, and its ``first_seq`` skips the instructions
+        #: before a window.
         self._record_timeline = record_timeline
         if events is None and record_timeline:
             events = EventTrace(capacity=None)
@@ -383,7 +384,7 @@ class TimingSimulator:
                 release = t
         if release < full and early_helped:
             self.stats.lsd_early_releases += 1
-            if self._obs_enabled:
+            if self._obs_enabled and self.seq >= self.events.first_seq:
                 self.events.emit(
                     EARLY_RELEASE, release, self.seq, pc, {"full_release": full}
                 )
@@ -441,7 +442,7 @@ class TimingSimulator:
                 )
                 release = max(release, a_full) + cfg.replay_penalty
                 self._claim_lsd += cfg.replay_penalty
-                if self._obs_enabled:
+                if self._obs_enabled and self.seq >= self.events.first_seq:
                     self.events.emit(
                         REPLAY, release, self.seq, record.pc, {"reason": "spec_forward"}
                     )
@@ -471,7 +472,7 @@ class TimingSimulator:
                 # access repeats and mis-scheduled consumers replay.
                 stats.ptm_way_mispredicts += 1
                 self._claim_ptm += cfg.l1_latency + cfg.replay_penalty
-                if self._obs_enabled:
+                if self._obs_enabled and self.seq >= self.events.first_seq:
                     self.events.emit(
                         WAY_MISPREDICT,
                         access_start + cfg.l1_latency,
@@ -483,7 +484,7 @@ class TimingSimulator:
             stats.l1d_misses += 1
             stats.load_replays += 1
             self._claim_mem += (result.latency - cfg.l1_latency) + cfg.replay_penalty
-            if self._obs_enabled:
+            if self._obs_enabled and self.seq >= self.events.first_seq:
                 self.events.emit(
                     REPLAY, access_start + result.latency, self.seq, record.pc,
                     {"reason": "l1d_miss"},
@@ -508,7 +509,7 @@ class TimingSimulator:
         stats.l1d_misses += 1
         stats.load_replays += 1
         self._claim_mem += (result.latency - cfg.l1_latency) + cfg.replay_penalty
-        if self._obs_enabled:
+        if self._obs_enabled and self.seq >= self.events.first_seq:
             self.events.emit(
                 REPLAY, access_start + result.latency, self.seq, record.pc,
                 {"reason": "l1d_miss"},
@@ -561,6 +562,10 @@ class TimingSimulator:
         stats = self.stats
         S = self.num_slices
         ev = self.events  # hoisted: None when observability is off
+        first_seq = ev.first_seq if ev is not None else 0
+        emit_text = self._emit_text
+        if emit_text:
+            from repro.isa.disassembler import format_instruction
         gp = _run_context().collector
         # Per-PC CPI attribution (guest profiler): pc → component cycles,
         # filled from the same commit deltas the SimStats stack sees.
@@ -756,13 +761,11 @@ class TimingSimulator:
                 if len(self.store_window) > cfg.lsq_size:
                     self.store_window.popleft()
 
-            if ev is not None:
+            if ev is not None and self.seq >= first_seq:
                 pc = record.pc
                 seq = self.seq
                 fetch_args: dict = {"mnemonic": m}
-                if self._emit_text:
-                    from repro.isa.disassembler import format_instruction
-
+                if emit_text:
                     fetch_args["text"] = format_instruction(inst, pc=pc)
                 ev.emit(FETCH, F, seq, pc, fetch_args)
                 ev.emit(DISPATCH, dispatch, seq, pc)

@@ -1,9 +1,11 @@
 """Experiment layer: each table/figure regenerates at small scale."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments import figure2, figure4, figure6, figure11, figure12, table1
-from repro.experiments.report import render_series, render_stack, render_table
+from repro.experiments.ascii_plot import render_series, render_stack, render_table
 from repro.experiments.runner import collect_trace, sweep_configs
 from repro.core.config import baseline_config, simple_pipeline_config
 
@@ -111,3 +113,21 @@ def test_figure1_experiment():
     assert result.chain_span("simple-pipe-2") >= result.chain_span("ideal")
     assert "Figure 1" in result.render()
     assert len(result.rows()) == 3
+
+
+#: sha256 of Figure 1's rendered timelines: at the default window, and
+#: at ``window=8``.  The report digest pins only its IPCs and spans.
+FIGURE1_RENDER_SHA256 = {
+    None: "b40ffb07a6d59a956d4e133a4612090570151395a410aad2b3bc0f760ea5bfed",
+    8: "273fc4f2b466e83b83052f349bf4926372735dffe5378c03084ed86395e89315",
+}
+
+
+@pytest.mark.parametrize("mode", ["fast", "reference"])
+def test_figure1_render_is_pinned(mode, monkeypatch):
+    from repro.experiments import figure1
+
+    monkeypatch.setenv("REPRO_TIMING", mode)
+    for window, digest in FIGURE1_RENDER_SHA256.items():
+        result = figure1.run() if window is None else figure1.run(window=window)
+        assert hashlib.sha256(result.render().encode()).hexdigest() == digest, window

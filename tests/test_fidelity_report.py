@@ -15,6 +15,7 @@ from repro.experiments.report import (
     FigureCheck,
     PaperTarget,
     _bench_trend,
+    _campaign_health,
     _compiler_telemetry,
     main,
     run_fidelity,
@@ -187,6 +188,49 @@ def test_default_run_scans_no_snapshot_directory(tmp_path, monkeypatch):
     payload = json.loads(js.read_text())
     assert payload["trend"] == []
     assert payload["campaign"]["snapshots_scanned"] == 0
+
+
+def test_report_process_imports_no_supervisor():
+    """A report runs no sweep: a fresh interpreter that runs one loads
+    neither the sweep supervisor nor ``multiprocessing``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "from repro.experiments.report import run_fidelity\n"
+        "run_fidelity(('li',), 1500, warmup=500)\n"
+        "print(sorted(m for m in ('repro.experiments.supervisor', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
+
+
+def test_campaign_health_folds_in_a_live_supervisor_report(monkeypatch):
+    """In a process whose supervisor ran a sweep, its last report still
+    reaches the campaign counters."""
+    from repro.experiments import supervisor
+
+    report = supervisor.SupervisorReport(cells_total=4)
+    report.retries = 3
+    report.quarantined = 1
+    monkeypatch.setattr(supervisor, "_last_report", report)
+    warnings = []
+    health = _campaign_health(None, warnings)
+    assert health["supervisor_retries"] == 3
+    assert health["supervisor_quarantined"] == 1
+    assert health["snapshots_scanned"] == 0
+    assert not health["clean"]
+    assert any("quarantined" in w for w in warnings)
 
 
 def test_cli_writes_artifacts_and_gates(tmp_path, capsys):
