@@ -9,14 +9,23 @@ trace collection) reads it without a handle threaded through every
 experiment signature.  A recorder that is off is ``None``: its hooks
 cost one attribute check and the uninstrumented loops run unchanged.
 
+The context is also the one home of the process's work counters
+(:attr:`RunContext.counters`: trace-cache traffic, the block engine's,
+emulated collections) and of the last sweep's report.  The counters are
+cumulative for the life of the context; :meth:`RunContext.drain` takes
+what the process recorded since its last drain — finished spans,
+guest-profile buckets and the counters' growth — as one delta, and
+:meth:`RunContext.merge` folds a delta into another context.
+
 The CLI builds one context per run and activates it (:func:`activate`).
 A spawned sweep worker starts from ``import repro``, not from a copy
 of the parent's memory, so the supervised pool hands every worker,
 at first spawn and at every respawn, the same picklable
 :class:`Snapshot` of the parent's context, and the worker activates
-:meth:`Snapshot.restore`.  The tier switches (``REPRO_DISPATCH``,
-``REPRO_TIMING``) and ``REPRO_TRACE_CACHE`` need no slot: spawned
-workers inherit the parent's environment.
+:meth:`Snapshot.restore`.  Each reply carries the worker's drained
+delta, which the orchestrator merges.  The tier switches
+(``REPRO_DISPATCH``, ``REPRO_TIMING``) and ``REPRO_TRACE_CACHE`` need
+no slot: spawned workers inherit the parent's environment.
 
 The module imports nothing from the package at import time, so the
 emulator and timing layers read it without an import cycle.
@@ -47,6 +56,50 @@ class RunContext:
     #: the ``REPRO_TRACE_CACHE`` environment variable.
     cache_dir: Path | None = None
     cache_enabled: bool | None = None
+    #: Cumulative work counters by dotted name (``trace_cache.hits``,
+    #: ``compiler.blocks_compiled``, ``emulate.instructions``, ...).
+    counters: dict[str, float] = field(default_factory=dict)
+    #: The last sweep's :class:`~repro.experiments.supervisor.SupervisorReport`.
+    sweep_report: object = None
+    #: The counters as of the last :meth:`drain`.
+    _drained: dict[str, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def count(self, name: str, n: float = 1) -> None:
+        """Add *n* to counter *name* (a counter exists once it moved)."""
+        if n:
+            self.counters[name] = self.counters.get(name, 0) + n
+
+    def drain(self) -> dict:
+        """What this process recorded since its last drain, as one delta:
+        finished spans, guest-profile buckets and the counters' growth.
+        The spans and buckets leave with it; the counters stay
+        cumulative."""
+        delta = self.tracer.drain() if self.tracer is not None else {}
+        if self.collector is not None and self.collector.benchmarks:
+            delta["guestprof"] = self.collector.drain()
+        drained = self._drained
+        growth = {
+            name: value - drained.get(name, 0)
+            for name, value in self.counters.items()
+            if value != drained.get(name, 0)
+        }
+        if growth:
+            delta["counters"] = growth
+            self._drained = dict(self.counters)
+        return delta
+
+    def merge(self, delta: dict | None) -> None:
+        """Fold another process's :meth:`drain` into this context."""
+        if not delta:
+            return
+        if self.tracer is not None:
+            self.tracer.ingest(delta)
+        if self.collector is not None:
+            self.collector.ingest(delta.get("guestprof"))
+        for name, growth in delta.get("counters", {}).items():
+            self.count(name, growth)
 
     def snapshot(self) -> Snapshot:
         """The picklable state a spawned worker inherits."""
@@ -75,8 +128,8 @@ class Snapshot:
 
     def restore(self) -> RunContext:
         """A worker's context: the parent's knobs, plus a collector and
-        a tracer of its own, drained into every reply for the
-        orchestrator to merge."""
+        a tracer of its own and counters from zero, drained into every
+        reply for the orchestrator to merge."""
         from repro.obs.guestprof import GuestProfileCollector
         from repro.obs.tracing import Tracer, worker_process_label
 

@@ -125,26 +125,22 @@ _UNSUPPORTED = _kinds(SYSTEM)
 
 # ------------------------------------------------------------------- stats
 
-_STATS = {
-    "blocks_compiled": 0,
-    "superblocks": 0,
-    "compile_seconds": 0.0,
-    "block_execs": 0,
-    "block_insts": 0,
-    "fallback_insts": 0,
-    "replays": 0,
-    # JIT-tier telemetry (this PR): how the compiled tier behaved, not
-    # just how much it ran.
-    "side_exits": 0,       # compiled execs that left a superblock early
-    "cache_binds": 0,      # compile_block calls served by the code cache
-    "mem_run_sites": 0,    # batched lw/sw runs in compiled blocks (static)
-    "mem_run_words": 0,    # words covered by those runs (static)
-}
-
-#: Per-compile telemetry events (pc, shape, cost); bounded so a
-#: pathological workload cannot grow memory without bound.
-_COMPILE_EVENTS: list[dict] = []
-_COMPILE_EVENT_CAP = 4096
+#: Block-engine counters.  Each lives in the run context as
+#: ``compiler.<key>``: the engine counts at every compile, the machine's
+#: interpreter loop at every exit.
+_STAT_KEYS = (
+    "blocks_compiled",
+    "superblocks",
+    "compile_seconds",
+    "block_execs",
+    "block_insts",
+    "fallback_insts",
+    "replays",
+    "side_exits",      # compiled execs that left a superblock early
+    "cache_binds",     # compile_block calls served by the code cache
+    "mem_run_sites",   # batched lw/sw runs in compiled blocks (static)
+    "mem_run_words",   # words covered by those runs (static)
+)
 
 #: Span lane for JIT compile instants in the Perfetto timeline — far
 #: from the low lane numbers the sweep orchestrator assigns to cells,
@@ -153,74 +149,33 @@ JIT_LANE = 90
 
 
 def stats() -> dict:
-    """Process-wide block-engine counters (the manifest's ``compiler``
-    block carries them as its ``stats``; see :func:`telemetry`)."""
-    return dict(_STATS)
-
-
-def compile_events() -> list[dict]:
-    """Per-compile telemetry events recorded since the last reset."""
-    return [dict(e) for e in _COMPILE_EVENTS]
-
-
-def reset_stats() -> None:
-    for key in _STATS:
-        _STATS[key] = 0.0 if key == "compile_seconds" else 0
-    _COMPILE_EVENTS.clear()
+    """The block-engine counters of the run context (the manifest's
+    ``compiler`` block carries them as its ``stats``; see
+    :func:`telemetry`)."""
+    counters = _run_context().counters
+    return {
+        key: counters.get(f"compiler.{key}", 0.0 if key == "compile_seconds" else 0)
+        for key in _STAT_KEYS
+    }
 
 
 def telemetry() -> dict | None:
     """Manifest-ready "Compiler telemetry" block, or ``None``.
 
-    ``None`` when the blocks tier never compiled anything this process
+    ``None`` when the blocks tier never compiled anything in this run
     (e.g. a ``REPRO_DISPATCH=reference`` run) — manifests gate the
     section on data presence.
     """
-    if not _STATS["blocks_compiled"] and not _COMPILE_EVENTS:
-        return None
     s = stats()
+    if not s["blocks_compiled"]:
+        return None
     execs = s["block_execs"]
     total_insts = s["block_insts"] + s["fallback_insts"]
     return {
         "stats": s,
         "side_exit_rate": s["side_exits"] / execs if execs else 0.0,
         "block_inst_fraction": s["block_insts"] / total_insts if total_insts else 0.0,
-        "code_cache": {
-            "programs": len(_CODE_CACHE),
-            "entries": sum(len(c) for c in _CODE_CACHE.values()),
-        },
-        "compile_events": compile_events(),
     }
-
-
-def _note_compile(
-    pc: int, n_inst: int, superblock: bool, seconds: float, cache_hit: bool, variant: str
-) -> None:
-    """Record one compile/bind event and its Perfetto instant."""
-    if len(_COMPILE_EVENTS) < _COMPILE_EVENT_CAP:
-        _COMPILE_EVENTS.append(
-            {
-                "pc": pc,
-                "n_inst": n_inst,
-                "superblock": superblock,
-                "seconds": seconds,
-                "cache_hit": cache_hit,
-                "variant": variant,
-            }
-        )
-    tracer = _run_context().tracer
-    if tracer is not None:
-        tracer.mark(
-            f"jit.compile {pc:#x}",
-            category="jit",
-            lane=JIT_LANE,
-            pc=pc,
-            n_inst=n_inst,
-            superblock=superblock,
-            seconds=seconds,
-            cache_hit=cache_hit,
-            variant=variant,
-        )
 
 
 #: Per-program cache of compiled code objects, keyed ``id(program)``
@@ -278,18 +233,6 @@ class BlockEngine:
         self._compiled: dict[tuple, tuple | None] = {}
         self._extents: dict[int, _Block | None] = {}
         self._counted: set[int] = set()
-        # instance-local counters, folded into module _STATS by flush_stats()
-        self.compiled = 0
-        self.superblocks = 0
-        self.compile_seconds = 0.0
-        self.execs = 0
-        self.insts = 0
-        self.fallback = 0
-        self.replays = 0
-        self.side_exits = 0
-        self.cache_binds = 0
-        self.mem_run_sites = 0
-        self.mem_run_words = 0
 
         size = len(self.decoded)
         initial = max(1, self.threshold)
@@ -407,6 +350,7 @@ class BlockEngine:
         key = (index, variant)
         if key not in self._compiled:
             t0 = time.perf_counter()
+            context = _run_context()
             code_cache = _program_code_cache(self.m.program)
             cached = code_cache.get(key, False)
             from_code_cache = cached is not False
@@ -431,20 +375,24 @@ class BlockEngine:
                 n_inst, code, insts, unwind, superblock, sites, words = cached
                 entry = (n_inst, self._bind(code, insts, unwind))
                 if from_code_cache:
-                    self.cache_binds += 1
+                    context.count("compiler.cache_binds")
                 if index not in self._counted:  # once per block, not per variant
                     self._counted.add(index)
-                    self.compiled += 1
+                    context.count("compiler.blocks_compiled")
                     if superblock:
-                        self.superblocks += 1
-                    self.mem_run_sites += sites
-                    self.mem_run_words += words
+                        context.count("compiler.superblocks")
+                    context.count("compiler.mem_run_sites", sites)
+                    context.count("compiler.mem_run_words", words)
             seconds = time.perf_counter() - t0
-            self.compile_seconds += seconds
+            context.count("compiler.compile_seconds", seconds)
             self._compiled[key] = entry
-            if entry is not None:
-                _note_compile(
-                    pc=self.base + 4 * index,
+            if entry is not None and context.tracer is not None:
+                pc = self.base + 4 * index
+                context.tracer.mark(
+                    f"jit.compile {pc:#x}",
+                    category="jit",
+                    lane=JIT_LANE,
+                    pc=pc,
                     n_inst=entry[0],
                     superblock=superblock,
                     seconds=seconds,
@@ -917,7 +865,7 @@ class BlockEngine:
         disagreed with the handlers, which is a divergence, not a
         guest fault.
         """
-        self.replays += 1
+        _run_context().count("compiler.replays")
         tb = original.__traceback__
         while tb is not None and not tb.tb_frame.f_code.co_filename.startswith("<block:"):
             tb = tb.tb_next
@@ -942,31 +890,6 @@ class BlockEngine:
         raise DispatchDivergence(
             f"compiled block raised {original!r} but its faulting instruction did not"
         ) from original
-
-    def flush_stats(self) -> None:
-        """Fold instance counters into the module totals."""
-        _STATS["blocks_compiled"] += self.compiled
-        _STATS["superblocks"] += self.superblocks
-        _STATS["compile_seconds"] += self.compile_seconds
-        _STATS["block_execs"] += self.execs
-        _STATS["block_insts"] += self.insts
-        _STATS["fallback_insts"] += self.fallback
-        _STATS["replays"] += self.replays
-        _STATS["side_exits"] += self.side_exits
-        _STATS["cache_binds"] += self.cache_binds
-        _STATS["mem_run_sites"] += self.mem_run_sites
-        _STATS["mem_run_words"] += self.mem_run_words
-        self.compiled = 0
-        self.superblocks = 0
-        self.compile_seconds = 0.0
-        self.execs = 0
-        self.insts = 0
-        self.fallback = 0
-        self.replays = 0
-        self.side_exits = 0
-        self.cache_binds = 0
-        self.mem_run_sites = 0
-        self.mem_run_words = 0
 
 
 # ------------------------------------------------------------- cross-check
@@ -1008,9 +931,7 @@ def cross_check_blocks(program, max_steps: int = 100_000, threshold: int = 0):
 
 __all__ = [
     "BlockEngine",
-    "compile_events",
     "cross_check_blocks",
-    "reset_stats",
     "stats",
     "telemetry",
     "DEFAULT_THRESHOLD",

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 
+from repro.context import current as _run_context
 from repro.emulator import dispatch as _dispatch
 from repro.emulator.dispatch import bits_from_f32, f32_from_bits, to_signed
 from repro.emulator.memory import SparseMemory
@@ -665,11 +666,11 @@ class Machine:
                 if emit:
                     yield record
         finally:
-            eng.execs += execs
-            eng.insts += insts
-            eng.fallback += fallback
-            eng.side_exits += side_exits
-            eng.flush_stats()
+            context = _run_context()
+            context.count("compiler.block_execs", execs)
+            context.count("compiler.block_insts", insts)
+            context.count("compiler.fallback_insts", fallback)
+            context.count("compiler.side_exits", side_exits)
 
     def run(self, max_steps: int = 10_000_000, watchdog=None) -> int:
         """Run until halt or *max_steps*; returns instructions retired.

@@ -62,7 +62,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.context import RunContext, activate
+from repro.context import RunContext, activate, current
 from repro.experiments import figure1, figure2, figure4, figure6, figure11, figure12, table1, workload_table
 from repro.emulator.machine import default_dispatch
 from repro.timing.fastpath import default_timing_mode
@@ -355,14 +355,13 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=Path(args.trace_cache).expanduser() if args.trace_cache is not None else None,
         cache_enabled=False if args.no_trace_cache else None,
     ))
-    trace_cache.reset_stats()
     try:
         return _run_experiments(args, n, prof, benches, argv)
     finally:
-        # The run's recorders end here; its knobs stay set.  Guest
-        # profile first (the obs manifest summarizes it), then obs
-        # outputs (the manifest reads the tracer's stats), then the
-        # spans and the profile table.
+        # The run's recorders end here; its knobs, counters and sweep
+        # report stay set.  Guest profile first (the obs manifest
+        # summarizes it), then obs outputs (the manifest reads the
+        # tracer's stats), then the spans and the profile table.
         collector, session, tracer = context.collector, context.session, context.tracer
         context.collector = context.session = context.tracer = None
         if collector is not None:
@@ -426,28 +425,40 @@ def _write_obs_outputs(args, session, argv, collector, tracer) -> None:
     Perfetto), and the BENCH_<run> perf snapshot."""
     import time
 
-    from repro.emulator import blocks as blocks_mod
-    from repro.experiments.supervisor import supervisor_stats
+    from repro.emulator import blocks
     from repro.harness.atomicio import atomic_write_text
     from repro.obs.manifest import build_manifest, write_bench_snapshot
 
+    config = {
+        "experiment": args.experiment,
+        "instructions": args.instructions,
+        "input_profile": args.profile_input,
+        "benchmarks": list(args.benchmarks or ()),
+        "keep_going": args.keep_going,
+    }
+    plan = args.sampling_plan
+    if args.experiment == "sweep":
+        from repro.experiments.sweep import DEFAULT_CONFIGS
+
+        config["configs"] = list(args.configs or DEFAULT_CONFIGS)
+        if plan is not None:
+            config["sampling"] = plan.canonical()
+    if plan is not None:
+        seed = plan.seed
+    else:
+        seed = args.inject_seed if args.experiment == "inject" else None
+    report = current().sweep_report
     manifest = build_manifest(
-        config={
-            "experiment": args.experiment,
-            "instructions": args.instructions,
-            "input_profile": args.profile_input,
-            "benchmarks": list(args.benchmarks or ()),
-            "keep_going": args.keep_going,
-        },
-        seed=args.inject_seed,
+        config=config,
+        seed=seed,
         argv=list(argv) if argv is not None else None,
         extra={
             "trace_cache": trace_cache.stats(),
             "jobs": args.jobs,
             "dispatch": default_dispatch(),
-            "compiler": blocks_mod.telemetry(),
+            "compiler": blocks.telemetry(),
             "timing": default_timing_mode(),
-            "supervisor": supervisor_stats(),
+            "supervisor": report.to_dict() if report is not None else None,
             "tracing": tracer.stats() if tracer is not None else None,
             "guest_profile": _guest_profile_summary(collector),
         },

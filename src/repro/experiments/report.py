@@ -459,13 +459,14 @@ def _bench_trend(bench_dir: str | Path, warnings: list[str]) -> list[dict]:
 def _campaign_health(bench_dir: str | Path | None, warnings: list[str]) -> dict:
     """Data-integrity and orchestration-churn counters for the campaign.
 
-    Folds this process's live trace-cache / supervisor counters together
-    with the totals recorded in the scanned ``BENCH_*.json`` manifests,
-    so the fidelity score always ships with the health of the runs
-    behind it: corrupt cache entries that were dropped and re-emulated,
+    Folds the run context's trace-cache counters and last sweep report
+    together with the totals recorded in the scanned ``BENCH_*.json``
+    manifests, so the fidelity score always ships with the health of the
+    runs behind it: corrupt cache entries that were dropped and re-emulated,
     cells that needed retries or were quarantined, workers respawned
     after crashes, and straggler / retry-storm flags.
     """
+    from repro.context import current
     from repro.experiments import trace_cache
     from repro.obs.manifest import load_bench_snapshot
 
@@ -480,12 +481,9 @@ def _campaign_health(bench_dir: str | Path | None, warnings: list[str]) -> dict:
         "snapshots_scanned": 0,
     }
     blocks = []
-    # A process that never imported the supervisor ran no sweep, and a
-    # report should not pay the supervisor's import to learn that.
-    supervisor = sys.modules.get("repro.experiments.supervisor")
-    live = supervisor.supervisor_stats() if supervisor is not None else None
-    if isinstance(live, dict):
-        blocks.append(live)
+    live = current().sweep_report
+    if live is not None:
+        blocks.append(live.to_dict())
     if bench_dir is not None and Path(bench_dir).is_dir():
         for path in sorted(Path(bench_dir).glob("BENCH_*.json")):
             try:

@@ -67,7 +67,10 @@ def _fetch(
 ) -> Trace:
     """A trace the in-memory layer does not hold: from disk, or emulated.
 
-    Either is counted into an active guest profile once it is whole.
+    Either is counted into an active guest profile once it is whole, and
+    into the run context's counters: ``trace_cache.records`` for a disk
+    hit, ``emulate.instructions`` and ``emulate.collections`` for an
+    emulation.
     """
     context = current()
     workload = get_workload(name)
@@ -81,10 +84,11 @@ def _fetch(
         w0 = time.time()
         cached = trace_cache.load(name, key)
         if cached is not None:
+            context.count("trace_cache.records", len(cached))
             if gp is not None:
                 profile_from_records(cached, gp)
             if session is not None:
-                session.note_cache_hit(name, len(cached))
+                session.heartbeat(f"cache.hit.{name}")
             if tracer is not None:
                 tracer.record(
                     f"cache.hit.{name}", category="cache",
@@ -102,8 +106,10 @@ def _fetch(
     trace = Trace.from_records(
         workload.trace(max_steps=max_steps, iters=iters, skip=skip, profile=profile, watchdog=watchdog)
     )
+    context.count("emulate.instructions", len(trace))
+    context.count("emulate.collections")
     if session is not None:
-        session.note_collection(name, len(trace))
+        session.heartbeat(f"collect.{name}")
     if tracer is not None:
         tracer.record(
             f"emulate.{name}", category="emulate",
@@ -129,9 +135,8 @@ class _TraceLayer:
       deterministic, so the first *M* records of a longer collection are
       the *M*-record collection.
       Like a persistent-cache hit it counts the prefix into an active
-      guest profile, but it moves no cache or session counter.  A held
-      trace with fewer records than requested (the guest halted) is
-      never used.
+      guest profile, but it moves no counter.  A held trace with fewer
+      records than requested (the guest halted) is never used.
     * Anything else goes to :func:`_fetch`: the persistent cache, else
       emulation.
     """
@@ -289,9 +294,8 @@ def clear_trace_cache() -> None:
     """Drop cached traces and degradation state (tests, memory).
 
     Clears the in-memory layers only; the persistent on-disk cache is
-    content-addressed and needs no invalidation (its hit/miss counters
-    are reset so tests observe a clean slate).
+    content-addressed and needs no invalidation, and its hit/miss
+    counters, like every counter of the run context, stay cumulative.
     """
     _collect.cache_clear()
     current().budget_overrides.clear()
-    trace_cache.reset_stats()

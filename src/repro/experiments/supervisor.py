@@ -51,7 +51,6 @@ from pathlib import Path
 from repro import context
 from repro.obs import tracing
 from repro.obs.tracing import traced
-from repro.experiments import trace_cache
 from repro.experiments.journal import (
     DONE,
     FAILED,
@@ -167,23 +166,9 @@ class SupervisorReport:
         )
 
 
-#: Last completed sweep's report, exported into bench manifests the way
-#: :func:`repro.experiments.trace_cache.stats` is.
-_last_report: SupervisorReport | None = None
-
-
 def last_report() -> SupervisorReport | None:
-    return _last_report
-
-
-def supervisor_stats() -> dict | None:
-    """Manifest form of the last sweep's supervision counters."""
-    return _last_report.to_dict() if _last_report is not None else None
-
-
-def reset_stats() -> None:
-    global _last_report
-    _last_report = None
+    """The run context's last completed (or drained) sweep report."""
+    return context.current().sweep_report
 
 
 def detect_stragglers(
@@ -218,20 +203,6 @@ def detect_stragglers(
 # Worker process
 # --------------------------------------------------------------------------
 
-def _drain_aux(tracer):
-    """Build one reply's aux payload: tracer spans plus the worker's
-    drained guest profile and trace-cache counts (both shipped even
-    when tracing is off)."""
-    aux = tracer.drain() if tracer is not None else {}
-    gp = context.current().collector
-    if gp is not None and gp.benchmarks:
-        aux["guestprof"] = gp.drain()
-    cache_counts = trace_cache.take_counts()
-    if cache_counts is not None:
-        aux["trace_cache"] = cache_counts
-    return aux or None
-
-
 def _resolve(fn_name: str):
     """Import a ``module:function`` task executor inside a worker."""
     module, _, attr = fn_name.partition(":")
@@ -255,21 +226,23 @@ def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval, spawned_at)
     The worker runs under the run context its parent's *snapshot*
     restores (:class:`repro.context.Snapshot`).  When the parent traces,
     the worker's context holds a tracer of its own: each task adopts
-    the span context the orchestrator sent, executes under a
+    the span context the orchestrator sent and executes under a
     ``worker.execute`` span (instrumentation points deeper in the stack
-    — trace-cache hits, collection, simulation — nest under it), and
-    the finished spans ride back in the reply's ``aux`` slot for the
-    orchestrator to merge.  The first task's attempt span also holds a
+    — trace-cache hits, collection, simulation — nest under it).  Each
+    reply's last slot carries the context's drained delta (finished
+    spans, guest-profile buckets, counter growth) for the orchestrator
+    to merge.  The first task's attempt span also holds a
     ``worker.start`` span, from *spawned_at* (the orchestrator's clock
     at spawn) to the first receive: the worker's start-up, which the
     attempt waited for.  A SIGKILLed worker simply never ships its
-    spans — the orchestrator's attempt span records the loss.
+    last delta — the orchestrator's attempt span records the loss.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except ValueError:  # pragma: no cover - non-main-thread embedding
         pass
-    tracer = context.activate(snapshot.restore()).tracer
+    run_context = context.activate(snapshot.restore())
+    tracer = run_context.tracer
     threading.Thread(
         target=_heartbeat_loop, args=(hb, heartbeat_interval), daemon=True
     ).start()
@@ -307,12 +280,10 @@ def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval, spawned_at)
         except Exception as exc:
             if task_span is not None:
                 tracer.finish(task_span, status=tracing.ERROR, error=type(exc).__name__)
-            aux = _drain_aux(tracer)
-            reply = ("error", task_id, attempt, type(exc).__name__, str(exc), aux)
+            reply = ("error", task_id, attempt, type(exc).__name__, str(exc))
         else:
             if task_span is not None:
                 tracer.finish(task_span)
-            aux = _drain_aux(tracer)
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             digest = hashlib.sha256(blob).hexdigest()
             if fault == "corrupt":
@@ -320,9 +291,9 @@ def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval, spawned_at)
                 corrupted = bytearray(blob)
                 corrupted[offset] ^= mask
                 blob = bytes(corrupted)
-            reply = ("ok", task_id, attempt, blob, digest, aux)
+            reply = ("ok", task_id, attempt, blob, digest)
         try:
-            conn.send(reply)
+            conn.send((*reply, run_context.drain()))
         except (BrokenPipeError, OSError):
             # The parent is gone (e.g. the orchestrator itself was
             # SIGKILLed under chaos); exit quietly — the journal makes
@@ -401,7 +372,8 @@ class SupervisedPool:
             outcomes = pool.run(tasks, on_event=...)
 
     Every worker runs under the snapshot of the run context
-    (:mod:`repro.context`) taken when the pool is built.
+    (:mod:`repro.context`) taken when the pool is built, and every
+    reply's telemetry delta merges back into that context.
 
     ``on_event(kind, task, info)`` observes the lifecycle —
     ``dispatch`` (info: attempt), ``done`` (info: value), ``retry``
@@ -420,9 +392,10 @@ class SupervisedPool:
         self.policy = policy or SupervisorPolicy()
         # One snapshot for every spawn and respawn, so a replacement
         # worker is indistinguishable from the one it replaces.
-        self.snapshot = context.current().snapshot()
+        self.context = context.current()
+        self.snapshot = self.context.snapshot()
         self.fault_plan = fault_plan
-        self.tracer = context.current().tracer
+        self.tracer = self.context.tracer
         self._ctx = get_context(_MP_CONTEXT)
         self._workers: list[_Worker] = []
         self._next_lane = 0
@@ -585,15 +558,7 @@ class SupervisedPool:
         kind = msg[0]
         if state is None or msg[1] != state.task.id:  # pragma: no cover - protocol guard
             return
-        aux = msg[5] if len(msg) > 5 else None
-        if self.tracer is not None:
-            self.tracer.ingest(aux)
-        if isinstance(aux, dict):
-            gp = context.current().collector
-            if gp is not None and aux.get("guestprof") is not None:
-                gp.ingest(aux["guestprof"])
-            if aux.get("trace_cache") is not None:
-                trace_cache.add_counts(aux["trace_cache"])
+        self.context.merge(msg[5])
         if kind == "error":
             error, message = msg[3], msg[4]
             if self.tracer is not None and span is not None:
@@ -843,14 +808,14 @@ def run_sweep(
     :class:`~repro.experiments.progress.SweepProgress`) drives the
     ``--live`` status line from the same event stream.
     """
-    global _last_report
     from repro.experiments import runner
     from repro.experiments.runner import FailureRecord
     from repro.workloads import get_workload
 
     policy = policy or SupervisorPolicy()
     names, configs = list(names), list(configs)
-    tracer, session = context.current().tracer, context.current().session
+    run_context = context.current()
+    tracer, session = run_context.tracer, run_context.session
     root = None
     if tracer is not None:
         root = tracer.begin(
@@ -1071,7 +1036,7 @@ def run_sweep(
             report.drained = True
             journal.summary = report.to_dict()
             journal.flush()
-            _last_report = report
+            run_context.sweep_report = report
             if tracer is not None and root is not None:
                 tracer.finish(root, status=tracing.ERROR, error="Drained")
             raise
@@ -1118,7 +1083,7 @@ def run_sweep(
 
     journal.summary = report.to_dict()
     journal.flush()
-    _last_report = report
+    run_context.sweep_report = report
     if session is not None:
         # Cells simulate inside workers (no session there), so the
         # orchestrator records them for the BENCH snapshot here —
@@ -1151,7 +1116,5 @@ __all__ = [
     "TaskOutcome",
     "detect_stragglers",
     "last_report",
-    "reset_stats",
     "run_sweep",
-    "supervisor_stats",
 ]

@@ -54,14 +54,14 @@ DEFAULT_DIR = "~/.cache/repro-traces"
 
 _DISABLING_VALUES = ("off", "0", "none", "disabled")
 
-#: Process-wide hit/miss counters (exported into run manifests), plus
-#: entries that failed validation and were dropped.  Recovery is
-#: automatic (re-collect), but it must never be *silent*: a climbing
+#: Hit/miss counters (exported into run manifests), plus entries that
+#: failed validation and were dropped.  Recovery is automatic
+#: (re-collect), but it must never be *silent*: a climbing
 #: ``corrupt_entries`` means disk trouble, and a user deserves to know
-#: their warm cache is quietly rotting.  A sweep worker ships its
-#: counts home with each reply (:func:`take_counts`), and the
-#: orchestrator adds them to its own (:func:`add_counts`).
-_counts = {"hits": 0, "misses": 0, "corrupt_entries": 0}
+#: their warm cache is quietly rotting.  Each counts into the run
+#: context as ``trace_cache.<name>``, which carries a sweep worker's
+#: counts home with each reply.
+_COUNTERS = ("hits", "misses", "corrupt_entries")
 
 
 def configure(directory: str | Path | None = None, enabled: bool | None = None) -> None:
@@ -135,15 +135,16 @@ def load(name: str, key: str):
     """
     if not enabled():
         return None
+    context = current()
     path = entry_path(name, key)
     try:
         trace = load_trace(path)
     except FileNotFoundError:
-        _counts["misses"] += 1
+        context.count("trace_cache.misses")
         return None
     except (TraceCorruption, OSError) as exc:
-        _counts["misses"] += 1
-        _counts["corrupt_entries"] += 1
+        context.count("trace_cache.misses")
+        context.count("trace_cache.corrupt_entries")
         print(
             f"[trace-cache] warning: dropped corrupt entry {path.name} "
             f"({type(exc).__name__}: {exc}); re-collecting {name}",
@@ -155,7 +156,7 @@ def load(name: str, key: str):
         except OSError:
             pass
         return None
-    _counts["hits"] += 1
+    context.count("trace_cache.hits")
     return trace
 
 
@@ -174,43 +175,24 @@ def store(name: str, key: str, trace) -> Path | None:
 
 def stats() -> dict:
     """Hit/miss counters plus the active configuration, for manifests."""
-    return {"enabled": enabled(), "dir": str(cache_dir()), **_counts}
-
-
-def reset_stats() -> None:
-    """Zero the hit/miss/corruption counters (tests, fresh sweeps)."""
-    for name in _counts:
-        _counts[name] = 0
-
-
-def take_counts() -> dict[str, int] | None:
-    """The counters since the last take, zeroed; ``None`` when all are 0."""
-    if not any(_counts.values()):
-        return None
-    taken = dict(_counts)
-    reset_stats()
-    return taken
-
-
-def add_counts(counts: dict[str, int]) -> None:
-    """Add another process's :func:`take_counts` to this one's counters."""
-    for name in _counts:
-        _counts[name] += counts.get(name, 0)
+    counters = current().counters
+    return {
+        "enabled": enabled(),
+        "dir": str(cache_dir()),
+        **{name: counters.get(f"trace_cache.{name}", 0) for name in _COUNTERS},
+    }
 
 
 __all__ = [
     "CACHE_SCHEMA",
     "DEFAULT_DIR",
     "ENV_VAR",
-    "add_counts",
     "cache_dir",
     "cache_key",
     "configure",
     "enabled",
     "entry_path",
     "load",
-    "reset_stats",
     "stats",
     "store",
-    "take_counts",
 ]

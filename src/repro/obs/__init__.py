@@ -21,8 +21,9 @@ telemetry (see ``docs/observability.md``):
   of the guest programs (``--guest-profile``).
 
 The session, the tracer and the guest-profile collector of a run live
-in its run context (:mod:`repro.context`), which sweep workers inherit
-as one snapshot.
+in its run context (:mod:`repro.context`) beside the run's counters;
+sweep workers inherit one snapshot of it and send one drained delta
+home with each reply.
 """
 
 from repro.obs.events import (

@@ -4,15 +4,18 @@ One :class:`ObsSession` ties the metrics registry and the cycle-event
 trace to a single run of the CLI, and collects the per-run records
 behind the ``BENCH_<run>.json`` perf snapshot.  It lives in the run
 context (:mod:`repro.context`), so instrumentation points deep in the
-stack — ``simulate()``, trace collection — report without a handle
-threaded through every experiment signature; when no session is active
-every hook is a single ``None`` check, keeping the uninstrumented hot
-path unchanged.  The registry counts work (collections, records,
-simulations, the timing model's counters); where the time went is the
-span tracer's job (:mod:`repro.obs.tracing`, ``--profile``), and what
-ran — tiers, trace cache, supervision — is the run manifest's.  The
-one time the session keeps is each run's wall seconds, which the
-snapshot's ``instructions_per_second`` divides by.
+stack — ``simulate()`` — report without a handle threaded through
+every experiment signature; when no session is active every hook is a
+single ``None`` check, keeping the uninstrumented hot path unchanged.
+The session records only what it alone sees: each timing run (the
+``sim.*`` metrics) and the cycle-event ring.  Collections are counted
+by the run context (:attr:`repro.context.RunContext.counters`), which
+also gathers a sweep's workers, and the dump renders them
+(:data:`CONTEXT_METRICS`).  Where the time went is the span tracer's job
+(:mod:`repro.obs.tracing`, ``--profile``), and what ran — tiers, trace
+cache, supervision — is the run manifest's.  The one time the session
+keeps is each run's wall seconds, which the snapshot's
+``instructions_per_second`` divides by.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ from dataclasses import dataclass
 from repro.context import current
 from repro.obs.events import DEFAULT_CAPACITY, EventTrace
 from repro.obs.registry import MetricsRegistry
+
+#: Run-context counters the metrics dump renders, with their help text.
+CONTEXT_METRICS = {
+    "emulate.instructions": "emulated trace records",
+    "emulate.collections": "trace collections",
+    "trace_cache.records": "trace records served from cache",
+}
 
 
 @dataclass(frozen=True)
@@ -57,21 +67,6 @@ class ObsSession:
         self._last_beat = self._t0
 
     # ------------------------------------------------------------- hooks
-
-    def note_collection(self, benchmark: str, records: int) -> None:
-        """Called after one emulator trace collection."""
-        self.current_benchmark = benchmark
-        self.registry.counter("emulate.instructions", help="emulated trace records").inc(records)
-        self.registry.counter("emulate.collections", help="trace collections").inc()
-        self.heartbeat(f"collect.{benchmark}")
-
-    def note_cache_hit(self, benchmark: str, records: int) -> None:
-        """Called when a collection is served by the persistent cache."""
-        self.current_benchmark = benchmark
-        self.registry.counter(
-            "trace_cache.records", help="trace records served from cache"
-        ).inc(records)
-        self.heartbeat(f"cache.hit.{benchmark}")
 
     def note_sweep_progress(
         self, done: int, total: int, failed: int = 0, in_flight: int = 0
@@ -118,10 +113,9 @@ class ObsSession:
             return
         self._last_beat = now
         elapsed = now - self._t0
-        collections = self.registry.get("emulate.collections")
+        collections = current().counters.get("emulate.collections", 0)
         print(
-            f"[obs] {elapsed:.1f}s elapsed — "
-            f"{collections.value if collections is not None else 0} collections, "
+            f"[obs] {elapsed:.1f}s elapsed — {collections} collections, "
             f"{len(self.runs)} simulations{f', last {last}' if last else ''}",
             file=self.stream,
             flush=True,
@@ -148,7 +142,12 @@ class ObsSession:
         return out
 
     def finalize_registry(self) -> MetricsRegistry:
-        """Add the session's event counts; return the registry."""
+        """Add the run context's collection counts and the session's
+        event counts; return the registry."""
+        counters = current().counters
+        for name, help in CONTEXT_METRICS.items():
+            if name in counters:
+                self.registry.counter(name, help=help).inc(counters[name])
         if self.events is not None:
             self.registry.counter("obs.events.emitted", help="cycle events emitted").inc(
                 self.events.emitted

@@ -11,35 +11,30 @@ from __future__ import annotations
 import pytest
 
 from repro import context
-from repro.emulator import blocks
 from repro.emulator.machine import Machine
-from repro.experiments import supervisor, trace_cache
+from repro.experiments import trace_cache
 from repro.isa.assembler import assemble
 from repro.workloads import get_workload
 
 
 @pytest.fixture(autouse=True)
 def _isolate_run_context(monkeypatch):
-    """Keep the run context and the process counters from leaking
+    """Keep the run context, and with it every counter, from leaking
     across tests.
 
-    A test that sets a timeout, a budget override, a cache directory or
-    a recorder must not change the behaviour of every test that runs
-    after it: each test starts and ends with a fresh run context.  The
-    cache is disabled both explicitly and via the environment (the
-    CLI's ``main()`` activates a context of its own, so the env layer is
-    what actually protects CLI tests) — the suite never reads or writes
-    ``~/.cache``.  Cache tests opt back in with
-    ``trace_cache.configure(tmp_path, enabled=True)``.
+    A test that sets a timeout, a budget override, a cache directory, a
+    recorder, or moves a counter or the sweep report must not change the
+    behaviour of every test that runs after it: each test starts and
+    ends with a fresh run context.  The cache is disabled both
+    explicitly and via the environment (the CLI's ``main()`` activates a
+    context of its own, so the env layer is what actually protects CLI
+    tests) — the suite never reads or writes ``~/.cache``.  Cache tests
+    opt back in with ``trace_cache.configure(tmp_path, enabled=True)``.
     """
     monkeypatch.setenv(trace_cache.ENV_VAR, "off")
     context.reset(cache_enabled=False)
-    trace_cache.reset_stats()
     yield
     context.reset(cache_enabled=False)
-    trace_cache.reset_stats()
-    supervisor.reset_stats()
-    blocks.reset_stats()
 
 
 @pytest.fixture(scope="session")

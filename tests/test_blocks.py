@@ -15,6 +15,7 @@ import gc
 
 import pytest
 
+from repro import context
 from repro.core.config import baseline_config
 from repro.emulator import blocks
 from repro.emulator.blocks import DEFAULT_THRESHOLD, cross_check_blocks
@@ -243,7 +244,6 @@ def test_per_mnemonic_parity(mnemonic):
 # ------------------------------------------------------- superblocks, batching
 
 def test_tight_loop_compiles_as_superblock():
-    blocks.reset_stats()
     m = Machine(assemble(LOOP), dispatch="blocks", block_threshold=0)
     m.run()
     stats = blocks.stats()
@@ -372,7 +372,6 @@ def test_fault_mid_block_leaves_reference_state(source, threshold, method):
     program = assemble(source)
     ref = Machine(program, dispatch="reference")
     want_records, want_msg = _run_to_fault(ref, "trace")
-    blocks.reset_stats()
     m = Machine(program, block_threshold=threshold)
     got_records, got_msg = _run_to_fault(m, method)
     assert got_msg == want_msg
@@ -390,7 +389,6 @@ def test_fault_mid_block_leaves_reference_state(source, threshold, method):
 def test_threshold_gates_compilation():
     program = assemble(LOOP)
     # Threshold far above the loop count: nothing ever compiles.
-    blocks.reset_stats()
     m = Machine(program, dispatch="blocks", block_threshold=1000)
     m.run()
     cold = blocks.stats()
@@ -398,7 +396,7 @@ def test_threshold_gates_compilation():
     assert cold["block_insts"] == 0
     assert cold["fallback_insts"] == m.instret
     # Threshold 0: compiles on first entry.
-    blocks.reset_stats()
+    context.reset()
     m = Machine(assemble(LOOP), dispatch="blocks", block_threshold=0)
     m.run()
     hot = blocks.stats()
@@ -428,7 +426,8 @@ def test_code_objects_are_shared_across_machines_and_die_with_program():
 # ---------------------------------------------------------------- stats
 
 def test_stats_reset_and_accumulate():
-    blocks.reset_stats()
+    """The counters live in the run context: they accumulate across
+    machines and a fresh context starts them from zero."""
     zero = blocks.stats()
     assert zero["blocks_compiled"] == 0 and zero["block_insts"] == 0
     m = Machine(assemble(LOOP), dispatch="blocks", block_threshold=0)
@@ -436,7 +435,11 @@ def test_stats_reset_and_accumulate():
     after = blocks.stats()
     assert after["block_execs"] > 0
     assert after["block_insts"] + after["fallback_insts"] == m.instret
-    blocks.reset_stats()
+    Machine(assemble(LOOP), dispatch="blocks", block_threshold=0).run()
+    again = blocks.stats()
+    assert again["block_insts"] + again["fallback_insts"] == 2 * m.instret
+    assert again["blocks_compiled"] == 2 * after["blocks_compiled"]
+    context.reset()
     assert blocks.stats() == zero
 
 

@@ -228,6 +228,65 @@ def test_sampled_sweep_profile_says_where_the_time_went(tmp_path, capsys):
     assert rows["skip.bzip"][1] == rows["worker.start"][1] == "1"
 
 
+def test_manifest_names_the_configs_plan_and_seed_the_run_used(tmp_path):
+    """A sampled sweep's manifest records its configs, its sampling plan
+    (the canonical string its journal cell keys use) and its sample
+    seed; an inject run records the inject seed, and a run that draws
+    no seed records none."""
+    import json
+
+    from repro.timing.sampling import SamplingPlan
+
+    def manifest(*argv):
+        out = tmp_path / "m.json"
+        assert main([*argv, "--metrics-out", str(out), "--bench-dir", str(tmp_path)]) == 0
+        return json.loads(out.read_text())["manifest"]
+
+    sampled = manifest(
+        "sweep", "--sample", "--sample-seed", "7", "-n", "4000", "--sample-window", "300",
+        "--sample-warmup", "100", "--sample-interval", "2000", "-b", "bzip",
+        "--configs", "ideal", "bitslice4",
+    )
+    plan = SamplingPlan(window=300, warmup=100, interval=2000, seed=7)
+    assert sampled["seed"] == 7
+    assert sampled["config"]["configs"] == ["ideal", "bitslice4"]
+    assert sampled["config"]["sampling"] == plan.canonical()
+
+    injected = manifest("inject", "--inject", "5", "--inject-seed", "11", "-n", "1000", "-b", "go")
+    assert injected["seed"] == 11
+    plain = manifest("table1", "-n", "1000", "-b", "go")
+    assert plain["seed"] is None
+    assert not {"configs", "sampling"} & set(plain["config"])
+
+
+def test_non_sweep_metrics_run_imports_no_supervisor(tmp_path):
+    """The manifest reads the sweep report from the run context, so a
+    run that sweeps nothing loads neither the sweep supervisor nor
+    ``multiprocessing`` to write it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "from repro.experiments.cli import main\n"
+        f"main(['table1', '-n', '1000', '-b', 'go', '--metrics-out', {str(tmp_path / 'm.json')!r},"
+        f" '--bench-dir', {str(tmp_path)!r}])\n"
+        "print(sorted(m for m in ('repro.experiments.supervisor', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "m.json").exists()
+
+
 def test_observability_off_leaves_no_session(tmp_path):
     from repro.obs.session import active_session
 

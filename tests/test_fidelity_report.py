@@ -215,15 +215,16 @@ def test_report_process_imports_no_supervisor():
     assert result.stdout.strip() == "[]"
 
 
-def test_campaign_health_folds_in_a_live_supervisor_report(monkeypatch):
-    """In a process whose supervisor ran a sweep, its last report still
-    reaches the campaign counters."""
+def test_campaign_health_folds_in_a_live_supervisor_report():
+    """In a run whose supervisor ran a sweep, the last report, which the
+    run context holds, still reaches the campaign counters."""
+    from repro import context
     from repro.experiments import supervisor
 
     report = supervisor.SupervisorReport(cells_total=4)
     report.retries = 3
     report.quarantined = 1
-    monkeypatch.setattr(supervisor, "_last_report", report)
+    context.current().sweep_report = report
     warnings = []
     health = _campaign_health(None, warnings)
     assert health["supervisor_retries"] == 3

@@ -25,6 +25,7 @@ from itertools import islice
 
 import pytest
 
+from repro import context
 from repro.emulator.machine import DISPATCH_TIERS, Machine
 from repro.experiments import runner, trace_cache
 from repro.isa.assembler import assemble
@@ -123,7 +124,7 @@ def test_cold_counts_match_record_replay(tmp_path, monkeypatch, empty_layer):
     prefix each count exactly the PC histogram of the trace returned."""
     for dispatch in DISPATCH_TIERS:
         monkeypatch.setenv("REPRO_DISPATCH", dispatch)
-        trace_cache.configure(tmp_path / dispatch, enabled=True)
+        context.reset(cache_dir=tmp_path / dispatch, cache_enabled=True)
         runner.clear_trace_cache()
         cold, cold_prof = _profiled(_collect)
         runner._collect.cache_clear()

@@ -22,6 +22,7 @@ from repro.obs.manifest import (
     validate_manifest,
     write_bench_snapshot,
 )
+from repro import context
 from repro.obs.registry import MetricsRegistry, validate_metrics_dump
 from repro.obs.session import ObsSession, active_session, end_session, start_session
 
@@ -219,7 +220,8 @@ def test_session_aggregates_runs_into_bench_records():
     from repro.timing.stats import SimStats
 
     session = ObsSession()
-    session.note_collection("li", 5000)
+    session.current_benchmark = "li"
+    context.current().count("emulate.instructions", 5000)
     stats = SimStats(config_name="baseline", instructions=1000, cycles=2000, loads=100)
     session.record_run(stats, 0.25)
     stats2 = SimStats(config_name="bitslice-2", instructions=1000, cycles=1500)
@@ -232,10 +234,12 @@ def test_session_aggregates_runs_into_bench_records():
     assert li["ipc"] == {"baseline": 0.5, "bitslice-2": pytest.approx(1000 / 1500)}
     assert li["instructions"] == 2000
     assert li["instructions_per_second"] == pytest.approx(2000 / 0.5)
-    # Counters accumulated under the catalog names.
-    assert session.registry.get("sim.instructions").value == 2000
-    assert session.registry.get("sim.mem.loads").value == 100
-    assert session.registry.get("emulate.instructions").value == 5000
+    # Counters accumulated under the catalog names; the dump renders
+    # the run context's collection counters beside them.
+    registry = session.finalize_registry()
+    assert registry.get("sim.instructions").value == 2000
+    assert registry.get("sim.mem.loads").value == 100
+    assert registry.get("emulate.instructions").value == 5000
 
 
 def test_session_heartbeat_emits_progress_lines():
@@ -243,7 +247,8 @@ def test_session_heartbeat_emits_progress_lines():
 
     stream = io.StringIO()
     session = ObsSession(heartbeat_interval=0.0, stream=stream)
-    session.note_collection("li", 100)
+    context.current().count("emulate.collections")
+    session.heartbeat("collect.li")
     out = stream.getvalue()
     assert "[obs]" in out and "1 collections" in out
 

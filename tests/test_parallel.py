@@ -81,8 +81,8 @@ def test_workers_inherit_cache_config(tmp_path):
     """A worker reads and writes the parent's trace cache: the first
     sweep's worker stores li's trace there, the second's reads it back
     and ships its ``cache.hit.li`` span home.  Each worker's miss and
-    hit reach the orchestrator's ``trace_cache.stats()``, which the run
-    manifest reports."""
+    hit reach the orchestrator's cumulative ``trace_cache.stats()``,
+    which the run manifest reports."""
     trace_cache.configure(tmp_path, enabled=True)
     tracer = start_tracing()
     first, failures, _, _ = _sweep_li()
@@ -91,13 +91,47 @@ def test_workers_inherit_cache_config(tmp_path):
     assert [s.name for s in tracer.spans(category="cache")] == ["cache.miss.li"]
     stats = trace_cache.stats()
     assert (stats["hits"], stats["misses"], stats["corrupt_entries"]) == (0, 1, 0)
-    trace_cache.reset_stats()
     second, failures, _, _ = _sweep_li()
     assert not failures
     assert [s.name for s in tracer.spans(category="cache")] == ["cache.miss.li", "cache.hit.li"]
     stats = trace_cache.stats()
-    assert (stats["hits"], stats["misses"], stats["corrupt_entries"]) == (1, 0, 0)
+    assert (stats["hits"], stats["misses"], stats["corrupt_entries"]) == (1, 1, 0)
     assert first["li"]["ideal"].to_dict() == second["li"]["ideal"].to_dict()
+
+
+def test_sweep_telemetry_matches_the_same_cell_in_process(tmp_path):
+    """A worker's reply carries its whole telemetry home: a sweep's
+    metrics dump, trace-cache traffic and block-engine counters equal
+    those of the same cell run in-process.  Compile seconds and
+    code-cache binds depend on the per-process code cache and stay out."""
+    from repro.emulator import blocks
+    from repro.experiments.supervisor import _execute_cells
+    from repro.obs.session import ObsSession
+
+    def telemetry():
+        dump = context.current().session.finalize_registry().to_dict()["metrics"]
+        cache = trace_cache.stats()
+        engine = blocks.stats()
+        del engine["compile_seconds"], engine["cache_binds"]
+        return dump, (cache["hits"], cache["misses"]), engine
+
+    configs = [baseline_config()]
+    context.reset(session=ObsSession(), cache_dir=tmp_path / "swept", cache_enabled=True)
+    _, failures, _, _ = run_sweep(["li"], configs, N, WARMUP, jobs=1,
+                                  fault_plan=ProcessFaultPlan())
+    assert not failures
+    swept = telemetry()
+
+    runner.clear_trace_cache()
+    context.reset(session=ObsSession(), cache_dir=tmp_path / "inline", cache_enabled=True)
+    _execute_cells(("li", configs, N, WARMUP, None, None, "ref", None))
+    assert telemetry() == swept
+    dump, cache, engine = swept
+    assert dump["emulate.collections"]["value"] == 1
+    assert dump["emulate.instructions"]["value"] == N + WARMUP
+    assert dump["sim.runs"]["value"] == 1
+    assert cache == (0, 1)
+    assert engine["blocks_compiled"] > 0
 
 
 def test_run_sweep_grid_matches_sequential_simulation():

@@ -288,7 +288,7 @@ def test_run_sweep_without_journal_matches_simulation():
     assert not failures
     expected = simulate(configs[0], runner.collect_trace("li", N + WARMUP), warmup=WARMUP)
     assert grid["li"]["ideal"].to_dict() == expected.to_dict()
-    assert supervisor.supervisor_stats()["cells_executed"] == 1
+    assert supervisor.last_report() is report and report.cells_executed == 1
 
 
 # ------------------------------------------------------- grouped cells

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from repro import context
 from repro.emulator.machine import Machine
 from repro.experiments import runner, trace_cache
 from repro.isa.assembler import assemble
@@ -20,7 +21,6 @@ from tests.test_differential import straight_line_program
 def cache(tmp_path):
     """An enabled, empty cache in a throwaway directory."""
     trace_cache.configure(tmp_path, enabled=True)
-    trace_cache.reset_stats()
     runner.clear_trace_cache()
     yield tmp_path
     runner.clear_trace_cache()
@@ -60,7 +60,6 @@ def test_store_load_round_trip_random_programs(tmp_path_factory, case):
         assert trace_cache.load("prog", key) == records
     finally:
         trace_cache.configure(enabled=False)
-        trace_cache.reset_stats()
 
 
 def test_corrupted_entry_falls_back_to_recollection(cache):
@@ -176,12 +175,18 @@ def test_env_var_disables_and_redirects(tmp_path, monkeypatch):
     assert trace_cache.cache_dir() == Path(trace_cache.DEFAULT_DIR).expanduser()
 
 
-def test_clear_trace_cache_resets_counters_not_files(cache):
+def test_clear_trace_cache_keeps_files_and_counters(cache):
+    """Clearing the in-memory layers keeps the disk entries and the run
+    context's cumulative counters; only a fresh context zeroes those."""
     _collect_fresh("li", 900)
     assert trace_cache.stats()["misses"] == 1
     runner.clear_trace_cache()
+    assert len(list(cache.iterdir())) == 1  # entries are content-addressed
+    assert (trace_cache.stats()["hits"], trace_cache.stats()["misses"]) == (0, 1)
+    runner.collect_trace("li", 900)
+    assert (trace_cache.stats()["hits"], trace_cache.stats()["misses"]) == (1, 1)
+    context.reset(cache_dir=cache, cache_enabled=True)
     assert trace_cache.stats() == {
         "enabled": True, "dir": str(cache), "hits": 0, "misses": 0,
         "corrupt_entries": 0,
     }
-    assert len(list(cache.iterdir())) == 1  # entries are content-addressed

@@ -2,7 +2,7 @@
 
 A request no longer than a held trace of the same (benchmark, iters,
 skip, profile) is served as that trace's prefix: no emulation, no
-persistent-cache read, no session counter; an active guest profile is
+persistent-cache read, no counter; an active guest profile is
 fed exactly as a cold collection would feed it.
 """
 
@@ -17,7 +17,6 @@ from repro.emulator.machine import Machine
 from repro.emulator.trace import COLUMNS
 from repro.experiments import runner, trace_cache
 from repro.obs import guestprof
-from repro.obs.session import end_session, start_session
 
 #: The shortest guest: go halts after about 16k instructions at iters=1.
 NAME = "go"
@@ -53,7 +52,6 @@ def _empty_layer(tmp_path):
     runner.clear_trace_cache()
     yield
     runner.clear_trace_cache()
-    end_session()
 
 
 @pytest.fixture()
@@ -71,17 +69,14 @@ def emulations(monkeypatch):
 
 
 def test_prefix_equals_a_fresh_shorter_collection(emulations):
-    session = start_session()
     long = _collect(3_000)
     assert len(long) == 3_000 and len(emulations) == 1
-    collections = session.registry.get("emulate.collections")
-    stats, count = trace_cache.stats(), collections.value
+    counters = dict(context.current().counters)
+    assert counters["emulate.collections"] == 1
     short = _collect(1_700)
     assert len(emulations) == 1  # no Machine.trace
-    assert trace_cache.stats() == stats
-    assert collections.value == count == 1
+    assert context.current().counters == counters
     assert short == long[:1_700]
-    end_session()
     assert short == _fresh(1_700)
 
 
