@@ -16,9 +16,9 @@ from too:
   back once per exit),
 * immediates, branch targets, PCs and next-PC values are
   constant-folded into the source,
-* adjacent same-base contiguous ``lw``/``sw`` runs are batched through
-  the vectorized :meth:`SparseMemory.read_words` /
-  :meth:`SparseMemory.write_words` helpers,
+* loads and stores index the memory's page store inline in the run and
+  warm variants (an aligned access never crosses a 4 KiB page) and call
+  the scalar accessors in the trace variant and on a misaligned address,
 * superblocks extend through unconditional ``j``/``jal`` *and* through
   conditional branches: backward branches continue along the taken
   edge (unrolling tight loops up to ``MAX_BLOCK_LEN`` instructions),
@@ -108,10 +108,6 @@ MAX_BLOCK_LEN = 64
 #: before a syscall) are common enough to matter.
 MIN_BLOCK_LEN = 2
 
-#: Minimum adjacent lw/sw run length routed through read_words /
-#: write_words; below this the scalar accessors are cheaper.
-BATCH_MIN = 4
-
 
 def _kinds(*kinds) -> frozenset:
     return frozenset(mn for mn, row in OPS.items() if row.kind in kinds)
@@ -138,8 +134,6 @@ _STAT_KEYS = (
     "replays",
     "side_exits",      # compiled execs that left a superblock early
     "cache_binds",     # compile_block calls served by the code cache
-    "mem_run_sites",   # batched lw/sw runs in compiled blocks (static)
-    "mem_run_words",   # words covered by those runs (static)
 )
 
 #: Span lane for JIT compile instants in the Perfetto timeline — far
@@ -180,12 +174,11 @@ def telemetry() -> dict | None:
 
 #: Per-program cache of compiled code objects, keyed ``id(program)``
 #: then ``(leader_index, variant)`` → ``(n_inst, code, insts, unwind,
-#: superblock, sites, words)`` or ``None`` (rejected).  CPython's
-#: ``compile`` dominates block-compilation cost; the code object is
+#: superblock)`` or ``None`` (rejected).  CPython's ``compile``
+#: dominates block-compilation cost; the code object is
 #: machine-independent (machine state binds at ``exec`` time), so every
-#: later Machine over
-#: the same Program — repeat bench iterations, sweep cells, workers —
-#: skips straight to the cheap bind.  Entries die with their Program
+#: later Machine over the same Program — repeat bench iterations, sweep
+#: cells, workers — skips straight to the cheap bind.  Entries die with their Program
 #: (``weakref.finalize``); Program is an unhashable dataclass, hence
 #: the id key.
 _CODE_CACHE: dict[int, dict] = {}
@@ -363,16 +356,13 @@ class BlockEngine:
                     cached = None
                 else:
                     code, insts, unwind = self._codegen(block, variant)
-                    sites, words = self._batch_shape(block.items)
-                    cached = (
-                        len(block.items), code, insts, unwind, block.superblock, sites, words
-                    )
+                    cached = (len(block.items), code, insts, unwind, block.superblock)
                 code_cache[key] = cached
             if cached is None:
                 entry = None
                 superblock = False
             else:
-                n_inst, code, insts, unwind, superblock, sites, words = cached
+                n_inst, code, insts, unwind, superblock = cached
                 entry = (n_inst, self._bind(code, insts, unwind))
                 if from_code_cache:
                     context.count("compiler.cache_binds")
@@ -381,8 +371,6 @@ class BlockEngine:
                     context.count("compiler.blocks_compiled")
                     if superblock:
                         context.count("compiler.superblocks")
-                    context.count("compiler.mem_run_sites", sites)
-                    context.count("compiler.mem_run_words", words)
             seconds = time.perf_counter() - t0
             context.count("compiler.compile_seconds", seconds)
             self._compiled[key] = entry
@@ -419,48 +407,6 @@ class BlockEngine:
                 # known-hot, so recompile on its next execution.
                 table[idx] = 1
 
-    def _batch_shape(self, items) -> tuple[int, int]:
-        """Static batching shape of a block: (mem-run sites, words covered)."""
-        sites = 0
-        words = 0
-        k = 0
-        n = len(items)
-        while k < n:
-            run = self._mem_run(items, k)
-            if run >= BATCH_MIN:
-                sites += 1
-                words += run
-                k += run
-            else:
-                k += 1
-        return sites, words
-
-    def _mem_run(self, items, k: int) -> int:
-        """Length of the batchable lw/sw run starting at position *k*."""
-        _, first, cont = items[k]
-        mn = first.mnemonic
-        if cont is not None or mn not in ("lw", "sw"):
-            return 1
-        base_reg = first.rs
-        if mn == "lw" and first.rt == base_reg:
-            return 1
-        count = 1
-        off = first.imm
-        while k + count < len(items):
-            _, nxt, ncont = items[k + count]
-            if (
-                ncont is not None
-                or nxt.mnemonic != mn
-                or nxt.rs != base_reg
-                or nxt.imm != off + 4
-            ):
-                break
-            count += 1
-            off += 4
-            if mn == "lw" and nxt.rt == base_reg:
-                break  # this load clobbers the base: last member of the run
-        return count
-
     def _codegen(self, block: _Block, variant: str):
         """Emit and exec-compile one variant of *block* from :data:`OPS`.
 
@@ -474,8 +420,8 @@ class BlockEngine:
         exits and the block end).
 
         The ``warm`` variant is the run variant plus functional-warming
-        hooks: every memory operand touches the data cache (``_wd`` /
-        ``_wds``), fetch-line transitions touch the I-cache (``_wi``),
+        hooks: every memory operand touches the data cache (``_wd``),
+        fetch-line transitions touch the I-cache (``_wi``),
         and control transfers train the branch predictor (``_gsu`` /
         ``_btu`` / ``_rpu`` / ``_rpo``) — so statistical-sampling
         fast-forward spans keep the microarchitectural state a detailed
@@ -578,10 +524,8 @@ class BlockEngine:
             else:
                 body.append(f"{indent}return {enc(ni, cnt)}")
 
-        k = 0
-        while k < n:
+        for k, (idx, inst, cont) in enumerate(items):
             starts.append((len(body), k))
-            idx, inst, cont = items[k]
             row = OPS[inst.mnemonic]
             kind = row.kind
             pc = base + 4 * idx
@@ -591,39 +535,6 @@ class BlockEngine:
             b = reg(inst.rt) if trace or "b" in reads else "_unused_rt"
             last = k == n - 1
             wi(pc)
-
-            run = self._mem_run(items, k)
-            if run >= BATCH_MIN:
-                body.append(f"    _ma = {ADDR.format(a=a, imm=inst.imm)}")
-                if warm:
-                    body.append(f"    _wds(_ma, {4 * run})")
-                    for i in range(1, run):
-                        wi(base + 4 * items[k + i][0])
-                if kind == LOAD:
-                    body.append(f"    _vs = _rws(_ma, {run})")
-                    for i in range(run):
-                        midx, minst, _ = items[k + i]
-                        mpc = base + 4 * midx
-                        addr = "_ma" if i == 0 else f"((_ma + {4 * i}) & 4294967295)"
-                        rec(mpc, k + i, a, reg(minst.rt), f"_vs[{i}]", addr,
-                            False, (mpc + 4) & _M)
-                        if minst.rt:
-                            wreg(minst.rt, f"_vs[{i}]")
-                else:
-                    vals = ", ".join(reg(minst.rt) for _, minst, _ in items[k : k + run])
-                    body.append(f"    _wws(_ma, ({vals},))")
-                    for i in range(run):
-                        midx, minst, _ = items[k + i]
-                        mpc = base + 4 * midx
-                        addr = "_ma" if i == 0 else f"((_ma + {4 * i}) & 4294967295)"
-                        bi = reg(minst.rt)
-                        rec(mpc, k + i, a, bi, bi, addr, False, (mpc + 4) & _M)
-                k += run
-                if k == n:
-                    lidx = items[n - 1][0]
-                    lpc = (base + 4 * lidx + 4) & _M
-                    exit_lines(lpc, n, lidx + 1)
-                continue
 
             ops = operands(row, inst, a, b)
             expr = row.expr.format_map(ops)
@@ -658,7 +569,6 @@ class BlockEngine:
                     rec(pc, k, a, b, 0, -1, True, tk_pc, indent="        ")
                     exit_lines(tk_pc, k + 1, ti, indent="        ")
                     rec(pc, k, a, b, 0, -1, False, npc)
-                k += 1
                 continue
 
             link = row.dest is not None
@@ -672,7 +582,6 @@ class BlockEngine:
                     wreg(rn, str(pc + 4))
                 if last or cont is None:
                     exit_lines(target, k + 1, ti)
-                k += 1
                 continue
 
             if kind == IJUMP:
@@ -700,7 +609,6 @@ class BlockEngine:
                         f"    return ((((_t >> 2) + 1) << 8) | {k + 1})"
                         f" if (0 <= _t < {4 * size} and not _t & 3) else {k + 1}"
                     )
-                k += 1
                 continue
 
             if kind == LOAD:
@@ -717,8 +625,8 @@ class BlockEngine:
                     if rn:
                         wreg(rn, "_v")
                 else:
-                    # Run variant: the page store is read inline (an
-                    # aligned access never crosses a 4 KiB page).  A
+                    # Run and warm variants: the page store is read
+                    # inline (an aligned access never crosses a 4 KiB page).  A
                     # misaligned address calls the scalar accessor, which
                     # raises AlignmentError; a load into $zero keeps only
                     # that fault.
@@ -748,8 +656,8 @@ class BlockEngine:
                     image = expr if width == 4 else f"({expr} & {(1 << 8 * width) - 1})"
                     rec(pc, k, a, b, image, "_ma", False, npc)
                 else:
-                    # Run variant: the page store is written inline (an
-                    # aligned access never crosses a 4 KiB page).  A
+                    # Run and warm variants: the page store is written
+                    # inline (an aligned access never crosses a 4 KiB page).  A
                     # misaligned address calls the scalar accessor, which
                     # raises AlignmentError; a missing page allocates.
                     if width > 1:
@@ -778,13 +686,12 @@ class BlockEngine:
                     wreg(rn, expr)
             if last:
                 exit_lines(npc, n, idx + 1)
-            k += 1
 
         params = (
-            "R", "_pgs", "_rw", "_ww", "_rh", "_wh", "_rb", "_wb", "_rws", "_wws",
+            "R", "_pgs", "_rw", "_ww", "_rh", "_wh", "_rb", "_wb",
             "_TR", "_I", "_f32", "_b32", "_fsqrt", "_fcvtws",
             "_isnan", "_cs", "_nan", "_inf", "_abs", "_flt",
-            "_wd", "_wds", "_wi", "_gsu", "_btu", "_rpu", "_rpo",
+            "_wd", "_wi", "_gsu", "_btu", "_rpu", "_rpo",
         )
         lines = ["def _blk(m, " + ", ".join(f"{p}={p}" for p in params) + "):"]
         if trace:
@@ -821,7 +728,6 @@ class BlockEngine:
             "_rw": mem.read_word, "_ww": mem.write_word,
             "_rh": mem.read_half, "_wh": mem.write_half,
             "_rb": mem.read_byte, "_wb": mem.write_byte,
-            "_rws": mem.read_words, "_wws": mem.write_words,
             "_I": insts,
             "_UNWIND": unwind,
         })
@@ -830,7 +736,6 @@ class BlockEngine:
             hierarchy, predictor = sink
             env.update({
                 "_wd": hierarchy.warm_data,
-                "_wds": hierarchy.warm_data_span,
                 "_wi": hierarchy.warm_instruction,
                 "_gsu": predictor.gshare.update,
                 "_btu": predictor.btb.update,
@@ -841,7 +746,7 @@ class BlockEngine:
             # Run/trace variants never call the warming hooks; warm
             # variants only compile once a sink is attached, so binding
             # None here keeps a missing hook loudly visible.
-            env.update(dict.fromkeys(("_wd", "_wds", "_wi", "_gsu", "_btu", "_rpu", "_rpo")))
+            env.update(dict.fromkeys(("_wd", "_wi", "_gsu", "_btu", "_rpu", "_rpo")))
         exec(code, env)
         return env["_blk"]
 

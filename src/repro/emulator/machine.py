@@ -11,7 +11,7 @@ Two interpreters share the machine state:
 
 * the **blocks tier** (default): hot basic blocks and superblocks
   compile to fused Python functions (:mod:`repro.emulator.blocks`)
-  with registers in host locals and batched memory runs.  Everything
+  with registers in host locals and inline page access.  Everything
   else — cold code, syscalls, block exits, :meth:`step` — executes
   through per-instruction closures bound at decode time.  Both are
   generated from one ISA semantics table

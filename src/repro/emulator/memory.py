@@ -6,31 +6,22 @@ pages allocated on first touch.  All multi-byte accesses are
 little-endian and must be naturally aligned, which catches workload
 bugs early (the PISA model traps on unaligned accesses too).
 
-Besides the scalar accessors there is a vectorized word-run layer
-(:meth:`SparseMemory.read_words` / :meth:`SparseMemory.write_words`):
-contiguous aligned word runs move through page-slice copies (numpy
-``frombuffer``/``tobytes`` above a small crossover, a plain loop
-below it — the crossover is measured by ``scripts/bench_host_ops.py``).
-The block-compiled execution tier (:mod:`repro.emulator.blocks`) batches
-adjacent load/store runs through it, and bulk image loading
-(:meth:`write_block`) uses the same page-slice idiom.
+The reference interpreter and the per-instruction handlers access
+memory only through the scalar accessors.  Compiled blocks
+(:mod:`repro.emulator.blocks`) index ``_pages`` inline for aligned
+accesses in their run and warm bodies and call the accessors for
+everything else (trace bodies, misaligned addresses, a store to an
+unmapped page).  Bulk image loading (:meth:`SparseMemory.write_block`)
+copies page slices.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.harness.errors import MemoryFault
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
-
-#: Word-run length at which ``read_words``/``write_words`` switch from a
-#: plain Python loop to one numpy kernel per page span.  Below this the
-#: ~1 µs array-creation overhead exceeds the per-word saving (see the
-#: host-op cost table in docs/performance.md).
-NUMPY_WORDS_MIN = 16
 
 
 class AlignmentError(MemoryFault):
@@ -105,68 +96,6 @@ class SparseMemory:
         page[off + 1] = (value >> 8) & 0xFF
         page[off + 2] = (value >> 16) & 0xFF
         page[off + 3] = (value >> 24) & 0xFF
-
-    # ------------------------------------------------------------ word runs
-
-    def read_words(self, addr: int, count: int) -> list[int]:
-        """Read *count* little-endian words starting at aligned *addr*.
-
-        Semantically identical to ``[read_word(addr + 4*i) ...]`` —
-        unmapped pages read as zero, a misaligned start raises
-        :class:`AlignmentError` before any access — but each page span
-        is decoded in one pass (numpy ``frombuffer`` above
-        ``NUMPY_WORDS_MIN`` words, a plain loop below it).
-        """
-        addr &= 0xFFFFFFFF
-        if addr & 3:
-            raise AlignmentError(f"unaligned word read at {addr:#x}")
-        out: list[int] = []
-        pages = self._pages
-        while count > 0:
-            off = addr & PAGE_MASK
-            span = min(count, (PAGE_SIZE - off) >> 2)
-            page = pages.get(addr >> PAGE_SHIFT)
-            if page is None:
-                out.extend([0] * span)
-            elif span >= NUMPY_WORDS_MIN:
-                out.extend(np.frombuffer(bytes(page[off : off + 4 * span]), dtype="<u4").tolist())
-            else:
-                for i in range(off, off + 4 * span, 4):
-                    out.append(
-                        page[i] | (page[i + 1] << 8) | (page[i + 2] << 16) | (page[i + 3] << 24)
-                    )
-            addr = (addr + 4 * span) & 0xFFFFFFFF
-            count -= span
-        return out
-
-    def write_words(self, addr: int, values) -> None:
-        """Write a sequence of words starting at aligned *addr*.
-
-        Semantically identical to ``write_word(addr + 4*i, v)`` in
-        order, with the same alignment trap, but one page-slice store
-        per span (numpy ``tobytes`` above ``NUMPY_WORDS_MIN`` words).
-        """
-        addr &= 0xFFFFFFFF
-        if addr & 3:
-            raise AlignmentError(f"unaligned word write at {addr:#x}")
-        i = 0
-        n = len(values)
-        while i < n:
-            off = addr & PAGE_MASK
-            span = min(n - i, (PAGE_SIZE - off) >> 2)
-            page = self._page(addr)
-            if span >= NUMPY_WORDS_MIN:
-                arr = np.asarray(values[i : i + span], dtype=np.uint64) & 0xFFFFFFFF
-                page[off : off + 4 * span] = arr.astype("<u4").tobytes()
-            else:
-                for v in values[i : i + span]:
-                    page[off] = v & 0xFF
-                    page[off + 1] = (v >> 8) & 0xFF
-                    page[off + 2] = (v >> 16) & 0xFF
-                    page[off + 3] = (v >> 24) & 0xFF
-                    off += 4
-            addr = (addr + 4 * span) & 0xFFFFFFFF
-            i += span
 
     # ------------------------------------------------------------------ bulk
 

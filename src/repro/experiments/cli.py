@@ -29,7 +29,8 @@ Performance flags (see ``docs/performance.md``):
   supervised pool (any other experiment exits 2 for ``N > 1``);
 * ``--trace-cache DIR`` / ``--no-trace-cache`` — persistent on-disk
   trace cache location (default ``~/.cache/repro-traces``, also
-  settable via ``REPRO_TRACE_CACHE``) or opt-out.
+  settable via ``REPRO_TRACE_CACHE``) or opt-out; either flag wins over
+  the variable, and giving both exits 2.
 
 Observability flags (see ``docs/observability.md``):
 
@@ -298,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         print("--journal and --resume are mutually exclusive (resume names the journal)",
               file=sys.stderr)
         return 2
+    if args.trace_cache is not None and args.no_trace_cache:
+        print("--trace-cache and --no-trace-cache are mutually exclusive", file=sys.stderr)
+        return 2
     if args.max_cell_retries < 0:
         print("--max-cell-retries must be >= 0", file=sys.stderr)
         return 2
@@ -353,7 +357,10 @@ def main(argv: list[str] | None = None) -> int:
         collector=GuestProfileCollector() if guestprof_on else None,
         wall_timeout=args.timeout,
         cache_dir=Path(args.trace_cache).expanduser() if args.trace_cache is not None else None,
-        cache_enabled=False if args.no_trace_cache else None,
+        # Either flag wins over REPRO_TRACE_CACHE, whichever way it points.
+        cache_enabled=(
+            False if args.no_trace_cache else True if args.trace_cache is not None else None
+        ),
     ))
     try:
         return _run_experiments(args, n, prof, benches, argv)

@@ -250,7 +250,6 @@ class FidelityReport:
                 f"| side-exit rate | {t.get('side_exit_rate', 0.0):.2%} |",
                 f"| fault replays | {t.get('replays', 0)} |",
                 f"| block-instruction fraction | {t.get('block_inst_fraction', 0.0):.1%} |",
-                f"| batched lw/sw run sites | {t.get('mem_run_sites', 0)} |",
                 f"| compile wall seconds | {t.get('compile_seconds', 0.0):.3f} |",
             ]
         if self.warnings:
@@ -358,7 +357,6 @@ class FidelityReport:
                     ("fault replays", t.get("replays", 0)),
                     ("block-instruction fraction",
                      f"{t.get('block_inst_fraction', 0.0):.1%}"),
-                    ("batched lw/sw run sites", t.get("mem_run_sites", 0)),
                     ("compile wall seconds", f"{t.get('compile_seconds', 0.0):.3f}"),
                 )
             )
@@ -549,7 +547,6 @@ def _compiler_telemetry(bench_dir: str | Path | None, warnings: list[str]) -> di
         "replays": 0,
         "side_exits": 0,
         "cache_binds": 0,
-        "mem_run_sites": 0,
         "snapshots_scanned": 0,
     }
 

@@ -695,7 +695,7 @@ def _execute_cells(payload) -> list[tuple[SimStats, object]]:
     from repro.experiments import runner
     from repro.timing.simulator import simulate_configs
 
-    name, configs, max_steps, warmup, iters, skip, profile, plan = payload
+    name, configs, max_steps, warmup, profile, plan = payload
     label = f"{name}/{'+'.join(config.name for config in configs)}"
     if plan is not None:
         from repro.harness.watchdog import Watchdog
@@ -711,14 +711,11 @@ def _execute_cells(payload) -> list[tuple[SimStats, object]]:
         )
         with traced(f"sample.{label}", category="simulate"):
             results = sample_configs(
-                name, configs, plan, budget=max_steps,
-                iters=iters, skip=skip, profile=profile, watchdog=watchdog,
+                name, configs, plan, budget=max_steps, profile=profile, watchdog=watchdog,
             )
         return [(result.stats, None) for result in results]
     with traced(f"collect.{name}", category="collect"):
-        trace, record = runner.collect_trace_resilient(
-            name, max_steps + warmup, iters=iters, skip=skip, profile=profile
-        )
+        trace, record = runner.collect_trace_resilient(name, max_steps + warmup, profile=profile)
     if trace is None:
         raise RuntimeError(record.describe())
     with traced(f"simulate.{label}", category="simulate"):
@@ -762,8 +759,6 @@ def run_sweep(
     max_steps: int,
     warmup: int,
     jobs: int = 1,
-    iters: int | None = None,
-    skip: int | None = None,
     profile: str = "ref",
     journal_path: str | Path | None = None,
     resume: bool = False,
@@ -838,7 +833,7 @@ def run_sweep(
     ok_names: list[str] = []
     for name in names:
         try:
-            program = get_workload(name).build(iters=iters, profile=profile)
+            program = get_workload(name).build(profile=profile)
             images[name] = program_digest(program)
             ok_names.append(name)
         except Exception as exc:
@@ -855,7 +850,9 @@ def run_sweep(
     labels: dict[str, str] = {}
     for name in ok_names:
         for config in configs:
-            key = cell_key(name, config, max_steps, warmup, iters, skip, profile,
+            # A sweep runs each workload at its default iteration count
+            # and skip: the key's ``auto`` slots.
+            key = cell_key(name, config, max_steps, warmup, None, None, profile,
                            images[name], sampling=sampling_id)
             cells.append(CellRecord(benchmark=name, config=config.name, key=key))
             config_of[key] = config
@@ -876,8 +873,8 @@ def run_sweep(
                         "configs": [c.name for c in configs],
                         "max_steps": max_steps,
                         "warmup": warmup,
-                        "iters": iters,
-                        "skip": skip,
+                        "iters": None,
+                        "skip": None,
                         "profile": profile,
                         "images": images,
                         "sampling": sampling_id,
@@ -932,7 +929,7 @@ def run_sweep(
             id="+".join(keys),
             fn="repro.experiments.supervisor:_execute_cells",
             payload=(group[0].benchmark, [config_of[key] for key in keys], max_steps,
-                     warmup, iters, skip, profile, sampling),
+                     warmup, profile, sampling),
             max_retries=policy.max_cell_retries,
             label=f"{group[0].benchmark}/{'+'.join(cell.config for cell in group)}",
             # A sampled rider that drops out of its group runs again on

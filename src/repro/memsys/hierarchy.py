@@ -46,7 +46,6 @@ class MemoryHierarchy:
         self.l2_latency = l2_latency
         self.memory_latency = memory_latency
         self._warm_iline = -1
-        self._d_line = self.l1d.config.line_size
         self._i_off = self.l1i.config.offset_bits
 
     def _access(self, l1: SetAssociativeCache, addr: int) -> AccessResult:
@@ -73,22 +72,6 @@ class MemoryHierarchy:
         """Touch *addr* through L1D → L2 without reporting a latency."""
         if not self.l1d.access(addr):
             self.l2.access(addr)
-
-    def warm_data_span(self, addr: int, length: int) -> None:
-        """Touch every line of ``[addr, addr + length)`` through L1D → L2.
-
-        Batched word runs access line-by-line: consecutive same-line
-        accesses only re-promote an already-MRU line, so the per-line
-        walk leaves content and replacement order identical to the
-        per-word access stream the detailed model sees.
-        """
-        line = self._d_line
-        a = addr - (addr & (line - 1))
-        end = addr + length
-        while a < end:
-            if not self.l1d.access(a):
-                self.l2.access(a)
-            a += line
 
     def warm_instruction(self, addr: int) -> None:
         """Touch the I-side line of *addr*, deduplicating repeats.

@@ -415,9 +415,13 @@ def _sample_group(
     out.  Riders see exactly the windows the lead sees, so the counts
     of skipped and measured instructions are the lead's.
 
-    An active guest profile counts each window's records once for the
-    lead and once for each rider, as a config sampled on its own would;
-    the init skip and the warming stay out of it.  An active tracer
+    Each window's trace counts into the run context as one emulated
+    collection (``emulate.instructions``, ``emulate.collections``), as
+    an exact collection does, and an active guest profile counts its
+    records once for the lead and once for each rider, as a config
+    sampled on its own would.  The init skip and the warming retire no
+    trace records and stay out of both; only the block engine's
+    counters see them.  An active tracer
     records the init skip (``skip.<benchmark>``), each warming
     fast-forward (``warm.<benchmark>``), each window's trace
     (``window.<benchmark>``) and each timing run (``simulate.<config>``).
@@ -446,7 +450,8 @@ def _sample_group(
     # Each rider's windows, and its share of the guest profile: a rider
     # that drops out runs again on its own, so shares are folded in last.
     riders = {i: [] for i in range(1, len(configs))}
-    gp = _run_context().collector
+    context = _run_context()
+    gp = context.collector
     shares = {i: GuestProfileCollector() for i in riders} if gp is not None else {}
     for share in shares.values():
         share.begin_benchmark(name)
@@ -498,6 +503,8 @@ def _sample_group(
             window = Trace.from_records(machine.trace(window_budget, watchdog=watchdog))
             if span is not None:
                 span.args["records"] = len(window)
+        context.count("emulate.instructions", len(window))
+        context.count("emulate.collections")
         if gp is not None:
             profile_from_records(window, gp)
         sim = TimingSimulator(lead_config, predictor=warm.predictor, hierarchy=warm.hierarchy)

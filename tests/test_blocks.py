@@ -5,7 +5,7 @@ invisible: byte-identical traces, identical final state, identical
 fault behaviour versus both its own pre-bound handlers and the golden
 reference interpreter.  These tests exercise the machinery the
 differential properties cannot see directly — profiling countdowns,
-superblock side exits, memory batching, replay-on-fault, the
+superblock side exits, word runs, replay-on-fault, the
 per-program code cache, and the process-global stats.
 """
 
@@ -241,7 +241,7 @@ def test_per_mnemonic_parity(mnemonic):
     assert _warm_contents(warm) == _warm_contents(oracle)
 
 
-# ------------------------------------------------------- superblocks, batching
+# ------------------------------------------------------ superblocks, word runs
 
 def test_tight_loop_compiles_as_superblock():
     m = Machine(assemble(LOOP), dispatch="blocks", block_threshold=0)
@@ -253,29 +253,74 @@ def test_tight_loop_compiles_as_superblock():
     assert stats["replays"] == 0
 
 
-def test_contiguous_memory_runs_are_batched_and_identical():
-    """>= BATCH_MIN adjacent lw/sw go through the vectorized helpers."""
-    source = """
-main:   addiu $t0, $sp, -64
-        li   $t1, 11
-        li   $t2, 22
-        li   $t3, 33
-        li   $t4, 44
-        sw   $t1, 0($t0)
-        sw   $t2, 4($t0)
-        sw   $t3, 8($t0)
-        sw   $t4, 12($t0)
-        lw   $t5, 0($t0)
-        lw   $t6, 4($t0)
-        lw   $t7, 8($t0)
-        lw   $t8, 12($t0)
+# Adjacent same-base word runs, each one compiled block per iteration:
+# a store run and a load run that straddle a 4 KiB page boundary, the
+# first iteration's stores allocating both pages, then a load run that
+# reads into a page nothing has touched.
+_WORD_RUNS = """
+main:   addiu $t0, $sp, -8192
+        li    $t9, -4096
+        and   $t0, $t0, $t9
+        addiu $t0, $t0, -8         # 0..12($t0) straddles a page boundary
+        li    $s1, 6
+        li    $t1, 0x1234
+loop:   addiu $t1, $t1, 0x1357
+        sll   $t2, $t1, 7
+        xor   $t3, $t2, $t1
+        nor   $t4, $t3, $t2
+        sw    $t1, 0($t0)
+        sw    $t2, 4($t0)
+        sw    $t3, 8($t0)
+        sw    $t4, 12($t0)
+        lw    $t5, 0($t0)
+        lw    $t6, 4($t0)
+        lw    $t7, 8($t0)
+        lw    $t8, 12($t0)
+        lw    $a0, 4096($t0)       # the upper half reads an unmapped page
+        lw    $a1, 4100($t0)
+        lw    $a2, 4104($t0)
+        lw    $a3, 4108($t0)
+        addu  $v1, $v1, $t8
+        addiu $s1, $s1, -1
+        bgtz  $s1, loop
         halt
 """
-    program = assemble(source)
-    assert cross_check_blocks(program, max_steps=1_000) > 10
-    m = Machine(program, dispatch="blocks", block_threshold=0)
-    m.run()
-    assert [m.regs[13], m.regs[14], m.regs[15], m.regs[24]] == [11, 22, 33, 44]
+
+
+def test_word_runs_across_a_page_boundary_lockstep():
+    """Word runs that cross a page take the scalar path in every
+    variant: the trace variant in lockstep with the reference, the run
+    variant to the reference's final state and memory."""
+    program = assemble(_WORD_RUNS)
+    ref = Machine(program, dispatch="reference")
+    want = list(ref.trace(1_000))
+    assert ref.halted
+    assert cross_check_blocks(program, max_steps=1_000) == len(want)
+    runner = Machine(program, block_threshold=0)
+    runner.run(1_000)
+    assert _state(runner) == _state(ref)
+    assert {"lw", "sw"} <= _compiled_mnemonics(runner)
+    assert blocks.stats()["replays"] == 0
+    pages = sorted(ref.memory._pages)
+    assert any(b == a + 1 for a, b in zip(pages, pages[1:]))
+
+
+def test_warm_word_runs_train_what_observe_trains():
+    """The warm variant touches one data-cache access per word of a run,
+    as WarmState.observe does for the reference records."""
+    program = assemble(_WORD_RUNS)
+    ref = Machine(program, dispatch="reference")
+    want = list(ref.trace(1_000))
+    warm = WarmState(baseline_config())
+    warmer = Machine(program, block_threshold=0)
+    warmer.attach_warm_sink(warm.hierarchy, warm.predictor)
+    warmer.run_warm(1_000)
+    assert _state(warmer) == _state(ref)
+    assert {"lw", "sw"} <= _compiled_mnemonics(warmer)
+    oracle = WarmState(baseline_config())
+    for record in want:
+        oracle.observe(record)
+    assert _warm_contents(warm) == _warm_contents(oracle)
 
 
 def test_syscall_splits_blocks_and_stays_in_lockstep():
@@ -313,6 +358,30 @@ main:   li   $t0, 2
         li   $t1, 7
         addu $t2, $t0, $t1
         sw   $t1, 0($t0)
+        halt
+"""
+
+# Adjacent same-base word runs with a misaligned word mid-run: the
+# words before it retire, and the fault leaves their registers/memory.
+_FAULT_LOAD_RUN = """
+main:   addiu $t0, $sp, -256
+        li    $t1, 7
+        sw    $t1, 0($t0)
+        sw    $t0, 4($t0)
+        lw    $t5, 0($t0)
+        lw    $t6, 4($t0)
+        lw    $t7, 10($t0)
+        lw    $t8, 12($t0)
+        halt
+"""
+
+_FAULT_STORE_RUN = """
+main:   addiu $t0, $sp, -256
+        li    $t1, 7
+        sw    $t1, 0($t0)
+        sw    $t0, 4($t0)
+        sw    $t1, 10($t0)
+        sw    $t1, 12($t0)
         halt
 """
 
@@ -362,6 +431,8 @@ def _memory(machine):
     [
         pytest.param(_FAULT_LOAD, 0, id="misaligned-load"),
         pytest.param(_FAULT_STORE, 0, id="misaligned-store"),
+        pytest.param(_FAULT_LOAD_RUN, 0, id="misaligned-word-mid-load-run"),
+        pytest.param(_FAULT_STORE_RUN, 0, id="misaligned-word-mid-store-run"),
         pytest.param(_FAULT_RMW, None, id="read-modify-write-default-threshold"),
         pytest.param(_FAULT_RMW, 0, id="read-modify-write-threshold-0"),
     ],

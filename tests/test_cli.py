@@ -47,6 +47,30 @@ def test_flag_prefixes_are_rejected():
     assert exc.value.code == 2
 
 
+def test_trace_cache_flag_wins_over_disabling_env(tmp_path):
+    """``--trace-cache DIR`` turns the cache on under
+    ``REPRO_TRACE_CACHE=off`` (set for every test by the conftest)."""
+    import json
+
+    cache_dir = tmp_path / "cache"
+    metrics = tmp_path / "m.json"
+    runner.clear_trace_cache()
+    try:
+        assert main(["table1", "-n", "1000", "-b", "go", "--trace-cache", str(cache_dir),
+                     "--metrics-out", str(metrics), "--bench-dir", str(tmp_path)]) == 0
+    finally:
+        runner.clear_trace_cache()
+    assert len(list(cache_dir.glob("*.npz"))) == 1
+    block = json.loads(metrics.read_text())["manifest"]["trace_cache"]
+    assert block["enabled"] is True and block["misses"] == 1
+
+
+def test_trace_cache_and_no_trace_cache_conflict(tmp_path, capsys):
+    argv = ["table1", "-n", "1000", "-b", "go", "--trace-cache", str(tmp_path), "--no-trace-cache"]
+    assert main(argv) == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+
+
 def test_keep_going_isolates_failing_benchmark(tmp_path, capsys, monkeypatch):
     """Acceptance scenario: one broken workload → partial results, exit 1."""
     runner.clear_trace_cache()

@@ -66,7 +66,7 @@ def block_shaped_program(draw):
                     lines.append(f" sw {rs}, {off}($s0)")
                 else:
                     lines.append(f" lw {rd}, {off}($s0)")
-            else:  # contiguous same-base run: exercises lw/sw batching
+            else:  # contiguous same-base lw/sw run
                 op = draw(st.sampled_from(["sw", "lw"]))
                 start = 4 * draw(st.integers(0, 32))
                 for i in range(draw(st.integers(4, 6))):

@@ -124,7 +124,7 @@ def test_sweep_telemetry_matches_the_same_cell_in_process(tmp_path):
 
     runner.clear_trace_cache()
     context.reset(session=ObsSession(), cache_dir=tmp_path / "inline", cache_enabled=True)
-    _execute_cells(("li", configs, N, WARMUP, None, None, "ref", None))
+    _execute_cells(("li", configs, N, WARMUP, "ref", None))
     assert telemetry() == swept
     dump, cache, engine = swept
     assert dump["emulate.collections"]["value"] == 1
@@ -132,6 +132,36 @@ def test_sweep_telemetry_matches_the_same_cell_in_process(tmp_path):
     assert dump["sim.runs"]["value"] == 1
     assert cache == (0, 1)
     assert engine["blocks_compiled"] > 0
+
+
+def test_sampled_windows_count_as_emulations_and_reach_the_sweep():
+    """A sampled task counts each window's trace as one emulated
+    collection of its length, in-process and through a worker's reply;
+    the init skip and the warming fast-forwards retire no records."""
+    from repro.experiments.supervisor import _execute_cells
+    from repro.obs.session import ObsSession
+    from repro.obs.tracing import Tracer
+    from repro.timing.sampling import SamplingPlan
+
+    def emulated():
+        dump = context.current().session.finalize_registry().to_dict()["metrics"]
+        return dump["emulate.collections"]["value"], dump["emulate.instructions"]["value"]
+
+    plan = SamplingPlan(window=300, warmup=100, interval=2000).validate()
+    configs = [baseline_config(), simple_pipeline_config(2)]
+    tracer = Tracer()
+    context.reset(session=ObsSession(), tracer=tracer)
+    _execute_cells(("gzip", configs, 8_000, 0, "ref", plan))
+    windows = [span.args["records"] for span in tracer.spans() if span.name == "window.gzip"]
+    assert len(windows) > 1
+    inline = emulated()
+    assert inline == (len(windows), sum(windows))
+
+    context.reset(session=ObsSession())
+    _, failures, _, _ = run_sweep(["gzip"], configs, 8_000, 0, jobs=1,
+                                  fault_plan=ProcessFaultPlan(), sampling=plan)
+    assert not failures
+    assert emulated() == inline
 
 
 def test_run_sweep_grid_matches_sequential_simulation():
