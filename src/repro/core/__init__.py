@@ -4,9 +4,6 @@
 propagating per-slice add/sub) used by both the scheduler model and the
 property tests.
 
-:mod:`repro.core.dependences` — the inter-slice dependence rules of
-paper Figure 8, per operation class.
-
 :mod:`repro.core.config` — machine configurations: the Table 2 baseline,
 the Figure 10 pipeline variants, and the feature flags that build up the
 Figure 11/12 stacks.
@@ -22,7 +19,6 @@ from repro.core.config import (
     cumulative_configs,
     simple_pipeline_config,
 )
-from repro.core.dependences import input_slices_needed, intra_slice_dependency
 from repro.core.slicing import join_slices, slice_width, sliced_add, sliced_sub, split_value
 
 __all__ = [
@@ -33,8 +29,6 @@ __all__ = [
     "baseline_config",
     "bitslice_config",
     "cumulative_configs",
-    "input_slices_needed",
-    "intra_slice_dependency",
     "join_slices",
     "simple_pipeline_config",
     "slice_width",

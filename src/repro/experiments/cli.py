@@ -45,8 +45,6 @@ Observability flags (see ``docs/observability.md``):
   time (calls, seconds, share, records/s), worker spans included;
 * ``--heartbeat SECONDS`` — periodic progress line for long sweeps
   (cells done / in flight / failed);
-* ``--live`` — live sweep status line (done/pending/failed, cells/s,
-  ETA, active-cell ages) for the ``sweep`` experiment;
 * ``--guest-profile`` / ``--guest-profile-out FILE`` — per-PC retired
   counts of every collected trace plus per-PC CPI stacks from the
   timing runs (render with ``repro-profile``).
@@ -175,11 +173,6 @@ def _parser() -> argparse.ArgumentParser:
         "--backoff", type=float, default=0.25, metavar="SECONDS",
         help="base exponential-backoff delay between cell retries (default 0.25)",
     )
-    sweep.add_argument(
-        "--live", action="store_true",
-        help="live sweep status line on stderr (done/pending/failed, "
-             "cells/s, ETA, active-cell ages); sweep stdout is unchanged",
-    )
     samp = p.add_argument_group("statistical sampling (docs/performance.md)")
     samp.add_argument(
         "--sample", action="store_true",
@@ -282,9 +275,15 @@ def main(argv: list[str] | None = None) -> int:
         print(error, file=sys.stderr)
         return 2
 
-    try:  # a misspelt tier switch fails here, not inside every worker
+    try:  # a misspelt tier switch or chaos spec fails here, not inside every worker
         default_dispatch()
         default_timing_mode()
+        if args.experiment == "sweep":
+            from repro.experiments.supervisor import orch_kill_from_env
+            from repro.harness.faults import ProcessFaultPlan
+
+            ProcessFaultPlan.from_env()
+            orch_kill_from_env()
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -605,31 +604,20 @@ def _run_experiments(args, n, prof, benches, argv) -> int:
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-        progress = None
-        if args.live:
-            from repro.experiments.progress import SweepProgress
-
-            # Stderr keeps stdout byte-comparable across kill-resume.
-            progress = SweepProgress()
-        try:
-            result = sweep_mod.run(
-                benches or BENCHMARK_NAMES,
-                config_names,
-                max_steps=n,
-                jobs=args.jobs,
-                profile=prof,
-                journal_path=args.resume or args.journal,
-                resume=bool(args.resume),
-                policy=SupervisorPolicy(
-                    max_cell_retries=args.max_cell_retries, backoff=args.backoff
-                ),
-                keep_going=args.keep_going,
-                progress=progress,
-                sampling=args.sampling_plan,
-            )
-        finally:
-            if progress is not None:
-                progress.close()
+        result = sweep_mod.run(
+            benches or BENCHMARK_NAMES,
+            config_names,
+            max_steps=n,
+            jobs=args.jobs,
+            profile=prof,
+            journal_path=args.resume or args.journal,
+            resume=bool(args.resume),
+            policy=SupervisorPolicy(
+                max_cell_retries=args.max_cell_retries, backoff=args.backoff
+            ),
+            keep_going=args.keep_going,
+            sampling=args.sampling_plan,
+        )
         emit("sweep", result)
         if result.report is not None:
             # Supervision counters go to stderr: they legitimately vary

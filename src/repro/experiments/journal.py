@@ -46,7 +46,7 @@ from pathlib import Path
 from repro.experiments.results_io import payload_checksum
 from repro.harness.atomicio import atomic_write_json
 from repro.harness.errors import JournalCorruption
-from repro.obs.tracing import active_tracer, traced
+from repro.obs.tracing import traced
 from repro.timing.stats import METRIC_CATALOG, SimStats
 
 #: Journal / result-store schema version (strictly validated).
@@ -261,20 +261,6 @@ class SweepJournal:
         with traced("journal.flush", category="journal"):
             atomic_write_json(self.path, payload, sync_dir=True)
 
-    def _trace_transition(self, cell: CellRecord, error: str | None = None) -> None:
-        """Annotate the merged timeline with one cell state change."""
-        tracer = active_tracer()
-        if tracer is None:
-            return
-        args = {
-            "cell": f"{cell.benchmark}/{cell.config}",
-            "state": cell.state,
-            "attempts": cell.attempts,
-        }
-        if error:
-            args["error"] = str(error)[:200]
-        tracer.mark("journal.transition", category="journal", **args)
-
     # ------------------------------------------------------------- queries
 
     def cell(self, key: str) -> CellRecord:
@@ -306,7 +292,6 @@ class SweepJournal:
         cell = self._by_key[key]
         cell.state = RUNNING
         cell.attempts += 1
-        self._trace_transition(cell)
         self.flush()
 
     def mark_done(self, key: str, stats: SimStats) -> None:
@@ -316,7 +301,6 @@ class SweepJournal:
         cell = self._by_key[key]
         cell.state = DONE
         cell.error = None
-        self._trace_transition(cell)
         self.flush()
 
     def mark_retry(self, key: str, error: str) -> None:
@@ -324,14 +308,12 @@ class SweepJournal:
         cell = self._by_key[key]
         cell.state = PENDING
         cell.error = error
-        self._trace_transition(cell, error=error)
         self.flush()
 
     def mark_failed(self, key: str, error: str, quarantined: bool = False) -> None:
         cell = self._by_key[key]
         cell.state = QUARANTINED if quarantined else FAILED
         cell.error = error
-        self._trace_transition(cell, error=error)
         self.flush()
 
     # -------------------------------------------------------- result store

@@ -13,17 +13,15 @@ Renders the output of the guest profiler (``--guest-profile`` /
   static call graph (:func:`repro.emulator.analysis.static_call_graph`),
   ready for ``flamegraph.pl`` or speedscope.
 
-Two input modes: ``--in profile.json`` loads a profile saved by
-``repro-experiment ... --guest-profile-out`` (or :func:`write_profile`);
-without ``--in`` the tool collects one itself by running the named
-benchmarks through the emulator and timing simulator.
+The profile comes from ``--in``: a file saved by ``repro-experiment
+... --guest-profile-out`` (or :func:`write_profile`), the one producer
+of guest profiles.
 
 Examples::
 
-    repro-profile -b gzip -n 30000
-    repro-profile -b li --config bitslice4 --annotate
+    repro-experiment sweep -b li gzip --configs bitslice4 --guest-profile-out profile.json
+    repro-profile --in profile.json -b li --annotate
     repro-profile --in profile.json --flamegraph li.folded
-    repro-profile -b mcf --out profile.json
 """
 
 from __future__ import annotations
@@ -35,17 +33,8 @@ from pathlib import Path
 from repro.emulator.analysis import collapsed_stacks, static_call_graph, write_collapsed_stacks
 from repro.isa.disassembler import disassemble
 from repro.obs.attribution import COMPONENT_KEYS
-from repro.obs.guestprof import (
-    SHORTFALL_PC,
-    end_guest_profile,
-    load_profile,
-    start_guest_profile,
-    write_profile,
-)
+from repro.obs.guestprof import SHORTFALL_PC, load_profile
 from repro.workloads import BENCHMARK_NAMES
-
-#: Default benchmark for self-collected profiles (small and quick).
-DEFAULT_BENCHMARKS = ("li",)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -55,33 +44,18 @@ def _parser() -> argparse.ArgumentParser:
         "CPI stacks, annotated disassembly, and collapsed-stack flamegraphs.",
     )
     p.add_argument(
-        "--in", dest="profile_in", default=None, metavar="FILE",
-        help="load a saved guest profile (from --guest-profile-out) instead "
-        "of collecting one",
+        "--in", dest="profile_in", required=True, metavar="FILE",
+        help="the guest profile to report (from repro-experiment --guest-profile-out)",
     )
     p.add_argument(
         "-b", "--benchmarks", nargs="+", default=None, metavar="NAME",
-        help=f"benchmarks to profile (default {' '.join(DEFAULT_BENCHMARKS)}; "
-        f"all = {' '.join(BENCHMARK_NAMES)})",
-    )
-    p.add_argument(
-        "-n", "--instructions", type=int, default=30_000,
-        help="measured instructions per benchmark (default 30000)",
-    )
-    p.add_argument(
-        "--warmup", type=int, default=10_000,
-        help="warmup instructions before the measured window (default 10000)",
-    )
-    p.add_argument(
-        "--config", default="bitslice4",
-        help="machine config for cycle attribution (default bitslice4; "
-        "available: ideal pipe2 pipe4 bitslice2 bitslice4)",
+        help="report only these benchmarks of the profile (default: all it holds)",
     )
     p.add_argument(
         "--input-profile", dest="input_profile", default="ref",
         choices=("test", "train", "ref"),
-        help="workload input footprint, also used to rebuild the program "
-        "image for disassembly (default ref)",
+        help="workload input footprint the profile was collected with; "
+        "rebuilds the program image for disassembly (default ref)",
     )
     p.add_argument(
         "--top", type=int, default=10, metavar="N",
@@ -103,31 +77,7 @@ def _parser() -> argparse.ArgumentParser:
         "--flame-weight", choices=("counts", "cycles"), default="counts",
         help="flamegraph weight: retired counts (default) or attributed cycles",
     )
-    p.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also save the profile as JSON (self-collection mode)",
-    )
     return p
-
-
-def _collect_profile(args):
-    """Run the benchmarks under an active collector; returns it ended."""
-    from repro.experiments.runner import collect_trace
-    from repro.experiments.sweep import parse_configs
-    from repro.timing.simulator import simulate
-
-    config = parse_configs([args.config])[0]
-    names = tuple(args.benchmarks or DEFAULT_BENCHMARKS)
-    start_guest_profile()
-    try:
-        for name in names:
-            trace = collect_trace(
-                name, args.instructions + args.warmup, profile=args.input_profile
-            )
-            simulate(config, trace, warmup=args.warmup)
-    finally:
-        collector = end_guest_profile()
-    return collector
 
 
 def _program_for(name: str, input_profile: str):
@@ -260,25 +210,15 @@ def main(argv=None) -> int:
             )
             return 2
 
-    if args.profile_in:
-        try:
-            collector = load_profile(args.profile_in)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load {args.profile_in}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        collector = _collect_profile(args)
+    try:
+        collector = load_profile(args.profile_in)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load {args.profile_in}: {exc}", file=sys.stderr)
+        return 2
 
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_profile(out, collector)
-        print(f"profile saved to {out}", file=sys.stderr)
-
-    wanted = set(args.benchmarks) if args.benchmarks and args.profile_in else None
     names = [
         n for n in sorted(collector.benchmarks)
-        if wanted is None or n in wanted
+        if not args.benchmarks or n in args.benchmarks
     ]
     if not names:
         print("profile contains no benchmarks to report", file=sys.stderr)
@@ -293,19 +233,6 @@ def main(argv=None) -> int:
         for n in names
     ]
     print("\n\n".join(sections))
-
-    from repro.emulator.blocks import telemetry
-
-    jit = telemetry()
-    if jit is not None:
-        s = jit["stats"]
-        print(
-            "\ncompiler telemetry: "
-            f"{s['blocks_compiled']} blocks compiled "
-            f"({s['superblocks']} superblocks, {s['cache_binds']} cache binds), "
-            f"{s['block_execs']} execs, side-exit rate {jit['side_exit_rate']:.1%}, "
-            f"block-inst fraction {jit['block_inst_fraction']:.1%}"
-        )
 
     if args.flamegraph:
         stacks: dict[str, int] = {}

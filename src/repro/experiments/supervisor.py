@@ -5,10 +5,12 @@ module's supervised worker pool (``--jobs N`` sizes it), with a
 crash-safe journal (:mod:`repro.experiments.journal`) on top, so a
 sweep tolerates:
 
-* **dead workers** — each worker runs over its own pipe with a
-  heartbeat; a SIGKILLed or hung worker is detected, its cell retried
-  on a respawned worker (which inherits the same snapshot of the
-  parent's run context), and the respawn counted in the run
+* **dead and frozen workers** — each worker runs over its own pipe
+  with a heartbeat: pipe EOF reveals a dead worker, a silent heartbeat
+  a frozen one (a stopped process, not a busy one; runaway emulation
+  is the in-worker ``--timeout`` watchdog's job).  Either way its cell
+  is retried on a respawned worker (which inherits the same snapshot
+  of the parent's run context), and the respawn counted in the run
   manifest's ``supervisor`` block;
 * **poison cells** — a cell that keeps failing is retried with
   exponential backoff plus seeded jitter and, past the retry budget,
@@ -25,9 +27,10 @@ sweep tolerates:
   workers, flushes the journal, and re-raises, so an interrupted
   campaign is one ``--resume`` away from continuing.
 
-Chaos testing drives all of it: a
+Chaos testing drives the dead-worker, corrupt-transport and
+orchestrator-death paths: a
 :class:`~repro.harness.faults.ProcessFaultPlan` (``$REPRO_CHAOS``)
-injects seeded worker kills/stalls/corruptions, and
+injects seeded worker kills and result corruptions, and
 ``$REPRO_CHAOS_ORCH_KILL`` SIGKILLs the orchestrator itself after N
 completed cells — ``scripts/chaos_sweep.py`` asserts the byte-identical
 recovery invariant end to end.
@@ -72,8 +75,40 @@ _MP_CONTEXT = "spawn"
 #: complete (used by ``scripts/chaos_sweep.py`` to test kill-resume).
 ORCH_KILL_ENV_VAR = "REPRO_CHAOS_ORCH_KILL"
 
+
+def orch_kill_from_env() -> int:
+    """The cell count ``$REPRO_CHAOS_ORCH_KILL`` names (0: unset).
+
+    Raises:
+        ValueError: the variable is set but not a whole number.
+    """
+    value = os.environ.get(ORCH_KILL_ENV_VAR, "").strip()
+    try:
+        return int(value or 0)
+    except ValueError:
+        raise ValueError(
+            f"{ORCH_KILL_ENV_VAR}={value!r}: expected a whole number of cells"
+        ) from None
+
+
 #: Supervisor poll tick (seconds) while waiting on busy workers.
 _TICK = 0.05
+
+#: Worker heartbeat period (seconds).
+HEARTBEAT_INTERVAL = 0.5
+
+#: A worker holding a task whose heartbeat is this many seconds old is
+#: frozen (stopped: a worker computing in Python keeps beating); it is
+#: killed and its task retried on a respawned worker.
+HEARTBEAT_TIMEOUT = 60.0
+
+#: Seeded retry jitter, as a fraction of the backoff delay.
+BACKOFF_JITTER = 0.25
+BACKOFF_SEED = 2003
+
+#: A done cell is flagged as a straggler when its wall time exceeds this
+#: multiple of the sweep's median cell wall time.
+STRAGGLER_FACTOR = 3.0
 
 
 # --------------------------------------------------------------------------
@@ -82,7 +117,7 @@ _TICK = 0.05
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Supervision knobs for one sweep.
+    """The sweep CLI's two supervision knobs.
 
     ``max_cell_retries`` is the number of *extra* attempts a cell gets
     beyond its first; past that it is quarantined.  Retry *n* is
@@ -93,22 +128,14 @@ class SupervisorPolicy:
 
     max_cell_retries: int = 2
     backoff: float = 0.25
-    backoff_jitter: float = 0.25        # fraction of the delay, seeded
-    cell_timeout: float | None = None   # wall seconds before a stalled cell is killed
-    heartbeat_interval: float = 0.5     # worker heartbeat period
-    heartbeat_timeout: float | None = 60.0  # stale-heartbeat kill threshold
-    seed: int = 2003
-    #: A done cell is flagged as a straggler when its wall time exceeds
-    #: this multiple of the sweep's median cell wall time (<= 0: off).
-    straggler_factor: float = 3.0
 
     def retry_delay(self, task_id: str, attempt: int) -> float:
         """Backoff before re-dispatching *task_id* after failed *attempt*."""
         base = self.backoff * (2 ** max(attempt - 1, 0))
         if base <= 0:
             return 0.0
-        jitter = random.Random(f"{self.seed}|{task_id}|{attempt}|backoff").uniform(
-            0.0, self.backoff_jitter * base
+        jitter = random.Random(f"{BACKOFF_SEED}|{task_id}|{attempt}|backoff").uniform(
+            0.0, BACKOFF_JITTER * base
         )
         return base + jitter
 
@@ -125,7 +152,7 @@ class SupervisorReport:
     quarantined: int = 0
     corrupt_results: int = 0
     drained: bool = False
-    #: Done cells whose wall time exceeded ``straggler_factor`` × the
+    #: Done cells whose wall time exceeded ``STRAGGLER_FACTOR`` × the
     #: sweep median (each: cell, wall_seconds, median_seconds, factor).
     stragglers: list = field(default_factory=list)
     #: Cells that needed more than one attempt (each: cell, attempts).
@@ -171,15 +198,13 @@ def last_report() -> SupervisorReport | None:
     return context.current().sweep_report
 
 
-def detect_stragglers(
-    cell_wall: dict[str, float], labels: dict[str, str], factor: float
-) -> list[dict]:
-    """Flag cells whose wall time exceeded *factor* × the sweep median.
+def detect_stragglers(cell_wall: dict[str, float], labels: dict[str, str]) -> list[dict]:
+    """Flag cells whose wall time exceeded ``STRAGGLER_FACTOR`` × the median.
 
     Returns manifest-ready records (worst first).  Needs at least three
     timed cells — a median of one or two walls flags nothing but noise.
     """
-    if factor is None or factor <= 0 or len(cell_wall) < 3:
+    if len(cell_wall) < 3:
         return []
     walls = sorted(cell_wall.values())
     median = walls[len(walls) // 2]
@@ -193,7 +218,7 @@ def detect_stragglers(
             "factor": round(wall / median, 2),
         }
         for key, wall in cell_wall.items()
-        if wall > factor * median
+        if wall > STRAGGLER_FACTOR * median
     ]
     out.sort(key=lambda rec: -rec["factor"])
     return out
@@ -209,13 +234,13 @@ def _resolve(fn_name: str):
     return getattr(importlib.import_module(module), attr)
 
 
-def _heartbeat_loop(hb, interval: float) -> None:
+def _heartbeat_loop(hb) -> None:
     while True:
         hb.value = time.monotonic()
-        time.sleep(interval)
+        time.sleep(HEARTBEAT_INTERVAL)
 
 
-def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval, spawned_at) -> None:
+def _worker_main(conn, hb, snapshot, fault_plan, spawned_at) -> None:
     """Worker loop: receive a task, execute it, send a checksummed reply.
 
     The parent owns interruption (it terminates workers on drain), so
@@ -243,9 +268,7 @@ def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval, spawned_at)
         pass
     run_context = context.activate(snapshot.restore())
     tracer = run_context.tracer
-    threading.Thread(
-        target=_heartbeat_loop, args=(hb, heartbeat_interval), daemon=True
-    ).start()
+    threading.Thread(target=_heartbeat_loop, args=(hb,), daemon=True).start()
     executors: dict[str, object] = {}
     while True:
         try:
@@ -259,8 +282,6 @@ def _worker_main(conn, hb, snapshot, fault_plan, heartbeat_interval, spawned_at)
         fault = fault_plan.decide(task_id, attempt) if fault_plan is not None else None
         if fault == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
-        if fault == "stall":
-            time.sleep(fault_plan.stall_seconds)
         task_span = None
         if tracer is not None:
             tracer.adopt(ctx[:2] if ctx is not None else None)
@@ -315,9 +336,6 @@ class PoolTask:
     max_retries: int = 0
     #: Human-readable span name ("li/bitslice4"); falls back to ``id``.
     label: str = ""
-    #: How many ``cell_timeout``s the task may run before it counts as
-    #: stalled (a sweep task runs several cells).
-    timeouts: int = 1
 
 
 @dataclass
@@ -346,14 +364,13 @@ class _TaskState:
 
 
 class _Worker:
-    __slots__ = ("proc", "conn", "hb", "state", "dispatched_at", "lane", "span")
+    __slots__ = ("proc", "conn", "hb", "state", "lane", "span")
 
     def __init__(self, proc, conn, hb, lane: int = 0) -> None:
         self.proc = proc
         self.conn = conn
         self.hb = hb
         self.state: _TaskState | None = None
-        self.dispatched_at = 0.0
         #: Stable per-worker render lane for the orchestrator's attempt
         #: spans — one Perfetto track per worker slot, respawns included.
         self.lane = lane
@@ -436,8 +453,7 @@ class SupervisedPool:
         hb = RawValue("d", 0.0)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, hb, self.snapshot, self.fault_plan,
-                  self.policy.heartbeat_interval, time.time()),
+            args=(child_conn, hb, self.snapshot, self.fault_plan, time.time()),
             daemon=True,
         )
         proc.start()
@@ -531,7 +547,6 @@ class SupervisedPool:
     def _dispatch(self, worker: _Worker, state: _TaskState, outcomes, waiting, emit) -> None:
         state.attempts += 1
         worker.state = state
-        worker.dispatched_at = time.monotonic()
         emit("dispatch", state.task, state.attempts)
         ctx = None
         if self.tracer is not None:
@@ -593,23 +608,8 @@ class SupervisedPool:
             if not worker.proc.is_alive():
                 self._worker_lost(worker, "worker process died", outcomes, waiting, emit)
                 continue
-            age = now - worker.dispatched_at
-            timeout = self.policy.cell_timeout
-            if timeout is not None:
-                timeout *= worker.state.task.timeouts
-            if timeout is not None and age > timeout:
-                self._worker_lost(
-                    worker,
-                    f"cell exceeded its {timeout:g}s timeout (stalled worker)",
-                    outcomes, waiting, emit, kill=True,
-                )
-                continue
             beat = worker.hb.value
-            if (
-                self.policy.heartbeat_timeout is not None
-                and beat > 0.0
-                and now - beat > self.policy.heartbeat_timeout
-            ):
+            if beat > 0.0 and now - beat > HEARTBEAT_TIMEOUT:
                 self._worker_lost(
                     worker,
                     f"worker heartbeat silent for {now - beat:.1f}s",
@@ -765,7 +765,6 @@ def run_sweep(
     policy: SupervisorPolicy | None = None,
     fault_plan: ProcessFaultPlan | None = None,
     keep_going: bool = False,
-    progress=None,
     sampling=None,
 ):
     """Run a (benchmark × config) grid under supervision, journaled.
@@ -796,12 +795,10 @@ def run_sweep(
     ``--jobs N``.
 
     When a tracer is active (``--trace-spans``) the whole lifecycle is
-    spanned: a ``sweep.run`` root, journal load/replay, one completed
-    ``cell`` span per done cell (resumed cells get a zero-cost span
-    flagged ``resume``), per-attempt spans on one lane per worker, and
-    retry/quarantine/straggler annotations.  *progress* (a
-    :class:`~repro.experiments.progress.SweepProgress`) drives the
-    ``--live`` status line from the same event stream.
+    spanned: a ``sweep.run`` root, journal load/replay, one ``cell``
+    span per cell from its first dispatch to done or failed (resumed
+    cells get a zero-cost span flagged ``resume``), per-attempt spans on
+    one lane per worker, and retry/quarantine/straggler annotations.
     """
     from repro.experiments import runner
     from repro.experiments.runner import FailureRecord
@@ -820,7 +817,7 @@ def run_sweep(
         tracer.default_parent = root.span_id
     if fault_plan is None:
         fault_plan = ProcessFaultPlan.from_env()
-    orch_kill_after = int(os.environ.get(ORCH_KILL_ENV_VAR, "0") or 0)
+    orch_kill_after = orch_kill_from_env()
 
     report = SupervisorReport(cells_total=len(names) * len(configs))
     failures: list[FailureRecord] = []
@@ -913,10 +910,6 @@ def run_sweep(
     journal.flush()
 
     pending = [cell for cell in journal.cells if cell.state == PENDING]
-    if progress is not None:
-        progress.set_total(report.cells_total)
-        if report.resume_hits:
-            progress.resume_hit(report.resume_hits)
     # One task per benchmark, its pending cells in config order.
     groups: dict[str, list[CellRecord]] = {}
     for cell in pending:
@@ -932,9 +925,6 @@ def run_sweep(
                      warmup, profile, sampling),
             max_retries=policy.max_cell_retries,
             label=f"{group[0].benchmark}/{'+'.join(cell.config for cell in group)}",
-            # A sampled rider that drops out of its group runs again on
-            # its own, so it may need a second cell's time.
-            timeouts=len(keys) if sampling is None else 2 * len(keys) - 1,
         )
         members[task.id] = keys
         tasks.append(task)
@@ -968,8 +958,6 @@ def run_sweep(
                 journal.mark_running(key)
                 if tracer is not None and key not in cell_spans:
                     cell_spans[key] = tracer.begin(labels.get(key, key), category="cell")
-                if progress is not None:
-                    progress.dispatch(key, labels.get(key, key))
         elif kind == "done":
             # Each cell is charged an equal share of the task's wall, so
             # the cells' walls still add up to the worker's time.
@@ -988,8 +976,6 @@ def run_sweep(
                     span = cell_spans.pop(key, None)
                     if span is not None:
                         tracer.finish(span, attempts=attempts_by_key.get(key, 1))
-                if progress is not None:
-                    progress.retire(key)
                 note_progress()
                 if orch_kill_after and executed >= orch_kill_after:
                     # Chaos: the orchestrator itself dies mid-sweep, with
@@ -1019,8 +1005,6 @@ def run_sweep(
                     if quarantined:
                         tracer.mark("cell.quarantine", category="cell",
                                     cell=labels.get(key, key), error=error)
-                if progress is not None:
-                    progress.retire(key, failed=True)
                 note_progress()
 
     if pending:
@@ -1065,7 +1049,7 @@ def run_sweep(
     # Campaign-health detectors: cells far beyond the median wall time,
     # and cells that burned retries.  Both land in the manifest's
     # supervisor block (and the journal summary) with the counters.
-    report.stragglers = detect_stragglers(cell_wall, labels, policy.straggler_factor)
+    report.stragglers = detect_stragglers(cell_wall, labels)
     report.retry_storms = sorted(
         (
             {"cell": labels.get(key, key), "attempts": n}
@@ -1113,5 +1097,6 @@ __all__ = [
     "TaskOutcome",
     "detect_stragglers",
     "last_report",
+    "orch_kill_from_env",
     "run_sweep",
 ]

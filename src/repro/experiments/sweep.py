@@ -128,15 +128,9 @@ def run(
     resume: bool = False,
     policy: SupervisorPolicy | None = None,
     keep_going: bool = False,
-    progress=None,
     sampling=None,
 ) -> SweepResult:
     """Run the supervised sweep experiment.
-
-    *progress* is an optional
-    :class:`~repro.experiments.progress.SweepProgress` (the CLI's
-    ``--live``); it renders to stderr, so the deterministic stdout
-    table — the chaos harness's byte-identity invariant — is untouched.
 
     *sampling* (a :class:`~repro.timing.sampling.SamplingPlan`) switches
     every cell to statistical sampling — ``max_steps`` becomes the
@@ -155,7 +149,6 @@ def run(
         resume=resume,
         policy=policy,
         keep_going=keep_going,
-        progress=progress,
         sampling=sampling,
     )
     return SweepResult(

@@ -66,8 +66,8 @@ class JournalCorruption(HarnessError, ValueError):
 
 
 class WorkerCrash(HarnessError):
-    """A supervised worker process died (or stalled past its heartbeat
-    budget) while holding a sweep cell.
+    """A supervised worker process died (its pipe hit EOF) or froze (its
+    heartbeat went silent) while holding a sweep cell.
 
     Raised parent-side by the supervisor; the cell it interrupted is
     retried on a respawned worker and, past the retry budget,

@@ -288,7 +288,7 @@ CHAOS_ENV_VAR = "REPRO_CHAOS"
 
 #: Faults a worker can suffer, in the order the decision roll consumes
 #: its probability mass.
-PROCESS_FAULT_KINDS = ("kill", "stall", "corrupt")
+PROCESS_FAULT_KINDS = ("kill", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -297,10 +297,10 @@ class ProcessFaultPlan:
 
     Unlike the single-bit data faults above, these attack the *worker
     processes* of a supervised sweep: ``kill`` SIGKILLs the worker
-    before it touches the cell, ``stall`` makes it sleep past the
-    supervisor's cell timeout, and ``corrupt`` flips one byte of the
-    serialized result payload after its checksum was computed (so the
-    parent's integrity check must reject it).
+    before it touches the cell (the supervisor sees pipe EOF), and
+    ``corrupt`` flips one byte of the serialized result payload after
+    its checksum was computed (so the parent's integrity check must
+    reject it).
 
     Decisions are a pure function of ``(seed, cell id, attempt)``, so a
     campaign replays bit-for-bit — and a cell that was killed on its
@@ -310,18 +310,14 @@ class ProcessFaultPlan:
 
     seed: int = 2003
     kill_rate: float = 0.0
-    stall_rate: float = 0.0
     corrupt_rate: float = 0.0
-    stall_seconds: float = 30.0
 
     def decide(self, cell_id: str, attempt: int) -> str | None:
         """The fault (if any) this worker suffers on this attempt."""
         roll = random.Random(f"{self.seed}|{cell_id}|{attempt}").random()
         if roll < self.kill_rate:
             return "kill"
-        if roll < self.kill_rate + self.stall_rate:
-            return "stall"
-        if roll < self.kill_rate + self.stall_rate + self.corrupt_rate:
+        if roll < self.kill_rate + self.corrupt_rate:
             return "corrupt"
         return None
 
@@ -334,21 +330,21 @@ class ProcessFaultPlan:
 
     def to_spec(self) -> str:
         """Compact ``key=value,...`` form for ``$REPRO_CHAOS``."""
-        return (
-            f"seed={self.seed},kill={self.kill_rate:g},stall={self.stall_rate:g},"
-            f"corrupt={self.corrupt_rate:g},stall_seconds={self.stall_seconds:g}"
-        )
+        return f"seed={self.seed},kill={self.kill_rate:g},corrupt={self.corrupt_rate:g}"
 
     @classmethod
     def from_spec(cls, spec: str) -> "ProcessFaultPlan":
-        """Parse a ``key=value,...`` spec (unknown keys are an error)."""
+        """Parse a ``key=value,...`` spec.
+
+        Raises:
+            ValueError: an unknown key or a value of the wrong type,
+                named in one line.
+        """
         plan = cls()
         fields_by_key = {
             "seed": ("seed", int),
             "kill": ("kill_rate", float),
-            "stall": ("stall_rate", float),
             "corrupt": ("corrupt_rate", float),
-            "stall_seconds": ("stall_seconds", float),
         }
         for item in spec.split(","):
             item = item.strip()
@@ -357,10 +353,16 @@ class ProcessFaultPlan:
             key, _, value = item.partition("=")
             if key not in fields_by_key:
                 raise ValueError(
-                    f"unknown chaos spec key {key!r}; expected one of {sorted(fields_by_key)}"
+                    f"{CHAOS_ENV_VAR}: unknown key {key!r}; expected one of "
+                    f"{', '.join(fields_by_key)}"
                 )
             name, cast = fields_by_key[key]
-            plan = replace(plan, **{name: cast(value)})
+            try:
+                plan = replace(plan, **{name: cast(value)})
+            except ValueError:
+                raise ValueError(
+                    f"{CHAOS_ENV_VAR}: {key}={value!r}: expected {cast.__name__}"
+                ) from None
         return plan
 
     @classmethod
@@ -368,10 +370,6 @@ class ProcessFaultPlan:
         """The plan carried by ``$REPRO_CHAOS``, or ``None`` if unset."""
         spec = os.environ.get(CHAOS_ENV_VAR, "").strip()
         return cls.from_spec(spec) if spec else None
-
-    @property
-    def active(self) -> bool:
-        return (self.kill_rate + self.stall_rate + self.corrupt_rate) > 0
 
 
 @dataclass

@@ -15,7 +15,7 @@ telemetry (see ``docs/observability.md``):
 * :mod:`repro.obs.tracing` — sweep-wide distributed spans (orchestrator,
   workers, cells) with cross-process context propagation, merged into a
   single Perfetto timeline plus a schema-validated JSONL span log
-  (the CLI's ``--trace-spans`` / ``--live``), and the one timing
+  (the CLI's ``--trace-spans``), and the one timing
   mechanism: the ``--profile`` table ranks span names by self time;
 * :mod:`repro.obs.guestprof` — per-PC retirement counts and CPI stacks
   of the guest programs (``--guest-profile``).

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 from pathlib import Path
 
 
@@ -28,10 +27,17 @@ def die(payload):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def stall(payload):
-    """Sleep far past any sane cell timeout."""
-    time.sleep(float(payload[0]))
-    return "never reached in stall tests"
+def freeze(payload):
+    """SIGSTOP the worker on the first attempt (a marker file says which).
+
+    A stopped worker keeps its pipe open and its heartbeat thread
+    stops with it: only the heartbeat check can tell it is frozen.
+    """
+    marker = Path(payload[0]) / "frozen-once"
+    if not marker.exists():
+        marker.touch()
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return "thawed"
 
 
 def run_context(payload):

@@ -36,6 +36,32 @@ def test_misspelt_tier_switch_rejected(capsys, monkeypatch, var):
     assert var in err and "'reference'" in err
 
 
+@pytest.mark.parametrize("var, value, named", [
+    # A spec written for the retired stall fault is malformed now.
+    ("REPRO_CHAOS", "seed=7,stall=1.0,stall_seconds=3", "'stall'"),
+    ("REPRO_CHAOS", "seed=7,kill=often", "'often'"),
+    ("REPRO_CHAOS_ORCH_KILL", "two", "'two'"),
+])
+def test_malformed_chaos_spec_rejected_before_the_sweep(capsys, monkeypatch, var, value, named):
+    monkeypatch.setenv(var, value)
+    assert main(["sweep", "-n", "1200", "-b", "li", "--configs", "ideal"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert var in line and named in line
+
+
+def test_sweep_heartbeat_prints_cell_progress(tmp_path, capsys):
+    """``--heartbeat`` is the sweep's progress view: a line per finished
+    cell at interval 0, on stderr, so stdout stays the bare table."""
+    argv = ["sweep", "-n", "1200", "-b", "li", "--configs", "ideal", "bitslice2"]
+    assert main([*argv, "--heartbeat", "0", "--bench-dir", str(tmp_path)]) == 0
+    beating = capsys.readouterr()
+    assert "sweep 2/2 cells" in beating.err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == beating.out
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["figure99"])

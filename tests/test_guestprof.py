@@ -13,7 +13,7 @@ The contract, as tests:
 * profiles validate, round-trip through JSON, and merge commutatively
   (the ``--jobs`` transport);
 * ``repro-profile`` renders hot-line tables, annotated disassembly,
-  and collapsed-stack flamegraphs from both live runs and saved files.
+  and collapsed-stack flamegraphs from saved profiles.
 """
 
 from __future__ import annotations
@@ -372,15 +372,23 @@ def test_profile_cli_reports_saved_profile(tmp_path, capsys):
 
 
 def test_profile_cli_live_run_annotates_and_saves(tmp_path, capsys):
+    """A profile collected in this process, saved, then rendered."""
+    from repro.core.config import bitslice_config
     from repro.experiments.profile_cli import main
+    from repro.timing.simulator import simulate
 
+    start_guest_profile()
+    try:
+        simulate(bitslice_config(4), runner.collect_trace("li", 2200), warmup=200)
+    finally:
+        collector = end_guest_profile()
     saved = tmp_path / "li.json"
+    write_profile(saved, collector)
     flame = tmp_path / "li.folded"
     rc = main(
         [
-            "-b", "li", "-n", "2000", "--warmup", "200",
-            "--config", "bitslice4", "--annotate", "--annotate-min", "50",
-            "--out", str(saved), "--flamegraph", str(flame),
+            "--in", str(saved), "-b", "li", "--annotate", "--annotate-min", "50",
+            "--flamegraph", str(flame),
         ]
     )
     assert rc == 0
@@ -396,8 +404,8 @@ def test_profile_cli_live_run_annotates_and_saves(tmp_path, capsys):
         assert int(count) > 0
 
 
-def test_profile_cli_rejects_unknown_benchmark(capsys):
+def test_profile_cli_rejects_unknown_benchmark(tmp_path, capsys):
     from repro.experiments.profile_cli import main
 
-    assert main(["-b", "nope"]) == 2
+    assert main(["--in", str(_collect_synthetic(tmp_path)), "-b", "nope"]) == 2
     assert "unknown benchmark" in capsys.readouterr().err

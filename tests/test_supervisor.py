@@ -105,27 +105,20 @@ def test_flaky_cell_recovers_within_retry_budget(tmp_path):
     assert events.count("retry") == 2 and events.count("respawn") >= 2
 
 
-def test_stalled_worker_is_killed_after_cell_timeout():
-    policy = SupervisorPolicy(max_cell_retries=0, backoff=0.0, cell_timeout=1.0)
-    t0 = time.monotonic()
-    with SupervisedPool(1, policy=policy) as pool:
-        outcomes = pool.run(_tasks("stall", [(60,)]))
-    assert time.monotonic() - t0 < 30  # did not wait out the sleep
+def test_frozen_worker_is_killed_when_its_heartbeat_goes_silent(tmp_path, monkeypatch):
+    """A worker SIGSTOPped mid-task never closes its pipe; its silent
+    heartbeat is what gets it killed, respawned and its task retried."""
+    monkeypatch.setattr(supervisor, "HEARTBEAT_TIMEOUT", 1.0)
+    events = []
+    with SupervisedPool(1, policy=SupervisorPolicy(max_cell_retries=1, backoff=0.0)) as pool:
+        outcomes = pool.run(
+            _tasks("freeze", [(str(tmp_path),)], max_retries=1),
+            on_event=lambda k, t, i: events.append((k, i)),
+        )
     out = outcomes["0"]
-    assert out.error == "WorkerCrash" and "timeout" in out.message
-    assert _no_children()
-
-
-
-def test_task_timeout_scales_with_its_allowance():
-    """A task allowed five cell timeouts is not killed after one."""
-    policy = SupervisorPolicy(max_cell_retries=0, backoff=0.0, cell_timeout=1.0)
-    tasks = _tasks("stall", [(2.0,), (2.0,)])
-    tasks[1].timeouts = 5
-    with SupervisedPool(2, policy=policy) as pool:
-        outcomes = pool.run(tasks)
-    assert outcomes["0"].error == "WorkerCrash" and "timeout" in outcomes["0"].message
-    assert outcomes["1"].ok
+    assert out.ok and out.value == "thawed" and out.attempts == 2
+    reasons = [info for kind, info in events if kind == "respawn"]
+    assert len(reasons) == 1 and "heartbeat" in reasons[0]
     assert _no_children()
 
 # ------------------------------------------------------ corrupt transport
@@ -175,7 +168,7 @@ def test_no_orphan_workers_when_caller_raises_mid_run():
 # ------------------------------------------------------------- backoff
 
 def test_retry_delay_is_seeded_and_exponential():
-    policy = SupervisorPolicy(backoff=0.25, backoff_jitter=0.25, seed=7)
+    policy = SupervisorPolicy(backoff=0.25)
     d1, d2, d3 = (policy.retry_delay("cell", a) for a in (1, 2, 3))
     assert policy.retry_delay("cell", 1) == d1  # deterministic
     assert 0.25 <= d1 <= 0.25 * 1.25
@@ -300,13 +293,13 @@ SAMPLED_N = 4_000
 
 @pytest.fixture
 def pool_tasks(monkeypatch):
-    """Records (cells, cell timeouts allowed) of every task handed to a pool."""
+    """Records the cell count of every task handed to a pool."""
     runs = []
     real = SupervisedPool.run
 
     def run(self, tasks, on_event=None):
         tasks = list(tasks)
-        runs.append([(len(task.payload[1]), task.timeouts) for task in tasks])
+        runs.append([len(task.payload[1]) for task in tasks])
         return real(self, tasks, on_event=on_event)
 
     monkeypatch.setattr(SupervisedPool, "run", run)
@@ -325,8 +318,7 @@ def _cells(journal_path):
 @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
 def test_grouped_sweep_matches_one_task_per_cell(tmp_path, pool_tasks, sampled):
     """One task runs a benchmark's configs, with one worker or two; its
-    cells have the keys, states and results of one-config sweeps.  A
-    sampled group may take a cell timeout more per rider (a re-run)."""
+    cells have the keys, states and results of one-config sweeps."""
     extra = SAMPLED if sampled else {}
     n = SAMPLED_N if sampled else N
     configs = [baseline_config(), bitslice_config(2)]
@@ -345,8 +337,7 @@ def test_grouped_sweep_matches_one_task_per_cell(tmp_path, pool_tasks, sampled):
         run_sweep(["bzip"], [config], n, WARMUP, jobs=1, journal_path=journal_path,
                   fault_plan=ProcessFaultPlan(), **extra)
         alone.update(_cells(journal_path))
-    group = (2, 3 if sampled else 2)
-    assert pool_tasks == [[group], [group], [(1, 1)], [(1, 1)]]
+    assert pool_tasks == [[2], [2], [1], [1]]
     assert grouped[0] == grouped[1] == alone
     if not sampled:
         trace = runner.collect_trace("bzip", N + WARMUP)
@@ -367,7 +358,7 @@ def test_grouped_resume_reexecutes_only_the_missing_member(tmp_path, pool_tasks)
     journal.result_path(victim.key).unlink()
 
     grid2, _, _, report = run_sweep(["bzip"], configs, SAMPLED_N, 0, resume=True, **args)
-    assert pool_tasks == [[(2, 3)], [(1, 1)]]
+    assert pool_tasks == [[2], [1]]
     assert report.resume_hits == 1 and report.cells_executed == 1
     assert SweepJournal.load(journal_path).cell(victim.key).state == DONE
     for config in configs:
@@ -412,7 +403,7 @@ def test_grouped_sampled_sweep_guest_profile_matches_per_cell_tasks(pool_tasks):
                                           fault_plan=ProcessFaultPlan(), **SAMPLED)
             assert not failures
         profiles.append(guestprof.end_guest_profile().to_dict())
-    assert pool_tasks == [[(2, 3)], [(1, 1)], [(1, 1)]]
+    assert pool_tasks == [[2], [1], [1]]
     assert profiles[0] == profiles[1]
     assert sum(b["retired"] for b in profiles[0]["benchmarks"].values()) == 2 * 2 * 400
 

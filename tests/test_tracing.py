@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.config import baseline_config, bitslice_config
 from repro.experiments.journal import DONE, SweepJournal
-from repro.experiments.progress import SweepProgress
 from repro.experiments.supervisor import (
     PoolTask,
     SupervisedPool,
@@ -174,7 +173,7 @@ def test_ingest_drops_malformed_spans_without_raising():
 def test_jsonl_file_round_trip_and_validation(tmp_path):
     tracer = Tracer(clock=FakeClock())
     with tracer.span("sweep.run", category="sweep"):
-        tracer.mark("journal.transition", category="journal", state="done")
+        tracer.mark("cell.quarantine", category="cell", cell="li/ideal")
     path = tmp_path / "spans.jsonl"
     n = tracing.write_spans_jsonl(tracer.spans(), path)
     assert n == 2
@@ -316,10 +315,6 @@ def test_resumed_sweep_records_every_done_cell_exactly_once(tmp_path):
     assert len(resumed) == 1
     assert resumed[0].name != f"{victim.benchmark}/{victim.config}"
     assert all(c.state == DONE for c in SweepJournal.load(journal_path).cells)
-    # Journal state transitions are annotated on the timeline.
-    transitions = [s for s in tracer.spans(category="journal")
-                   if s.name == "journal.transition"]
-    assert any(s.args.get("state") == "done" for s in transitions)
 
 
 def test_worker_start_up_is_a_span_of_the_first_attempt():
@@ -346,16 +341,15 @@ def test_sweep_untraced_by_default_emits_nothing(tmp_path):
     assert tracing.active_tracer() is None
 
 
-# ------------------------------------------------- stragglers and progress
+# ------------------------------------------------------------- stragglers
 
 def test_detect_stragglers_flags_outliers_worst_first():
     wall = {"a": 1.0, "b": 1.2, "c": 0.9, "d": 9.0, "e": 12.0}
     labels = {k: f"bench/{k}" for k in wall}
-    out = detect_stragglers(wall, labels, factor=3.0)
+    out = detect_stragglers(wall, labels)
     assert [r["cell"] for r in out] == ["bench/e", "bench/d"]
     assert out[0]["factor"] > out[1]["factor"] >= 3.0
-    assert detect_stragglers({"a": 1.0, "b": 50.0}, labels, 3.0) == []  # <3 cells
-    assert detect_stragglers(wall, labels, 0.0) == []  # disabled
+    assert detect_stragglers({"a": 1.0, "b": 50.0}, labels) == []  # <3 cells
 
 
 def test_supervisor_report_carries_straggler_and_storm_fields():
@@ -370,23 +364,3 @@ def test_supervisor_report_carries_straggler_and_storm_fields():
     assert payload["retry_storms"][0]["attempts"] == 4
     text = report.render()
     assert "1 straggler(s)" in text and "1 retry-storm cell(s)" in text
-
-
-def test_sweep_progress_tracks_rates_and_eta(capsys):
-    clock = FakeClock(0.0)
-    prog = SweepProgress(interval=0.0, clock=clock, force_tty=False)
-    prog.set_total(4)
-    prog.resume_hit(1)
-    prog.dispatch("k1", "li/ideal")
-    prog.dispatch("k2", "li/bitslice-2")
-    prog.retire("k1")
-    line = prog.status_line()
-    assert "2/4 done" in line and "1 resumed" in line
-    assert "li/bitslice-2" in line
-    assert prog.pending == 1  # 4 total - 2 done - 1 in flight
-    assert prog.cells_per_second() > 0
-    assert prog.eta_seconds() != float("inf")
-    prog.retire("k2", failed=True)
-    assert "1 failed" in prog.status_line()
-    prog.close()
-    assert "[sweep]" in capsys.readouterr().err
