@@ -7,7 +7,11 @@ Measures, per workload, full runs to the halt point (bounded by
 * ``blocks`` — the block-compiling production tier
   (``repro.emulator.blocks``), best of ``--repeats``;
 * ``reference`` — the golden ``if``/``elif`` interpreter (slow,
-  measured once).
+  measured once);
+* the functional-warming layer — after the init skip, two machines of
+  one program alternate equal ``WARM_CHUNK``-instruction chunks of
+  ``run`` and ``run_warm`` (block code already cached), and the time
+  ratio warm/run is what the warming hooks cost.
 
 Every workload is first lockstep cross-checked against the golden
 reference on a trace slice (the pre-bound handlers *and* the compiled
@@ -26,7 +30,9 @@ sections) for ``scripts/bench_compare.py``'s regression gate::
 
 ``blocks_speedup_vs_reference`` ratios are host-normalised (both tiers
 run in the same process on the same machine), so ``--check-speedup`` is
-meaningful on shared CI runners where raw inst/s would not be.
+meaningful on shared CI runners where raw inst/s would not be.  The
+warming ratio (``warm_over_run_time_ratio``) is host-normalised the
+same way; it is recorded and printed, and gates nothing.
 """
 
 from __future__ import annotations
@@ -39,12 +45,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.config import baseline_config  # noqa: E402
 from repro.emulator.blocks import cross_check_blocks, stats as block_stats  # noqa: E402
 from repro.emulator.dispatch import cross_check  # noqa: E402
 from repro.emulator.machine import DISPATCH_TIERS, Machine, default_dispatch  # noqa: E402
 from repro.harness.atomicio import atomic_write_json  # noqa: E402
 from repro.obs.manifest import bench_snapshot, build_manifest  # noqa: E402
+from repro.timing.sampling import WarmState  # noqa: E402
 from repro.workloads import BENCHMARK_NAMES, get_workload  # noqa: E402
+from repro.workloads.suite import skip_hint  # noqa: E402
 
 #: Instruction cap per run; every workload halts well below this, so
 #: measurements are deterministic full runs, never mid-phase windows.
@@ -63,6 +72,12 @@ PARITY_SLICE = 3_000
 #: ``benchmarks/BENCH_blocks_baseline.json``, whose own per-workload
 #: numbers give 24.6x (the same ~21% headroom the old floor had).
 SPEEDUP_FLOOR = 19.5
+
+
+#: Instructions per alternating ``run``/``run_warm`` chunk, and chunks
+#: per workload (fewer when the guest halts first).
+WARM_CHUNK = 50_000
+WARM_CHUNKS = 8
 
 
 def geomean(values) -> float:
@@ -91,6 +106,47 @@ def _best_run(program, mode: str, steps: int, repeats: int):
     return best, retired
 
 
+def warm_over_run(program, name: str) -> float:
+    """Process-time ratio of ``run_warm`` to ``run`` over one span.
+
+    Two machines of *program* skip its initialization, then alternate
+    equal chunks: ``run`` on one, ``run_warm`` (into a fresh Table 2
+    hierarchy and predictor) on the other.  A first, untimed pair
+    covers the same span, so both variants' blocks come from the
+    per-program code cache and the ratio holds no compile time.
+    """
+    skip = skip_hint(name, "ref")
+
+    def pair():
+        warm = WarmState(baseline_config())
+        plain, warmer = Machine(program), Machine(program)
+        warmer.attach_warm_sink(warm.hierarchy, warm.predictor)
+        plain.run(skip)
+        warmer.run(skip)
+        return plain, warmer
+
+    run_s = warm_s = 0.0
+    for timed in (False, True):
+        plain, warmer = pair()
+        for _ in range(WARM_CHUNKS):
+            if plain.halted:
+                break
+            t0 = time.process_time()
+            plain.run(WARM_CHUNK)
+            t1 = time.process_time()
+            warmer.run_warm(WARM_CHUNK)
+            t2 = time.process_time()
+            if timed:
+                run_s += t1 - t0
+                warm_s += t2 - t1
+        if warmer.instret != plain.instret:
+            raise RuntimeError(
+                f"{name}: run_warm retired {warmer.instret} instructions, "
+                f"run retired {plain.instret}"
+            )
+    return warm_s / run_s
+
+
 def bench_benchmark(name: str, steps: int, repeats: int, verbose=print) -> dict:
     """Parity-check then measure one workload on both tiers."""
     program = get_workload(name).build(iters=None, profile="ref")
@@ -107,6 +163,7 @@ def bench_benchmark(name: str, steps: int, repeats: int, verbose=print) -> dict:
             f"{name}: reference retired {ref_retired} instructions, "
             f"blocks retired {retired}"
         )
+    warm_ratio = warm_over_run(program, name)
     row = {
         "instructions": retired,
         "blocks_wall_seconds": blocks_wall,
@@ -114,10 +171,12 @@ def bench_benchmark(name: str, steps: int, repeats: int, verbose=print) -> dict:
         "blocks_instructions_per_second": retired / blocks_wall,
         "reference_instructions_per_second": retired / ref_wall,
         "blocks_speedup_vs_reference": ref_wall / blocks_wall,
+        "warm_over_run_time_ratio": warm_ratio,
     }
     verbose(
         f"  {name:<8s} {retired:>9,d} inst   blocks {retired / blocks_wall:>10,.0f} inst/s"
         f"   ref {retired / ref_wall:>8,.0f} inst/s   {ref_wall / blocks_wall:5.1f}x"
+        f"   warm/run {warm_ratio:4.2f}"
     )
     return row
 
@@ -201,6 +260,7 @@ def main(argv=None) -> int:
                     "reference": r["reference_instructions_per_second"],
                 },
                 "blocks_speedup_vs_reference": r["blocks_speedup_vs_reference"],
+                "warm_over_run_time_ratio": r["warm_over_run_time_ratio"],
             }
         manifest = build_manifest(
             config={

@@ -17,46 +17,32 @@ class GsharePredictor:
         self.entries = entries
         self.index_bits = entries.bit_length() - 1
         self.history_bits = self.index_bits if history_bits is None else history_bits
+        self.index_mask = entries - 1
+        self.history_mask = (1 << self.history_bits) - 1
         self.history = 0
         # Counters start weakly taken (2), the usual initialization.
         self.table = bytearray([2] * entries)
-        self.predictions = 0
-        self.mispredictions = 0
-
-    def _index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self.history) & (self.entries - 1)
 
     def predict(self, pc: int) -> bool:
         """Predicted direction for the branch at *pc*."""
-        return self.table[self._index(pc)] >= 2
+        return self.table[((pc >> 2) ^ self.history) & self.index_mask] >= 2
 
     def update(self, pc: int, taken: bool) -> bool:
         """Train on the resolved outcome; returns whether the prediction was correct.
 
         The counter is updated and the outcome is shifted into the
         global history (speculative history update is not modeled; the
-        characterization and timing model train at resolution).
+        characterization and timing model train at resolution).  The
+        warm variant of the block compiler inlines this method
+        (:meth:`repro.emulator.blocks.BlockEngine._codegen`).
         """
-        index = self._index(pc)
+        history = self.history
+        index = ((pc >> 2) ^ history) & self.index_mask
         counter = self.table[index]
-        predicted = counter >= 2
-        self.predictions += 1
-        if predicted != taken:
-            self.mispredictions += 1
         if taken:
             if counter < 3:
                 self.table[index] = counter + 1
-        else:
-            if counter > 0:
-                self.table[index] = counter - 1
-        mask = (1 << self.history_bits) - 1
-        self.history = ((self.history << 1) | int(taken)) & mask
-        return predicted == taken
-
-    @property
-    def accuracy(self) -> float:
-        return 1.0 - self.mispredictions / self.predictions if self.predictions else 0.0
-
-    def reset_stats(self) -> None:
-        self.predictions = 0
-        self.mispredictions = 0
+        elif counter:
+            self.table[index] = counter - 1
+        self.history = ((history << 1) | taken) & self.history_mask
+        return (counter >= 2) == taken

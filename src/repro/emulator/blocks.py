@@ -91,6 +91,14 @@ _M = 0xFFFFFFFF
 #: by its own line size, so a mismatch only costs extra calls.
 _ILINE_SHIFT = 6
 
+#: What a warm variant binds from the machine's warming sink: the
+#: hierarchy's data and I-side hooks, the L1D's sets and geometry, the
+#: gshare predictor with its table and masks, and the BTB/RAS hooks.
+_WARM_NAMES = (
+    "_wd", "_d1s", "_d1o", "_d1m", "_d1t", "_wi",
+    "_gs", "_gt", "_gim", "_ghm", "_btu", "_rpu", "_rpo",
+)
+
 #: Executions of a leader before its block compiles, so cold code never
 #: pays ``compile`` (costed by ``scripts/bench_host_ops.py``).  Tests
 #: and cross_check pass ``block_threshold=0``: compile on first entry.
@@ -420,10 +428,11 @@ class BlockEngine:
         exits and the block end).
 
         The ``warm`` variant is the run variant plus functional-warming
-        hooks: every memory operand touches the data cache (``_wd``),
-        fetch-line transitions touch the I-cache (``_wi``),
-        and control transfers train the branch predictor (``_gsu`` /
-        ``_btu`` / ``_rpu`` / ``_rpo``) — so statistical-sampling
+        hooks: every memory operand touches the data cache (``_wd``,
+        called only off the L1D set's MRU way), fetch-line transitions
+        touch the I-cache (``_wi``), conditional branches train the
+        gshare table and history inline, and jumps train the BTB and
+        RAS (``_btu`` / ``_rpu`` / ``_rpo``) — so statistical-sampling
         fast-forward spans keep the microarchitectural state a detailed
         window adopts continuously warm, at block-compiled speed.
 
@@ -443,9 +452,14 @@ class BlockEngine:
         starts: list = []        # (first body line, item position) per emitted item
         warm_iline = [-1]        # static fetch line of the previous item
 
-        def wd(indent: str = "    ") -> None:
+        def wd() -> None:
             if warm:
-                body.append(f"{indent}_wd(_ma)")
+                # SetAssociativeCache.is_mru, inline: an access that
+                # hits its L1D set's MRU way changes no state, so only
+                # the others call the hierarchy.
+                body.append("    _s = _d1s[(_ma >> _d1o) & _d1m]")
+                body.append("    if not _s or _s[0] != _ma >> _d1t:")
+                body.append("        _wd(_ma)")
 
         def wi(pc: int) -> None:
             if warm:
@@ -546,7 +560,18 @@ class BlockEngine:
                 fi = idx + 1
                 body.append(f"    _tk = {expr}")
                 if warm:
-                    body.append(f"    _gsu({pc}, _tk)")
+                    # GsharePredictor.update, inline (its return value
+                    # is not needed): step the indexed 2-bit counter
+                    # toward the outcome and shift it into the history.
+                    body.append("    _h = _gs.history")
+                    body.append(f"    _gi = ({pc >> 2} ^ _h) & _gim")
+                    body.append("    _c = _gt[_gi]")
+                    body.append("    if _tk:")
+                    body.append("        if _c < 3:")
+                    body.append("            _gt[_gi] = _c + 1")
+                    body.append("    elif _c:")
+                    body.append("        _gt[_gi] = _c - 1")
+                    body.append("    _gs.history = ((_h << 1) | _tk) & _ghm")
                 if last or cont is None:
                     # terminal branch: return on both edges
                     if trace:
@@ -691,8 +716,9 @@ class BlockEngine:
             "R", "_pgs", "_rw", "_ww", "_rh", "_wh", "_rb", "_wb",
             "_TR", "_I", "_f32", "_b32", "_fsqrt", "_fcvtws",
             "_isnan", "_cs", "_nan", "_inf", "_abs", "_flt",
-            "_wd", "_wi", "_gsu", "_btu", "_rpu", "_rpo",
         )
+        if warm:
+            params += _WARM_NAMES
         lines = ["def _blk(m, " + ", ".join(f"{p}={p}" for p in params) + "):"]
         if trace:
             lines.append("    _rec = []")
@@ -733,20 +759,21 @@ class BlockEngine:
         })
         sink = machine._warm_sink
         if sink is not None:
+            # Bound per machine, never folded into the source: the code
+            # object is shared by every machine over the program, and a
+            # warm variant bound without a sink fails its exec loudly.
             hierarchy, predictor = sink
+            l1d, gshare = hierarchy.l1d, predictor.gshare
             env.update({
                 "_wd": hierarchy.warm_data,
+                "_d1s": l1d._sets, "_d1o": l1d._off, "_d1m": l1d._mask, "_d1t": l1d._tshift,
                 "_wi": hierarchy.warm_instruction,
-                "_gsu": predictor.gshare.update,
+                "_gs": gshare, "_gt": gshare.table,
+                "_gim": gshare.index_mask, "_ghm": gshare.history_mask,
                 "_btu": predictor.btb.update,
                 "_rpu": predictor.ras.push,
                 "_rpo": predictor.ras.pop,
             })
-        else:
-            # Run/trace variants never call the warming hooks; warm
-            # variants only compile once a sink is attached, so binding
-            # None here keeps a missing hook loudly visible.
-            env.update(dict.fromkeys(("_wd", "_wi", "_gsu", "_btu", "_rpu", "_rpo")))
         exec(code, env)
         return env["_blk"]
 

@@ -33,7 +33,6 @@ from repro.core.slicing import (
     sliced_sub,
     split_value,
 )
-from repro.emulator.tracefile import pack_trace, unpack_trace
 from repro.harness.errors import TraceCorruption
 
 _M = 0xFFFFFFFF
@@ -199,6 +198,10 @@ def run_campaign(
     Raises:
         ValueError: the trace contains no sliceable instructions.
     """
+    # Imported here, their only user: a sweep worker unpickles a
+    # ProcessFaultPlan from this module and needs no trace packing.
+    from repro.emulator.tracefile import pack_trace, unpack_trace
+
     records = list(trace)
     cands = candidates(records)
     if not cands:

@@ -83,12 +83,6 @@ class SetAssociativeCache:
         self._mask = config.num_sets - 1
         self._tshift = config.tag_shift
         self._assoc = config.assoc
-        self.hits = 0
-        self.misses = 0
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
 
     def probe(self, addr: int) -> bool:
         """Non-destructive lookup: True when *addr* hits."""
@@ -101,13 +95,13 @@ class SetAssociativeCache:
         full (write-allocate; since only tags are modeled, loads and
         stores are handled identically).  The MRU way is checked before
         the general scan — most references hit it, and the scan plus
-        reorder cost only matters off that fast path.
+        reorder cost only matters off that fast path.  A hit on the MRU
+        way changes no state at all.
         """
         ways = self._sets[(addr >> self._off) & self._mask]
         tag = addr >> self._tshift
         if ways:
             if ways[0] == tag:
-                self.hits += 1
                 return True
             try:
                 pos = ways.index(tag, 1)
@@ -115,9 +109,7 @@ class SetAssociativeCache:
                 pass
             else:
                 ways.insert(0, ways.pop(pos))
-                self.hits += 1
                 return True
-        self.misses += 1
         if len(ways) >= self._assoc:
             ways.pop()
         ways.insert(0, tag)
@@ -125,7 +117,9 @@ class SetAssociativeCache:
 
     def is_mru(self, addr: int) -> bool:
         """True when *addr*'s line is its set's MRU way, so an
-        :meth:`access` would change nothing but the hit count."""
+        :meth:`access` would change nothing.  The warm variant of the
+        block compiler inlines this test before each data access
+        (:meth:`repro.emulator.blocks.BlockEngine._codegen`)."""
         ways = self._sets[(addr >> self._off) & self._mask]
         return bool(ways) and ways[0] == addr >> self._tshift
 
@@ -156,17 +150,6 @@ class SetAssociativeCache:
         """Tags resident in the set *addr* maps to, MRU-first (a copy)."""
         return list(self._sets[(addr >> self._off) & self._mask])
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         c = self.config
-        return (
-            f"<{c.name}: {c.size}B {c.assoc}-way {c.line_size}B lines, "
-            f"{self.hits} hits / {self.misses} misses>"
-        )
+        return f"<{c.name}: {c.size}B {c.assoc}-way {c.line_size}B lines>"

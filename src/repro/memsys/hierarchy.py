@@ -1,9 +1,10 @@
 """Cache hierarchy: L1I, L1D, unified L2, main memory (paper Table 2).
 
-The hierarchy returns access latencies for the timing simulator and
-keeps per-level hit/miss statistics.  Latencies are additive down the
-hierarchy, with the L1 latency configurable because the slice-by-4
-machine uses a 2-cycle L1D (paper §7.1).
+The hierarchy returns access latencies for the timing simulator (the
+simulator's :class:`~repro.timing.stats.SimStats` counts the hits and
+misses).  Latencies are additive down the hierarchy, with the L1
+latency configurable because the slice-by-4 machine uses a 2-cycle L1D
+(paper §7.1).
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class MemoryHierarchy:
         self._warm_iline = line
         if not self.l1i.access(addr):
             self.l2.access(addr)
-
-    def reset_stats(self) -> None:
-        for cache in (self.l1i, self.l1d, self.l2):
-            cache.reset_stats()
 
 
 def Table2Hierarchy(l1_latency: int = 1) -> MemoryHierarchy:

@@ -58,9 +58,7 @@ from repro.obs.session import ObsSession, active_session, end_session, start_ses
 from repro.obs.guestprof import (
     GuestProfileCollector,
     active_collector,
-    end_guest_profile,
     load_profile,
-    start_guest_profile,
     suspended_guest_profile,
     validate_profile,
     write_profile,
@@ -80,13 +78,11 @@ __all__ = [
     "active_session",
     "active_tracer",
     "build_manifest",
-    "end_guest_profile",
     "end_session",
     "end_tracing",
     "load_bench_snapshot",
     "load_profile",
     "spans_to_chrome_trace",
-    "start_guest_profile",
     "start_session",
     "start_tracing",
     "suspended_guest_profile",

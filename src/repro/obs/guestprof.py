@@ -64,7 +64,9 @@ class BenchProfile:
 
 
 class GuestProfileCollector:
-    """The run's guest profiler; activate via :func:`start_guest_profile`."""
+    """The run's guest profiler: the run context's ``collector`` slot
+    holds it (:func:`redirected_guest_profile` installs one for a
+    scope)."""
 
     def __init__(self) -> None:
         self.benchmarks: dict[str, BenchProfile] = {}
@@ -307,19 +309,6 @@ def profile_from_records(records, collector: GuestProfileCollector) -> None:
 
 # ------------------------------------------------------- active collector
 
-def start_guest_profile() -> GuestProfileCollector:
-    """Activate a new collector in the run context (replacing any existing one)."""
-    collector = current().collector = GuestProfileCollector()
-    return collector
-
-
-def end_guest_profile() -> GuestProfileCollector | None:
-    """Deactivate and return the current collector."""
-    context = current()
-    collector, context.collector = context.collector, None
-    return collector
-
-
 def active_collector() -> GuestProfileCollector | None:
     """The current collector, or ``None`` when guest profiling is off."""
     return current().collector
@@ -352,12 +341,10 @@ __all__ = [
     "PROFILE_FORMAT",
     "SHORTFALL_PC",
     "active_collector",
-    "end_guest_profile",
     "load_profile",
     "profile_delta",
     "profile_from_records",
     "redirected_guest_profile",
-    "start_guest_profile",
     "suspended_guest_profile",
     "validate_profile",
     "write_profile",

@@ -86,7 +86,8 @@ class ObsSession:
         self.heartbeat(msg)
 
     def record_run(self, stats, wall_seconds: float) -> None:
-        """Called after one ``simulate()``; *stats* is a ``SimStats``."""
+        """Record one simulation's ``SimStats``: after each in-process
+        ``simulate()``, and for each cell a sweep's workers ran."""
         benchmark = self.current_benchmark or "?"
         self.runs.append(
             RunRecord(
@@ -102,7 +103,6 @@ class ObsSession:
         self.registry.histogram(
             "sim.run_instructions", help="instructions per simulation run"
         ).observe(stats.instructions)
-        self.heartbeat(f"simulate.{benchmark}/{stats.config_name}")
 
     def heartbeat(self, last: str = "") -> None:
         """Print a progress line if the heartbeat interval elapsed."""

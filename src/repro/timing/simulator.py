@@ -984,6 +984,7 @@ def _simulate(config, trace, max_instructions, warmup, watchdog, events, mode, s
         shared[key] = sim.front_end
     if session is not None:
         session.record_run(stats, time.perf_counter() - t0)
+        session.heartbeat(f"simulate.{session.current_benchmark or '?'}/{stats.config_name}")
     return stats
 
 

@@ -68,3 +68,14 @@ def flaky(payload):
     if attempts < fail_times:
         os.kill(os.getpid(), signal.SIGKILL)
     return ("ok", task_id, attempts + 1)
+
+
+def imports(payload):
+    """What the worker has imported so far: whether numpy is loaded,
+    and which ``repro.experiments`` modules are."""
+    import sys
+
+    return (
+        "numpy" in sys.modules,
+        sorted(name for name in sys.modules if name.startswith("repro.experiments")),
+    )

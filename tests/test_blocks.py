@@ -305,22 +305,94 @@ def test_word_runs_across_a_page_boundary_lockstep():
     assert any(b == a + 1 for a, b in zip(pages, pages[1:]))
 
 
-def test_warm_word_runs_train_what_observe_trains():
-    """The warm variant touches one data-cache access per word of a run,
-    as WarmState.observe does for the reference records."""
-    program = assemble(_WORD_RUNS)
+def _warmed_and_observed(source):
+    """*source* warmed through compiled warm bodies, and the same
+    warming from the reference trace by ``WarmState.observe``."""
+    program = assemble(source)
     ref = Machine(program, dispatch="reference")
-    want = list(ref.trace(1_000))
+    want = list(ref.trace(20_000))
+    assert ref.halted
     warm = WarmState(baseline_config())
     warmer = Machine(program, block_threshold=0)
     warmer.attach_warm_sink(warm.hierarchy, warm.predictor)
-    warmer.run_warm(1_000)
+    warmer.run_warm(20_000)
     assert _state(warmer) == _state(ref)
-    assert {"lw", "sw"} <= _compiled_mnemonics(warmer)
     oracle = WarmState(baseline_config())
     for record in want:
         oracle.observe(record)
     assert _warm_contents(warm) == _warm_contents(oracle)
+    return warmer, oracle
+
+
+def test_warm_word_runs_train_what_observe_trains():
+    """The warm variant touches one data-cache access per word of a run,
+    as WarmState.observe does for the reference records."""
+    warmer, _ = _warmed_and_observed(_WORD_RUNS)
+    assert {"lw", "sw"} <= _compiled_mnemonics(warmer)
+
+
+#: Five lines 16 KiB apart (A-E) share one set of the L1D (256 sets of
+#: 64-byte lines, four ways), and no access repeats the line before it:
+#: none hits the MRU way.  An iteration hits a middle way (A), the LRU
+#: way (A after A-D, then C) and, last, the way after the MRU (E); its
+#: misses evict lines and reach the L2.  An LRU set's final state is its
+#: last four distinct lines, which can hide a wrong step early on, so
+#: the kernel runs for several iteration counts.
+_SET_CONFLICTS = """
+main:   addiu $s0, $sp, -4096
+        li    $t9, -16384
+        addu  $s3, $s0, $t9
+        addu  $s4, $s3, $t9
+        addu  $s5, $s4, $t9
+        addu  $s6, $s5, $t9
+        li    $s1, {iterations}
+loop:   lw    $t1, 0($s0)
+        sw    $t1, 4($s3)
+        lw    $t2, 8($s4)
+        lw    $t3, 12($s5)
+        lw    $t4, 0($s0)
+        sw    $t4, 0($s6)
+        lw    $t5, 4($s4)
+        lw    $t6, 8($s6)
+        addiu $s1, $s1, -1
+        bgtz  $s1, loop
+        halt
+"""
+
+#: A branch taken for 64 iterations, then not taken for 64, and so on:
+#: its gshare counters saturate in both directions and stay there.
+_BRANCH_RUNS = """
+main:   li    $s1, 320
+        li    $s2, 0
+loop:   andi  $t0, $s1, 64
+        beq   $t0, $0, skip
+        addiu $s2, $s2, 1
+skip:   addiu $s1, $s1, -1
+        bgtz  $s1, loop
+        halt
+"""
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3, 40])
+def test_warm_data_accesses_off_the_mru_way_train_what_observe_trains(iterations):
+    """The inline MRU test passes every other access to the hierarchy:
+    LRU reorders, evictions and L2 fills match the reference's."""
+    warmer, oracle = _warmed_and_observed(_SET_CONFLICTS.format(iterations=iterations))
+    assert {"lw", "sw"} <= _compiled_mnemonics(warmer)
+    l1d, l2 = oracle.hierarchy.l1d, oracle.hierarchy.l2
+    base = warmer.regs[16]  # $s0
+    assert len(l1d.set_tags(base)) == 4  # the set filled, then evicted
+    lines = [base - 16384 * k for k in range(5)]
+    assert all(l2.probe(addr) for addr in lines)
+    assert sum(l1d.probe(addr) for addr in lines) == 4
+
+
+def test_warm_branches_at_saturated_counters_train_what_observe_trains():
+    """The inline gshare update holds saturated counters where
+    ``GsharePredictor.update`` does, at both ends."""
+    warmer, oracle = _warmed_and_observed(_BRANCH_RUNS)
+    assert "beq" in _compiled_mnemonics(warmer)
+    assert {0, 3} <= set(oracle.predictor.gshare.table)
 
 
 def test_syscall_splits_blocks_and_stays_in_lockstep():

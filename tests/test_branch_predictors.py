@@ -36,11 +36,15 @@ def test_gshare_counters_saturate():
 
 
 def test_gshare_accuracy_stat():
+    """update() reports whether the prediction it trains away was right."""
     p = GsharePredictor(1024)
+    correct = 0
     for i in range(100):
-        p.update(0x400000, True)
-    assert p.predictions == 100
-    assert p.accuracy > 0.9
+        predicted = p.predict(0x400000)
+        right = p.update(0x400000, True)
+        assert right == predicted
+        correct += right
+    assert correct > 90
 
 
 def test_gshare_history_distinguishes_patterns():
@@ -65,11 +69,16 @@ def test_gshare_requires_power_of_two():
         GsharePredictor(1000)
 
 
-def test_gshare_reset_stats():
-    p = GsharePredictor(64)
-    p.update(0, True)
-    p.reset_stats()
-    assert p.predictions == 0 and p.mispredictions == 0
+def test_gshare_update_trains_table_and_history():
+    """One update moves the indexed counter one step and shifts the
+    outcome into the history, masked to its width."""
+    p = GsharePredictor(64, history_bits=2)
+    p.update(0x10, True)            # index (0x10 >> 2) ^ 0 = 4
+    assert p.table[4] == 3 and p.history == 0b1
+    p.update(0x10, False)           # index 4 ^ 0b1 = 5
+    assert p.table[5] == 1 and p.history == 0b10
+    p.update(0x10, True)            # index 4 ^ 0b10 = 6
+    assert p.table[6] == 3 and p.history == 0b01
 
 
 # ------------------------------------------------------------------- BTB

@@ -1,4 +1,4 @@
-"""Set-associative cache: geometry, LRU, MRU ordering, stats."""
+"""Set-associative cache: geometry, LRU, MRU ordering."""
 
 import pytest
 from hypothesis import given
@@ -44,7 +44,7 @@ def test_cold_miss_then_hit():
     assert cache.access(0x1000) is False
     assert cache.access(0x1000) is True
     assert cache.access(0x1004) is True  # same line
-    assert (cache.hits, cache.misses) == (2, 1)
+    assert cache.set_tags(0x1000) == [0x1000 >> cache.config.tag_shift]
 
 
 def test_lru_eviction():
@@ -71,15 +71,21 @@ def test_set_tags_mru_first():
 def test_probe_does_not_mutate():
     cache = small_cache()
     cache.probe(0x40)
-    assert cache.accesses == 0
+    assert cache.set_tags(0x40) == []
     assert not cache.probe(0x40)
 
 
-def test_reset_stats():
-    cache = small_cache()
-    cache.access(0)
-    cache.reset_stats()
-    assert cache.accesses == 0 and cache.miss_rate == 0.0
+def test_mru_hit_changes_no_state():
+    """A hit on the MRU way leaves every set as it was; a hit on another
+    way moves that way to the front."""
+    cache = small_cache(assoc=4, sets=1, line=16)
+    for addr in (0x00, 0x10, 0x20):
+        cache.access(addr)
+    before = [list(ways) for ways in cache._sets]
+    assert cache.is_mru(0x20) and cache.access(0x20) is True
+    assert cache._sets == before
+    assert not cache.is_mru(0x00) and cache.access(0x00) is True
+    assert cache.set_tags(0) == [0, 2, 1]
 
 
 def test_associativity_respected():

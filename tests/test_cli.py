@@ -62,6 +62,18 @@ def test_sweep_heartbeat_prints_cell_progress(tmp_path, capsys):
     assert capsys.readouterr().out == beating.out
 
 
+def test_heartbeat_names_only_simulations_this_process_ran(tmp_path, capsys):
+    """A sweep's cells simulate in its worker, so its heartbeat names
+    no simulation; an in-process experiment's names the last one."""
+    assert main(["sweep", "-n", "1200", "-b", "li", "--configs", "ideal",
+                 "--heartbeat", "0", "--bench-dir", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert "sweep 1/1 cells" in err and "simulate." not in err
+    assert main(["table1", "-n", "2000", "-b", "li",
+                 "--heartbeat", "0", "--bench-dir", str(tmp_path)]) == 0
+    assert "last simulate.li/" in capsys.readouterr().err
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["figure99"])

@@ -34,9 +34,8 @@ from repro.obs.guestprof import (
     GuestProfileCollector,
     SHORTFALL_PC,
     active_collector,
-    end_guest_profile,
     load_profile,
-    start_guest_profile,
+    redirected_guest_profile,
     suspended_guest_profile,
     validate_profile,
     write_profile,
@@ -85,11 +84,9 @@ def _collect(steps: int = STEPS):
 
 def _profiled(collect):
     """``collect()``'s trace and the profile bucket it filled."""
-    collector = start_guest_profile()
-    try:
+    collector = GuestProfileCollector()
+    with redirected_guest_profile(collector):
         trace = collect()
-    finally:
-        end_guest_profile()
     return trace, collector.benchmarks[NAME]
 
 
@@ -174,17 +171,15 @@ def test_run_warm_warms_under_an_active_profile():
         assert machine.run_warm(20_000) == 20_000
         hier, pred = warm.hierarchy, warm.predictor
         return (
-            [(cache.hits, cache.misses, cache._sets) for cache in (hier.l1i, hier.l1d, hier.l2)],
+            [cache._sets for cache in (hier.l1i, hier.l1d, hier.l2)],
             bytes(pred.gshare.table), pred.gshare.history,
         )
 
     plain = warmed()
-    assert plain[0][1][0] + plain[0][1][1] > 0  # the data cache was warmed
-    collector = start_guest_profile()
-    try:
+    assert any(plain[0][1])  # the data cache was warmed
+    collector = GuestProfileCollector()
+    with redirected_guest_profile(collector):
         assert warmed() == plain
-    finally:
-        end_guest_profile()
     assert collector.benchmarks == {}
 
 
@@ -193,13 +188,11 @@ def test_figure1_stays_out_of_the_guest_profile(empty_layer):
     the benchmark collected before it keeps exactly what it had."""
     from repro.experiments import figure1
 
-    collector = start_guest_profile()
-    try:
+    collector = GuestProfileCollector()
+    with redirected_guest_profile(collector):
         _collect()
         before = collector.to_dict()
         figure1.run()
-    finally:
-        end_guest_profile()
     assert collector.to_dict() == before
 
 
@@ -208,11 +201,9 @@ def _simulate_with_profile(timing_mode: str):
     from repro.timing.simulator import simulate
 
     records = tuple(Machine(assemble(LOOP_SOURCE)).trace(STEPS))
-    collector = start_guest_profile()
-    try:
+    collector = GuestProfileCollector()
+    with redirected_guest_profile(collector):
         stats = simulate(bitslice_config(4), iter(records), warmup=500, mode=timing_mode)
-    finally:
-        end_guest_profile()
     return stats, collector.benchmarks["?"]
 
 
@@ -236,11 +227,8 @@ def test_disabled_profiler_leaves_results_identical():
 
     records = tuple(Machine(assemble(LOOP_SOURCE)).trace(STEPS))
     plain = simulate(baseline_config(), iter(records), warmup=500)
-    start_guest_profile()
-    try:
+    with redirected_guest_profile(GuestProfileCollector()):
         profiled = simulate(baseline_config(), iter(records), warmup=500)
-    finally:
-        end_guest_profile()
     assert active_collector() is None
     assert profiled.to_dict() == plain.to_dict()
 
@@ -249,11 +237,9 @@ def test_profile_roundtrip_and_validation(tmp_path, empty_layer):
     from repro.core.config import bitslice_config
     from repro.timing.simulator import simulate
 
-    collector = start_guest_profile()
-    try:
+    collector = GuestProfileCollector()
+    with redirected_guest_profile(collector):
         simulate(bitslice_config(4), _collect(), warmup=500)
-    finally:
-        end_guest_profile()
     assert collector.benchmarks[NAME].retired == STEPS
     path = tmp_path / "profile.json"
     write_profile(path, collector)
@@ -305,14 +291,12 @@ def test_suspension_excludes_bookkeeping_runs():
     from repro.timing.simulator import simulate
 
     records = tuple(Machine(assemble(LOOP_SOURCE)).trace(1_000))
-    collector = start_guest_profile()
-    try:
+    collector = GuestProfileCollector()
+    with redirected_guest_profile(collector):
         with suspended_guest_profile():
             assert active_collector() is None
             simulate(baseline_config(), records)
         assert active_collector() is collector
-    finally:
-        end_guest_profile()
     assert collector.benchmarks == {}
 
 
@@ -327,14 +311,15 @@ def test_worker_state_round_trips_guest_profile(tmp_path):
     from repro.obs.session import start_session
     from repro.obs.tracing import start_tracing
 
-    parent_collector = start_guest_profile()
+    parent_collector = GuestProfileCollector()
     start_tracing()
     start_session()
     parent = context.current()
     parent.wall_timeout = 7.5
     parent.budget_overrides["li"] = 1234
     trace_cache.configure(tmp_path, enabled=True)
-    worker = pickle.loads(pickle.dumps(parent.snapshot())).restore()
+    with redirected_guest_profile(parent_collector):
+        worker = pickle.loads(pickle.dumps(parent.snapshot())).restore()
     assert worker.collector is not None and worker.collector is not parent_collector
     assert worker.tracer.process.startswith("worker-") and worker.tracer is not parent.tracer
     assert (worker.wall_timeout, worker.budget_overrides) == (7.5, {"li": 1234})
@@ -377,11 +362,9 @@ def test_profile_cli_live_run_annotates_and_saves(tmp_path, capsys):
     from repro.experiments.profile_cli import main
     from repro.timing.simulator import simulate
 
-    start_guest_profile()
-    try:
+    collector = GuestProfileCollector()
+    with redirected_guest_profile(collector):
         simulate(bitslice_config(4), runner.collect_trace("li", 2200), warmup=200)
-    finally:
-        collector = end_guest_profile()
     saved = tmp_path / "li.json"
     write_profile(saved, collector)
     flame = tmp_path / "li.folded"

@@ -41,9 +41,12 @@ def test_slice4_l1_latency():
     assert h.access_data(0x2000).latency == 2
 
 
-def test_reset_stats():
+def test_warm_data_reaches_l2_only_on_an_l1_miss():
+    """Functional warming allocates like an access: an L1D miss fills
+    both levels, an L1D hit leaves the L2 as it was."""
     h = MemoryHierarchy()
-    h.access_data(0)
-    h.access_instruction(0)
-    h.reset_stats()
-    assert h.l1d.accesses == 0 and h.l1i.accesses == 0 and h.l2.accesses == 0
+    h.warm_data(0x1000)
+    assert h.l1d.probe(0x1000) and h.l2.probe(0x1000)
+    h.l2._sets[h.l2.config.split(0x1000)[0]].clear()
+    h.warm_data(0x1000)
+    assert h.l1d.probe(0x1000) and not h.l2.probe(0x1000)

@@ -9,7 +9,7 @@ from repro.core.config import baseline_config, simple_pipeline_config
 from repro.experiments import runner, trace_cache
 from repro.experiments.supervisor import PoolTask, SupervisedPool, SupervisorPolicy, run_sweep
 from repro.harness.faults import ProcessFaultPlan
-from repro.obs.guestprof import start_guest_profile
+from repro.obs.guestprof import GuestProfileCollector, redirected_guest_profile
 from repro.obs.tracing import start_tracing
 from repro.timing.simulator import simulate
 from repro.timing.stats import SimStats
@@ -39,21 +39,21 @@ def test_workers_inherit_wall_timeout(tmp_path):
     runner.set_wall_timeout(1e-9)  # impossible budget: all attempts fail
     runner.set_budget_override("mcf", 900)
     trace_cache.configure(tmp_path / "cache", enabled=True)
-    start_guest_profile()
     start_tracing()
-    expected = context.current().snapshot()
     task = "tests._supervisor_tasks:run_context"
     tasks = [PoolTask(id="spawned", fn=task, payload=()),
              PoolTask(id="respawned", fn=task, payload=(str(tmp_path),), max_retries=1)]
-    with SupervisedPool(1, policy=SupervisorPolicy(backoff=0.0)) as pool:
-        outcomes = pool.run(tasks)
-    assert outcomes["respawned"].attempts == 2
-    assert outcomes["spawned"].value == expected == outcomes["respawned"].value
-    assert expected.guest_profile and expected.tracing
+    with redirected_guest_profile(GuestProfileCollector()):
+        expected = context.current().snapshot()
+        with SupervisedPool(1, policy=SupervisorPolicy(backoff=0.0)) as pool:
+            outcomes = pool.run(tasks)
+        assert outcomes["respawned"].attempts == 2
+        assert outcomes["spawned"].value == expected == outcomes["respawned"].value
+        assert expected.guest_profile and expected.tracing
 
-    grid, failures, degraded, _ = _sweep_li(
-        keep_going=True, policy=SupervisorPolicy(max_cell_retries=0, backoff=0.0)
-    )
+        grid, failures, degraded, _ = _sweep_li(
+            keep_going=True, policy=SupervisorPolicy(max_cell_retries=0, backoff=0.0)
+        )
     assert grid == {} and not degraded
     (record,) = failures
     assert record.benchmark == "li"
@@ -105,7 +105,7 @@ def test_sweep_telemetry_matches_the_same_cell_in_process(tmp_path):
     those of the same cell run in-process.  Compile seconds and
     code-cache binds depend on the per-process code cache and stay out."""
     from repro.emulator import blocks
-    from repro.experiments.supervisor import _execute_cells
+    from repro.harness.worker import execute_cells
     from repro.obs.session import ObsSession
 
     def telemetry():
@@ -124,7 +124,7 @@ def test_sweep_telemetry_matches_the_same_cell_in_process(tmp_path):
 
     runner.clear_trace_cache()
     context.reset(session=ObsSession(), cache_dir=tmp_path / "inline", cache_enabled=True)
-    _execute_cells(("li", configs, N, WARMUP, "ref", None))
+    execute_cells(("li", configs, N, WARMUP, "ref", None))
     assert telemetry() == swept
     dump, cache, engine = swept
     assert dump["emulate.collections"]["value"] == 1
@@ -138,7 +138,7 @@ def test_sampled_windows_count_as_emulations_and_reach_the_sweep():
     """A sampled task counts each window's trace as one emulated
     collection of its length, in-process and through a worker's reply;
     the init skip and the warming fast-forwards retire no records."""
-    from repro.experiments.supervisor import _execute_cells
+    from repro.harness.worker import execute_cells
     from repro.obs.session import ObsSession
     from repro.obs.tracing import Tracer
     from repro.timing.sampling import SamplingPlan
@@ -151,7 +151,7 @@ def test_sampled_windows_count_as_emulations_and_reach_the_sweep():
     configs = [baseline_config(), simple_pipeline_config(2)]
     tracer = Tracer()
     context.reset(session=ObsSession(), tracer=tracer)
-    _execute_cells(("gzip", configs, 8_000, 0, "ref", plan))
+    execute_cells(("gzip", configs, 8_000, 0, "ref", plan))
     windows = [span.args["records"] for span in tracer.spans() if span.name == "window.gzip"]
     assert len(windows) > 1
     inline = emulated()

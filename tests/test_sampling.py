@@ -328,17 +328,19 @@ def test_grouped_guest_profile_counts_each_config_like_a_standalone_run(monkeypa
     for flip in (False, True):
         if flip:
             monkeypatch.setattr(simulator.TimingSimulator, "run", run)
-        guestprof.start_guest_profile()
-        sample_configs(HAZARD_RUN["name"], configs, HAZARD_RUN["plan"],
-                       HAZARD_RUN["budget"], skip=0)
-        profiles.append(guestprof.end_guest_profile().to_dict())
+        collector = guestprof.GuestProfileCollector()
+        with guestprof.redirected_guest_profile(collector):
+            sample_configs(HAZARD_RUN["name"], configs, HAZARD_RUN["plan"],
+                           HAZARD_RUN["budget"], skip=0)
+        profiles.append(collector.to_dict())
     monkeypatch.setattr(simulator.TimingSimulator, "run", real_run)
     assert flipped
-    guestprof.start_guest_profile()
-    for config in configs:
-        sample_benchmark(HAZARD_RUN["name"], config, HAZARD_RUN["plan"],
-                         HAZARD_RUN["budget"], skip=0)
-    alone = guestprof.end_guest_profile().to_dict()
+    collector = guestprof.GuestProfileCollector()
+    with guestprof.redirected_guest_profile(collector):
+        for config in configs:
+            sample_benchmark(HAZARD_RUN["name"], config, HAZARD_RUN["plan"],
+                             HAZARD_RUN["budget"], skip=0)
+    alone = collector.to_dict()
     assert profiles == [alone, alone]
     (bucket,) = alone["benchmarks"].values()
     assert bucket["retired"] == 3 * 20 * 400

@@ -397,15 +397,28 @@ def test_grouped_sampled_sweep_guest_profile_matches_per_cell_tasks(pool_tasks):
     configs = [baseline_config(), bitslice_config(4)]
     profiles = []
     for sweeps in ([configs], [[config] for config in configs]):
-        guestprof.start_guest_profile()
-        for sweep in sweeps:
-            _, failures, _, _ = run_sweep(["bzip"], sweep, SAMPLED_N, 0, jobs=1,
-                                          fault_plan=ProcessFaultPlan(), **SAMPLED)
-            assert not failures
-        profiles.append(guestprof.end_guest_profile().to_dict())
+        collector = guestprof.GuestProfileCollector()
+        with guestprof.redirected_guest_profile(collector):
+            for sweep in sweeps:
+                _, failures, _, _ = run_sweep(["bzip"], sweep, SAMPLED_N, 0, jobs=1,
+                                              fault_plan=ProcessFaultPlan(), **SAMPLED)
+                assert not failures
+        profiles.append(collector.to_dict())
     assert pool_tasks == [[2], [1], [1]]
     assert profiles[0] == profiles[1]
     assert sum(b["retired"] for b in profiles[0]["benchmarks"].values()) == 2 * 2 * 400
+
+
+def test_sweep_worker_imports_what_a_sampled_cell_runs():
+    """A worker that ran a sampled cell has imported neither numpy nor
+    any module of the experiment layer."""
+    cell = ("gzip", [baseline_config()], SAMPLED_N, 0, "ref", SAMPLED["sampling"])
+    tasks = [PoolTask(id="cell", fn="repro.harness.worker:execute_cells", payload=cell),
+             PoolTask(id="probe", fn="tests._supervisor_tasks:imports", payload=())]
+    with SupervisedPool(1, policy=FAST) as pool:
+        outcomes = pool.run(tasks)
+    assert outcomes["cell"].ok, outcomes["cell"].message
+    assert outcomes["probe"].value == (False, [])
 
 
 # ----------------------------------------------- parallel layer regression

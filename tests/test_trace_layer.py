@@ -167,15 +167,13 @@ def test_guest_profile_matches_a_cold_shorter_collection():
 
     def profiled(serve_prefix: bool) -> dict:
         runner.clear_trace_cache()
-        collector = guestprof.start_guest_profile()
-        try:
+        collector = guestprof.GuestProfileCollector()
+        with guestprof.redirected_guest_profile(collector):
             with trace_cache_disabled():
                 _collect(2_500)
                 if not serve_prefix:
                     runner._collect.cache_clear()
                 _collect(1_200)
-        finally:
-            guestprof.end_guest_profile()
         return collector.to_dict()
 
     assert profiled(serve_prefix=True) == profiled(serve_prefix=False)
