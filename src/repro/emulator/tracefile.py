@@ -22,6 +22,12 @@ Robustness guarantees (format version 2):
 * **Strict versioning** — a file written by an unknown (e.g. future)
   format raises :class:`TraceCorruption` instead of being silently
   misread.  Version-1 files (pre-checksum) still load.
+
+numpy is imported inside the functions that pack, save, load, validate
+or unpack a trace, not at module level: every ``repro-experiment``
+process imports this module through the trace cache, and a run that
+never touches a trace file (a sampled sweep, Figure 1) then loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -31,12 +37,14 @@ import tempfile
 import zlib
 from functools import lru_cache
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.emulator.trace import COLUMNS, Trace, as_trace
 from repro.harness.errors import TraceCorruption
 from repro.isa.encoding import decode, encode
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: Format marker stored inside the file for forward compatibility.
 #: Version 2 added the embedded CRC-32 checksum.
@@ -51,6 +59,8 @@ _FIELDS = ("pc", "word", "rs_val", "rt_val", "result", "mem_addr", "taken", "nex
 
 def _checksum(arrays: dict[str, np.ndarray]) -> int:
     """CRC-32 over the version marker and every field array."""
+    import numpy as np
+
     crc = 0
     for name in ("version",) + _FIELDS:
         arr = np.ascontiguousarray(arrays[name])
@@ -63,6 +73,8 @@ def _checksum(arrays: dict[str, np.ndarray]) -> int:
 def pack_trace(trace) -> dict[str, np.ndarray]:
     """Pack a :class:`Trace` (or an iterable of :class:`TraceRecord`)
     into numpy arrays, encoding each static instruction once."""
+    import numpy as np
+
     trace = as_trace(trace)
     n = len(trace)
     static = np.fromiter(trace.static, dtype=np.intp, count=n)
@@ -130,6 +142,8 @@ def unpack_trace(arrays: dict[str, np.ndarray]) -> Trace:
     Raises:
         TraceCorruption: the arrays fail version/checksum validation.
     """
+    import numpy as np
+
     validate_arrays(arrays)
     words, static = np.unique(arrays["word"], return_inverse=True)
     return Trace(
@@ -153,6 +167,8 @@ def save_trace(path: str | Path, trace) -> int:
     directory, flushed and fsynced, then renamed over *path* — an
     interrupted save never leaves a partial trace at *path*.
     """
+    import numpy as np
+
     arrays = pack_trace(trace)
     path = _normalize_path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
@@ -179,6 +195,8 @@ def load_trace(path: str | Path) -> Trace:
         TraceCorruption: the file is truncated, not an ``.npz`` archive,
             fails its checksum, or stores an unknown format version.
     """
+    import numpy as np
+
     path = _normalize_path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))

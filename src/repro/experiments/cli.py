@@ -62,7 +62,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from repro.context import RunContext, activate, current
-from repro.experiments import figure1, figure2, figure4, figure6, figure11, figure12, table1, workload_table
 from repro.emulator.machine import default_dispatch
 from repro.timing.fastpath import default_timing_mode
 from repro.experiments import trace_cache
@@ -88,6 +87,9 @@ DEFAULT_FAULTS = 200
 #: Default benchmarks for the ``inject`` experiment (kept small so a
 #: smoke campaign stays fast).
 INJECT_BENCHMARKS = ("li",)
+
+#: Default RNG seed of the fault-injection campaign.
+DEFAULT_INJECT_SEED = 2003
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -132,8 +134,8 @@ def _parser() -> argparse.ArgumentParser:
         help=f"fault-injection campaign size for the 'inject' experiment (default {DEFAULT_FAULTS})",
     )
     p.add_argument(
-        "--inject-seed", type=int, default=2003, metavar="SEED",
-        help="RNG seed for the fault-injection campaign (default 2003)",
+        "--inject-seed", type=int, default=None, metavar="SEED",
+        help=f"RNG seed for the fault-injection campaign (default {DEFAULT_INJECT_SEED})",
     )
     perf = p.add_argument_group("performance (docs/performance.md)")
     perf.add_argument(
@@ -166,11 +168,11 @@ def _parser() -> argparse.ArgumentParser:
              "result store, dispatch only the remainder",
     )
     sweep.add_argument(
-        "--max-cell-retries", type=int, default=2, metavar="N",
+        "--max-cell-retries", type=int, default=None, metavar="N",
         help="extra attempts per sweep cell before quarantine (default 2)",
     )
     sweep.add_argument(
-        "--backoff", type=float, default=0.25, metavar="SECONDS",
+        "--backoff", type=float, default=None, metavar="SECONDS",
         help="base exponential-backoff delay between cell retries (default 0.25)",
     )
     samp = p.add_argument_group("statistical sampling (docs/performance.md)")
@@ -294,6 +296,23 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs > 1 and args.experiment != "sweep":
         print("--jobs applies to the 'sweep' experiment only", file=sys.stderr)
         return 2
+    # Flags default to None so that a value given to an experiment that
+    # never reads it is an error, not silently dropped.
+    for experiment, flags in (
+        ("sweep", {
+            "--configs": args.configs, "--journal": args.journal, "--resume": args.resume,
+            "--max-cell-retries": args.max_cell_retries, "--backoff": args.backoff,
+        }),
+        ("inject", {"--inject": args.inject, "--inject-seed": args.inject_seed}),
+    ):
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given and args.experiment != experiment:
+            verb = "applies" if len(given) == 1 else "apply"
+            print(f"{', '.join(given)} {verb} to the {experiment!r} experiment only",
+                  file=sys.stderr)
+            return 2
+    if args.inject_seed is None:
+        args.inject_seed = DEFAULT_INJECT_SEED
     if args.journal and args.resume:
         print("--journal and --resume are mutually exclusive (resume names the journal)",
               file=sys.stderr)
@@ -301,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace_cache is not None and args.no_trace_cache:
         print("--trace-cache and --no-trace-cache are mutually exclusive", file=sys.stderr)
         return 2
-    if args.max_cell_retries < 0:
+    if args.max_cell_retries is not None and args.max_cell_retries < 0:
         print("--max-cell-retries must be >= 0", file=sys.stderr)
         return 2
     sampling_knobs = {
@@ -552,9 +571,11 @@ def _run_experiments(args, n, prof, benches, argv) -> int:
     # (resiliently) inside each cell.
     failed: set[str] = set()
     if args.keep_going and args.experiment not in ("fig1", "inject", "sweep"):
-        target = benches or (
-            figure2.FIGURE2_BENCHMARKS if args.experiment == "fig2" else BENCHMARK_NAMES
-        )
+        target = benches or BENCHMARK_NAMES
+        if not benches and args.experiment == "fig2":
+            from repro.experiments import figure2
+
+            target = figure2.FIGURE2_BENCHMARKS
         for name in target:
             trace, record = collect_trace_resilient(name, n + DEFAULT_WARMUP, profile=prof)
             if trace is None:
@@ -571,17 +592,32 @@ def _run_experiments(args, n, prof, benches, argv) -> int:
         default, less any the pre-pass dropped."""
         return tuple(name for name in benches or default if name not in failed)
 
+    # Each experiment's module is imported in the branch that runs it, so
+    # a process loads only what its command runs: a sampled sweep or a
+    # Figure 1 run imports no characterization kernel and no numpy.
     if args.experiment in ("table1", "all"):
+        from repro.experiments import table1
+
         guarded("table1", lambda: table1.run(own(BENCHMARK_NAMES), n, profile=prof))
     if args.experiment == "fig1":
+        from repro.experiments import figure1
+
         guarded("fig1", figure1.run)
     if args.experiment in ("fig2", "all"):
+        from repro.experiments import figure2
+
         guarded("fig2", lambda: figure2.run(own(figure2.FIGURE2_BENCHMARKS), n, profile=prof))
     if args.experiment in ("fig4", "all"):
+        from repro.experiments import figure4
+
         guarded("fig4", lambda: figure4.run(n, profile=prof))
     if args.experiment in ("fig6", "all"):
+        from repro.experiments import figure6
+
         guarded("fig6", lambda: figure6.run(own(BENCHMARK_NAMES), n, profile=prof))
     if args.experiment in ("fig11", "fig12", "all"):
+        from repro.experiments import figure11
+
         # fig12 derives from fig11's sweep; for a fig12-only run the
         # base is computed (guarded) but not printed.
         base = guarded(
@@ -590,8 +626,12 @@ def _run_experiments(args, n, prof, benches, argv) -> int:
             show=args.experiment in ("fig11", "all"),
         )
         if args.experiment in ("fig12", "all") and base is not None:
+            from repro.experiments import figure12
+
             guarded("fig12", lambda: figure12.run(base=base))
     if args.experiment in ("workloads", "all"):
+        from repro.experiments import workload_table
+
         guarded("workloads", lambda: workload_table.run(own(BENCHMARK_NAMES), n, profile=prof))
 
     if args.experiment == "sweep":
@@ -612,9 +652,13 @@ def _run_experiments(args, n, prof, benches, argv) -> int:
             profile=prof,
             journal_path=args.resume or args.journal,
             resume=bool(args.resume),
-            policy=SupervisorPolicy(
-                max_cell_retries=args.max_cell_retries, backoff=args.backoff
-            ),
+            policy=SupervisorPolicy(**{
+                field: value
+                for field, value in (
+                    ("max_cell_retries", args.max_cell_retries), ("backoff", args.backoff),
+                )
+                if value is not None
+            }),
             keep_going=args.keep_going,
             sampling=args.sampling_plan,
         )

@@ -18,6 +18,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+# Every report reads traces and runs the Figure 2/4 kernels, which
+# import numpy on first use.  Importing it here keeps that cost in the
+# report's set-up rather than in its first figure's run.
+import numpy  # noqa: F401
+
 #: Default budget for a fidelity run — big enough that every band below
 #: holds, small enough for CI (seconds per benchmark, not minutes).
 FIDELITY_INSTRUCTIONS = 4_000

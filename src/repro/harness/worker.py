@@ -9,10 +9,12 @@ The module sits outside :mod:`repro.experiments` so that a worker
 imports what its cells run and nothing more.  A sampled cell imports
 the emulator, the timing model and the sampler: no numpy, and no
 experiment layer (runner, trace cache, journal, supervisor).  An exact
-cell imports the runner, and with it the trace cache and numpy, when it
-runs.  Spawn re-imports the parent's ``__main__`` in every worker, so a
-sweep launched as ``python -m repro.experiments.cli`` (or through the
-``repro-experiment`` script) still brings the CLI's imports along.
+cell imports the runner and the trace cache when it runs, and numpy
+when it reads or writes a cached trace.  Spawn re-imports the parent's
+``__main__`` in every worker, so a sweep launched as ``python -m
+repro.experiments.cli`` (or through the ``repro-experiment`` script)
+still brings the CLI's own imports along: the runner and the trace
+cache, but no experiment module and no numpy.
 """
 
 from __future__ import annotations

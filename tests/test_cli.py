@@ -1,5 +1,10 @@
 """Console entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.experiments.runner as runner
@@ -177,6 +182,42 @@ def test_jobs_applies_to_the_sweep_experiment_only(capsys):
     assert [[cell.strip() for cell in row] for row in rows[1:]] == [["go", "ideal"], ["li", "ideal"]]
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["fig1", "--configs", "bogus"], "--configs applies to the 'sweep'"),
+    (["fig1", "--resume", "missing.json"], "--resume applies to the 'sweep'"),
+    (["table1", "-n", "1000", "-b", "go", "--journal", "j.json"], "--journal applies"),
+    (["fig1", "--max-cell-retries", "2"], "--max-cell-retries applies"),
+    (["fig1", "--backoff", "0.25"], "--backoff applies"),
+    (["all", "-n", "1000", "-b", "go", "--configs", "ideal", "--backoff", "0"],
+     "--configs, --backoff apply to the 'sweep' experiment only"),
+    (["sweep", "-n", "1200", "-b", "li", "--configs", "ideal", "--inject", "5"],
+     "--inject applies to the 'inject'"),
+    (["fig1", "--inject-seed", "2003"], "--inject-seed applies to the 'inject'"),
+])
+def test_flags_of_another_experiment_rejected(capsys, argv, named):
+    """A flag only another experiment reads exits 2 with one line naming
+    it, even when its value equals the default."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert named in line
+
+
+def test_flag_defaults_still_shown_in_help(capsys):
+    """The sweep and inject flags parse to None so that a given value can
+    be told from a default; ``--help`` still states each default."""
+    import re
+
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    entries = re.split(r"\n(?=  -)", capsys.readouterr().out)
+    helps = {entry.split()[0]: " ".join(entry.split()) for entry in entries if entry.startswith("  -")}
+    assert "(default 2)" in helps["--max-cell-retries"]
+    assert "(default 0.25)" in helps["--backoff"]
+    assert "(default 2003)" in helps["--inject-seed"]
+
+
 def test_inject_experiment_reports_clean_campaign(capsys):
     rc = main(["inject", "-n", "2000", "-b", "li", "--inject", "60"])
     out = capsys.readouterr().out
@@ -321,32 +362,89 @@ def test_manifest_names_the_configs_plan_and_seed_the_run_used(tmp_path):
     assert not {"configs", "sampling"} & set(plain["config"])
 
 
+def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` with this checkout's sources on the path."""
+    import repro
+
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return result
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running *code*."""
+    result = _fresh_interpreter("-c", code + "\nimport sys\nprint(' '.join(sys.modules))\n")
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def _unneeded(modules, ran: str = "") -> list[str]:
+    """numpy, the experiment modules and the characterization kernels
+    among *modules*, less the experiment module *ran*."""
+    return sorted(
+        m for m in modules
+        if m != ran and (
+            m == "numpy" or m.startswith(("numpy.", "repro.characterization", "repro.experiments.figure"))
+            or m in ("repro.experiments.table1", "repro.experiments.workload_table")
+        )
+    )
+
+
 def test_non_sweep_metrics_run_imports_no_supervisor(tmp_path):
     """The manifest reads the sweep report from the run context, so a
     run that sweeps nothing loads neither the sweep supervisor nor
     ``multiprocessing`` to write it."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    code = (
-        "import sys\n"
+    modules = _modules_after(
         "from repro.experiments.cli import main\n"
         f"main(['table1', '-n', '1000', '-b', 'go', '--metrics-out', {str(tmp_path / 'm.json')!r},"
-        f" '--bench-dir', {str(tmp_path)!r}])\n"
-        "print(sorted(m for m in ('repro.experiments.supervisor', 'multiprocessing')"
-        " if m in sys.modules))\n"
+        f" '--bench-dir', {str(tmp_path)!r}])"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
-    )
-    assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout.strip().splitlines()[-1] == "[]"
+    assert not {"repro.experiments.supervisor", "multiprocessing"} & modules
     assert (tmp_path / "m.json").exists()
+
+
+SAMPLED_SWEEP = (
+    "sweep", "--sample", "-n", "4000", "--sample-window", "300", "--sample-warmup", "100",
+    "--sample-interval", "2000", "-b", "bzip", "--configs", "ideal", "--jobs", "1",
+)
+
+
+def test_sampled_sweep_imports_no_numpy_or_experiment_module():
+    """The CLI imports each experiment when it runs, and the trace format
+    imports numpy on first use: a sampled sweep, which reads no trace
+    file, loads neither."""
+    modules = _modules_after(
+        f"from repro.experiments.cli import main\nassert main({list(SAMPLED_SWEEP)!r}) == 0"
+    )
+    assert "repro.experiments.supervisor" in modules
+    assert _unneeded(modules) == []
+
+
+def test_cli_launched_sweep_worker_imports_no_numpy():
+    """Spawn re-imports ``__main__`` in each worker, which under
+    ``python -m repro.experiments.cli`` is the CLI: neither the
+    orchestrator nor its worker imports numpy or an experiment module."""
+    result = _fresh_interpreter("-X", "importtime", "-m", "repro.experiments.cli", *SAMPLED_SWEEP)
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in result.stderr.splitlines() if line.startswith("import time:")
+    ]
+    assert imported.count("repro.harness.worker") == 2  # orchestrator and worker
+    assert _unneeded(imported) == []
+
+
+def test_fig1_run_imports_no_numpy_or_other_experiment():
+    modules = _modules_after("from repro.experiments.cli import main\nassert main(['fig1']) == 0")
+    assert "repro.experiments.figure1" in modules
+    assert _unneeded(modules, ran="repro.experiments.figure1") == []
+
+
+def test_report_still_imports_numpy_at_set_up():
+    """A report reads traces and runs the Figure 2/4 kernels every time,
+    so it keeps numpy's import in its set-up."""
+    assert "numpy" in _modules_after("import repro.experiments.report")
 
 
 def test_observability_off_leaves_no_session(tmp_path):
